@@ -15,6 +15,7 @@ import inspect
 import numpy as np
 
 from .errors import NotFitted
+from .seminorm import DEFAULT_MARGIN
 from .signal import GridSignal, load_signal
 from .wavefront import ScanConfig, WavefrontEstimate, scan
 
@@ -40,7 +41,7 @@ class WavefrontDetector:
         beta=1.0,
         epsilon=None,
         r_max=None,
-        margin=0.15,
+        margin=DEFAULT_MARGIN,
         method="fl",
     ):
         self.q = q
@@ -117,13 +118,18 @@ class WavefrontDetector:
         return [row[:d] for row in X], [row[d:] for row in X]
 
     def predict_records(self, X) -> WavefrontEstimate:
-        """Full per-query records (both verdict columns where computed)."""
+        """Full per-query records (both verdict columns where computed), one
+        per row in row order.  Rows sharing an x0 share one scan."""
         self._check_fitted()
         points, dirs = self._split_queries(X)
-        records = []
-        for x0, th in zip(points, dirs):
-            est = scan(self.signal_, [x0], [th], self.config_)
-            records.extend(est.records)
+        rows_at: dict = {}  # x0 bytes -> row indices
+        for i, x0 in enumerate(points):
+            rows_at.setdefault(x0.tobytes(), []).append(i)
+        records = [None] * len(points)
+        for rows in rows_at.values():
+            est = scan(self.signal_, [points[rows[0]]], [dirs[i] for i in rows], self.config_)
+            for i, rec in zip(rows, est.records):
+                records[i] = rec
         return WavefrontEstimate(records, {"scan": self.config_.to_json()})
 
     def predict(self, X) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .validation import as_box, as_point, as_points, check_in_open, unit_direction
+from .validation import as_box, as_points, check_in_open, unit_direction
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,6 @@ class Cone:
     @classmethod
     def from_json(cls, data: dict) -> "Cone":
         return cls.from_degrees(data["axis"], data["aperture_deg"])
-
-
-def cone_contains(cone: Cone, xi) -> bool | np.ndarray:
-    return cone.contains(xi)
 
 
 def compactly_contained(inner: Cone, outer: Cone) -> bool:
@@ -132,10 +128,6 @@ class Weight:
         if data.get("kind") != "bracket_power":
             raise ValueError(f"unsupported weight kind {data.get('kind')!r}")
         return cls.bracket_power(data["s"])
-
-
-def weight_eval(omega: Weight, xi) -> float:
-    return float(omega(as_point(xi, name="xi")))
 
 
 def check_moderate(omega: Weight, v: Weight, box, n: int, seed: int = 0) -> float:

@@ -17,7 +17,7 @@ sampled discontinuity is visibly distorted by aliasing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainClipped, EpsilonTooLarge, MicrolocError
 from .gabor import CoefficientTable, GaborSystem, build_agp, coefficients, support_index_set
 from .geometry import Cone, Weight
-from .lattice import Lattice, LatticePair, classify_pair, parallelepiped_containing, points_in_ball, scaled_integer_lattice
+from .lattice import Lattice, LatticePair, classify_pair, parallelepiped_containing, scaled_integer_lattice
 from .seminorm import (
     DEFAULT_K_LAST,
     DEFAULT_MARGIN,
@@ -33,9 +33,10 @@ from .seminorm import (
     Verdict,
     classify,
     discrete_mod_series,
+    lattice_spectrum,
     series_from_spectrum,
 )
-from .signal import DEFAULT_NYQUIST_SAFETY, BumpWindow, GridSignal, fourier_batch, make_cutoff, multiply
+from .signal import BumpWindow, GridSignal, make_cutoff, multiply
 from .validation import as_point, check_exponent, check_in_open, unit_direction
 
 ALIAS_SAFE_FACTOR = 0.7
@@ -59,13 +60,10 @@ class WavefrontQuery:
     weight: Weight | float = 0.0
     epsilon: float | None = None
     r_max: float | None = None
-    r0: float | None = None
     inner_frac: float = 0.25
     outer_cap_frac: float = 0.45
     margin: float = DEFAULT_MARGIN
     k_last: int = DEFAULT_K_LAST
-    safety: float = DEFAULT_NYQUIST_SAFETY
-    smoothness: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "x0", as_point(self.x0, name="x0"))
@@ -98,15 +96,17 @@ def cutoff_for(
     x0: np.ndarray,
     inner_frac: float = 0.25,
     outer_cap_frac: float = 0.45,
-    smoothness: float = math.inf,
 ) -> BumpWindow:
-    """Smooth cutoff chi with chi(x0) = 1 supported inside (cell of x0) cap X.
+    """Smooth (C-infinity) cutoff chi with chi(x0) = 1 supported inside
+    (cell of x0) cap X.
 
     The outer radius is min(0.9 x distance to the boundary of the cell/domain
     intersection, outer_cap_frac x shortest cell edge); the cap keeps the
     cutoff local so membership reflects the geometry near x0 rather than
     whatever else the cell contains.  Raises DomainClipped when no cutoff
-    with a grid-resolvable transition fits.
+    with a grid-resolvable transition fits.  Callers check first that x0 is
+    interior to the signal domain, so that failure reads the same on every
+    entry point.
     """
     if not lambda1.is_diagonal:
         raise ValueError("cutoff construction requires an axis-aligned spatial lattice")
@@ -128,7 +128,7 @@ def cutoff_for(
             "the cell/domain intersection around x0 is too small"
         )
     inner = inner_frac * outer
-    return make_cutoff((x0 - inner, x0 + inner), (x0 - outer, x0 + outer), smoothness)
+    return make_cutoff((x0 - inner, x0 + inner), (x0 - outer, x0 + outer))
 
 
 def _require_interior(f: GridSignal, x0: np.ndarray) -> None:
@@ -137,54 +137,20 @@ def _require_interior(f: GridSignal, x0: np.ndarray) -> None:
         raise DomainClipped(f"x0 = {x0.tolist()} is not interior to the signal domain")
 
 
-def df_fl_point(f: GridSignal, query: WavefrontQuery, pair: LatticePair) -> Verdict:
-    """Fourier-Lebesgue membership verdict at (x0, direction)."""
-    if not pair.is_strong:
-        raise ValueError(f"lattice pair must be strongly admissible, got {pair.kind}")
-    x0 = as_point(query.x0, f.d, "x0")
-    _require_interior(f, x0)
-    chi = cutoff_for(
-        f, pair.lambda1, x0, query.inner_frac, query.outer_cap_frac, query.smoothness
-    )
-    g = multiply(f, chi)
-    r_max = query.r_max if query.r_max is not None else default_r_max(f)
-    r0 = query.r0 if query.r0 is not None else 4.0 * pair.lambda2.min_spacing
-    spec = _fl_spectrum(g, pair.lambda2, r_max, query.safety)
-    series = series_from_spectrum(spec, query.weight, query.q, query.cone, r0, r_max)
-    return classify(series, query.k_last, query.margin)
-
-
-def _fl_spectrum(
-    g: GridSignal, lambda2: Lattice, r_max: float, safety: float
-) -> SpectralSamples:
-    pts, _ = points_in_ball(lambda2, r_max, r_min=0.0)
-    vals = np.abs(fourier_batch(g, pts, safety)) if pts.size else np.zeros(0)
-    return SpectralSamples(
-        pts,
-        np.linalg.norm(pts, axis=1) if pts.size else np.zeros(0),
-        vals,
-        1.0,
-        g.noise_floor(),
-        "lattice",
-        {"lattice": lambda2.to_json()},
-    )
-
-
-def choose_epsilon(
-    f: GridSignal, sys: GaborSystem, x0: np.ndarray, cell_edge: float | None = None
-) -> float:
+def choose_epsilon(f: GridSignal, sys: GaborSystem, x0: np.ndarray) -> float:
     """Largest dyadic epsilon whose local window supports fit the constraints.
 
-    Requires eps * (phi support side) <= cell edge, and every window support
-    containing x0 (reach eps * alpha2 around x0) inside the signal domain.
+    Requires eps * (phi support side) <= the Gabor system's own step
+    sys.alpha, and every window support containing x0 (reach eps * alpha2
+    around x0) inside the signal domain.  Every entry point picks epsilon
+    this way, so scans and point verdicts ask the same question.
     """
-    cell = cell_edge if cell_edge is not None else sys.alpha
     lo, hi = f.domain_box
     eps = 1.0
     for _ in range(48):
         reach = eps * sys.alpha2
         if (
-            reach <= cell + 1e-12
+            reach <= sys.alpha + 1e-12
             and np.all(x0 - reach >= lo)
             and np.all(x0 + reach <= hi)
         ):
@@ -205,24 +171,83 @@ def _validate_epsilon(f: GridSignal, sys: GaborSystem, x0: np.ndarray, eps: floa
         )
 
 
+def _local_spectrum(
+    f: GridSignal, pair: LatticePair, x0: np.ndarray, r_max: float, **cutoff
+) -> SpectralSamples:
+    """|F(chi f)| on the frequency lattice, chi = cutoff_for(..., **cutoff)
+    around x0: the per-point work of every Fourier-Lebesgue verdict."""
+    _require_interior(f, x0)
+    chi = cutoff_for(f, pair.lambda1, x0, **cutoff)
+    return lattice_spectrum(multiply(f, chi), pair.lambda2, r_max)
+
+
+def _local_table(
+    f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float | None, r_max: float
+) -> CoefficientTable:
+    """Coefficients of every translate whose window support holds x0, in one
+    table: the per-point work of every modulation verdict."""
+    _require_interior(f, x0)
+    if epsilon is not None:
+        _validate_epsilon(f, sys, x0, epsilon)
+    else:
+        epsilon = choose_epsilon(f, sys, x0)
+    sys_eps = sys.with_epsilon(epsilon)
+    return coefficients(f, sys_eps, r_max, js=support_index_set(sys_eps, x0))
+
+
+def _fl_verdict(
+    spec: SpectralSamples, pair: LatticePair, r_max: float, cone: Cone, weight: Weight, q,
+    k_last: int, margin: float,
+) -> Verdict:
+    series = series_from_spectrum(spec, weight, q, cone, 4.0 * pair.lambda2.min_spacing, r_max)
+    return classify(series, k_last, margin)
+
+
+def _mod_verdict(
+    table: CoefficientTable, cone: Cone, weight: Weight, p, q, k_last: int, margin: float
+) -> Verdict:
+    series = discrete_mod_series(table, weight, p, q, cone, table.lambda2, table.js)
+    return classify(series, k_last, margin)
+
+
+def df_fl_point(f: GridSignal, query: WavefrontQuery, pair: LatticePair) -> Verdict:
+    """Fourier-Lebesgue membership verdict at (x0, direction)."""
+    (verdict,) = aperture_sweep(f, query, pair, (query.aperture_deg,)).values()
+    return verdict
+
+
+def aperture_sweep(
+    f: GridSignal, query: WavefrontQuery, pair: LatticePair, apertures=(20.0, 10.0, 5.0)
+) -> dict:
+    """Fourier-Lebesgue verdicts over a shrinking sequence of apertures.
+
+    Approximates the "every conical neighbourhood" quantifier: membership at
+    a point and direction is witnessed only if every tested aperture stays
+    divergent.  The windowed spectrum is computed once for all apertures."""
+    if not pair.is_strong:
+        raise ValueError(f"lattice pair must be strongly admissible, got {pair.kind}")
+    x0 = as_point(query.x0, f.d, "x0")
+    r_max = query.r_max if query.r_max is not None else default_r_max(f)
+    spec = _local_spectrum(
+        f, pair, x0, r_max, inner_frac=query.inner_frac, outer_cap_frac=query.outer_cap_frac
+    )
+    return {
+        float(a): _fl_verdict(
+            spec, pair, r_max, Cone.from_degrees(query.direction, a),
+            query.weight, query.q, query.k_last, query.margin,
+        )
+        for a in apertures
+    }
+
+
 def df_mod_point(f: GridSignal, query: WavefrontQuery, sys: GaborSystem) -> Verdict:
     """Modulation-space membership verdict at (x0, direction)."""
     x0 = as_point(query.x0, f.d, "x0")
-    _require_interior(f, x0)
-    if query.epsilon is not None:
-        _validate_epsilon(f, sys, x0, query.epsilon)
-        eps = query.epsilon
-    else:
-        eps = choose_epsilon(f, sys, x0)
-    sys_eps = sys.with_epsilon(eps)
-    jset = support_index_set(sys_eps, x0)
     r_max = query.r_max if query.r_max is not None else default_r_max(f)
-    r0 = query.r0 if query.r0 is not None else 4.0 * sys.lambda2.min_spacing
-    table = coefficients(f, sys_eps, r_max, js=jset, safety=query.safety)
-    series = discrete_mod_series(
-        table, query.weight, query.p, query.q, query.cone, sys.lambda2, jset, r0
+    table = _local_table(f, sys, x0, query.epsilon, r_max)
+    return _mod_verdict(
+        table, query.cone, query.weight, query.p, query.q, query.k_last, query.margin
     )
-    return classify(series, query.k_last, query.margin)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +257,12 @@ def df_mod_point(f: GridSignal, query: WavefrontQuery, sys: GaborSystem) -> Verd
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Shared parameters for a wave-front scan."""
+    """Shared parameters for a wave-front scan.
+
+    Spatial cells of Lambda1 = alpha Z^d - alpha/2 are centred on the lattice
+    points, the cutoffs are C-infinity, and each shell series starts at
+    4 x the frequency step.
+    """
 
     pqs: tuple = ((1.0, 1.0, 1.0),)  # (p, q, s) triples
     aperture_deg: float = 20.0
@@ -242,15 +272,9 @@ class ScanConfig:
     gabor_alpha1: float | None = None  # dual-window support side (default midpoint rule)
     epsilon: float | None = None
     r_max: float | None = None
-    r0: float | None = None
     margin: float = DEFAULT_MARGIN
     k_last: int = DEFAULT_K_LAST
-    inner_frac: float = 0.25
-    outer_cap_frac: float = 0.45
-    safety: float = DEFAULT_NYQUIST_SAFETY
-    smoothness: float = math.inf
     methods: tuple = ("fl", "mod")
-    center_cells: bool = True  # offset Lambda1 by -alpha/2 so cells center on 0
 
     def to_json(self) -> dict:
         return {
@@ -262,20 +286,14 @@ class ScanConfig:
             "gabor_alpha1": self.gabor_alpha1,
             "epsilon": self.epsilon,
             "r_max": self.r_max,
-            "r0": self.r0,
             "margin": self.margin,
             "k_last": self.k_last,
-            "inner_frac": self.inner_frac,
-            "outer_cap_frac": self.outer_cap_frac,
-            "safety": self.safety,
             "methods": list(self.methods),
-            "center_cells": self.center_cells,
         }
 
     def lattice_pair(self, d: int) -> LatticePair:
-        offset = -0.5 * self.alpha * np.ones(d) if self.center_cells else None
         pair = classify_pair(
-            scaled_integer_lattice(self.alpha, d, offset),
+            scaled_integer_lattice(self.alpha, d, -0.5 * self.alpha * np.ones(d)),
             scaled_integer_lattice(self.beta, d),
         )
         if not pair.is_strong:
@@ -284,6 +302,10 @@ class ScanConfig:
                 "a strongly admissible pair is required"
             )
         return pair
+
+    def gabor_system(self, d: int) -> GaborSystem:
+        alpha = self.gabor_alpha if self.gabor_alpha is not None else self.alpha
+        return build_agp(alpha, self.beta, d, alpha1=self.gabor_alpha1)
 
 
 @dataclass
@@ -356,9 +378,10 @@ class WavefrontEstimate:
 def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimate:
     """Run both point operations over x_grid x directions x cfg.pqs.
 
-    Per-record failures are recorded in the row, never abort the scan.  The
-    windowed spectrum per x0 and the coefficient rows per (epsilon, j) are
-    cached, so extra directions and (p, q, s) triples are cheap.
+    Per-record failures are recorded in the row, never abort the scan.  Each
+    x0 gets one windowed spectrum and one Gabor coefficient table, built as
+    df_fl_point and df_mod_point build theirs (epsilon chosen against the
+    Gabor step), and shared by every direction and (p, q, s) triple.
     """
     x_grid = [as_point(x, f.d, "x0") for x in x_grid]
     directions = [unit_direction(v) for v in directions]
@@ -370,45 +393,20 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
     pair = cfg.lattice_pair(f.d)
     want_fl = "fl" in cfg.methods
     want_mod = "mod" in cfg.methods
-    g_alpha = cfg.gabor_alpha if cfg.gabor_alpha is not None else cfg.alpha
-    sys = (
-        build_agp(g_alpha, cfg.beta, f.d, cfg.smoothness, alpha1=cfg.gabor_alpha1)
-        if want_mod
-        else None
-    )
+    sys = cfg.gabor_system(f.d) if want_mod else None
     r_max = cfg.r_max if cfg.r_max is not None else default_r_max(f)
-    r0 = cfg.r0 if cfg.r0 is not None else 4.0 * pair.lambda2.min_spacing
-
     cones = [Cone.from_degrees(th, cfg.aperture_deg) for th in directions]
-    row_cache: dict = {}
 
     for x0 in x_grid:
-        fl_spec: SpectralSamples | None = None
-        fl_err: str | None = None
+        spec = table = fl_err = mod_err = None
         if want_fl:
             try:
-                chi = cutoff_for(
-                    f, pair.lambda1, x0, cfg.inner_frac, cfg.outer_cap_frac, cfg.smoothness
-                )
-                _require_interior(f, x0)
-                fl_spec = _fl_spectrum(multiply(f, chi), pair.lambda2, r_max, cfg.safety)
+                spec = _local_spectrum(f, pair, x0, r_max)
             except MicrolocError as exc:
                 fl_err = f"{type(exc).__name__}: {exc}"
-
-        table: CoefficientTable | None = None
-        jset = None
-        mod_err: str | None = None
         if want_mod:
             try:
-                _require_interior(f, x0)
-                if cfg.epsilon is not None:
-                    _validate_epsilon(f, sys, x0, cfg.epsilon)
-                    eps = cfg.epsilon
-                else:
-                    eps = choose_epsilon(f, sys, x0, cell_edge=cfg.alpha)
-                sys_eps = sys.with_epsilon(eps)
-                jset = support_index_set(sys_eps, x0)
-                table = _cached_table(f, sys_eps, jset, r_max, cfg.safety, row_cache)
+                table = _local_table(f, sys, x0, cfg.epsilon, r_max)
             except MicrolocError as exc:
                 mod_err = f"{type(exc).__name__}: {exc}"
 
@@ -425,72 +423,22 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
                     error_fl=fl_err,
                     error_mod=mod_err,
                 )
-                if want_fl and fl_spec is not None:
+                if spec is not None:
                     try:
-                        series = series_from_spectrum(fl_spec, w, q, cone, r0, r_max)
-                        rec.verdict_fl = classify(series, cfg.k_last, cfg.margin)
+                        rec.verdict_fl = _fl_verdict(
+                            spec, pair, r_max, cone, w, q, cfg.k_last, cfg.margin
+                        )
                     except MicrolocError as exc:
                         rec.error_fl = f"{type(exc).__name__}: {exc}"
-                if want_mod and table is not None:
+                if table is not None:
                     try:
-                        series = discrete_mod_series(
-                            table, w, p, q, cone, pair.lambda2, jset, r0
+                        rec.verdict_mod = _mod_verdict(
+                            table, cone, w, p, q, cfg.k_last, cfg.margin
                         )
-                        rec.verdict_mod = classify(series, cfg.k_last, cfg.margin)
                     except MicrolocError as exc:
                         rec.error_mod = f"{type(exc).__name__}: {exc}"
                 records.append(rec)
     return estimate
-
-
-def _cached_table(
-    f: GridSignal,
-    sys_eps: GaborSystem,
-    jset: np.ndarray,
-    r_max: float,
-    safety: float,
-    row_cache: dict,
-) -> CoefficientTable:
-    """Assemble a coefficient table reusing per-(epsilon, j) rows."""
-    rows = []
-    floor = 0.0
-    template = None
-    for j in jset:
-        key = (sys_eps.epsilon, tuple(int(v) for v in j))
-        if key not in row_cache:
-            row_cache[key] = coefficients(f, sys_eps, r_max, js=j[None, :], safety=safety)
-        single = row_cache[key]
-        if template is None:
-            template = single
-        rows.append(single.values[0])
-        floor = max(floor, single.noise_floor)
-    if template is None:
-        template = coefficients(f, sys_eps, r_max, js=np.zeros((0, f.d), int), safety=safety)
-    values = np.vstack(rows) if rows else np.zeros((0, template.xi.shape[0]), complex)
-    return CoefficientTable(
-        np.atleast_2d(np.asarray(jset, dtype=int)).reshape(len(rows), f.d),
-        template.ks,
-        template.xi,
-        values,
-        sys_eps.epsilon,
-        float(r_max),
-        sys_eps.lambda2,
-        floor,
-    )
-
-
-def aperture_sweep(
-    f: GridSignal, query: WavefrontQuery, pair: LatticePair, apertures=(20.0, 10.0, 5.0)
-) -> dict:
-    """Fourier-Lebesgue verdicts over a shrinking sequence of apertures.
-
-    Approximates the "every conical neighbourhood" quantifier: membership at
-    a point and direction is witnessed only if every tested aperture stays
-    divergent."""
-    out = {}
-    for a in apertures:
-        out[float(a)] = df_fl_point(f, replace(query, aperture_deg=float(a)), pair)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,15 @@ def test_gabor_check_exit_codes(tmp_path, capsys):
     assert "InadmissibleParameters" in capsys.readouterr().err
 
 
+def test_gabor_check_2d_reports_roundtrip_not_run(tmp_path, capsys):
+    out = tmp_path / "g2.json"
+    assert main(["gabor-check", "--d", "2", "--out", str(out)]) == 0
+    result = _payload(out)["result"]
+    assert result["partition_deviation"] <= 1e-10
+    assert result["worst_roundtrip_rel_l2"] is None
+    assert "round trip not run" in capsys.readouterr().out
+
+
 def test_selftest_list_and_single_suite(tmp_path, capsys):
     assert main(["selftest", "--list"]) == 0
     names = capsys.readouterr().out.split()

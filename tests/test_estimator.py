@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from microloc import NotFitted, WavefrontDetector
+from microloc import NotFitted, WavefrontDetector, scan
 from microloc.fixtures import jump_1d
 
 
@@ -20,6 +20,16 @@ def test_predict_records(fitted):
     est = fitted.predict_records([[0.0, 1.0]])
     assert len(est.records) == 1
     assert est.records[0].verdict_fl.kind == "divergent"
+
+
+def test_predict_records_repeated_and_interleaved_rows():
+    det = WavefrontDetector(q=1.0, s=1.0, method="both").fit(jump_1d())
+    X = [[0.0, 1.0], [3.0, -1.0], [0.0, -1.0], [0.0, 1.0], [3.0, 1.0]]
+    est = det.predict_records(X)
+    assert len(est.records) == len(X)
+    for row, rec in zip(X, est.records):
+        alone = scan(det.signal_, [row[:1]], [row[1:]], det.config_).records[0]
+        assert rec.to_json() == alone.to_json()
 
 
 def test_both_methods_demand_agreement():

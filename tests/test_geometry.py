@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from microloc import Cone, Weight, check_moderate, compactly_contained, cone_contains, weight_eval
+from microloc import Cone, Weight, check_moderate, compactly_contained
 
 
 def test_cone_membership_examples():
     cone = Cone.from_degrees([1.0, 0.0], 30.0)
-    assert cone_contains(cone, [5.0, 0.0])
-    assert not cone_contains(cone, [1.0, 1.0])  # 45 degrees off axis
-    assert not cone_contains(cone, [0.0, 0.0])
+    assert cone.contains([5.0, 0.0])
+    assert not cone.contains([1.0, 1.0])  # 45 degrees off axis
+    assert not cone.contains([0.0, 0.0])
 
 
 def test_cone_membership_vectorized():
@@ -24,7 +24,7 @@ def test_cone_scaling_invariance(rng):
     for _ in range(200):
         xi = rng.normal(size=3)
         t = float(rng.uniform(0.01, 100.0))
-        assert cone_contains(cone, xi) == cone_contains(cone, t * xi)
+        assert cone.contains(xi) == cone.contains(t * xi)
 
 
 def test_compactly_contained_examples():
@@ -45,9 +45,9 @@ def test_compact_containment_implies_membership(rng):
 
 
 def test_weight_eval_examples():
-    assert weight_eval(Weight.bracket_power(0.0), [3.0, 7.0]) == 1.0
-    assert weight_eval(Weight.bracket_power(2.0), [1.0, 1.0, 1.0]) == pytest.approx(4.0)
-    assert weight_eval(Weight.bracket_power(-1.0), [3.0, 4.0]) == pytest.approx(26.0**-0.5, rel=1e-14)
+    assert Weight.bracket_power(0.0)([3.0, 7.0]) == 1.0
+    assert Weight.bracket_power(2.0)([1.0, 1.0, 1.0]) == pytest.approx(4.0)
+    assert Weight.bracket_power(-1.0)([3.0, 4.0]) == pytest.approx(26.0**-0.5, rel=1e-14)
 
 
 def test_weight_inverse_product(rng):

@@ -166,6 +166,33 @@ def test_query_validation():
         WavefrontQuery([0.0], [1.0], epsilon=1.5)
 
 
+@pytest.mark.parametrize("x0", [[0.0], [3.0]])
+def test_scan_and_point_routes_agree(jump, x0):
+    # Gabor step twice the cutoff lattice step: both entry points must pick
+    # epsilon against the same cell edge.
+    cfg = ScanConfig(pqs=((1.0, 1.0, 1.0),), alpha=0.8, beta=1.0, gabor_alpha=1.6)
+    rec = scan(jump, [x0], [[1.0]], cfg).records[0]
+    query = WavefrontQuery(x0, [1.0], p=1.0, q=1.0, weight=1.0)
+    fl = df_fl_point(jump, query, cfg.lattice_pair(1))
+    mod = df_mod_point(jump, query, build_agp(1.6, 1.0, d=1))
+    assert rec.verdict_fl.to_json() == fl.to_json()
+    assert rec.verdict_mod.to_json() == mod.to_json()
+
+
+def test_scan_and_point_routes_agree_outside_domain(jump):
+    cfg = ScanConfig(pqs=((1.0, 1.0, 1.0),), alpha=1.0, beta=1.0)
+    rec = scan(jump, [[9.0]], [[1.0]], cfg).records[0]
+    query = WavefrontQuery([9.0], [1.0], p=1.0, q=1.0, weight=1.0)
+    routes = (
+        (df_fl_point, cfg.lattice_pair(1), rec.error_fl),
+        (df_mod_point, build_agp(1.0, 1.0, d=1), rec.error_mod),
+    )
+    for route, arg, recorded in routes:
+        with pytest.raises(DomainClipped) as info:
+            route(jump, query, arg)
+        assert recorded == f"DomainClipped: {info.value}"
+
+
 def test_scan_config_rejects_inadmissible_pair(jump):
     cfg = ScanConfig(alpha=4.0, beta=2.0)  # product > 2*pi
     with pytest.raises(ValueError):
