@@ -33,11 +33,17 @@ from .errors import FrequencyOutOfRange, InadmissibleParameters, MissingCoeffici
 from .lattice import Lattice, LatticePair, classify_pair, points_in_ball, scaled_integer_lattice
 from .signal import (
     DEFAULT_NYQUIST_SAFETY,
+    _EPS_FLOOR,
     BumpWindow,
     GridSignal,
-    fourier_batch,
+    _along_axes,
+    _batch_rows,
+    _index_box,
+    _kernels,
+    _progressions,
+    _support_from_nonzero,
+    _window_values,
     make_cutoff,
-    multiply,
 )
 from .validation import as_point, check_exponent, check_in_open, check_positive
 
@@ -276,43 +282,6 @@ def _overlapping_js(f: GridSignal, sys: GaborSystem) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _coeff_rows_1d(
-    f: GridSignal, sys: GaborSystem, xi: np.ndarray, js: np.ndarray, scale: float
-) -> tuple[np.ndarray, float]:
-    """Per-j coefficient rows sharing one exp kernel.
-
-    Every windowed patch lives on a contiguous index range of the same grid,
-    so exp(-i x_n xi) factors into a per-j phase times a shared (sample
-    offset, frequency) kernel; this removes the dominant per-j exp cost.
-    """
-    h = float(f.spacing[0])
-    u = xi[:, 0]
-    x = f.axes()[0]
-    n = x.size
-    length = int(math.ceil(sys.epsilon * sys.alpha1 / h)) + 2
-    kernel = np.exp(-1j * h * np.outer(np.arange(length), u))
-    norm = _TWO_PI ** (-0.5) * h * scale
-    values = np.zeros((js.shape[0], u.size), dtype=np.complex128)
-    floor = 0.0
-    abs_samples = np.abs(f.samples)
-    for row, j in enumerate(js):
-        w = sys.psi_window(j)
-        i0 = max(int(math.ceil((w.lo[0] - x[0]) / h - 1e-12)), 0)
-        i1 = min(int(math.floor((w.hi[0] - x[0]) / h + 1e-12)) + 1, n)
-        if i1 <= i0:
-            continue
-        g = f.samples[i0:i1] * w(x[i0:i1, None])
-        values[row] = (
-            norm * np.exp(-1j * x[i0] * u) * (g @ kernel[: i1 - i0])
-        )
-        mass = float(np.sum(np.abs(g)))
-        floor = max(
-            floor,
-            np.finfo(float).eps * 64.0 * math.sqrt(max(i1 - i0, 1)) * norm * mass,
-        )
-    return values, floor
-
-
 def coefficients(
     f: GridSignal,
     sys: GaborSystem,
@@ -326,6 +295,12 @@ def coefficients(
     frequency lattice point with |xi_k| <= freq_radius.  By default j runs
     over every translate overlapping the signal support; pass `js` to
     restrict (e.g. to a support index set around one point).
+
+    Each translate's window is sampled only on its box clipped to the
+    signal support; the patches are stacked into batches and summed onto
+    the frequency lattice by the chirp-z kernel, one axis at a time.  A
+    row's noise floor counts the window's samples on the grid in 1D and the
+    nonzero bounding box of the windowed patch otherwise.
     """
     check_positive(freq_radius, "freq_radius")
     if js is None:
@@ -334,51 +309,46 @@ def coefficients(
     if js.size == 0:
         js = js.reshape(0, sys.d)
     xi, kints = points_in_ball(sys.lambda2, freq_radius)
-    scale = _TWO_PI ** (sys.d / 2)
     limit = f.nyquist_limit(safety)
     if xi.size and np.any(np.max(np.abs(xi), axis=0) > limit):
         raise FrequencyOutOfRange(
             f"freq_radius {freq_radius:g} exceeds the guarded band {limit} "
             f"(safety {safety} x pi/h)"
         )
-    if sys.d == 1 and js.size:
-        values, floor = _coeff_rows_1d(f, sys, xi, js, scale)
-        return CoefficientTable(
-            js, kints, xi, values, sys.epsilon, float(freq_radius), sys.lambda2, floor
-        )
     values = np.zeros((js.shape[0], xi.shape[0]), dtype=np.complex128)
     floor = 0.0
-    for row, j in enumerate(js):
-        g = multiply(f, sys.psi_window(j))
-        if g.is_empty():
-            continue
-        values[row] = scale * fourier_batch(g, xi, safety)
-        floor = max(floor, scale * g.noise_floor())
+    if js.size:
+        # (2*pi)^(d/2) of the coefficients cancels the transform's (2*pi)^(-d/2)
+        origin, spacing, norm = f.origin, f.spacing, f.cell_volume
+        windows = [sys.psi_window(j) for j in js]
+        boxes = [_index_box(w, origin, spacing, *zip(*f.support)) for w in windows]
+        progs = _progressions(xi)  # beta Z^d is a progression on every axis
+        lengths = np.max([hi - lo for lo, hi in boxes], axis=0).clip(1)
+        kernels = _kernels(progs, spacing, lengths)
+        index = (slice(None),) + tuple(p.index for p in progs)
+        for rows in _batch_rows(js.shape[0], kernels):
+            patches = np.zeros((rows.stop - rows.start,) + tuple(k.length for k in kernels),
+                               dtype=np.complex128)
+            for b, (lo, hi) in enumerate(boxes[rows]):
+                if np.any(hi <= lo):
+                    continue
+                w = windows[rows.start + b]
+                region = tuple(slice(a, e) for a, e in zip(lo, hi))
+                g = f.samples[region] * _window_values(w, origin, spacing, lo, hi)
+                patches[(b,) + tuple(slice(0, e - a) for a, e in zip(lo, hi))] = g
+                if sys.d == 1:
+                    grid_lo, grid_hi = _index_box(w, origin, spacing, 0, f.shape)
+                    count = int(grid_hi[0] - grid_lo[0])
+                else:
+                    count = math.prod(e - a for a, e in _support_from_nonzero(g))
+                mass = float(np.sum(np.abs(g)))
+                floor = max(floor, _EPS_FLOOR * math.sqrt(max(count, 1)) * norm * mass)
+            corners = origin + spacing * np.array([lo for lo, _ in boxes[rows]])
+            sums = _along_axes(patches, kernels, corners.T, [p.start for p in progs])
+            values[rows] = norm * sums[index]
     return CoefficientTable(
         js, kints, xi, values, sys.epsilon, float(freq_radius), sys.lambda2, floor
     )
-
-
-def _synthesize_patch(axes: list[np.ndarray], xi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k c_k exp(i<x, xi_k>) on a tensor grid, via per-axis factoring."""
-    d = len(axes)
-    if d == 1:
-        u, inv = np.unique(xi[:, 0], return_inverse=True)
-        cu = np.zeros(u.size, dtype=np.complex128)
-        np.add.at(cu, inv, coeffs)
-        return np.exp(1j * np.outer(axes[0], u)) @ cu
-    if d == 2:
-        u1, i1 = np.unique(xi[:, 0], return_inverse=True)
-        u2, i2 = np.unique(xi[:, 1], return_inverse=True)
-        rect = np.zeros((u1.size, u2.size), dtype=np.complex128)
-        np.add.at(rect, (i1, i2), coeffs)
-        e1 = np.exp(1j * np.outer(axes[0], u1))
-        e2 = np.exp(1j * np.outer(u2, axes[1]))
-        return e1 @ rect @ e2
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = np.exp(1j * (pts @ xi.T)) @ coeffs
-    return vals.reshape(tuple(a.size for a in axes))
 
 
 def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
@@ -386,7 +356,8 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
 
     `grid` is a GridSignal template or an (origin, spacing, shape) triple.
     The result converges to f as freq_radius grows; the residual is the
-    coefficient tail plus quadrature error.
+    coefficient tail plus quadrature error.  The sums over k run on each
+    window's patch by the adjoint chirp-z kernel, batched over translates.
     """
     if isinstance(grid, GridSignal):
         origin, spacing, shape = grid.origin, grid.spacing, grid.shape
@@ -396,39 +367,26 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
         spacing = np.broadcast_to(as_point(spacing, name="spacing"), origin.shape).astype(float)
         shape = tuple(int(n) for n in shape)
     out = np.zeros(shape, dtype=np.complex128)
-    if len(shape) == 1 and table.js.size:
-        h = float(spacing[0])
-        u = table.xi[:, 0]
-        x = origin[0] + h * np.arange(shape[0])
-        length = int(math.ceil(sys.epsilon * sys.alpha2 / h)) + 2
-        kernel = np.exp(1j * h * np.outer(np.arange(length), u))
-        for row, j in enumerate(table.js):
-            w = sys.phi_window(j)
-            i0 = max(int(math.ceil((w.lo[0] - origin[0]) / h - 1e-12)), 0)
-            i1 = min(int(math.floor((w.hi[0] - origin[0]) / h + 1e-12)) + 1, shape[0])
-            if i1 <= i0:
-                continue
-            inner = kernel[: i1 - i0] @ (table.values[row] * np.exp(1j * x[i0] * u))
-            out[i0:i1] += w(x[i0:i1, None]) * inner
-        return GridSignal.from_samples(out, origin, spacing)
-    for row, j in enumerate(table.js):
-        w = sys.phi_window(j)
-        lo_idx = np.ceil((w.lo - origin) / spacing - 1e-12).astype(int)
-        hi_idx = np.floor((w.hi - origin) / spacing + 1e-12).astype(int) + 1
-        lo_idx = np.maximum(lo_idx, 0)
-        hi_idx = np.minimum(hi_idx, np.asarray(shape))
-        if np.any(hi_idx <= lo_idx):
-            continue
-        axes = [
-            origin[i] + spacing[i] * np.arange(lo_idx[i], hi_idx[i])
-            for i in range(len(shape))
-        ]
-        inner = _synthesize_patch(axes, table.xi, table.values[row])
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        wvals = w(pts).reshape(inner.shape)
-        region = tuple(slice(a, b) for a, b in zip(lo_idx, hi_idx))
-        out[region] += wvals * inner
+    if table.js.size and table.xi.size:
+        windows = [sys.phi_window(j) for j in table.js]
+        boxes = [_index_box(w, origin, spacing, 0, shape) for w in windows]
+        progs = _progressions(table.xi)
+        lengths = np.max([hi - lo for lo, hi in boxes], axis=0).clip(1)
+        kernels = _kernels(progs, spacing, lengths, adjoint=True)
+        index = (slice(None),) + tuple(p.index for p in progs)
+        for rows in _batch_rows(table.js.shape[0], kernels):
+            coeffs = np.zeros((rows.stop - rows.start,) + tuple(p.size for p in progs),
+                              dtype=np.complex128)
+            coeffs[index] = table.values[rows]
+            corners = origin + spacing * np.array([lo for lo, _ in boxes[rows]])
+            inner = _along_axes(coeffs, kernels, [p.start for p in progs], corners.T)
+            for b, (lo, hi) in enumerate(boxes[rows]):
+                if np.any(hi <= lo):
+                    continue
+                w = windows[rows.start + b]
+                region = tuple(slice(a, e) for a, e in zip(lo, hi))
+                patch = inner[(b,) + tuple(slice(0, e - a) for a, e in zip(lo, hi))]
+                out[region] += _window_values(w, origin, spacing, lo, hi) * patch
     return GridSignal.from_samples(out, origin, spacing)
 
 

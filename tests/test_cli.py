@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import pytest
 
@@ -115,6 +116,18 @@ def test_analyze_malformed_signal(tmp_path, capsys):
     (tmp_path / "bad.bin").write_bytes(b"")
     assert main(["analyze", "--signal", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_rejects_nan_sample(fixture_dir, tmp_path, capsys):
+    header = json.loads((fixture_dir / "jump.json").read_text())
+    data = bytearray((fixture_dir / "jump.bin").read_bytes())
+    at = round(-header["origin"][0] / header["spacing"][0]) * 16  # the jump, complex128
+    data[at : at + 8] = struct.pack("<d", math.nan)
+    (tmp_path / "nan.json").write_text(json.dumps(header))
+    (tmp_path / "nan.bin").write_bytes(bytes(data))
+    args = ["analyze", "--signal", str(tmp_path / "nan.json"), "--x0", "0.0", "--theta", "1.0"]
+    assert main(args) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_analyze_validates_parameters(fixture_dir):

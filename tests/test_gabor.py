@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microloc import (
     GridSignal,
@@ -11,11 +13,13 @@ from microloc import (
     check_partition,
     coefficients,
     discrete_mod_norm,
+    multiply,
     reconstruct,
+    smooth_bump_window,
     stft,
     support_index_set,
 )
-from microloc.fixtures import random_band_limited
+from microloc.fixtures import random_band_limited, smooth_bump_1d
 
 TWO_PI = 2 * math.pi
 
@@ -130,6 +134,71 @@ def test_coefficients_match_stft_convention():
             x = sys0.epsilon * sys0.x_point([j])
             expected = scale * stft(f, w, x, xi)
             assert abs(table.values[row, idx] - expected) < 1e-10
+
+
+@st.composite
+def _system_and_entry(draw, d):
+    alpha = draw(st.floats(0.5, 2.0))
+    beta = draw(st.floats(0.5, 0.95 * TWO_PI / alpha))
+    sys0 = build_agp(alpha, beta, d=d).with_epsilon(draw(st.sampled_from([1.0, 0.5, 0.25])))
+    j = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    return sys0, j, draw(st.floats(0.0, 1.0))
+
+
+def _assert_coefficient_is_scaled_stft(f, sys0, j, where, radius):
+    table = coefficients(f, sys0, radius, js=np.array([j]))
+    idx = min(int(where * len(table.ks)), len(table.ks) - 1)
+    x = sys0.epsilon * sys0.x_point(j)
+    expected = TWO_PI ** (sys0.d / 2) * stft(f, sys0.psi.scaled(sys0.epsilon), x, table.xi[idx])
+    assert abs(table.values[0, idx] - expected) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(_system_and_entry(1))
+def test_property_coefficients_match_stft_1d(case):
+    sys0, j, where = case
+    f = random_band_limited(n=2048, bandwidth=4.0, seed=9)
+    _assert_coefficient_is_scaled_stft(f, sys0, j, where, 30.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_system_and_entry(2))
+def test_property_coefficients_match_stft_2d(case):
+    sys0, j, where = case
+    n, lo = 128, -4.0
+    x = lo + (-2 * lo / n) * np.arange(n)
+    env = np.exp(-((x / 2.0) ** 2))
+    samples = np.outer(env * np.cos(2.0 * x), env * np.exp(1j * x))
+    f = GridSignal.from_samples(samples, [lo, lo], [-2 * lo / n] * 2)
+    _assert_coefficient_is_scaled_stft(f, sys0, j, where, 8.0)
+
+
+def test_coefficient_noise_floor_rule():
+    # a 1D row is floored by its window's sample count on the grid, other
+    # rows by the nonzero bounding box of the windowed signal; the signals
+    # have compact supports with gaps, so the counts differ from the patch
+    n, lo = 256, -4.0
+    h = -2 * lo / n
+    x = lo + h * np.arange(n)
+    blob = smooth_bump_window([-1.5, -1.5], [1.0, 1.0]), smooth_bump_window([1.5, 1.5], [1.0, 1.0])
+    mesh = np.stack([m.ravel() for m in np.meshgrid(x, x, indexing="ij")], axis=1)
+    f2 = GridSignal.from_samples((blob[0](mesh) + 2j * blob[1](mesh)).reshape(n, n), [lo, lo], h)
+    cases = (
+        (smooth_bump_1d(n=1024, radius=1.0), build_agp(1.0, 1.5).with_epsilon(0.5)),
+        (f2, build_agp(1.0, 1.3, d=2)),
+    )
+    for f, sys0 in cases:
+        for j in coefficients(f, sys0, 8.0).js:
+            w = sys0.psi_window(j)
+            g = multiply(f, w)
+            if f.d == 1:
+                x1 = f.axes()[0]
+                count = np.count_nonzero((x1 >= w.lo[0]) & (x1 <= w.hi[0]))
+                floor = np.finfo(float).eps * 64 * math.sqrt(max(count, 1)) * g.quad_l1()
+            else:
+                floor = g.noise_floor()
+            got = coefficients(f, sys0, 8.0, js=np.array([j])).noise_floor
+            assert got == pytest.approx(TWO_PI ** (f.d / 2) * floor, rel=1e-12, abs=0.0)
 
 
 def test_reconstruct_zero_table_and_round_trip():

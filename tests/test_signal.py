@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import microloc.signal as signal_mod
 from microloc import (
     DegenerateBoxes,
     FrequencyOutOfRange,
     GridSignal,
+    ScanConfig,
     fourier_at,
     fourier_batch,
     load_signal,
@@ -17,8 +21,16 @@ from microloc import (
     smooth_bump_window,
     stft,
 )
-from microloc.fixtures import jump_1d, smooth_bump_1d, triangle_1d, truncated_gaussian_1d
-from microloc.signal import smoothstep
+from microloc.fixtures import (
+    jump_1d,
+    line_singularity_2d,
+    smooth_bump_1d,
+    triangle_1d,
+    truncated_gaussian_1d,
+)
+from microloc.lattice import points_in_ball
+from microloc.signal import DEFAULT_NYQUIST_SAFETY, _direct, smoothstep
+from microloc.wavefront import cutoff_for
 
 TWO_PI = 2 * math.pi
 
@@ -45,20 +57,29 @@ def test_zero_signal_transforms_to_zero():
     assert fourier_at(z, [3.0]) == 0.0
 
 
+def _via_chirp(g, freqs):
+    """fourier_batch with the direct fallback made to fail, so that the
+    chirp-z path is the one that runs."""
+
+    def refuse(*args):
+        raise AssertionError("fourier_batch fell back to direct summation")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(signal_mod, "_direct", refuse)
+        return fourier_batch(g, freqs)
+
+
 def test_fourier_batch_fft_path_matches_direct():
     f = smooth_bump_1d(n=4096)
     h = f.spacing[0]
-    delta = TWO_PI / (h * 8192)  # commensurate with a zero-padded transform
+    delta = TWO_PI / (h * 8192)
     ks = np.concatenate([np.arange(-400, 400, 7), [3, -3, 0]])
     freqs = (ks * delta)[:, None]
-    fast = fourier_batch(f, freqs)
-    direct = np.array([fourier_at(f, [float(x)]) for x in freqs[:, 0]])
-    # fourier_at itself dedups, so force the slow path for the oracle
-    from microloc.signal import _matmul_1d
-
-    slow = _matmul_1d(f.trimmed(), freqs[:, 0])
+    fast = _via_chirp(f, freqs)
+    single = np.array([fourier_at(f, [float(x)]) for x in freqs[:, 0]])
+    slow = _direct(f.trimmed(), freqs)
     assert np.max(np.abs(fast - slow)) < 1e-10
-    assert np.max(np.abs(fast - direct)) < 1e-10
+    assert np.max(np.abs(fast - single)) < 1e-10
 
 
 def test_fourier_batch_edge_cases():
@@ -76,11 +97,107 @@ def test_fourier_batch_2d_product_vs_direct():
     u = np.linspace(-8, 8, 9)
     mesh = np.meshgrid(u, u, indexing="ij")
     freqs = np.stack([m.ravel() for m in mesh], axis=1)
-    from microloc.signal import _direct, _matmul_2d
-
-    a = _matmul_2d(f.trimmed(), freqs)
+    a = _via_chirp(f, freqs)
     b = _direct(f.trimmed(), freqs)
     assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
+
+
+def _assert_matches_direct_on_subsample(g, freqs, stride):
+    fast = _via_chirp(g, freqs)
+    sub = slice(None, None, stride)
+    slow = _direct(g.trimmed(), freqs[sub])
+    assert np.max(np.abs(fast[sub] - slow)) < 1e-10 * np.max(np.abs(slow))
+
+
+def test_fourier_batch_largest_1d_grid_matches_direct(jump, unit_pair):
+    # the 2^14 jump windowed at x0 = 0, out to r_max = 0.7 / h: the largest
+    # chirp phases any default 1D question meets
+    g = multiply(jump, cutoff_for(jump, unit_pair.lambda1, np.array([0.0])))
+    freqs, _ = points_in_ball(unit_pair.lambda2, 0.7 / jump.spacing[0], r_min=0.0)
+    assert jump.samples.size == 2**14 and freqs.shape[0] > 1400
+    _assert_matches_direct_on_subsample(g, freqs, 7)
+
+
+def test_fourier_batch_largest_2d_grid_matches_direct():
+    line = line_singularity_2d()
+    pair = ScanConfig(alpha=2.5, beta=1.0).lattice_pair(2)
+    g = multiply(line, cutoff_for(line, pair.lambda1, np.zeros(2)))
+    freqs, _ = points_in_ball(pair.lambda2, 180.0, r_min=0.0)
+    assert line.shape == (1024, 1024) and freqs.shape[0] > 100_000
+    _assert_matches_direct_on_subsample(g, freqs, 499)
+
+
+def test_fourier_batch_off_progression_falls_back_to_direct():
+    f = smooth_bump_1d(n=1024)
+    rng = np.random.default_rng(5)
+    for freqs in (
+        np.array([[0.0], [1.5], [2.5], [7.25]]),  # no common step
+        np.array([[1.0], [2.0], [150.0]]),  # too many holes
+        rng.uniform(-50, 50, size=(40, 1)),
+    ):
+        assert signal_mod._progressions(freqs) is None
+        assert np.max(np.abs(fourier_batch(f, freqs) - _direct(f.trimmed(), freqs))) < 1e-13
+    # one axis on a progression, the other not
+    g = GridSignal.from_samples(
+        rng.normal(size=(24, 20)) + 1j * rng.normal(size=(24, 20)), [-1.0, 0.5], [0.1, 0.12]
+    )
+    freqs = np.stack([np.repeat(np.arange(-3.0, 4.0), 5), rng.uniform(-9, 9, 35)], axis=1)
+    assert signal_mod._progressions(freqs) is None
+    assert np.max(np.abs(fourier_batch(g, freqs) - _direct(g.trimmed(), freqs))) < 1e-13
+
+
+def test_chirp_kernel_matches_scipy_czt():
+    czt = pytest.importorskip("scipy.signal").czt
+    rng = np.random.default_rng(11)
+    for length, n, dx, du, sign in ((1, 1, 0.1, 0.0, -1), (37, 200, 0.05, 0.7, -1),
+                                    (300, 41, 0.02, 1.3, 1), (256, 256, 1 / 64, 1.0, -1)):
+        a = rng.normal(size=(3, length)) + 1j * rng.normal(size=(3, length))
+        x0, u0 = -1.75, 2.5
+        got = signal_mod._ChirpZ(length, dx, du, n, sign)(a, x0, u0)
+        k = np.arange(n)
+        want = czt(a, n, np.exp(1j * sign * dx * du), np.exp(-1j * sign * dx * u0))
+        want = want * np.exp(1j * sign * x0 * (u0 + du * k))
+        assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(a).sum(axis=-1))
+
+
+@st.composite
+def _signal_and_progression(draw, d):
+    h = draw(st.floats(0.01, 0.5))
+    origin = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
+    shape = draw(st.lists(st.integers(1, 300 if d == 1 else 24), min_size=d, max_size=d))
+    seed = draw(st.integers(0, 2**32 - 1))
+    limit = 0.99 * DEFAULT_NYQUIST_SAFETY * math.pi / h  # rounding stays inside the band
+    axes = []
+    for _ in range(d):
+        n = draw(st.integers(1, 300 if d == 1 else 20))
+        step = draw(st.floats(1e-3, 1.0)) * 2.0 * limit / max(n - 1, 1)
+        start = -limit + draw(st.floats(0.0, 1.0)) * (2.0 * limit - step * (n - 1))
+        axis = start + step * np.arange(n)
+        hole = draw(st.integers(0, n))  # n: no hole
+        axes.append(np.delete(axis, hole) if 0 < hole < n - 1 else axis)
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    freqs = np.stack([m.ravel() for m in mesh], axis=1)
+    return GridSignal.from_samples(samples, origin, h), freqs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_signal_and_progression(1))
+def test_property_fourier_batch_equals_direct_1d(case):
+    g, freqs = case
+    fast = _via_chirp(g, freqs)
+    slow = _direct(g.trimmed(), freqs)
+    assert np.max(np.abs(fast - slow)) <= 1e-10 * g.quad_l1()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_signal_and_progression(2))
+def test_property_fourier_batch_equals_direct_2d(case):
+    g, freqs = case
+    fast = _via_chirp(g, freqs)
+    slow = _direct(g.trimmed(), freqs)
+    assert np.max(np.abs(fast - slow)) <= 1e-10 * g.quad_l1()
 
 
 def test_linearity():

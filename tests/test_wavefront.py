@@ -6,6 +6,7 @@ import pytest
 from microloc import (
     DomainClipped,
     EpsilonTooLarge,
+    GridSignal,
     ScanConfig,
     WavefrontQuery,
     aperture_sweep,
@@ -50,6 +51,17 @@ def test_df_mod_matches_fl_on_jump(jump, unit_pair):
         q = WavefrontQuery(x0, [1.0], p=2.0, q=1.0, weight=1.0)
         assert df_mod_point(jump, q, sys0).kind == expect
         assert df_fl_point(jump, q, unit_pair).kind == expect
+
+
+@pytest.mark.parametrize("route", ["fl", "mod"])
+def test_nan_at_the_jump_is_refused_not_a_verdict(jump, unit_pair, route):
+    # a single NaN sample used to come back as a conclusive 'finite'
+    samples = jump.samples.copy()
+    samples[int(round(-jump.origin[0] / jump.spacing[0]))] = np.nan
+    query = WavefrontQuery([0.0], [1.0], q=1.0, weight=1.0)
+    ask, arg = (df_fl_point, unit_pair) if route == "fl" else (df_mod_point, build_agp(1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        ask(GridSignal.from_samples(samples, jump.origin, jump.spacing), query, arg)
 
 
 def test_line_singularity_directional(line2d):
