@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FrequencyOutOfRange, InadmissibleParameters, MissingCoefficients
+from .geometry import row_norms
 from .lattice import Lattice, LatticePair, classify_pair, points_in_ball, scaled_integer_lattice
 from .signal import (
     DEFAULT_NYQUIST_SAFETY,
@@ -232,7 +233,7 @@ class CoefficientTable:
 
     @cached_property
     def k_radii(self) -> np.ndarray:
-        return np.linalg.norm(self.xi, axis=1)
+        return row_norms(self.xi)
 
     @cached_property
     def _j_index(self) -> dict:
@@ -310,7 +311,7 @@ def coefficients(
         js = js.reshape(0, sys.d)
     xi, kints = points_in_ball(sys.lambda2, freq_radius)
     limit = f.nyquist_limit(safety)
-    if xi.size and np.any(np.max(np.abs(xi), axis=0) > limit):
+    if xi.size and np.any(np.array([np.max(np.abs(u)) for u in xi.T]) > limit):
         raise FrequencyOutOfRange(
             f"freq_radius {freq_radius:g} exceeds the guarded band {limit} "
             f"(safety {safety} x pi/h)"

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, SingularBasis
-from .geometry import Cone
+from .geometry import Cone, row_norms
 from .validation import as_float_array, as_point
 
 DEFAULT_CELL_BUDGET = 10**8
@@ -199,7 +199,7 @@ def _points_in_region(
     lo, hi = _integer_box_for_ball(lat, r_max)
     ts = _enumerate_box(lo, hi, budget)
     pts = lat.points(ts)
-    r = np.linalg.norm(pts, axis=1)
+    r = row_norms(pts)
     mask = (r > r_min) & (r <= r_max)
     if cone is not None:
         mask &= cone.contains(pts)

@@ -14,19 +14,31 @@ explicit inconclusive band of width `margin` around the threshold because
 finitely many shells cannot decide the boundary case.  Shells whose raw
 spectrum values sit below the quadrature noise floor are evidence of decay,
 not data, and are excluded from the fit.
+
+Binning goes through a `ShellGeometry`, which holds what depends on the
+frequency points alone: the radii, each point's shell index, each cone's
+in-range point indices and the weight <xi>^s per exponent s.  Every series
+binned on the same points can share one geometry; `wavefront.scan` builds
+one per lattice ball and scan, and a call given none builds its own.  Per
+spectrum (per x0) come the magnitudes, and for the modulation route the
+j-aggregate of the coefficient table, once per exponent p; per series
+(per record) only the gather of the cone's magnitudes, the weighted power
+sums per shell and the shell maxima.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MissingCoefficients, TooFewShells
 from .gabor import CoefficientTable
-from .geometry import Cone, Weight
+from .geometry import Cone, Weight, row_norms
 from .lattice import DEFAULT_CELL_BUDGET, Lattice, points_in_ball
 from .signal import DEFAULT_NYQUIST_SAFETY, GridSignal, fourier_batch
 from .validation import check_exponent, check_positive
@@ -36,6 +48,11 @@ DEFAULT_MARGIN = 0.15
 DEFAULT_K_LAST = 6
 DEFAULT_CAUCHY_TOL = 1e-3
 _TRIM_TOL = 0.06
+
+
+def default_r0(lambda2: Lattice) -> float:
+    """First shell edge of a lattice series: 4 x the minimal lattice spacing."""
+    return 4.0 * lambda2.min_spacing
 
 
 def shell_boundaries(r0: float, r_max: float) -> np.ndarray:
@@ -78,7 +95,7 @@ def lattice_spectrum(
     vals = np.abs(fourier_batch(f, pts, safety)) if pts.size else np.zeros(0)
     return SpectralSamples(
         pts,
-        np.linalg.norm(pts, axis=1) if pts.size else np.zeros(0),
+        row_norms(pts),
         vals,
         1.0,
         f.noise_floor(),
@@ -104,7 +121,7 @@ def quadrature_spectrum(
     axis = delta * (np.arange(-half, half) + 0.5)
     mesh = np.meshgrid(*([axis] * f.d), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    radii = np.linalg.norm(pts, axis=1)
+    radii = row_norms(pts)
     keep = (radii > 0) & (radii <= r_max)
     pts, radii = pts[keep], radii[keep]
     vals = np.abs(fourier_batch(f, pts, safety)) if pts.size else np.zeros(0)
@@ -146,6 +163,66 @@ class ConeSumSeries:
         return p
 
 
+class ShellGeometry:
+    """Shell binning data of one frequency point set, shared by every series
+    binned on it.
+
+    Holds the points, their radii, each point's shell index over the edges
+    r0 * 2^m <= r_max (0 for the core below r0, 1..M for the shells, M + 1
+    beyond the last full shell), each cone's in-range point indices with
+    their shell indices and counts, and the weight <xi>^s for each exponent
+    s.  All but the points and radii are computed once, on first use; none
+    depends on spectrum values.
+    """
+
+    def __init__(self, points: np.ndarray, radii: np.ndarray, r0: float, r_max: float):
+        self.points = points
+        self.radii = radii
+        self.r0 = float(r0)
+        self.r_max = float(r_max)
+        self._cones: dict = {}
+        self._weights: dict = {}
+
+    @cached_property
+    def boundaries(self) -> np.ndarray:
+        return shell_boundaries(self.r0, self.r_max)
+
+    @cached_property
+    def shell(self) -> np.ndarray:
+        return np.searchsorted(self.boundaries, self.radii, side="left")
+
+    def holds(self, spec: SpectralSamples) -> bool:
+        """True when spec samples exactly this geometry's points."""
+        return spec.points is self.points or np.array_equal(spec.points, self.points)
+
+    def share(self, spec: SpectralSamples) -> SpectralSamples:
+        """spec on this geometry's own arrays, so that checking it is O(1)."""
+        if not self.holds(spec):
+            raise ValueError("spectrum samples other points than the shell geometry")
+        return dataclasses.replace(spec, points=self.points, radii=self.radii)
+
+    def cone_index(self, cone: Cone | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """In-range points of the cone (all points for None), in point order:
+        their indices, their shell indices, and the point count per shell."""
+        key = None if cone is None else (cone.axis.tobytes(), cone.aperture)
+        if key not in self._cones:
+            n_shell = self.boundaries.size - 1
+            keep = self.shell <= n_shell
+            if cone is not None:
+                keep &= cone.contains(self.points)
+            sel = np.flatnonzero(keep)
+            idx = self.shell[sel]
+            counts = np.bincount(idx, minlength=n_shell + 1)[1:]
+            self._cones[key] = (sel, idx, counts)
+        return self._cones[key]
+
+    def weight(self, omega: Weight) -> np.ndarray:
+        """omega at every point."""
+        if omega.s not in self._weights:
+            self._weights[omega.s] = omega(self.points)
+        return self._weights[omega.s]
+
+
 def series_from_spectrum(
     spec: SpectralSamples,
     omega: Weight,
@@ -153,27 +230,27 @@ def series_from_spectrum(
     cone: Cone | None,
     r0: float,
     r_max: float | None = None,
+    geometry: ShellGeometry | None = None,
 ) -> ConeSumSeries:
-    """Bin weighted spectrum samples into geometric cone shells."""
+    """Bin weighted spectrum samples into geometric cone shells.
+
+    `geometry` is a shell geometry built on spec's points with the same r0
+    and r_max, shared with other series on those points; without one, the
+    call builds its own.
+    """
     q = check_exponent(q, "q")
     if r_max is None:
         r_max = float(np.max(spec.radii)) if spec.radii.size else r0 * 4
-    bounds = shell_boundaries(r0, r_max)
+    if geometry is None:
+        geometry = ShellGeometry(spec.points, spec.radii, r0, r_max)
+    elif not ((geometry.r0, geometry.r_max) == (float(r0), float(r_max)) and geometry.holds(spec)):
+        raise ValueError("the shell geometry was built on other points or shell edges")
+    bounds = geometry.boundaries
     n_shell = bounds.size - 1
-    if cone is None:
-        mask = np.ones(spec.radii.size, dtype=bool)
-    else:
-        mask = cone.contains(spec.points) if spec.points.size else np.zeros(0, dtype=bool)
-    r = spec.radii[mask]
-    mags = spec.magnitudes[mask]
-    w = omega(spec.points[mask]) if r.size else np.zeros(0)
-    weighted = mags * w
+    sel, idx, counts = geometry.cone_index(cone)
+    mags = spec.magnitudes[sel]
+    weighted = mags * geometry.weight(omega)[sel]
 
-    idx = np.searchsorted(bounds, r, side="left")  # 0 = core, 1..M = shells
-    in_range = idx <= n_shell
-    idx, r, mags, weighted = idx[in_range], r[in_range], mags[in_range], weighted[in_range]
-
-    counts = np.bincount(idx, minlength=n_shell + 1)[1:]
     absmax = np.zeros(n_shell + 1)
     np.maximum.at(absmax, idx, mags)
     absmax = absmax[1:]
@@ -202,25 +279,6 @@ def series_from_spectrum(
     return ConeSumSeries(bounds, a, s, counts, absmax, q, spec.d, core, meta)
 
 
-def discrete_fl_series(
-    f: GridSignal,
-    omega: Weight,
-    q,
-    cone: Cone,
-    lambda2: Lattice,
-    r_max: float,
-    r0: float | None = None,
-    safety: float = DEFAULT_NYQUIST_SAFETY,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> ConeSumSeries:
-    """Shell series of the discrete cone seminorm sum |F f(xi_k) w(xi_k)|^q
-    over xi_k in cone intersect Lambda2 (shell maxima for q = inf)."""
-    if r0 is None:
-        r0 = 4.0 * lambda2.min_spacing
-    spec = lattice_spectrum(f, lambda2, r_max, safety, budget)
-    return series_from_spectrum(spec, omega, q, cone, r0, r_max)
-
-
 def continuous_fl_series(
     f: GridSignal,
     omega: Weight,
@@ -242,6 +300,41 @@ def continuous_fl_series(
     return series_from_spectrum(spec, omega, q, cone, r0, r_max)
 
 
+def j_aggregate(table: CoefficientTable, p, jset: np.ndarray) -> SpectralSamples:
+    """The j-aggregate ( sum_j |c_{j,k}|^p )^{1/p} (max_j for p = inf) of the
+    table rows jset, with its noise floor, sampled on the table's frequencies.
+
+    jset must be contained in the table's spatial indices (MissingCoefficients
+    otherwise).
+    """
+    p = check_exponent(p, "p")
+    jset = np.atleast_2d(np.asarray(jset, dtype=int))
+    if jset.size == 0:
+        mags = np.zeros(table.xi.shape[0])
+        floor = 0.0
+    else:
+        rows = table.rows_for(jset)
+        # the whole table, in order, needs no gathered copy
+        whole = np.array_equal(rows, np.arange(table.js.shape[0]))
+        block = np.abs(table.values if whole else table.values[rows])
+        if math.isinf(p):
+            mags = np.max(block, axis=0)
+            floor = table.noise_floor
+        else:
+            block **= p
+            mags = np.sum(block, axis=0) ** (1.0 / p)
+            floor = table.noise_floor * rows.size ** (1.0 / p)
+    return SpectralSamples(
+        table.xi,
+        table.k_radii,
+        mags,
+        1.0,
+        floor,
+        "gabor",
+        {"epsilon": table.epsilon, "n_j": int(jset.shape[0])},
+    )
+
+
 def discrete_mod_series(
     table: CoefficientTable,
     omega: Weight,
@@ -251,40 +344,25 @@ def discrete_mod_series(
     lambda2: Lattice,
     jset: np.ndarray,
     r0: float | None = None,
+    geometry: ShellGeometry | None = None,
+    aggregate: SpectralSamples | None = None,
 ) -> ConeSumSeries:
     """Shell series of ( sum_j |c_{j,k} w(xi_k)|^p )^{q/p} over the cone.
 
     jset must be contained in the table's spatial indices and the table must
-    cover the requested shells (MissingCoefficients otherwise).
+    cover the requested shells (MissingCoefficients otherwise).  `aggregate`
+    is `j_aggregate(table, p, jset)` when the caller already holds it, and
+    `geometry` a shell geometry of the table's frequencies (see
+    `series_from_spectrum`).
     """
     p = check_exponent(p, "p")
     if not np.allclose(lambda2.basis, table.lambda2.basis):
         raise MissingCoefficients("table was computed on a different frequency lattice")
-    jset = np.atleast_2d(np.asarray(jset, dtype=int))
-    if jset.size == 0:
-        mags = np.zeros(table.xi.shape[0])
-        floor = 0.0
-    else:
-        rows = table.rows_for(jset)
-        block = np.abs(table.values[rows])
-        if math.isinf(p):
-            mags = np.max(block, axis=0)
-            floor = table.noise_floor
-        else:
-            mags = np.sum(block**p, axis=0) ** (1.0 / p)
-            floor = table.noise_floor * rows.size ** (1.0 / p)
+    if aggregate is None:
+        aggregate = j_aggregate(table, p, jset)
     if r0 is None:
-        r0 = 4.0 * lambda2.min_spacing
-    spec = SpectralSamples(
-        table.xi,
-        table.k_radii,
-        mags,
-        1.0,
-        floor,
-        "gabor",
-        {"epsilon": table.epsilon, "n_j": int(jset.shape[0])},
-    )
-    return series_from_spectrum(spec, omega, q, cone, r0, table.freq_radius)
+        r0 = default_r0(lambda2)
+    return series_from_spectrum(aggregate, omega, q, cone, r0, table.freq_radius, geometry)
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,9 @@ class GridSignal:
         for (a, b), n in zip(support, samples.shape):
             if not (0 <= a <= b <= n):
                 raise ValueError(f"support range {(a, b)} outside shape {samples.shape}")
-        masked = samples.copy()
         inside = tuple(slice(a, b) for a, b in support)
-        kept = np.zeros_like(masked)
-        kept[inside] = masked[inside]
+        kept = np.zeros_like(samples)
+        kept[inside] = samples[inside]
         kept.setflags(write=False)
         origin.setflags(write=False)
         spacing.setflags(write=False)

@@ -29,10 +29,13 @@ from .lattice import Lattice, LatticePair, classify_pair, parallelepiped_contain
 from .seminorm import (
     DEFAULT_K_LAST,
     DEFAULT_MARGIN,
+    ShellGeometry,
     SpectralSamples,
     Verdict,
     classify,
+    default_r0,
     discrete_mod_series,
+    j_aggregate,
     lattice_spectrum,
     series_from_spectrum,
 )
@@ -82,8 +85,8 @@ class WavefrontQuery:
         return Cone.from_degrees(self.direction, self.aperture_deg)
 
     @property
-    def s(self) -> float | None:
-        return self.weight.s if self.weight.kind == "bracket_power" else None
+    def s(self) -> float:
+        return self.weight.s
 
 
 def _interior_distance(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -197,16 +200,19 @@ def _local_table(
 
 def _fl_verdict(
     spec: SpectralSamples, pair: LatticePair, r_max: float, cone: Cone, weight: Weight, q,
-    k_last: int, margin: float,
+    k_last: int, margin: float, geometry: ShellGeometry | None = None,
 ) -> Verdict:
-    series = series_from_spectrum(spec, weight, q, cone, 4.0 * pair.lambda2.min_spacing, r_max)
+    series = series_from_spectrum(spec, weight, q, cone, default_r0(pair.lambda2), r_max, geometry)
     return classify(series, k_last, margin)
 
 
 def _mod_verdict(
-    table: CoefficientTable, cone: Cone, weight: Weight, p, q, k_last: int, margin: float
+    table: CoefficientTable, cone: Cone, weight: Weight, p, q, k_last: int, margin: float,
+    geometry: ShellGeometry | None = None, aggregate: SpectralSamples | None = None,
 ) -> Verdict:
-    series = discrete_mod_series(table, weight, p, q, cone, table.lambda2, table.js)
+    series = discrete_mod_series(
+        table, weight, p, q, cone, table.lambda2, table.js, geometry=geometry, aggregate=aggregate
+    )
     return classify(series, k_last, margin)
 
 
@@ -231,10 +237,11 @@ def aperture_sweep(
     spec = _local_spectrum(
         f, pair, x0, r_max, inner_frac=query.inner_frac, outer_cap_frac=query.outer_cap_frac
     )
+    geometry = ShellGeometry(spec.points, spec.radii, default_r0(pair.lambda2), r_max)
     return {
         float(a): _fl_verdict(
             spec, pair, r_max, Cone.from_degrees(query.direction, a),
-            query.weight, query.q, query.k_last, query.margin,
+            query.weight, query.q, query.k_last, query.margin, geometry,
         )
         for a in apertures
     }
@@ -378,10 +385,17 @@ class WavefrontEstimate:
 def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimate:
     """Run both point operations over x_grid x directions x cfg.pqs.
 
-    Per-record failures are recorded in the row, never abort the scan.  Each
-    x0 gets one windowed spectrum and one Gabor coefficient table, built as
-    df_fl_point and df_mod_point build theirs (epsilon chosen against the
-    Gabor step), and shared by every direction and (p, q, s) triple.
+    Per-record failures are recorded in the row, never abort the scan.  The
+    work is shared at three levels, and every record gets the verdicts
+    df_fl_point and df_mod_point give for its question:
+    - once per scan, one shell geometry per route (radii, shell index, each
+      direction's cone indices, <xi>^s per s), because every x0 uses the
+      same beta-lattice ball at the same r_max;
+    - once per x0, one windowed spectrum and one Gabor coefficient table,
+      built as the point operations build theirs (epsilon chosen against
+      the Gabor step), and the table's j-aggregate once per distinct p,
+      dropped before the next x0;
+    - per record, the cone gather, the shell sums and `classify`.
     """
     x_grid = [as_point(x, f.d, "x0") for x in x_grid]
     directions = [unit_direction(v) for v in directions]
@@ -396,9 +410,11 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
     sys = cfg.gabor_system(f.d) if want_mod else None
     r_max = cfg.r_max if cfg.r_max is not None else default_r_max(f)
     cones = [Cone.from_degrees(th, cfg.aperture_deg) for th in directions]
+    geo_fl = geo_mod = None
 
     for x0 in x_grid:
         spec = table = fl_err = mod_err = None
+        aggregates: dict = {}  # j-aggregates of this x0's table, by p
         if want_fl:
             try:
                 spec = _local_spectrum(f, pair, x0, r_max)
@@ -409,6 +425,14 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
                 table = _local_table(f, sys, x0, cfg.epsilon, r_max)
             except MicrolocError as exc:
                 mod_err = f"{type(exc).__name__}: {exc}"
+        if spec is not None:
+            if geo_fl is None:
+                geo_fl = ShellGeometry(spec.points, spec.radii, default_r0(pair.lambda2), r_max)
+            spec = geo_fl.share(spec)
+        if table is not None and geo_mod is None:
+            geo_mod = ShellGeometry(
+                table.xi, table.k_radii, default_r0(table.lambda2), table.freq_radius
+            )
 
         for theta, cone in zip(directions, cones):
             for p, q, s in cfg.pqs:
@@ -426,14 +450,16 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
                 if spec is not None:
                     try:
                         rec.verdict_fl = _fl_verdict(
-                            spec, pair, r_max, cone, w, q, cfg.k_last, cfg.margin
+                            spec, pair, r_max, cone, w, q, cfg.k_last, cfg.margin, geo_fl
                         )
                     except MicrolocError as exc:
                         rec.error_fl = f"{type(exc).__name__}: {exc}"
                 if table is not None:
                     try:
+                        if p not in aggregates:
+                            aggregates[p] = geo_mod.share(j_aggregate(table, p, table.js))
                         rec.verdict_mod = _mod_verdict(
-                            table, cone, w, p, q, cfg.k_last, cfg.margin
+                            table, cone, w, p, q, cfg.k_last, cfg.margin, geo_mod, aggregates[p]
                         )
                     except MicrolocError as exc:
                         rec.error_mod = f"{type(exc).__name__}: {exc}"

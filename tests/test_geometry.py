@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from microloc import Cone, Weight, check_moderate, compactly_contained
+from microloc.geometry import row_norms, squared_norms
 
 
 def test_cone_membership_examples():
@@ -58,26 +59,13 @@ def test_weight_inverse_product(rng):
     assert np.max(np.abs(prod - 1.0)) < 1e-12
 
 
-def test_weight_product_sums_exponents():
-    w = Weight.product(1.0, 0.5, -0.25)
-    assert w.s == pytest.approx(1.25)
-
-
-def test_weight_custom_and_validation():
-    w = Weight.custom(lambda p: 2.0 + 0.0 * p[:, 0], moderating_exponent=0.0)
-    assert w([1.0, 2.0]) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        Weight("custom", 1.0)
-    with pytest.raises(ValueError):
-        Weight("nonsense", 0.0)
-
-
 def test_check_moderate_peetre_bounds():
+    # the moderating partner of <.>^s is <.>^|s|
     box = ([-40.0, -40.0], [40.0, 40.0])
     w0 = Weight.bracket_power(0.0)
-    assert check_moderate(w0, w0.moderating_partner(), box, 40) == pytest.approx(1.0)
+    assert check_moderate(w0, Weight.bracket_power(abs(w0.s)), box, 40) == pytest.approx(1.0)
     w1 = Weight.bracket_power(1.0)
-    c1 = check_moderate(w1, w1.moderating_partner(), box, 60)
+    c1 = check_moderate(w1, Weight.bracket_power(abs(w1.s)), box, 60)
     assert 1.0 <= c1 <= math.sqrt(2.0) + 1e-12
     w2 = Weight.bracket_power(-2.0)
     c2 = check_moderate(w2, Weight.bracket_power(2.0), box, 60)
@@ -93,7 +81,17 @@ def test_cone_json_round_trip():
 
 def test_weight_json_round_trip():
     w = Weight.bracket_power(-0.75)
+    assert w.to_json() == {"kind": "bracket_power", "s": -0.75}
     assert Weight.from_json(w.to_json()) == w
+    with pytest.raises(ValueError):
+        Weight.from_json({"kind": "custom", "s": 1.0})
+
+
+def test_row_norms_equal_linalg_norm(rng):
+    for d in (1, 2):
+        pts = rng.normal(size=(5000, d)) * rng.uniform(1e-3, 1e3, size=(5000, 1))
+        assert np.array_equal(row_norms(pts), np.linalg.norm(pts, axis=1))
+        assert np.array_equal(squared_norms(pts), np.sum(pts * pts, axis=1))
 
 
 def test_cone_validation():

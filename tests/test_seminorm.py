@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microloc import (
     Cone,
@@ -12,16 +14,29 @@ from microloc import (
     classify,
     coefficients,
     continuous_fl_series,
-    discrete_fl_series,
     discrete_mod_series,
     make_cutoff,
     multiply,
+    points_in_ball,
     scaled_integer_lattice,
     support_index_set,
 )
 from microloc.errors import MissingCoefficients
 from microloc.fixtures import jump_1d, jump_1d_in_cell
-from microloc.seminorm import shell_boundaries
+from microloc.seminorm import (
+    ShellGeometry,
+    SpectralSamples,
+    default_r0,
+    lattice_spectrum,
+    series_from_spectrum,
+    shell_boundaries,
+)
+
+
+def _fl_series(f, omega, q, cone, lambda2, r_max):
+    """Lattice cone series of f, shells from 4 x the lattice spacing."""
+    spec = lattice_spectrum(f, lambda2, r_max)
+    return series_from_spectrum(spec, omega, q, cone, default_r0(lambda2), r_max)
 
 
 def _synthetic(sigma, q=1.0, d=1, n_shells=8, r0=4.0):
@@ -122,18 +137,18 @@ def test_jump_series_examples(jump, unit_pair):
     chi = make_cutoff(([-0.1], [0.1]), ([-0.4], [0.4]))
     g = multiply(jump, chi)
 
-    v = classify(discrete_fl_series(g, Weight.bracket_power(0.0), 2.0, cone, lam2, 716.0))
+    v = classify(_fl_series(g, Weight.bracket_power(0.0), 2.0, cone, lam2, 716.0))
     assert v.kind == "finite"
     assert v.tau == pytest.approx(-1.0, abs=0.1)
 
-    v = classify(discrete_fl_series(g, Weight.bracket_power(1.0), 1.0, cone, lam2, 716.0))
+    v = classify(_fl_series(g, Weight.bracket_power(1.0), 1.0, cone, lam2, 716.0))
     assert v.kind == "divergent"
     assert v.tau == pytest.approx(0.0, abs=0.1)
 
 
 def test_smooth_bump_series_rapid_decay(bump, unit_pair):
     cone = Cone.from_degrees([1.0], 20.0)
-    ser = discrete_fl_series(
+    ser = _fl_series(
         bump, Weight.bracket_power(0.0), 2.0, cone, unit_pair.lambda2, 716.0
     )
     v = classify(ser)
@@ -144,8 +159,8 @@ def test_smooth_bump_series_rapid_decay(bump, unit_pair):
 def test_series_monotone_in_aperture(jump, unit_pair):
     lam2 = unit_pair.lambda2
     w = Weight.bracket_power(0.0)
-    small = discrete_fl_series(jump, w, 1.0, Cone.from_degrees([1.0], 10.0), lam2, 200.0)
-    large = discrete_fl_series(jump, w, 1.0, Cone.from_degrees([1.0], 40.0), lam2, 200.0)
+    small = _fl_series(jump, w, 1.0, Cone.from_degrees([1.0], 10.0), lam2, 200.0)
+    large = _fl_series(jump, w, 1.0, Cone.from_degrees([1.0], 40.0), lam2, 200.0)
     assert np.all(large.S >= small.S - 1e-15)
     assert np.all(np.diff(small.S) >= -1e-15)  # partial sums nondecreasing
 
@@ -156,11 +171,11 @@ def test_weight_shift_moves_tau(jump, unit_pair):
     g = multiply(jump, chi)
     for q in (1.0, 2.0):
         base = classify(
-            discrete_fl_series(g, Weight.bracket_power(0.0), q, cone, unit_pair.lambda2, 716.0)
+            _fl_series(g, Weight.bracket_power(0.0), q, cone, unit_pair.lambda2, 716.0)
         ).tau
         for t in (1.0, 2.0):
             shifted = classify(
-                discrete_fl_series(g, Weight.bracket_power(t), q, cone, unit_pair.lambda2, 716.0)
+                _fl_series(g, Weight.bracket_power(t), q, cone, unit_pair.lambda2, 716.0)
             ).tau
             assert shifted - base == pytest.approx(t, abs=0.05)
 
@@ -170,7 +185,7 @@ def test_continuous_matches_discrete_classification(unit_pair):
     cone = Cone.from_degrees([1.0], 20.0)
     for q, s, expected in [(1.0, 1.0, "divergent"), (2.0, 0.0, "finite")]:
         w = Weight.bracket_power(s)
-        vd = classify(discrete_fl_series(f, w, q, cone, unit_pair.lambda2, 716.0))
+        vd = classify(_fl_series(f, w, q, cone, unit_pair.lambda2, 716.0))
         vc = classify(continuous_fl_series(f, w, q, cone, 4.0, 716.0, r0=4.0))
         assert vd.kind == expected and vc.kind == expected
 
@@ -192,7 +207,7 @@ def test_discrete_mod_series_reductions():
     j0 = jset[len(jset) // 2][None, :]
     single = discrete_mod_series(table, w, 1.0, 1.0, cone, lam2, j0)
     g = multiply(f, sys0.psi_window(j0[0]))
-    scalar = discrete_fl_series(g, w, 1.0, cone, lam2, 716.0)
+    scalar = _fl_series(g, w, 1.0, cone, lam2, 716.0)
     scale = (2 * math.pi) ** 0.5
     assert np.allclose(single.a, scale * scalar.a, rtol=1e-9)
 
@@ -213,7 +228,7 @@ def test_discrete_mod_series_reductions():
 
 def test_series_csv_export(tmp_path, jump, unit_pair):
     cone = Cone.from_degrees([1.0], 20.0)
-    ser = discrete_fl_series(
+    ser = _fl_series(
         jump, Weight.bracket_power(0.0), 2.0, cone, unit_pair.lambda2, 200.0
     )
     path = ser.to_csv(tmp_path / "series.csv")
@@ -225,8 +240,91 @@ def test_series_csv_export(tmp_path, jump, unit_pair):
 def test_verdict_json(jump, unit_pair):
     cone = Cone.from_degrees([1.0], 20.0)
     v = classify(
-        discrete_fl_series(jump, Weight.bracket_power(0.0), 2.0, cone, unit_pair.lambda2, 716.0)
+        _fl_series(jump, Weight.bracket_power(0.0), 2.0, cone, unit_pair.lambda2, 716.0)
     )
     blob = v.to_json()
     assert blob["kind"] == v.kind and blob["code"] in (-1, 0, 1)
     assert "sigma" in blob["diagnostics"]
+
+
+def _reference_series(spec, s, q, cone, r0, r_max):
+    """Per-call binning as it was before shell geometries were shared:
+    cone test, weight and shell index computed afresh on the cone's points."""
+    bounds = shell_boundaries(r0, r_max)
+    n_shell = bounds.size - 1
+    pts = spec.points
+    r = np.linalg.norm(pts, axis=1)
+    mask = (r > 0.0) & (pts @ cone.axis > r * math.cos(cone.aperture))
+    r, mags = spec.radii[mask], spec.magnitudes[mask]
+    weighted = mags * np.sqrt(1.0 + np.sum(pts[mask] * pts[mask], axis=1)) ** s
+    idx = np.searchsorted(bounds, r, side="left")
+    in_range = idx <= n_shell
+    idx, mags, weighted = idx[in_range], mags[in_range], weighted[in_range]
+    counts = np.bincount(idx, minlength=n_shell + 1)[1:]
+    absmax = np.zeros(n_shell + 1)
+    np.maximum.at(absmax, idx, mags)
+    if math.isinf(q):
+        a = np.zeros(n_shell + 1)
+        np.maximum.at(a, idx, weighted)
+        core, a = float(a[0]), a[1:]
+        total = np.maximum.accumulate(np.concatenate(([core], a)))[1:]
+    else:
+        sums = np.bincount(idx, weights=weighted**q * spec.cell_weight, minlength=n_shell + 1)
+        core, a = float(sums[0]), sums[1:]
+        total = core + np.cumsum(a)
+    return a, total, counts, absmax[1:], core
+
+
+@st.composite
+def _spectrum_and_questions(draw):
+    d = draw(st.sampled_from([1, 2]))
+    beta = draw(st.floats(0.5, 2.0))
+    r_max = draw(st.floats(20.0, 60.0)) * beta
+    pts, _ = points_in_ball(scaled_integer_lattice(beta, d), r_max, r_min=0.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mags = rng.pareto(1.5, size=pts.shape[0]) * (rng.uniform(size=pts.shape[0]) > 0.1)
+    cell = draw(st.sampled_from([1.0, 0.25]))
+    spec = SpectralSamples(pts, np.linalg.norm(pts, axis=1), mags, cell, 0.0, "lattice")
+    questions = draw(st.lists(
+        st.tuples(
+            st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d).filter(
+                lambda v: np.linalg.norm(v) > 0.1),
+            st.floats(5.0, 80.0),
+            st.sampled_from([1.0, 2.0, math.inf]),
+            st.sampled_from([-1.0, 0.0, 1.0]),
+        ),
+        min_size=1, max_size=6,
+    ))
+    return spec, 4.0 * beta, r_max, questions
+
+
+@settings(max_examples=40, deadline=None)
+@given(_spectrum_and_questions())
+def test_property_shared_geometry_bins_as_per_call(case):
+    spec, r0, r_max, questions = case
+    geometry = ShellGeometry(spec.points, spec.radii, r0, r_max)
+    for axis, aperture, q, s in questions:
+        cone = Cone.from_degrees(axis, aperture)
+        got = series_from_spectrum(spec, Weight.bracket_power(s), q, cone, r0, r_max, geometry)
+        a, total, counts, absmax, core = _reference_series(spec, s, q, cone, r0, r_max)
+        assert np.array_equal(got.a, a)
+        assert np.array_equal(got.S, total)
+        assert np.array_equal(got.counts, counts)
+        assert np.array_equal(got.shell_absmax, absmax)
+        assert got.core == core
+
+
+def test_shared_geometry_rejects_other_points_or_shells(jump, unit_pair):
+    spec = lattice_spectrum(jump, unit_pair.lambda2, 200.0)
+    geometry = ShellGeometry(spec.points, spec.radii, 4.0, 200.0)
+    cone = Cone.from_degrees([1.0], 20.0)
+    w = Weight.bracket_power(1.0)
+    other = lattice_spectrum(jump, unit_pair.lambda2, 300.0)
+    with pytest.raises(ValueError):
+        series_from_spectrum(other, w, 1.0, cone, 4.0, 200.0, geometry)
+    with pytest.raises(ValueError):
+        series_from_spectrum(spec, w, 1.0, cone, 8.0, 200.0, geometry)
+    with pytest.raises(ValueError):
+        geometry.share(other)
+    shared = geometry.share(lattice_spectrum(jump, unit_pair.lambda2, 200.0))
+    assert shared.points is geometry.points

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from microloc import (
     DomainClipped,
     EpsilonTooLarge,
     GridSignal,
+    MicrolocError,
     ScanConfig,
     WavefrontQuery,
     aperture_sweep,
@@ -178,6 +180,35 @@ def test_query_validation():
         WavefrontQuery([0.0], [1.0], epsilon=1.5)
 
 
+_DIAG = 0.5**0.5
+_ROUTE_PQS = (
+    (1.0, 1.0, 1.0), (2.0, 2.0, 1.0), (2.0, 1.0, 0.0), (1.0, 2.0, 1.0), (2.0, 2.0, 0.0),
+    (math.inf, math.inf, 1.0),
+)
+# (x_grid, directions, scan config); the jump's Gabor step is twice its
+# cutoff lattice step, so both entry points must pick epsilon against the
+# same cell edge, and x0 = -2 sits on a cutoff cell face.
+_ROUTE_SCANS = {
+    "jump_1d": (
+        [[0.0], [1.0], [-2.0], [3.0]], [[1.0], [-1.0]],
+        ScanConfig(pqs=_ROUTE_PQS, alpha=0.8, beta=1.0, gabor_alpha=1.6),
+    ),
+    "line_2d": (
+        [[0.0, 0.5], [2.0, 0.0]],
+        [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [_DIAG, _DIAG], [-_DIAG, _DIAG]],
+        ScanConfig(pqs=_ROUTE_PQS, alpha=2.5, beta=1.0, gabor_alpha=2.0, gabor_alpha1=5.0,
+                   r_max=90.0),
+    ),
+}
+
+
+def _point_answer(route, f, query, arg):
+    try:
+        return route(f, query, arg).to_json()
+    except MicrolocError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 @pytest.mark.parametrize("x0", [[0.0], [3.0]])
 def test_scan_and_point_routes_agree(jump, x0):
     # Gabor step twice the cutoff lattice step: both entry points must pick
@@ -189,6 +220,23 @@ def test_scan_and_point_routes_agree(jump, x0):
     mod = df_mod_point(jump, query, build_agp(1.6, 1.0, d=1))
     assert rec.verdict_fl.to_json() == fl.to_json()
     assert rec.verdict_mod.to_json() == mod.to_json()
+
+
+@pytest.mark.parametrize("case", sorted(_ROUTE_SCANS))
+def test_multi_x0_scan_matches_point_routes(case, jump):
+    # A multi-x0 scan shares its shell geometry and j-aggregates across
+    # records; every record must still be exactly the point operations' answer.
+    f = jump if case == "jump_1d" else line_singularity_2d(n=512)
+    x_grid, directions, cfg = _ROUTE_SCANS[case]
+    pair, gsys = cfg.lattice_pair(f.d), cfg.gabor_system(f.d)
+    records = scan(f, x_grid, directions, cfg).records
+    assert len(records) == len(x_grid) * len(directions) * len(_ROUTE_PQS)
+    for rec in records:
+        query = WavefrontQuery(rec.x0, rec.theta, p=rec.p, q=rec.q, weight=rec.s, r_max=cfg.r_max)
+        fl = rec.verdict_fl.to_json() if rec.verdict_fl else rec.error_fl
+        mod = rec.verdict_mod.to_json() if rec.verdict_mod else rec.error_mod
+        assert fl == _point_answer(df_fl_point, f, query, pair)
+        assert mod == _point_answer(df_mod_point, f, query, gsys)
 
 
 def test_scan_and_point_routes_agree_outside_domain(jump):
