@@ -29,7 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FrequencyOutOfRange, InadmissibleParameters, MissingCoefficients
+from .errors import (
+    BudgetExceeded, FrequencyOutOfRange, InadmissibleParameters, MissingCoefficients
+)
 from .geometry import row_norms
 from .lattice import Lattice, LatticePair, classify_pair, points_in_ball, scaled_integer_lattice
 from .signal import (
@@ -39,11 +41,13 @@ from .signal import (
     GridSignal,
     _along_axes,
     _batch_rows,
+    _bump,
+    _gather,
     _index_box,
     _kernels,
     _progressions,
     _support_from_nonzero,
-    _window_values,
+    _window_batch,
     make_cutoff,
 )
 from .validation import as_point, check_exponent, check_in_open, check_positive
@@ -51,35 +55,21 @@ from .validation import as_point, check_exponent, check_in_open, check_positive
 _TWO_PI = 2.0 * math.pi
 
 
-def _axis_bump(half_width: float):
-    """Peak-1 C-infinity bump on (-half_width, half_width), one axis."""
-
-    def g(t: np.ndarray) -> np.ndarray:
-        u = np.asarray(t, dtype=float) / half_width
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        with np.errstate(over="ignore", under="ignore"):
-            out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
-        return out
-
-    return g
-
-
 def _dual_axis_profile(alpha: float, alpha1: float, theta_axis: float):
     """One axis of psi: theta_axis * g / (alpha-periodization of g)."""
-    g = _axis_bump(alpha1 / 2.0)
-    j_reach = int(math.ceil(alpha1 / (2.0 * alpha))) + 1
+    half1 = alpha1 / 2.0
+    # on t mod alpha in [0, alpha] the bumps with j outside (-j_reach, j_reach] vanish
+    j_reach = int(math.ceil(half1 / alpha))
 
     def profile(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         t0 = np.mod(t, alpha)
         per = np.zeros_like(t0)
-        for j in range(-j_reach, j_reach + 1):
-            per += g(t0 - alpha * j)
+        for j in range(1 - j_reach, j_reach + 1):
+            per += _bump((t0 - alpha * j) / half1)
         vals = np.zeros_like(t)
-        inside = np.abs(t) < alpha1 / 2.0
-        gi = g(t[inside])
+        inside = np.abs(t) < half1
+        gi = _bump(t[inside] / half1)
         # per >= gi wherever gi > 0 (the periodization contains the own term),
         # so the ratio is safe; underflowed edge values stay exactly zero
         pos = gi > 0.0
@@ -138,7 +128,6 @@ def build_agp(
     alpha: float,
     beta: float,
     d: int = 1,
-    smoothness: float = math.inf,
     alpha1: float | None = None,
     epsilon: float = 1.0,
     index_budget: int = 4096,
@@ -165,20 +154,12 @@ def build_agp(
             f"= ({alpha:.6g}, {alpha2:.6g})"
         )
 
-    theta_axis = beta / _TWO_PI
-    profiles = [_dual_axis_profile(alpha, alpha1, theta_axis) for _ in range(d)]
-
-    def psi_fn(p: np.ndarray) -> np.ndarray:
-        vals = np.ones(p.shape[0])
-        for i in range(d):
-            vals = vals * profiles[i](p[:, i])
-        return vals
-
+    profile = _dual_axis_profile(alpha, alpha1, beta / _TWO_PI)
     half1 = alpha1 / 2.0 * np.ones(d)
-    psi = BumpWindow(-half1, half1, psi_fn, smoothness, nonneg=True)
+    psi = BumpWindow(-half1, half1, (profile,) * d)
 
     half2 = alpha2 / 2.0 * np.ones(d)
-    phi = make_cutoff((-half1, half1), (-half2, half2), smoothness)
+    phi = make_cutoff((-half1, half1), (-half2, half2))
 
     pair = classify_pair(
         scaled_integer_lattice(alpha, d), scaled_integer_lattice(beta, d)
@@ -205,11 +186,8 @@ def check_partition(sys: GaborSystem, n: int = 256) -> float:
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     reach = int(math.ceil(sys.alpha2 / (2.0 * alpha))) + 1
     total = np.zeros(pts.shape[0])
-    ranges = [range(-reach, reach + 2)] * sys.d
-    grids = np.meshgrid(*[np.array(list(r)) for r in ranges], indexing="ij")
-    js = np.stack([g.ravel() for g in grids], axis=1)
-    for j in js:
-        shifted = (pts - step * j) / eps  # phi^eps(x) = phi(x / eps)
+    for j in np.ndindex(*[2 * reach + 2] * sys.d):
+        shifted = (pts - step * (np.array(j) - reach)) / eps  # phi^eps(x) = phi(x / eps)
         total += sys.phi(shifted) * sys.psi(shifted)
     return float(np.max(np.abs(total - sys.partition_constant)))
 
@@ -264,23 +242,41 @@ class CoefficientTable:
         return p
 
 
+def _translates(sys: GaborSystem, lo, hi, tol: float, what: str) -> np.ndarray:
+    """All integer j with lo - tol <= j <= hi + tol per axis, in lexicographic
+    order; BudgetExceeded if one passes the index budget, so none that `what`
+    describes is dropped."""
+    b = sys.index_budget
+    lo = np.ceil(np.clip(lo - tol, -b - 1, b + 1)).astype(int)
+    hi = np.floor(np.clip(hi + tol, -b - 1, b + 1)).astype(int)
+    if np.any(hi < lo):
+        return np.zeros((0, sys.d), dtype=int)
+    if np.any(lo < -b) or np.any(hi > b):
+        raise BudgetExceeded(
+            f"translates j = {lo.tolist()}..{hi.tolist()} {what}; "
+            f"the index budget allows |j| <= {b}"
+        )
+    mesh = np.meshgrid(*[np.arange(a, e + 1) for a, e in zip(lo, hi)], indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def _overlapping_js(f: GridSignal, sys: GaborSystem) -> np.ndarray:
     """All j whose scaled dual-window support meets the signal support."""
     if f.is_empty():
         return np.zeros((0, sys.d), dtype=int)
     lo, hi = f.support_box
-    eps, alpha = sys.epsilon, sys.alpha
-    reach = eps * sys.alpha1 / 2.0
-    b = sys.index_budget
-    axes = []
-    for i in range(sys.d):
-        jlo = max(int(math.ceil((lo[i] - reach) / (eps * alpha) - 1e-9)), -b)
-        jhi = min(int(math.floor((hi[i] + reach) / (eps * alpha) + 1e-9)), b)
-        if jhi < jlo:
-            return np.zeros((0, sys.d), dtype=int)
-        axes.append(np.arange(jlo, jhi + 1))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    step, reach = sys.epsilon * sys.alpha, sys.epsilon * sys.alpha1 / 2.0
+    return _translates(
+        sys, (lo - reach) / step, (hi + reach) / step, 1e-9, "meet the signal support"
+    )
+
+
+def _placed(window: BumpWindow, sys: GaborSystem, js, origin, spacing, a_min, b_max):
+    """window^eps, the offsets eps x_j of its translates, and their grid
+    index boxes [a, b) clipped to [a_min, b_max)."""
+    w = window.scaled(sys.epsilon)
+    shifts = sys.epsilon * sys.x_point(js)
+    return w, shifts, _index_box(w.lo + shifts, w.hi + shifts, origin, spacing, a_min, b_max)
 
 
 def coefficients(
@@ -297,9 +293,10 @@ def coefficients(
     over every translate overlapping the signal support; pass `js` to
     restrict (e.g. to a support index set around one point).
 
-    Each translate's window is sampled only on its box clipped to the
-    signal support; the patches are stacked into batches and summed onto
-    the frequency lattice by the chirp-z kernel, one axis at a time.  A
+    Per batch of translates each axis factor of psi^eps is sampled once on
+    the stacked offsets of every translate's box clipped to the signal
+    support; a row's patch is f times the outer product of its axis samples,
+    and the chirp-z kernel sums the patches onto the frequency lattice.  A
     row's noise floor counts the window's samples on the grid in 1D and the
     nonzero bounding box of the windowed patch otherwise.
     """
@@ -321,30 +318,25 @@ def coefficients(
     if js.size:
         # (2*pi)^(d/2) of the coefficients cancels the transform's (2*pi)^(-d/2)
         origin, spacing, norm = f.origin, f.spacing, f.cell_volume
-        windows = [sys.psi_window(j) for j in js]
-        boxes = [_index_box(w, origin, spacing, *zip(*f.support)) for w in windows]
+        w, shifts, (a, b) = _placed(sys.psi, sys, js, origin, spacing, *zip(*f.support))
         progs = _progressions(xi)  # beta Z^d is a progression on every axis
-        lengths = np.max([hi - lo for lo, hi in boxes], axis=0).clip(1)
+        lengths = np.max(b - a, axis=0).clip(1)
         kernels = _kernels(progs, spacing, lengths)
         index = (slice(None),) + tuple(p.index for p in progs)
         for rows in _batch_rows(js.shape[0], kernels):
-            patches = np.zeros((rows.stop - rows.start,) + tuple(k.length for k in kernels),
-                               dtype=np.complex128)
-            for b, (lo, hi) in enumerate(boxes[rows]):
-                if np.any(hi <= lo):
-                    continue
-                w = windows[rows.start + b]
-                region = tuple(slice(a, e) for a, e in zip(lo, hi))
-                g = f.samples[region] * _window_values(w, origin, spacing, lo, hi)
-                patches[(b,) + tuple(slice(0, e - a) for a, e in zip(lo, hi))] = g
-                if sys.d == 1:
-                    grid_lo, grid_hi = _index_box(w, origin, spacing, 0, f.shape)
-                    count = int(grid_hi[0] - grid_lo[0])
-                else:
-                    count = math.prod(e - a for a, e in _support_from_nonzero(g))
-                mass = float(np.sum(np.abs(g)))
-                floor = max(floor, _EPS_FLOOR * math.sqrt(max(count, 1)) * norm * mass)
-            corners = origin + spacing * np.array([lo for lo, _ in boxes[rows]])
+            patches = _gather(f.samples, a[rows], lengths)
+            patches *= _window_batch(w, shifts[rows], origin, spacing, a[rows], b[rows], lengths)
+            if sys.d == 1:  # the window's samples on the whole grid
+                lo, hi = w.lo + shifts[rows], w.hi + shifts[rows]
+                grid_a, grid_b = _index_box(lo, hi, origin, spacing, 0, f.shape)
+                count = (grid_b - grid_a)[:, 0]
+            else:  # the windowed patch's nonzero bounding box
+                box = _support_from_nonzero(patches)
+                count = np.prod(box[:, :, 1] - box[:, :, 0], axis=1)
+            mass = np.sum(np.abs(patches), axis=tuple(range(1, patches.ndim)))
+            row_floors = _EPS_FLOOR * np.sqrt(np.maximum(count, 1)) * norm * mass
+            floor = max(floor, float(np.max(row_floors)))
+            corners = origin + spacing * a[rows]
             sums = _along_axes(patches, kernels, corners.T, [p.start for p in progs])
             values[rows] = norm * sums[index]
     return CoefficientTable(
@@ -358,7 +350,9 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
     `grid` is a GridSignal template or an (origin, spacing, shape) triple.
     The result converges to f as freq_radius grows; the residual is the
     coefficient tail plus quadrature error.  The sums over k run on each
-    window's patch by the adjoint chirp-z kernel, batched over translates.
+    window's patch by the adjoint chirp-z kernel, batched over translates;
+    per batch each axis factor of phi^eps is sampled once, as in
+    `coefficients`, and the patches are added onto the grid in order of j.
     """
     if isinstance(grid, GridSignal):
         origin, spacing, shape = grid.origin, grid.spacing, grid.shape
@@ -369,25 +363,22 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
         shape = tuple(int(n) for n in shape)
     out = np.zeros(shape, dtype=np.complex128)
     if table.js.size and table.xi.size:
-        windows = [sys.phi_window(j) for j in table.js]
-        boxes = [_index_box(w, origin, spacing, 0, shape) for w in windows]
+        w, shifts, (a, b) = _placed(sys.phi, sys, table.js, origin, spacing, 0, shape)
         progs = _progressions(table.xi)
-        lengths = np.max([hi - lo for lo, hi in boxes], axis=0).clip(1)
+        lengths = np.max(b - a, axis=0).clip(1)
         kernels = _kernels(progs, spacing, lengths, adjoint=True)
         index = (slice(None),) + tuple(p.index for p in progs)
         for rows in _batch_rows(table.js.shape[0], kernels):
             coeffs = np.zeros((rows.stop - rows.start,) + tuple(p.size for p in progs),
                               dtype=np.complex128)
             coeffs[index] = table.values[rows]
-            corners = origin + spacing * np.array([lo for lo, _ in boxes[rows]])
+            corners = origin + spacing * a[rows]
             inner = _along_axes(coeffs, kernels, [p.start for p in progs], corners.T)
-            for b, (lo, hi) in enumerate(boxes[rows]):
-                if np.any(hi <= lo):
-                    continue
-                w = windows[rows.start + b]
-                region = tuple(slice(a, e) for a, e in zip(lo, hi))
-                patch = inner[(b,) + tuple(slice(0, e - a) for a, e in zip(lo, hi))]
-                out[region] += _window_values(w, origin, spacing, lo, hi) * patch
+            inner *= _window_batch(w, shifts[rows], origin, spacing, a[rows], b[rows], lengths)
+            for r, (lo, hi) in enumerate(zip(a[rows], b[rows])):
+                if np.all(hi > lo):
+                    region = tuple(slice(s, e) for s, e in zip(lo, hi))
+                    out[region] += inner[(r,) + tuple(slice(0, e - s) for s, e in zip(lo, hi))]
     return GridSignal.from_samples(out, origin, spacing)
 
 
@@ -395,24 +386,14 @@ def support_index_set(sys: GaborSystem, x0) -> np.ndarray:
     """The finite set J_{x0}(eps): all j with x0 in supp phi^eps_{j,k}.
 
     phi's support contains psi's, so the phi condition covers both windows;
-    supports do not depend on the frequency index.  Translates beyond the
-    system's index budget are not considered.
+    supports do not depend on the frequency index.  Raises BudgetExceeded
+    when one of them lies beyond the system's index budget.
     """
     x0 = as_point(x0, sys.d, "x0")
-    eps, alpha = sys.epsilon, sys.alpha
-    half = sys.alpha2 / 2.0
-    b = sys.index_budget
-    axes = []
-    for i in range(sys.d):
-        jlo = max(int(math.ceil((x0[i] / eps - half) / alpha - 1e-12)), -b)
-        jhi = min(int(math.floor((x0[i] / eps + half) / alpha + 1e-12)), b)
-        if jhi < jlo:
-            return np.zeros((0, sys.d), dtype=int)
-        axes.append(np.arange(jlo, jhi + 1))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    js = np.stack([m.ravel() for m in mesh], axis=1)
-    order = np.lexsort(js.T[::-1])
-    return js[order]
+    eps, alpha, half = sys.epsilon, sys.alpha, sys.alpha2 / 2.0
+    return _translates(
+        sys, (x0 / eps - half) / alpha, (x0 / eps + half) / alpha, 1e-12, f"hold x0 = {x0.tolist()}"
+    )
 
 
 def discrete_mod_norm(table: CoefficientTable, omega, p, q) -> float:

@@ -19,6 +19,10 @@ from .geometry import Cone, row_norms
 from .validation import as_float_array, as_point
 
 DEFAULT_CELL_BUDGET = 10**8
+# Bytes an enumeration may hold at once.  The integer mesh, its stacked
+# coordinates and the points with their temporaries take about 32 d bytes
+# per candidate cell, so 1 GiB allows a 4096^2 box in 2D.
+_ENUMERATION_BYTES = 2**30
 
 _FACE_TOL = 1e-12
 _PAIR_TOL = 1e-10
@@ -183,6 +187,11 @@ def _enumerate_box(lo: np.ndarray, hi: np.ndarray, budget: int) -> np.ndarray:
     if total > budget:
         raise BudgetExceeded(
             f"cone-shell bounding box holds {total} candidate cells, budget is {budget}"
+        )
+    if 32 * lo.size * total > _ENUMERATION_BYTES:
+        raise BudgetExceeded(
+            f"enumerating {total} candidate cells would take about "
+            f"{32 * lo.size * total / 2**30:.1f} GiB, over {_ENUMERATION_BYTES / 2**30:g} GiB"
         )
     axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")

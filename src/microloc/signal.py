@@ -19,6 +19,12 @@ nodes) are evaluated by one chirp-z kernel, Bluestein's algorithm on
 the opposite sign serves Gabor analysis and synthesis (gabor.py).  Other
 frequency sets fall back to chunked direct summation, which is also the
 reference the kernel is tested against.
+
+Windows are separable: one profile per axis plus a placement (shift,
+scale) that `scaled`/`translated` move.  A batch of translates is sampled
+axis by axis on the stacked grid offsets, each patch being the outer product
+of its axis samples (O(sum L) evaluations, not O(prod L)).  `multiply`
+returns a signal sized to the nonzero bounding box of the product.
 """
 
 from __future__ import annotations
@@ -54,11 +60,19 @@ _PROGRESSION_TOL = 1e-12
 _MAX_HOLE_RATIO = 16
 
 
-def _support_from_nonzero(samples: np.ndarray) -> tuple[tuple[int, int], ...]:
-    nz = np.nonzero(samples)
-    if nz[0].size == 0:
-        return tuple((0, 0) for _ in samples.shape)
-    return tuple((int(idx.min()), int(idx.max()) + 1) for idx in nz)
+def _support_from_nonzero(batch: np.ndarray) -> np.ndarray:
+    """[first, last + 1) per axis of the nonzero entries of each row of a
+    batch (axis 0 indexes rows) as an (rows, d, 2) array; all zero on rows
+    without one.  Taken from per-axis `any` reductions."""
+    nz = batch != 0
+    out = np.zeros((nz.shape[0], nz.ndim - 1, 2), dtype=int)
+    for i in range(1, nz.ndim):
+        m = np.any(nz, axis=tuple(k for k in range(1, nz.ndim) if k != i))
+        has = np.any(m, axis=1)
+        if np.any(has):
+            out[has, i - 1, 0] = np.argmax(m[has], axis=1)
+            out[has, i - 1, 1] = m.shape[1] - np.argmax(m[has, ::-1], axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -113,7 +127,7 @@ class GridSignal:
             as_point(spacing, name="spacing"), (samples.ndim,)
         ).astype(float)
         if support is None:
-            support = _support_from_nonzero(samples)
+            support = _support_from_nonzero(samples[None])[0]
         return cls(origin, spacing, samples, support)
 
     # -- geometry ------------------------------------------------------
@@ -203,7 +217,7 @@ class GridSignal:
 # ---------------------------------------------------------------------------
 
 
-def _cinf_step(t: np.ndarray) -> np.ndarray:
+def smoothstep(t) -> np.ndarray:
     """C-infinity step: 0 for t <= 0, 1 for t >= 1, strictly rising between."""
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
@@ -220,58 +234,45 @@ def _cinf_step(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_step(t: np.ndarray, order: int) -> np.ndarray:
-    """C^m smoothstep: normalized integral of u^m (1-u)^m on [0, t].
-
-    Exactly 0 at t <= 0 and exactly 1 at t >= 1, like the C-infinity step.
-    """
-    t = np.asarray(t, dtype=float)
-    tc = np.clip(t, 0.0, 1.0)
-    m = int(order)
-    acc = np.zeros_like(tc)
-    for k in range(m, -1, -1):
-        coef = math.comb(m, k) * (-1.0) ** k / (m + k + 1)
-        acc = acc * tc + coef
-    acc *= tc ** (m + 1)
-    norm = math.factorial(m) ** 2 / math.factorial(2 * m + 1)
-    return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, acc / norm))
-
-
-def smoothstep(t, order: float = math.inf) -> np.ndarray:
-    if order == math.inf:
-        return _cinf_step(t)
-    if order < 0 or order != int(order):
-        raise ValueError(f"spline order must be a nonnegative integer or inf, got {order}")
-    return _poly_step(t, int(order))
+def _bump(u) -> np.ndarray:
+    """Peak-1 C-infinity bump exp(1 - 1 / (1 - u^2)) on |u| < 1, zero elsewhere."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    with np.errstate(over="ignore", under="ignore"):
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
+    return out
 
 
 @dataclass(frozen=True)
 class BumpWindow:
-    """Closed-form window supported on the box [lo, hi].
-
-    Values outside the box are exactly zero.  Windows constructed here are
-    real; `scaled` dilates the argument (no amplitude renormalization) and
-    `translated` shifts it.
+    """Separable window w(x) = prod_i factors[i]((x_i - shift_i) / scale) on
+    the box [lo, hi], exactly zero outside.  Each factor is a vectorized
+    one-axis profile; `scaled` dilates the placement (shift, scale) and the
+    box (no amplitude renormalization), `translated` shifts them.  Windows
+    built here are real.
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    smoothness: float = math.inf
-    nonneg: bool = True
+    factors: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(compare=False)
+    shift: np.ndarray | None = None
+    scale: float = 1.0
 
     def __post_init__(self):
         lo, hi = as_box((self.lo, self.hi), name="window box")
+        if len(self.factors) != lo.size:
+            raise ValueError(f"{len(self.factors)} factors for a {lo.size}-d window box")
+        shift = np.zeros(lo.size) if self.shift is None else as_point(self.shift, lo.size, "shift")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "factors", tuple(self.factors))
+        object.__setattr__(self, "shift", shift)
 
     @property
     def d(self) -> int:
         return self.lo.size
-
-    @property
-    def box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.lo.copy(), self.hi.copy()
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -280,7 +281,11 @@ class BumpWindow:
         inside = np.all((p >= self.lo) & (p <= self.hi), axis=1)
         vals = np.zeros(p.shape[0])
         if np.any(inside):
-            vals[inside] = np.asarray(self.fn(p[inside]), dtype=float).reshape(-1)
+            t = (p[inside] - self.shift) / self.scale
+            prod = self.factors[0](t[:, 0])
+            for i in range(1, self.d):
+                prod = prod * self.factors[i](t[:, i])
+            vals[inside] = prod
         if scalar:
             return float(vals[0])
         return vals.reshape(pts.shape[:-1])
@@ -288,33 +293,20 @@ class BumpWindow:
     def scaled(self, eps: float) -> "BumpWindow":
         if eps <= 0:
             raise ValueError("scale factor must be positive")
-        fn = self.fn
         return BumpWindow(
-            self.lo * eps,
-            self.hi * eps,
-            lambda p, _f=fn, _e=eps: _f(np.asarray(p) / _e),
-            self.smoothness,
-            self.nonneg,
+            self.lo * eps, self.hi * eps, self.factors, self.shift * eps, self.scale * eps
         )
 
     def translated(self, c) -> "BumpWindow":
         c = as_point(c, self.d, "translation")
-        fn = self.fn
-        return BumpWindow(
-            self.lo + c,
-            self.hi + c,
-            lambda p, _f=fn, _c=c: _f(np.asarray(p) - _c),
-            self.smoothness,
-            self.nonneg,
-        )
+        return BumpWindow(self.lo + c, self.hi + c, self.factors, self.shift + c, self.scale)
 
 
-def make_cutoff(inner, outer, smoothness: float = math.inf) -> BumpWindow:
+def make_cutoff(inner, outer) -> BumpWindow:
     """Smooth cutoff equal to 1 on the inner box and 0 outside the outer box.
 
-    The transition uses the standard exp(-1/t) profile (or a C^m polynomial
-    smoothstep when an integer order is requested), applied per axis and
-    multiplied, so values stay in [0, 1].
+    Per axis the factor is a rising exp(-1/t) step times a falling one, so
+    values stay in [0, 1].
     """
     lo_in, hi_in = as_box(inner, name="inner box")
     lo_out, hi_out = as_box(outer, lo_in.size, name="outer box")
@@ -323,18 +315,12 @@ def make_cutoff(inner, outer, smoothness: float = math.inf) -> BumpWindow:
             f"inner box {lo_in}..{hi_in} must be strictly inside outer {lo_out}..{hi_out}"
         )
 
-    rise_w = lo_in - lo_out
-    fall_w = hi_out - hi_in
+    def factor(i: int):
+        lo, hi = lo_out[i], hi_out[i]
+        rise, fall = lo_in[i] - lo, hi - hi_in[i]
+        return lambda x: smoothstep((x - lo) / rise) * smoothstep((hi - x) / fall)
 
-    def fn(p: np.ndarray) -> np.ndarray:
-        vals = np.ones(p.shape[0])
-        for i in range(lo_in.size):
-            x = p[:, i]
-            vals = vals * smoothstep((x - lo_out[i]) / rise_w[i], smoothness)
-            vals = vals * smoothstep((hi_out[i] - x) / fall_w[i], smoothness)
-        return vals
-
-    return BumpWindow(lo_out, hi_out, fn, smoothness, nonneg=True)
+    return BumpWindow(lo_out, hi_out, tuple(factor(i) for i in range(lo_in.size)))
 
 
 def smooth_bump_window(center, radius) -> BumpWindow:
@@ -344,16 +330,10 @@ def smooth_bump_window(center, radius) -> BumpWindow:
     if np.any(radius <= 0):
         raise ValueError("bump radius must be positive")
 
-    def fn(p: np.ndarray) -> np.ndarray:
-        t = (p - center) / radius
-        inside = np.all(np.abs(t) < 1.0, axis=1)
-        vals = np.zeros(p.shape[0])
-        tt = t[inside]
-        with np.errstate(over="ignore", under="ignore"):
-            vals[inside] = np.exp(np.sum(1.0 - 1.0 / (1.0 - tt * tt), axis=1))
-        return vals
+    def factor(c: float, r: float):
+        return lambda x: _bump((x - c) / r)
 
-    return BumpWindow(center - radius, center + radius, fn, math.inf, nonneg=True)
+    return BumpWindow(center - radius, center + radius, tuple(map(factor, center, radius)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,36 +508,65 @@ def fourier_at(f: GridSignal, xi, safety: float = DEFAULT_NYQUIST_SAFETY) -> com
     return complex(vals[0])
 
 
-def _index_box(w: BumpWindow, origin, spacing, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Index range [a, b) per axis of the grid points inside w's box,
-    clipped to [lo, hi)."""
-    a = np.maximum(np.ceil((w.lo - origin) / spacing - 1e-12).astype(int), lo)
-    b = np.minimum(np.floor((w.hi - origin) / spacing + 1e-12).astype(int) + 1, hi)
+def _index_box(lo, hi, origin, spacing, a_min, b_max) -> tuple[np.ndarray, np.ndarray]:
+    """Index range [a, b) per axis of the grid points inside the box
+    [lo, hi] (or one box per row), clipped to [a_min, b_max)."""
+    a = np.maximum(np.ceil((lo - origin) / spacing - 1e-12).astype(int), a_min)
+    b = np.minimum(np.floor((hi - origin) / spacing + 1e-12).astype(int) + 1, b_max)
     return a, b
 
 
-def _window_values(w: BumpWindow, origin, spacing, a, b) -> np.ndarray:
-    """w sampled on the grid points with indices in [a, b)."""
-    axes = [origin[i] + spacing[i] * np.arange(a[i], b[i]) for i in range(w.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return w(pts).reshape(tuple(b - a))
+def _window_batch(w: BumpWindow, shifts, origin, spacing, a, b, lengths) -> np.ndarray:
+    """w translated by each row of `shifts`, sampled on grid indices a + m,
+    0 <= m < lengths: an (rows, *lengths) array, zero past b and outside
+    each translate's box.  Each axis factor is evaluated once per batch on
+    the stacked (rows, lengths[i]) offsets, and each row's patch is the
+    outer product of its per-axis samples."""
+    out = np.ones((a.shape[0],) + (1,) * w.d)
+    for i, (factor, n) in enumerate(zip(w.factors, lengths)):
+        idx = a[:, i, None] + np.arange(n)
+        x = origin[i] + spacing[i] * idx
+        c = shifts[:, i, None]
+        inside = (idx < b[:, i, None]) & (x >= w.lo[i] + c) & (x <= w.hi[i] + c)
+        vals = np.zeros(x.shape)
+        vals[inside] = factor(((x - (w.shift[i] + c)) / w.scale)[inside])
+        out = out * vals.reshape((-1,) + (1,) * i + (n,) + (1,) * (w.d - 1 - i))
+    return out
+
+
+def _gather(samples: np.ndarray, a, lengths) -> np.ndarray:
+    """samples on grid indices a + m, 0 <= m < lengths, per row of a;
+    indices past the grid read its last sample."""
+    d = samples.ndim
+    idx = [
+        np.minimum(a[:, i, None] + np.arange(n), samples.shape[i] - 1).reshape(
+            (-1,) + (1,) * i + (n,) + (1,) * (d - 1 - i)
+        )
+        for i, n in enumerate(lengths)
+    ]
+    return samples[tuple(idx)]
 
 
 def multiply(f: GridSignal, w: BumpWindow) -> GridSignal:
     """Pointwise product f * w sampled on f's grid.
 
-    The output support box is the intersection of supports (then tightened
-    to the nonzero bounding box).
+    The result covers only the nonzero bounding box of the product (inside
+    the intersection of supports), with its origin placed exactly as
+    `trimmed()` places it; an empty product is the zero-size signal.
     """
     if w.d != f.d:
         raise ValueError("window dimension does not match the signal")
-    a, b = _index_box(w, f.origin, f.spacing, *zip(*f.support))
-    out = np.zeros_like(f.samples)
+    a, b = _index_box(w.lo, w.hi, f.origin, f.spacing, *zip(*f.support))
     if np.all(b > a):
         region = tuple(slice(i, j) for i, j in zip(a, b))
-        out[region] = f.samples[region] * _window_values(w, f.origin, f.spacing, a, b)
-    return GridSignal.from_samples(out, f.origin, f.spacing)
+        win = _window_batch(w, np.zeros((1, f.d)), f.origin, f.spacing, a[None], b[None], b - a)
+        g = f.samples[region] * win[0]
+        box = _support_from_nonzero(g[None])[0]
+        if np.all(box[:, 1] > box[:, 0]):
+            inner = g[tuple(slice(lo, hi) for lo, hi in box)]
+            origin = f.origin + f.spacing * (a + box[:, 0])
+            return GridSignal(origin, f.spacing, inner, tuple((0, n) for n in inner.shape))
+    return GridSignal.from_samples(np.zeros((0,) * f.d), f.origin, f.spacing)
 
 
 def stft(

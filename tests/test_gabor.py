@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microloc import (
+    BudgetExceeded,
     GridSignal,
     InadmissibleParameters,
     Weight,
@@ -19,7 +20,7 @@ from microloc import (
     stft,
     support_index_set,
 )
-from microloc.fixtures import random_band_limited, smooth_bump_1d
+from microloc.fixtures import jump_1d, random_band_limited, smooth_bump_1d
 
 TWO_PI = 2 * math.pi
 
@@ -52,14 +53,15 @@ def test_check_partition_detects_broken_systems():
     sys0 = build_agp(1.0, math.pi, d=1)
     theta = sys0.partition_constant
 
+    (phi_factor,) = sys0.phi.factors
     doubled = dataclasses.replace(
         sys0,
-        phi=dataclasses.replace(sys0.phi, fn=lambda p, _f=sys0.phi.fn: 2.0 * _f(p)),
+        phi=dataclasses.replace(sys0.phi, factors=(lambda t: 2.0 * phi_factor(t),)),
     )
     assert check_partition(doubled, n=128) == pytest.approx(theta, rel=1e-9)
 
     killed = dataclasses.replace(
-        sys0, psi=dataclasses.replace(sys0.psi, fn=lambda p: np.zeros(p.shape[0]))
+        sys0, psi=dataclasses.replace(sys0.psi, factors=(lambda t: np.zeros(np.shape(t)),))
     )
     assert check_partition(killed, n=128) == pytest.approx(theta, rel=1e-12)
 
@@ -244,8 +246,8 @@ def test_support_index_set_examples():
     sys0 = build_agp(1.0, 1.0, d=1)  # phi side 2*pi
     js = support_index_set(sys0, [0.0])
     assert js[:, 0].tolist() == [-3, -2, -1, 0, 1, 2, 3]
-    far = support_index_set(sys0, [1e9])
-    assert far.shape[0] == 0
+    with pytest.raises(BudgetExceeded):  # its translates lie past the index budget
+        support_index_set(sys0, [1e9])
     counts = {
         eps: support_index_set(sys0.with_epsilon(eps), [0.0]).shape[0]
         for eps in (1.0, 0.5, 0.25)
@@ -300,3 +302,20 @@ def test_coefficient_table_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "j0,k0,re,im"
     assert len(lines) == 1 + table.js.shape[0] * table.ks.shape[0]
+
+
+def test_index_budget_refuses_clipped_translates():
+    # |j| <= 2 holds neither J_5 = 2..8 nor the jump's translates: refuse
+    # rather than clip to J_5 = [2] and drop the windows beyond |x| = 2
+    assert support_index_set(build_agp(1.0, 1.0, 1), [5.0])[:, 0].tolist() == list(range(2, 9))
+    small = build_agp(1.0, 1.0, 1, index_budget=2)
+    with pytest.raises(BudgetExceeded, match="hold x0"):
+        support_index_set(small, [5.0])
+    f = jump_1d()
+    with pytest.raises(BudgetExceeded, match="meet the signal support"):
+        coefficients(f, small, 4.0)
+    # a budget that holds every translate changes nothing
+    enough = build_agp(1.0, 1.0, 1, index_budget=9)
+    assert support_index_set(enough, [5.0])[:, 0].tolist() == list(range(2, 9))
+    full = coefficients(f, build_agp(1.0, 1.0, 1), 4.0)
+    assert np.array_equal(coefficients(f, enough, 4.0).values, full.values)

@@ -145,3 +145,22 @@ def test_enumeration_order_is_lexicographic(z2):
     pts = points_in_cone_shell(z2, cone, 0.0, 3.0)
     ints = [tuple(int(round(v)) for v in p) for p in pts]
     assert ints == sorted(ints)
+
+
+def test_enumeration_refuses_oversized_box_before_allocating():
+    import tracemalloc
+
+    # 8001^2 = 6.4e7 candidate cells pass the cell budget, but enumerating
+    # them would hold about 4 GB: refused before any of it is allocated
+    fine = scaled_integer_lattice(1e-3, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="GiB"):
+            points_in_ball(fine, 4.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    # the largest default question, the 2D ball at r_max = 180, stays far under
+    pts, _ = points_in_ball(scaled_integer_lattice(1.0, 2), 180.0)
+    assert 100_000 < pts.shape[0] < 110_000
