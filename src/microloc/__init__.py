@@ -30,7 +30,7 @@ from .gabor import (
     reconstruct,
     support_index_set,
 )
-from .geometry import Cone, Weight, check_moderate, compactly_contained
+from .geometry import Cone, Weight
 from .lattice import (
     Lattice,
     LatticePair,
@@ -39,14 +39,12 @@ from .lattice import (
     make_lattice,
     parallelepiped_containing,
     points_in_ball,
-    points_in_cone_shell,
     scaled_integer_lattice,
 )
 from .seminorm import (
     ConeSumSeries,
     Verdict,
     classify,
-    continuous_fl_series,
     discrete_mod_series,
 )
 from .signal import (
@@ -58,9 +56,7 @@ from .signal import (
     make_cutoff,
     multiply,
     save_signal,
-    save_signal_csv,
     smooth_bump_window,
-    stft,
 )
 from .wavefront import (
     EquivalenceReport,
@@ -109,13 +105,10 @@ __all__ = [
     "aperture_sweep",
     "build_agp",
     "check_equivalence",
-    "check_moderate",
     "check_partition",
     "classify",
     "classify_pair",
     "coefficients",
-    "compactly_contained",
-    "continuous_fl_series",
     "df_fl_point",
     "df_mod_point",
     "discrete_mod_norm",
@@ -128,13 +121,10 @@ __all__ = [
     "multiply",
     "parallelepiped_containing",
     "points_in_ball",
-    "points_in_cone_shell",
     "reconstruct",
     "save_signal",
-    "save_signal_csv",
     "scaled_integer_lattice",
     "scan",
     "smooth_bump_window",
-    "stft",
     "support_index_set",
 ]

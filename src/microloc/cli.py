@@ -24,7 +24,7 @@ from . import __version__
 from .errors import MicrolocError
 from .fixtures import random_band_limited, write_fixture_set
 from .gabor import build_agp, check_partition, coefficients, reconstruct
-from .selftest import SUITES, run_selftest
+from .selftest import SUITES, _roundtrip_radius, run_selftest
 from .seminorm import DEFAULT_K_LAST, DEFAULT_MARGIN
 from .signal import load_signal
 from .validation import check_exponent
@@ -65,21 +65,25 @@ class RunConfig:
     out: str | None = None
     seed: int = 0
 
-    def validate(self) -> None:
-        self.q = check_exponent(self.q, "q")
-        self.p = check_exponent(self.p, "p")
-        if not (0.0 < self.aperture_deg < 90.0):
-            raise ValueError(f"aperture_deg must be in (0, 90), got {self.aperture_deg}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
-        if self.epsilon is not None and not (0.0 < self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.r_max is not None and self.r_max <= 0:
-            raise ValueError("r_max must be positive")
-        if self.shells < 4:
-            raise ValueError("shells (fit window) must be at least 4")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+    @property
+    def methods(self) -> tuple:
+        return ("fl", "mod") if self.method == "both" else (self.method,)
+
+    def scan_config(self, methods: tuple) -> ScanConfig:
+        """These parameters as a ScanConfig; building it checks them."""
+        return ScanConfig(
+            pqs=self.pqs or ((self.p, self.q, self.s),),
+            aperture_deg=self.aperture_deg,
+            alpha=self.alpha,
+            beta=self.beta,
+            gabor_alpha=self.gabor_alpha,
+            gabor_alpha1=self.gabor_alpha1,
+            epsilon=self.epsilon,
+            r_max=self.r_max,
+            margin=self.margin,
+            k_last=self.shells,
+            methods=methods,
+        )
 
     def to_json(self) -> dict:
         out = asdict(self)
@@ -118,7 +122,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, f.name, flag)
     for name in ("q", "p"):
         setattr(cfg, name, check_exponent(getattr(cfg, name), name))
-    cfg.validate()
+    cfg.scan_config(cfg.methods)
     return cfg
 
 
@@ -136,26 +140,6 @@ def _write_report(cfg: RunConfig, result: dict, default_name: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path
-
-
-def _scan_config(cfg: RunConfig, methods=("fl", "mod")) -> ScanConfig:
-    pqs = cfg.pqs if cfg.pqs else [[cfg.p, cfg.q, cfg.s]]
-    pqs = tuple(
-        (check_exponent(p, "p"), check_exponent(q, "q"), float(s)) for p, q, s in pqs
-    )
-    return ScanConfig(
-        pqs=pqs,
-        aperture_deg=cfg.aperture_deg,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        gabor_alpha=cfg.gabor_alpha,
-        gabor_alpha1=cfg.gabor_alpha1,
-        epsilon=cfg.epsilon,
-        r_max=cfg.r_max,
-        margin=cfg.margin,
-        k_last=cfg.shells,
-        methods=methods,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +168,13 @@ def cmd_analyze(args) -> int:
     )
     result: dict = {"x0": list(map(float, x0)), "theta": list(map(float, theta))}
     verdicts = []
-    if cfg.method in ("fl", "both"):
-        v = df_fl_point(f, query, _scan_config(cfg).lattice_pair(f.d))
+    scan_cfg = cfg.scan_config(cfg.methods)
+    if "fl" in scan_cfg.methods:
+        v = df_fl_point(f, query, scan_cfg.lattice_pair(f.d))
         result["fl"] = v.to_json()
         verdicts.append(v)
-    if cfg.method in ("mod", "both"):
-        v = df_mod_point(f, query, _scan_config(cfg).gabor_system(f.d))
+    if "mod" in scan_cfg.methods:
+        v = df_mod_point(f, query, scan_cfg.gabor_system(f.d))
         result["mod"] = v.to_json()
         verdicts.append(v)
     path = _write_report(cfg, result, "analyze_report.json")
@@ -217,7 +202,7 @@ def cmd_scan(args) -> int:
             ]
     if not cfg.x_grid or not cfg.directions:
         raise ValueError("scan needs nonempty x_grid and directions")
-    estimate = scan(f, cfg.x_grid, cfg.directions, _scan_config(cfg))
+    estimate = scan(f, cfg.x_grid, cfg.directions, cfg.scan_config(("fl", "mod")))
     report = check_equivalence(estimate)
     result = {"equivalence": report.to_json(), "records": [r.to_json() for r in estimate.records]}
     path = _write_report(cfg, result, "scan_report.json")
@@ -242,7 +227,7 @@ def cmd_gabor_check(args) -> int:
         worst = 0.0
         for eps in (1.0, 0.5, 0.25):
             se = sys0.with_epsilon(eps)
-            radius = 6.0 + max(320.0 / (eps * se.alpha1), 170.0)
+            radius = _roundtrip_radius(6.0, eps, se.alpha1)
             for f in signals:
                 rec = reconstruct(coefficients(f, se, radius), se, f)
                 rel = float(

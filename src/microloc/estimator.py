@@ -88,10 +88,6 @@ class WavefrontDetector:
             X = load_signal(X)
         if not isinstance(X, GridSignal):
             raise TypeError("fit expects a GridSignal or a signal file path")
-        if self.method not in ("fl", "mod", "both"):
-            raise ValueError(f"method must be 'fl', 'mod' or 'both', got {self.method!r}")
-        methods = ("fl", "mod") if self.method == "both" else (self.method,)
-        self.signal_ = X
         self.config_ = ScanConfig(
             pqs=((float(self.p), float(self.q), float(self.s)),),
             aperture_deg=float(self.aperture_deg),
@@ -100,8 +96,9 @@ class WavefrontDetector:
             epsilon=self.epsilon,
             r_max=self.r_max,
             margin=float(self.margin),
-            methods=methods,
+            methods=("fl", "mod") if self.method == "both" else (self.method,),
         )
+        self.signal_ = X
         return self
 
     def _check_fitted(self) -> None:

@@ -25,7 +25,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from .signal import (
     _window_batch,
     make_cutoff,
 )
-from .validation import as_point, check_exponent, check_in_open, check_positive
+from .validation import as_point, check_dilation, check_exponent, check_positive
 
 _TWO_PI = 2.0 * math.pi
 
@@ -96,7 +95,7 @@ class GaborSystem:
     index_budget: int = 4096
 
     def __post_init__(self):
-        check_in_open(self.epsilon, 0.0, 1.0 + 1e-12, "epsilon")
+        check_dilation(self.epsilon)
 
     @property
     def d(self) -> int:
@@ -226,20 +225,6 @@ class CoefficientTable:
             idx.append(self._j_index[key])
         return np.asarray(idx, dtype=int)
 
-    def to_csv(self, path) -> Path:
-        p = Path(path)
-        d = self.d
-        header = (
-            [f"j{i}" for i in range(d)] + [f"k{i}" for i in range(d)] + ["re", "im"]
-        )
-        lines = [",".join(header)]
-        for a, j in enumerate(self.js):
-            for b, k in enumerate(self.ks):
-                v = self.values[a, b]
-                cells = [str(int(x)) for x in j] + [str(int(x)) for x in k]
-                lines.append(",".join(cells + [repr(v.real), repr(v.imag)]))
-        p.write_text("\n".join(lines) + "\n")
-        return p
 
 
 def _translates(sys: GaborSystem, lo, hi, tol: float, what: str) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import as_box, as_points, check_in_open, unit_direction
+from .validation import as_points, check_in_open, unit_direction
 
 
 def squared_norms(pts: np.ndarray) -> np.ndarray:
@@ -71,22 +71,6 @@ class Cone:
     def to_json(self) -> dict:
         return {"axis": self.axis.tolist(), "aperture_deg": self.aperture_deg}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Cone":
-        return cls.from_degrees(data["axis"], data["aperture_deg"])
-
-
-def compactly_contained(inner: Cone, outer: Cone) -> bool:
-    """True iff closure(inner) minus the origin lies inside the outer cone.
-
-    For circular cones this reduces to the closed-form test
-    angle(axis_in, axis_out) + aperture_in < aperture_out (strict).
-    """
-    if inner.d != outer.d:
-        raise ValueError("cones must share a dimension")
-    cosang = float(np.clip(inner.axis @ outer.axis, -1.0, 1.0))
-    return math.acos(cosang) + inner.aperture < outer.aperture
-
 
 @dataclass(frozen=True)
 class Weight:
@@ -111,30 +95,3 @@ class Weight:
 
     def to_json(self) -> dict:
         return {"kind": "bracket_power", "s": self.s}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Weight":
-        if data.get("kind") != "bracket_power":
-            raise ValueError(f"unsupported weight kind {data.get('kind')!r}")
-        return cls.bracket_power(data["s"])
-
-
-def check_moderate(omega: Weight, v: Weight, box, n: int, seed: int = 0) -> float:
-    """Largest observed omega(xi+eta) / (omega(xi) v(eta)) over n^2 pairs.
-
-    xi and eta are drawn uniformly from the sampling box with a seeded
-    generator, so the result is deterministic.  For bracket powers with
-    v = <.>^{|s|} the Peetre inequality bounds the result by 2^{|s|/2}.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lo, hi = as_box(box, name="sampling box")
-    rng = np.random.default_rng(seed)
-    xi = rng.uniform(lo, hi, size=(n, lo.size))
-    eta = rng.uniform(lo, hi, size=(n, lo.size))
-    xi[0] = 0.0  # anchor at the origin, where the ratio is exactly 1
-    eta[0] = 0.0
-    pairs = xi[:, None, :] + eta[None, :, :]
-    num = omega(pairs.reshape(-1, lo.size))
-    den = omega(xi)[:, None] * v(eta)[None, :]
-    return float(np.max(num.reshape(n, n) / den))

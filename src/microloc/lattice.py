@@ -1,9 +1,9 @@
-"""Full-rank lattices, admissible lattice pairs, cells, and cone enumeration.
+"""Full-rank lattices, admissible lattice pairs, cells, and ball enumeration.
 
 A lattice is offset + {t1 e1 + ... + td ed : t integer}; the basis vectors
-are the rows of `basis`.  Enumeration inside cone shells brackets the shell
-region by an integer box in lattice coordinates and filters, so no point is
-missed and the cost is proportional to the bounding-box volume.
+are the rows of `basis`.  Enumeration inside a ball brackets it by an
+integer box in lattice coordinates and filters, so no point is missed and
+the cost is proportional to the bounding-box volume.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, SingularBasis
-from .geometry import Cone, row_norms
+from .geometry import row_norms
 from .validation import as_float_array, as_point
 
 DEFAULT_CELL_BUDGET = 10**8
@@ -66,10 +66,6 @@ class Lattice:
 
     def to_json(self) -> dict:
         return {"basis": self.basis.tolist(), "offset": self.offset.tolist()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Lattice":
-        return make_lattice(data["basis"], data.get("offset"))
 
 
 def make_lattice(basis, offset=None) -> Lattice:
@@ -186,7 +182,7 @@ def _enumerate_box(lo: np.ndarray, hi: np.ndarray, budget: int) -> np.ndarray:
     total = int(np.prod(counts.astype(object)))
     if total > budget:
         raise BudgetExceeded(
-            f"cone-shell bounding box holds {total} candidate cells, budget is {budget}"
+            f"bounding box holds {total} candidate cells, budget is {budget}"
         )
     if 32 * lo.size * total > _ENUMERATION_BYTES:
         raise BudgetExceeded(
@@ -198,43 +194,6 @@ def _enumerate_box(lo: np.ndarray, hi: np.ndarray, budget: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _points_in_region(
-    lat: Lattice,
-    r_min: float,
-    r_max: float,
-    cone: Cone | None,
-    budget: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = _integer_box_for_ball(lat, r_max)
-    ts = _enumerate_box(lo, hi, budget)
-    pts = lat.points(ts)
-    r = row_norms(pts)
-    mask = (r > r_min) & (r <= r_max)
-    if cone is not None:
-        mask &= cone.contains(pts)
-    ts, pts = ts[mask], pts[mask]
-    order = np.lexsort(ts.T[::-1])  # lexicographic on integer coordinates
-    return pts[order], ts[order]
-
-
-def points_in_cone_shell(
-    lat: Lattice,
-    cone: Cone,
-    r_min: float,
-    r_max: float,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> np.ndarray:
-    """Lattice points xi with xi in the cone and r_min < |xi| <= r_max.
-
-    Deterministic lexicographic order on the integer coordinates.  Raises
-    BudgetExceeded when the bounding box exceeds `budget` candidate cells.
-    """
-    if not r_min < r_max:
-        raise ValueError(f"need r_min < r_max, got {r_min} >= {r_max}")
-    pts, _ = _points_in_region(lat, r_min, r_max, cone, budget)
-    return pts
-
-
 def points_in_ball(
     lat: Lattice,
     r_max: float,
@@ -244,8 +203,17 @@ def points_in_ball(
     """All lattice points with r_min < |xi| <= r_max plus integer coordinates.
 
     The default r_min = -1 includes the origin when the lattice contains it.
+    Deterministic lexicographic order on the integer coordinates.  Raises
+    BudgetExceeded when the bounding box exceeds `budget` candidate cells.
     """
-    return _points_in_region(lat, r_min, r_max, None, budget)
+    lo, hi = _integer_box_for_ball(lat, r_max)
+    ts = _enumerate_box(lo, hi, budget)
+    pts = lat.points(ts)
+    r = row_norms(pts)
+    mask = (r > r_min) & (r <= r_max)
+    ts, pts = ts[mask], pts[mask]
+    order = np.lexsort(ts.T[::-1])  # lexicographic on integer coordinates
+    return pts[order], ts[order]
 
 
 def parallelepiped_containing(lat: Lattice, x0) -> Parallelepiped:

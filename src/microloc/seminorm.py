@@ -41,7 +41,7 @@ from .gabor import CoefficientTable
 from .geometry import Cone, Weight, row_norms
 from .lattice import DEFAULT_CELL_BUDGET, Lattice, points_in_ball
 from .signal import DEFAULT_NYQUIST_SAFETY, GridSignal, fourier_batch
-from .validation import check_exponent, check_positive
+from .validation import check_exponent, check_fit_window, check_positive
 
 SHELL_RATIO = 2.0
 DEFAULT_MARGIN = 0.15
@@ -279,27 +279,6 @@ def series_from_spectrum(
     return ConeSumSeries(bounds, a, s, counts, absmax, q, spec.d, core, meta)
 
 
-def continuous_fl_series(
-    f: GridSignal,
-    omega: Weight,
-    q,
-    cone: Cone,
-    density: float,
-    r_max: float,
-    r0: float | None = None,
-    safety: float = DEFAULT_NYQUIST_SAFETY,
-) -> ConeSumSeries:
-    """Shell series of the continuous seminorm integral over the cone.
-
-    Midpoint quadrature on a grid of the stated density; serves as the
-    continuous oracle against which the lattice series is cross-checked.
-    """
-    if r0 is None:
-        r0 = 4.0 / density
-    spec = quadrature_spectrum(f, density, r_max, safety)
-    return series_from_spectrum(spec, omega, q, cone, r0, r_max)
-
-
 def j_aggregate(table: CoefficientTable, p, jset: np.ndarray) -> SpectralSamples:
     """The j-aggregate ( sum_j |c_{j,k}|^p )^{1/p} (max_j for p = inf) of the
     table rows jset, with its noise floor, sampled on the table's frequencies.
@@ -430,8 +409,7 @@ def classify(
     (a stabilized partial sum cannot belong to a divergent series) may
     downgrade a divergent fit to inconclusive; it never upgrades.
     """
-    if k_last < 4:
-        raise ValueError("k_last must be at least 4")
+    check_fit_window(k_last)
     q, d = series.q, series.d
     threshold = 0.0 if math.isinf(q) else -d / q
 

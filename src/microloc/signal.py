@@ -197,20 +197,6 @@ class GridSignal:
         n = max(int(np.prod([b - a for a, b in self.support])), 1)
         return _EPS_FLOOR * math.sqrt(n) * self.quad_l1()
 
-    # -- pointwise algebra ----------------------------------------------
-
-    def modulate(self, eta) -> "GridSignal":
-        """Multiply by exp(i<x, eta>) on the grid."""
-        eta = as_point(eta, self.d, "eta")
-        phase = np.zeros(self.shape)
-        for i, coords in enumerate(self.axes()):
-            shape = [1] * self.d
-            shape[i] = coords.size
-            phase = phase + (coords * eta[i]).reshape(shape)
-        return GridSignal.from_samples(
-            self.samples * np.exp(1j * phase), self.origin, self.spacing, self.support
-        )
-
 
 # ---------------------------------------------------------------------------
 # Windows
@@ -569,7 +555,7 @@ def multiply(f: GridSignal, w: BumpWindow) -> GridSignal:
     return GridSignal.from_samples(np.zeros((0,) * f.d), f.origin, f.spacing)
 
 
-def stft(
+def _stft(
     f: GridSignal, window: BumpWindow, x, xi, safety: float = DEFAULT_NYQUIST_SAFETY
 ) -> complex:
     """Short-time Fourier transform V_w f(x, xi) = F(f * conj(w(.-x)))(xi).
@@ -609,19 +595,6 @@ def save_signal(f: GridSignal, path) -> tuple[Path, Path]:
     jpath.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
     bpath.write_bytes(f.samples.astype("<c16").tobytes(order="C"))
     return jpath, bpath
-
-
-def save_signal_csv(f: GridSignal, path) -> Path:
-    """1D convenience format: `index,re,im` rows with a grid comment line."""
-    if f.d != 1:
-        raise ValueError("CSV format only covers 1D signals")
-    p = Path(path)
-    lines = [f"# origin={float(f.origin[0])!r} spacing={float(f.spacing[0])!r}"]
-    lines.append("index,re,im")
-    for i, v in enumerate(f.samples):
-        lines.append(f"{i},{float(v.real)!r},{float(v.imag)!r}")
-    p.write_text("\n".join(lines) + "\n")
-    return p
 
 
 def _load_csv(path: Path) -> GridSignal:

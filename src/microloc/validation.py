@@ -63,6 +63,21 @@ def check_positive(x, name: str = "value") -> float:
     return x
 
 
+def check_dilation(eps) -> float:
+    """Validate a Gabor dilation epsilon in (0, 1]."""
+    eps = float(eps)
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
+    return eps
+
+
+def check_fit_window(k_last) -> int:
+    """Validate the number of shells a growth fit uses (the CLI's `shells`)."""
+    if not k_last >= 4:
+        raise ValueError(f"k_last (the CLI's shells) must be at least 4, got {k_last}")
+    return k_last
+
+
 def check_in_open(x, lo: float, hi: float, name: str = "value") -> float:
     x = float(x)
     if not (lo < x < hi):

@@ -40,7 +40,10 @@ from .seminorm import (
     series_from_spectrum,
 )
 from .signal import BumpWindow, GridSignal, make_cutoff, multiply
-from .validation import as_point, check_exponent, check_in_open, unit_direction
+from .validation import (
+    as_point, check_dilation, check_exponent, check_fit_window, check_in_open, check_positive,
+    unit_direction,
+)
 
 ALIAS_SAFE_FACTOR = 0.7
 
@@ -49,6 +52,18 @@ def default_r_max(f: GridSignal) -> float:
     """Largest shell radius at which sampled discontinuities keep their
     asymptotic spectrum slope (alias distortion below a few percent)."""
     return ALIAS_SAFE_FACTOR / float(np.max(f.spacing))
+
+
+def _check_settings(aperture_deg, epsilon, r_max, margin, k_last) -> None:
+    """Range checks of the settings WavefrontQuery and ScanConfig share."""
+    check_in_open(aperture_deg, 0.0, 90.0, "aperture_deg")
+    if epsilon is not None:
+        check_dilation(epsilon)
+    if r_max is not None and not r_max > 0:
+        raise ValueError(f"r_max must be positive, got {r_max}")
+    if not margin > 0:
+        raise ValueError(f"margin must be positive, got {margin}")
+    check_fit_window(k_last)
 
 
 @dataclass(frozen=True)
@@ -63,22 +78,17 @@ class WavefrontQuery:
     weight: Weight | float = 0.0
     epsilon: float | None = None
     r_max: float | None = None
-    inner_frac: float = 0.25
-    outer_cap_frac: float = 0.45
     margin: float = DEFAULT_MARGIN
     k_last: int = DEFAULT_K_LAST
 
     def __post_init__(self):
         object.__setattr__(self, "x0", as_point(self.x0, name="x0"))
         object.__setattr__(self, "direction", unit_direction(self.direction))
-        check_in_open(self.aperture_deg, 0.0, 90.0, "aperture_deg")
+        _check_settings(self.aperture_deg, self.epsilon, self.r_max, self.margin, self.k_last)
         object.__setattr__(self, "q", check_exponent(self.q, "q"))
         object.__setattr__(self, "p", check_exponent(self.p, "p"))
         if not isinstance(self.weight, Weight):
             object.__setattr__(self, "weight", Weight.bracket_power(float(self.weight)))
-        if self.epsilon is not None:
-            check_in_open(self.epsilon, 0.0, 1.0 + 1e-12, "epsilon")
-        check_in_open(self.inner_frac, 0.0, 1.0, "inner_frac")
 
     @property
     def cone(self) -> Cone:
@@ -93,23 +103,17 @@ def _interior_distance(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
     return float(np.min(np.minimum(x0 - lo, hi - x0)))
 
 
-def cutoff_for(
-    f: GridSignal,
-    lambda1: Lattice,
-    x0: np.ndarray,
-    inner_frac: float = 0.25,
-    outer_cap_frac: float = 0.45,
-) -> BumpWindow:
+def cutoff_for(f: GridSignal, lambda1: Lattice, x0: np.ndarray) -> BumpWindow:
     """Smooth (C-infinity) cutoff chi with chi(x0) = 1 supported inside
     (cell of x0) cap X.
 
     The outer radius is min(0.9 x distance to the boundary of the cell/domain
-    intersection, outer_cap_frac x shortest cell edge); the cap keeps the
-    cutoff local so membership reflects the geometry near x0 rather than
-    whatever else the cell contains.  Raises DomainClipped when no cutoff
-    with a grid-resolvable transition fits.  Callers check first that x0 is
-    interior to the signal domain, so that failure reads the same on every
-    entry point.
+    intersection, 0.45 x shortest cell edge) and the inner radius a quarter
+    of it; the cap keeps the cutoff local so membership reflects the geometry
+    near x0 rather than whatever else the cell contains.  Raises DomainClipped
+    when no cutoff with a grid-resolvable transition fits.  Callers check
+    first that x0 is interior to the signal domain, so that failure reads the
+    same on every entry point.
     """
     if not lambda1.is_diagonal:
         raise ValueError("cutoff construction requires an axis-aligned spatial lattice")
@@ -123,14 +127,14 @@ def cutoff_for(
         raise DomainClipped(
             f"x0 = {x0.tolist()} sits on the boundary of its cell/domain intersection"
         )
-    outer = min(0.9 * dist, outer_cap_frac * lambda1.min_spacing)
+    outer = min(0.9 * dist, 0.45 * lambda1.min_spacing)
     h = float(np.max(f.spacing))
     if outer < 10.0 * h:
         raise DomainClipped(
             f"admissible cutoff radius {outer:.3g} is under 10 grid steps ({h:.3g}); "
             "the cell/domain intersection around x0 is too small"
         )
-    inner = inner_frac * outer
+    inner = 0.25 * outer
     return make_cutoff((x0 - inner, x0 + inner), (x0 - outer, x0 + outer))
 
 
@@ -174,13 +178,11 @@ def _validate_epsilon(f: GridSignal, sys: GaborSystem, x0: np.ndarray, eps: floa
         )
 
 
-def _local_spectrum(
-    f: GridSignal, pair: LatticePair, x0: np.ndarray, r_max: float, **cutoff
-) -> SpectralSamples:
-    """|F(chi f)| on the frequency lattice, chi = cutoff_for(..., **cutoff)
-    around x0: the per-point work of every Fourier-Lebesgue verdict."""
+def _local_spectrum(f: GridSignal, pair: LatticePair, x0: np.ndarray, r_max) -> SpectralSamples:
+    """|F(chi f)| on the frequency lattice, chi = cutoff_for(...) around x0:
+    the per-point work of every Fourier-Lebesgue verdict."""
     _require_interior(f, x0)
-    chi = cutoff_for(f, pair.lambda1, x0, **cutoff)
+    chi = cutoff_for(f, pair.lambda1, x0)
     return lattice_spectrum(multiply(f, chi), pair.lambda2, r_max)
 
 
@@ -234,9 +236,7 @@ def aperture_sweep(
         raise ValueError(f"lattice pair must be strongly admissible, got {pair.kind}")
     x0 = as_point(query.x0, f.d, "x0")
     r_max = query.r_max if query.r_max is not None else default_r_max(f)
-    spec = _local_spectrum(
-        f, pair, x0, r_max, inner_frac=query.inner_frac, outer_cap_frac=query.outer_cap_frac
-    )
+    spec = _local_spectrum(f, pair, x0, r_max)
     geometry = ShellGeometry(spec.points, spec.radii, default_r0(pair.lambda2), r_max)
     return {
         float(a): _fl_verdict(
@@ -282,6 +282,15 @@ class ScanConfig:
     margin: float = DEFAULT_MARGIN
     k_last: int = DEFAULT_K_LAST
     methods: tuple = ("fl", "mod")
+
+    def __post_init__(self):
+        pqs = ((check_exponent(p, "p"), check_exponent(q, "q"), float(s)) for p, q, s in self.pqs)
+        object.__setattr__(self, "pqs", tuple(pqs))
+        check_positive(self.alpha, "alpha")
+        check_positive(self.beta, "beta")
+        if not self.methods or not set(self.methods) <= {"fl", "mod"}:
+            raise ValueError(f"methods must be a nonempty subset of fl, mod; got {self.methods!r}")
+        _check_settings(self.aperture_deg, self.epsilon, self.r_max, self.margin, self.k_last)
 
     def to_json(self) -> dict:
         return {

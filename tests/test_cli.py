@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from microloc import ScanConfig, WavefrontDetector, WavefrontQuery
 from microloc.cli import main
 
 
@@ -197,6 +198,54 @@ def test_config_file_flags_override(fixture_dir, tmp_path):
     payload = _payload(out)
     assert payload["config"]["x0"] == [0.0]
     assert payload["result"]["fl"]["kind"] == "divergent"
+
+
+def test_report_config_blocks_are_pinned(fixture_dir, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = {"q": "inf", "p": 2, "s": 0.5, "aperture_deg": 15.0, "pqs": [[1, 1, 1], ["inf", 2, 0.5]],
+           "x_grid": [[0.0], [3.0]], "x0": [0.0], "theta": [-1.0], "shells": 5, "margin": 0.2,
+           "gabor_alpha": 1.6}
+    cfg_path.write_text(json.dumps(cfg))
+    signal = str(fixture_dir / "jump.json")
+    expected = {**cfg, "alpha": 1.0, "beta": 1.0, "d": 1, "directions": None, "epsilon": None,
+                "gabor_alpha1": None, "method": "both", "p": 2.0, "r_max": None, "seed": 0,
+                "signal": signal}
+    runs = (  # scan fills in the default directions
+        ("analyze", ["--q", "2"], {"q": 2.0}),
+        ("scan", ["--epsilon", "0.5"], {"epsilon": 0.5, "directions": [[1.0], [-1.0]]}),
+    )
+    for command, flags, changes in runs:
+        out = tmp_path / f"{command}.json"
+        main([command, "--signal", signal, "--config", str(cfg_path), "--out", str(out)] + flags)
+        pinned = {**expected, **changes, "out": str(out)}
+        assert json.dumps(_payload(out)["config"]) == json.dumps(pinned, sort_keys=True)
+
+
+# (ScanConfig field, detector and CLI name, bad value); the detector has no k_last
+_BAD_SETTINGS = [
+    ("margin", "margin", 0.0), ("margin", "margin", -1.0),
+    ("aperture_deg", "aperture_deg", 0.0), ("aperture_deg", "aperture_deg", 120.0),
+    ("epsilon", "epsilon", 0.0), ("epsilon", "epsilon", 2.0),
+    ("r_max", "r_max", 0.0), ("r_max", "r_max", -5.0),
+    ("k_last", "shells", 3), ("methods", "method", "xx"),
+]
+
+
+@pytest.mark.parametrize("field,key,value", _BAD_SETTINGS)
+def test_bad_settings_fail_on_every_surface(field, key, value, fixture_dir, jump, tmp_path):
+    with pytest.raises(ValueError):
+        ScanConfig(**{field: (value,) if field == "methods" else value})
+    if field != "methods":
+        with pytest.raises(ValueError):
+            WavefrontQuery([0.0], [1.0], **{field: value})
+    if key in WavefrontDetector().get_params():
+        with pytest.raises(ValueError):
+            WavefrontDetector(**{key: value}).fit(jump)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    for command in ("analyze", "scan"):
+        assert main([command, "--signal", str(fixture_dir / "jump.json"),
+                     "--config", str(cfg_path)]) == 1
 
 
 def test_config_file_rejects_unknown_keys(fixture_dir, tmp_path):

@@ -13,7 +13,6 @@ from microloc import (
     build_agp,
     classify,
     coefficients,
-    continuous_fl_series,
     discrete_mod_series,
     make_cutoff,
     multiply,
@@ -28,6 +27,7 @@ from microloc.seminorm import (
     SpectralSamples,
     default_r0,
     lattice_spectrum,
+    quadrature_spectrum,
     series_from_spectrum,
     shell_boundaries,
 )
@@ -186,7 +186,8 @@ def test_continuous_matches_discrete_classification(unit_pair):
     for q, s, expected in [(1.0, 1.0, "divergent"), (2.0, 0.0, "finite")]:
         w = Weight.bracket_power(s)
         vd = classify(_fl_series(f, w, q, cone, unit_pair.lambda2, 716.0))
-        vc = classify(continuous_fl_series(f, w, q, cone, 4.0, 716.0, r0=4.0))
+        spec_c = quadrature_spectrum(f, 4.0, 716.0)  # the continuous oracle
+        vc = classify(series_from_spectrum(spec_c, w, q, cone, 4.0, 716.0))
         assert vd.kind == expected and vc.kind == expected
 
 

@@ -1,26 +1,32 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microloc import (
+    Cone,
     DomainClipped,
     EpsilonTooLarge,
     GridSignal,
     MicrolocError,
     ScanConfig,
     WavefrontQuery,
+    Weight,
     aperture_sweep,
     build_agp,
     check_equivalence,
+    classify,
     df_fl_point,
     df_mod_point,
+    make_cutoff,
+    multiply,
     scan,
 )
 from microloc.fixtures import line_singularity_2d
-from microloc.seminorm import Verdict
-from microloc.wavefront import WavefrontEstimate, WavefrontRecord, cutoff_for
+from microloc.seminorm import Verdict, default_r0, lattice_spectrum, series_from_spectrum
+from microloc.wavefront import WavefrontEstimate, WavefrontRecord, cutoff_for, default_r_max
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +80,35 @@ def test_line_singularity_directional(line2d):
     assert df_fl_point(line2d, WavefrontQuery([2, 0], [1, 0], **q), pair).kind == "finite"
 
 
+def _fl_kind_with_cutoff(f, pair, x0, inner, outer):
+    # the FL verdict (q = s = 1, 20 degrees) with chi = 1 on |x - x0| <= inner, 0 beyond outer
+    chi = make_cutoff(([x0 - inner], [x0 + inner]), ([x0 - outer], [x0 + outer]))
+    r_max, cone = default_r_max(f), Cone.from_degrees([1.0], 20.0)
+    spec = lattice_spectrum(multiply(f, chi), pair.lambda2, r_max)
+    r0 = default_r0(pair.lambda2)
+    return classify(series_from_spectrum(spec, Weight(1.0), 1.0, cone, r0, r_max)).kind
+
+
 def test_cutoff_independence(jump, unit_pair):
-    base = WavefrontQuery([0.0], [1.0], q=1.0, weight=1.0)
-    narrow = dataclasses.replace(base, inner_frac=0.15, outer_cap_frac=0.3)
-    wide = dataclasses.replace(base, inner_frac=0.4, outer_cap_frac=0.45)
-    for x0 in ([0.0], [1.0], [3.0]):
-        a = df_fl_point(jump, dataclasses.replace(narrow, x0=np.array(x0)), unit_pair)
-        b = df_fl_point(jump, dataclasses.replace(wide, x0=np.array(x0)), unit_pair)
-        assert a.kind == b.kind
+    # x0 is a cell centre, 0.5 from its faces: narrow and wide smooth cutoffs
+    # inside the cell agree with each other and with cutoff_for's
+    for x0 in (0.0, 1.0, 3.0):
+        a = _fl_kind_with_cutoff(jump, unit_pair, x0, 0.15 * 0.3, 0.3)
+        b = _fl_kind_with_cutoff(jump, unit_pair, x0, 0.4 * 0.45, 0.45)
+        default = df_fl_point(jump, WavefrontQuery([x0], [1.0], q=1.0, weight=1.0), unit_pair)
+        assert a == b == default.kind
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([-1.0, 1.0]), st.integers(-6, 6), st.sampled_from([0.0, 3.0]))
+def test_property_power_of_two_scaling_keeps_verdicts(jump, unit_pair, sign, k, x0):
+    # c = +-2^k scales every sample exactly, so both routes' shell series
+    # scale by |c|^q and the fitted exponent must not move
+    scaled = GridSignal.from_samples(sign * 2.0**k * jump.samples, jump.origin, jump.spacing)
+    query = WavefrontQuery([x0], [1.0], q=1.0, weight=1.0)
+    for route, arg in ((df_fl_point, unit_pair), (df_mod_point, build_agp(1.0, 1.0, d=1))):
+        a, b = route(jump, query, arg), route(scaled, query, arg)
+        assert a.kind == b.kind and abs(a.tau - b.tau) <= 1e-9
 
 
 def test_aperture_monotonicity(jump, unit_pair):
