@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import MicrolocError
 from .fixtures import random_band_limited, write_fixture_set
-from .gabor import build_agp, check_partition, coefficients, reconstruct
+from .gabor import check_partition, coefficients, reconstruct
 from .selftest import SUITES, _roundtrip_radius, run_selftest
 from .seminorm import DEFAULT_K_LAST, DEFAULT_MARGIN
 from .signal import load_signal
@@ -69,7 +69,7 @@ class RunConfig:
     def methods(self) -> tuple:
         return ("fl", "mod") if self.method == "both" else (self.method,)
 
-    def scan_config(self, methods: tuple) -> ScanConfig:
+    def scan_config(self) -> ScanConfig:
         """These parameters as a ScanConfig; building it checks them."""
         return ScanConfig(
             pqs=self.pqs or ((self.p, self.q, self.s),),
@@ -82,7 +82,7 @@ class RunConfig:
             r_max=self.r_max,
             margin=self.margin,
             k_last=self.shells,
-            methods=methods,
+            methods=self.methods,
         )
 
     def to_json(self) -> dict:
@@ -122,7 +122,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, f.name, flag)
     for name in ("q", "p"):
         setattr(cfg, name, check_exponent(getattr(cfg, name), name))
-    cfg.scan_config(cfg.methods)
+    cfg.scan_config()
     return cfg
 
 
@@ -168,7 +168,7 @@ def cmd_analyze(args) -> int:
     )
     result: dict = {"x0": list(map(float, x0)), "theta": list(map(float, theta))}
     verdicts = []
-    scan_cfg = cfg.scan_config(cfg.methods)
+    scan_cfg = cfg.scan_config()
     if "fl" in scan_cfg.methods:
         v = df_fl_point(f, query, scan_cfg.lattice_pair(f.d))
         result["fl"] = v.to_json()
@@ -202,7 +202,7 @@ def cmd_scan(args) -> int:
             ]
     if not cfg.x_grid or not cfg.directions:
         raise ValueError("scan needs nonempty x_grid and directions")
-    estimate = scan(f, cfg.x_grid, cfg.directions, cfg.scan_config(("fl", "mod")))
+    estimate = scan(f, cfg.x_grid, cfg.directions, cfg.scan_config())
     report = check_equivalence(estimate)
     result = {"equivalence": report.to_json(), "records": [r.to_json() for r in estimate.records]}
     path = _write_report(cfg, result, "scan_report.json")
@@ -217,7 +217,7 @@ def cmd_scan(args) -> int:
 
 def cmd_gabor_check(args) -> int:
     cfg = _merge_config(args)
-    sys0 = build_agp(cfg.alpha, cfg.beta, cfg.d, alpha1=cfg.gabor_alpha1)
+    sys0 = cfg.scan_config().gabor_system(cfg.d)
     deviation = check_partition(sys0, n=512 if cfg.d == 1 else 64)
     worst = None  # the random test signals are 1D only
     if cfg.d == 1:

@@ -269,7 +269,6 @@ def coefficients(
     sys: GaborSystem,
     freq_radius: float,
     js: np.ndarray | None = None,
-    safety: float = DEFAULT_NYQUIST_SAFETY,
 ) -> CoefficientTable:
     """Analysis coefficients c_{j,k}(eps) = (f, psi^eps_{j,k})_{L^2}.
 
@@ -292,11 +291,11 @@ def coefficients(
     if js.size == 0:
         js = js.reshape(0, sys.d)
     xi, kints = points_in_ball(sys.lambda2, freq_radius)
-    limit = f.nyquist_limit(safety)
+    limit = f.nyquist_limit()
     if xi.size and np.any(np.array([np.max(np.abs(u)) for u in xi.T]) > limit):
         raise FrequencyOutOfRange(
             f"freq_radius {freq_radius:g} exceeds the guarded band {limit} "
-            f"(safety {safety} x pi/h)"
+            f"(safety {DEFAULT_NYQUIST_SAFETY} x pi/h)"
         )
     values = np.zeros((js.shape[0], xi.shape[0]), dtype=np.complex128)
     floor = 0.0

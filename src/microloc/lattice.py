@@ -195,22 +195,18 @@ def _enumerate_box(lo: np.ndarray, hi: np.ndarray, budget: int) -> np.ndarray:
 
 
 def points_in_ball(
-    lat: Lattice,
-    r_max: float,
-    r_min: float = -1.0,
-    budget: int = DEFAULT_CELL_BUDGET,
+    lat: Lattice, r_max: float, budget: int = DEFAULT_CELL_BUDGET
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All lattice points with r_min < |xi| <= r_max plus integer coordinates.
+    """All lattice points with |xi| <= r_max plus integer coordinates.
 
-    The default r_min = -1 includes the origin when the lattice contains it.
-    Deterministic lexicographic order on the integer coordinates.  Raises
-    BudgetExceeded when the bounding box exceeds `budget` candidate cells.
+    The origin is among them when the lattice contains it.  Deterministic
+    lexicographic order on the integer coordinates.  Raises BudgetExceeded
+    when the bounding box exceeds `budget` candidate cells.
     """
     lo, hi = _integer_box_for_ball(lat, r_max)
     ts = _enumerate_box(lo, hi, budget)
     pts = lat.points(ts)
-    r = row_norms(pts)
-    mask = (r > r_min) & (r <= r_max)
+    mask = row_norms(pts) <= r_max
     ts, pts = ts[mask], pts[mask]
     order = np.lexsort(ts.T[::-1])  # lexicographic on integer coordinates
     return pts[order], ts[order]

@@ -18,12 +18,14 @@ not data, and are excluded from the fit.
 Binning goes through a `ShellGeometry`, which holds what depends on the
 frequency points alone: the radii, each point's shell index, each cone's
 in-range point indices and the weight <xi>^s per exponent s.  Every series
-binned on the same points can share one geometry; `wavefront.scan` builds
-one per lattice ball and scan, and a call given none builds its own.  Per
-spectrum (per x0) come the magnitudes, and for the modulation route the
-j-aggregate of the coefficient table, once per exponent p; per series
-(per record) only the gather of the cone's magnitudes, the weighted power
-sums per shell and the shell maxima.
+binned on the same points can share one geometry, and a call given none
+builds its own.  Both routes sample the same frequencies, the lattice ball
+|xi| <= r_max, so `wavefront.scan` builds one geometry per scan, from one
+enumeration of that ball, and bins both routes on it.  Per spectrum (per
+x0) come the magnitudes, and for the modulation route the j-aggregate of
+the coefficient table, once per exponent p; per series (per record) only
+the gather of the cone's magnitudes, the weighted power sums per shell and
+the shell maxima.
 """
 
 from __future__ import annotations
@@ -39,14 +41,14 @@ import numpy as np
 from .errors import MissingCoefficients, TooFewShells
 from .gabor import CoefficientTable
 from .geometry import Cone, Weight, row_norms
-from .lattice import DEFAULT_CELL_BUDGET, Lattice, points_in_ball
-from .signal import DEFAULT_NYQUIST_SAFETY, GridSignal, fourier_batch
+from .lattice import Lattice, points_in_ball
+from .signal import GridSignal, fourier_batch
 from .validation import check_exponent, check_fit_window, check_positive
 
 SHELL_RATIO = 2.0
 DEFAULT_MARGIN = 0.15
 DEFAULT_K_LAST = 6
-DEFAULT_CAUCHY_TOL = 1e-3
+_CAUCHY_TOL = 1e-3
 _TRIM_TOL = 0.06
 
 
@@ -83,33 +85,22 @@ class SpectralSamples:
         return self.points.shape[1]
 
 
-def lattice_spectrum(
-    f: GridSignal,
-    lambda2: Lattice,
-    r_max: float,
-    safety: float = DEFAULT_NYQUIST_SAFETY,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> SpectralSamples:
-    """|F f| on every lattice point with 0 < |xi| <= r_max."""
-    pts, _ = points_in_ball(lambda2, r_max, r_min=0.0, budget=budget)
-    vals = np.abs(fourier_batch(f, pts, safety)) if pts.size else np.zeros(0)
+def lattice_spectrum(f: GridSignal, lambda2: Lattice, r_max: float) -> SpectralSamples:
+    """|F f| on every lattice point with |xi| <= r_max, origin included (see `lattice_ball`)."""
+    return lattice_samples(f, lambda2, lattice_ball(lambda2, r_max))
+
+
+def lattice_samples(f: GridSignal, lambda2: Lattice, ball: ShellGeometry) -> SpectralSamples:
+    """|F f| on the points of a shell geometry of lambda2, on the geometry's
+    own arrays, so that binning on it checks them in O(1)."""
+    vals = np.abs(fourier_batch(f, ball.points)) if ball.points.size else np.zeros(0)
     return SpectralSamples(
-        pts,
-        row_norms(pts),
-        vals,
-        1.0,
-        f.noise_floor(),
-        "lattice",
+        ball.points, ball.radii, vals, 1.0, f.noise_floor(), "lattice",
         {"lattice": lambda2.to_json()},
     )
 
 
-def quadrature_spectrum(
-    f: GridSignal,
-    density: float,
-    r_max: float,
-    safety: float = DEFAULT_NYQUIST_SAFETY,
-) -> SpectralSamples:
+def quadrature_spectrum(f: GridSignal, density: float, r_max: float) -> SpectralSamples:
     """|F f| on midpoint quadrature nodes covering the ball |xi| <= r_max.
 
     `density` is nodes per unit length per axis, so each node carries the
@@ -124,7 +115,7 @@ def quadrature_spectrum(
     radii = row_norms(pts)
     keep = (radii > 0) & (radii <= r_max)
     pts, radii = pts[keep], radii[keep]
-    vals = np.abs(fourier_batch(f, pts, safety)) if pts.size else np.zeros(0)
+    vals = np.abs(fourier_batch(f, pts)) if pts.size else np.zeros(0)
     return SpectralSamples(
         pts, radii, vals, delta**f.d, f.noise_floor(), "quadrature",
         {"density": density},
@@ -221,6 +212,18 @@ class ShellGeometry:
         if omega.s not in self._weights:
             self._weights[omega.s] = omega(self.points)
         return self._weights[omega.s]
+
+
+def lattice_ball(lambda2: Lattice, r_max: float) -> ShellGeometry:
+    """Every point of lambda2 with |xi| <= r_max, as a shell geometry with
+    r0 = default_r0(lambda2).
+
+    These are the frequencies of a Gabor coefficient table of radius r_max,
+    so both routes sample one set.  The origin is among them when the
+    lattice holds it; no cone holds the origin, so no cone series sees it.
+    """
+    pts, _ = points_in_ball(lambda2, r_max)
+    return ShellGeometry(pts, row_norms(pts), default_r0(lambda2), r_max)
 
 
 def series_from_spectrum(
@@ -401,7 +404,6 @@ def classify(
     series: ConeSumSeries,
     k_last: int = DEFAULT_K_LAST,
     margin: float = DEFAULT_MARGIN,
-    cauchy_tol: float = DEFAULT_CAUCHY_TOL,
 ) -> Verdict:
     """Decide whether the cone series is finite, divergent, or unclear.
 
@@ -481,7 +483,7 @@ def classify(
     if dist < -margin:
         return Verdict("finite", norm_estimate, tau, threshold, margin, diagnostics)
     if dist > margin:
-        if rel_tail is not None and rel_tail < cauchy_tol:
+        if rel_tail is not None and rel_tail < _CAUCHY_TOL:
             diagnostics["reason"] = "divergent slope but partial sums stabilized"
             return Verdict("inconclusive", None, tau, threshold, margin, diagnostics)
         return Verdict("divergent", None, tau, threshold, margin, diagnostics)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +34,10 @@ from .seminorm import (
     SpectralSamples,
     Verdict,
     classify,
-    default_r0,
     discrete_mod_series,
     j_aggregate,
-    lattice_spectrum,
+    lattice_ball,
+    lattice_samples,
     series_from_spectrum,
 )
 from .signal import BumpWindow, GridSignal, make_cutoff, multiply
@@ -178,12 +179,14 @@ def _validate_epsilon(f: GridSignal, sys: GaborSystem, x0: np.ndarray, eps: floa
         )
 
 
-def _local_spectrum(f: GridSignal, pair: LatticePair, x0: np.ndarray, r_max) -> SpectralSamples:
+def _local_spectrum(f: GridSignal, pair: LatticePair, x0: np.ndarray, ball) -> SpectralSamples:
     """|F(chi f)| on the frequency lattice, chi = cutoff_for(...) around x0:
-    the per-point work of every Fourier-Lebesgue verdict."""
+    the per-point work of every Fourier-Lebesgue verdict.  `ball()` returns
+    the `lattice_ball` of the frequencies; it is asked for only after the
+    cutoff checks, so those fail first."""
     _require_interior(f, x0)
     chi = cutoff_for(f, pair.lambda1, x0)
-    return lattice_spectrum(multiply(f, chi), pair.lambda2, r_max)
+    return lattice_samples(multiply(f, chi), pair.lambda2, ball())
 
 
 def _local_table(
@@ -201,10 +204,10 @@ def _local_table(
 
 
 def _fl_verdict(
-    spec: SpectralSamples, pair: LatticePair, r_max: float, cone: Cone, weight: Weight, q,
-    k_last: int, margin: float, geometry: ShellGeometry | None = None,
+    spec: SpectralSamples, cone: Cone, weight: Weight, q, k_last: int, margin: float,
+    geometry: ShellGeometry,
 ) -> Verdict:
-    series = series_from_spectrum(spec, weight, q, cone, default_r0(pair.lambda2), r_max, geometry)
+    series = series_from_spectrum(spec, weight, q, cone, geometry.r0, geometry.r_max, geometry)
     return classify(series, k_last, margin)
 
 
@@ -236,12 +239,12 @@ def aperture_sweep(
         raise ValueError(f"lattice pair must be strongly admissible, got {pair.kind}")
     x0 = as_point(query.x0, f.d, "x0")
     r_max = query.r_max if query.r_max is not None else default_r_max(f)
-    spec = _local_spectrum(f, pair, x0, r_max)
-    geometry = ShellGeometry(spec.points, spec.radii, default_r0(pair.lambda2), r_max)
+    ball = cache(lambda: lattice_ball(pair.lambda2, r_max))
+    spec = _local_spectrum(f, pair, x0, ball)
     return {
         float(a): _fl_verdict(
-            spec, pair, r_max, Cone.from_degrees(query.direction, a),
-            query.weight, query.q, query.k_last, query.margin, geometry,
+            spec, Cone.from_degrees(query.direction, a), query.weight, query.q, query.k_last,
+            query.margin, ball(),
         )
         for a in apertures
     }
@@ -392,18 +395,20 @@ class WavefrontEstimate:
 
 
 def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimate:
-    """Run both point operations over x_grid x directions x cfg.pqs.
+    """Run the point operations of cfg.methods over x_grid x directions x cfg.pqs.
 
     Per-record failures are recorded in the row, never abort the scan.  The
     work is shared at three levels, and every record gets the verdicts
     df_fl_point and df_mod_point give for its question:
-    - once per scan, one shell geometry per route (radii, shell index, each
-      direction's cone indices, <xi>^s per s), because every x0 uses the
-      same beta-lattice ball at the same r_max;
-    - once per x0, one windowed spectrum and one Gabor coefficient table,
-      built as the point operations build theirs (epsilon chosen against
-      the Gabor step), and the table's j-aggregate once per distinct p,
-      dropped before the next x0;
+    - once per scan, one shell geometry (radii, shell index, each
+      direction's cone indices, <xi>^s per s) for both routes, because every
+      x0 samples the same beta-lattice ball at the same r_max.  The ball is
+      enumerated the first time an x0 passes the checks that come before
+      it, so every x0 fails as the point operations fail;
+    - once per x0, one windowed spectrum, sampled on the geometry's points,
+      and one Gabor coefficient table, built as the point operations build
+      theirs (epsilon chosen against the Gabor step), and the table's
+      j-aggregate once per distinct p, dropped before the next x0;
     - per record, the cone gather, the shell sums and `classify`.
     """
     x_grid = [as_point(x, f.d, "x0") for x in x_grid]
@@ -419,14 +424,14 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
     sys = cfg.gabor_system(f.d) if want_mod else None
     r_max = cfg.r_max if cfg.r_max is not None else default_r_max(f)
     cones = [Cone.from_degrees(th, cfg.aperture_deg) for th in directions]
-    geo_fl = geo_mod = None
+    ball = cache(lambda: lattice_ball(pair.lambda2, r_max))
 
     for x0 in x_grid:
         spec = table = fl_err = mod_err = None
         aggregates: dict = {}  # j-aggregates of this x0's table, by p
         if want_fl:
             try:
-                spec = _local_spectrum(f, pair, x0, r_max)
+                spec = _local_spectrum(f, pair, x0, ball)
             except MicrolocError as exc:
                 fl_err = f"{type(exc).__name__}: {exc}"
         if want_mod:
@@ -434,14 +439,6 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
                 table = _local_table(f, sys, x0, cfg.epsilon, r_max)
             except MicrolocError as exc:
                 mod_err = f"{type(exc).__name__}: {exc}"
-        if spec is not None:
-            if geo_fl is None:
-                geo_fl = ShellGeometry(spec.points, spec.radii, default_r0(pair.lambda2), r_max)
-            spec = geo_fl.share(spec)
-        if table is not None and geo_mod is None:
-            geo_mod = ShellGeometry(
-                table.xi, table.k_radii, default_r0(table.lambda2), table.freq_radius
-            )
 
         for theta, cone in zip(directions, cones):
             for p, q, s in cfg.pqs:
@@ -459,16 +456,16 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
                 if spec is not None:
                     try:
                         rec.verdict_fl = _fl_verdict(
-                            spec, pair, r_max, cone, w, q, cfg.k_last, cfg.margin, geo_fl
+                            spec, cone, w, q, cfg.k_last, cfg.margin, ball()
                         )
                     except MicrolocError as exc:
                         rec.error_fl = f"{type(exc).__name__}: {exc}"
                 if table is not None:
                     try:
                         if p not in aggregates:
-                            aggregates[p] = geo_mod.share(j_aggregate(table, p, table.js))
+                            aggregates[p] = ball().share(j_aggregate(table, p, table.js))
                         rec.verdict_mod = _mod_verdict(
-                            table, cone, w, p, q, cfg.k_last, cfg.margin, geo_mod, aggregates[p]
+                            table, cone, w, p, q, cfg.k_last, cfg.margin, ball(), aggregates[p]
                         )
                     except MicrolocError as exc:
                         rec.error_mod = f"{type(exc).__name__}: {exc}"

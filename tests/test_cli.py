@@ -172,6 +172,18 @@ def test_scan_command_and_determinism(fixture_dir, tmp_path):
     assert p1["result"]["equivalence"]["n_disagreements"] == 0
 
 
+def test_scan_honours_method(fixture_dir, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"method": "fl", "x_grid": [[0.0]]}))
+    out = tmp_path / "fl.json"
+    args = ["scan", "--signal", str(fixture_dir / "jump.json"), "--config", str(cfg_path)]
+    assert main(args + ["--out", str(out)]) == 0
+    records = _payload(out)["result"]["records"]
+    assert len(records) == 2
+    for rec in records:
+        assert rec["fl"] is not None and rec["mod"] is None and rec["error_mod"] is None
+
+
 def test_scan_rejects_empty_directions(fixture_dir, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"x_grid": [[0.0]], "directions": []}))
@@ -265,6 +277,12 @@ def test_gabor_check_exit_codes(tmp_path, capsys):
 
     code = main(["gabor-check", "--alpha", "1.0", "--beta", str(2 * math.pi)])
     assert code == 1
+    assert "InadmissibleParameters" in capsys.readouterr().err
+
+    # the check builds the Gabor system scan uses, on the Gabor step
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"alpha": 1.0, "beta": 3.0, "gabor_alpha": 2.5}))
+    assert main(["gabor-check", "--config", str(cfg_path)]) == 1
     assert "InadmissibleParameters" in capsys.readouterr().err
 
 

@@ -13,9 +13,9 @@ from microloc import (
 )
 
 
-def points_in_cone_shell(lat, cone, r_min, r_max, budget=10**8):
-    pts, _ = points_in_ball(lat, r_max, r_min, budget)
-    return pts[cone.contains(pts)]
+def points_in_cone_shell(lat, cone, r_min, r_max):
+    pts, _ = points_in_ball(lat, r_max)
+    return pts[(np.linalg.norm(pts, axis=1) > r_min) & cone.contains(pts)]
 
 
 def test_make_lattice_examples():

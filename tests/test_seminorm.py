@@ -281,7 +281,7 @@ def _spectrum_and_questions(draw):
     d = draw(st.sampled_from([1, 2]))
     beta = draw(st.floats(0.5, 2.0))
     r_max = draw(st.floats(20.0, 60.0)) * beta
-    pts, _ = points_in_ball(scaled_integer_lattice(beta, d), r_max, r_min=0.0)
+    pts, _ = points_in_ball(scaled_integer_lattice(beta, d), r_max)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mags = rng.pareto(1.5, size=pts.shape[0]) * (rng.uniform(size=pts.shape[0]) > 0.1)
     cell = draw(st.sampled_from([1.0, 0.25]))

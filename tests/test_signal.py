@@ -111,7 +111,7 @@ def test_fourier_batch_largest_1d_grid_matches_direct(jump, unit_pair):
     # the 2^14 jump windowed at x0 = 0, out to r_max = 0.7 / h: the largest
     # chirp phases any default 1D question meets
     g = multiply(jump, cutoff_for(jump, unit_pair.lambda1, np.array([0.0])))
-    freqs, _ = points_in_ball(unit_pair.lambda2, 0.7 / jump.spacing[0], r_min=0.0)
+    freqs, _ = points_in_ball(unit_pair.lambda2, 0.7 / jump.spacing[0])
     assert jump.samples.size == 2**14 and freqs.shape[0] > 1400
     _assert_matches_direct_on_subsample(g, freqs, 7)
 
@@ -120,7 +120,7 @@ def test_fourier_batch_largest_2d_grid_matches_direct():
     line = line_singularity_2d()
     pair = ScanConfig(alpha=2.5, beta=1.0).lattice_pair(2)
     g = multiply(line, cutoff_for(line, pair.lambda1, np.zeros(2)))
-    freqs, _ = points_in_ball(pair.lambda2, 180.0, r_min=0.0)
+    freqs, _ = points_in_ball(pair.lambda2, 180.0)
     assert line.shape == (1024, 1024) and freqs.shape[0] > 100_000
     _assert_matches_direct_on_subsample(g, freqs, 499)
 

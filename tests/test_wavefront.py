@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microloc import (
+    BudgetExceeded,
     Cone,
     DomainClipped,
     EpsilonTooLarge,
@@ -24,6 +26,7 @@ from microloc import (
     multiply,
     scan,
 )
+from microloc import gabor, lattice, seminorm, wavefront
 from microloc.fixtures import line_singularity_2d
 from microloc.seminorm import Verdict, default_r0, lattice_spectrum, series_from_spectrum
 from microloc.wavefront import WavefrontEstimate, WavefrontRecord, cutoff_for, default_r_max
@@ -284,3 +287,68 @@ def test_scan_config_rejects_inadmissible_pair(jump):
     cfg = ScanConfig(alpha=4.0, beta=2.0)  # product > 2*pi
     with pytest.raises(ValueError):
         cfg.lattice_pair(1)
+
+
+def test_scan_enumerates_the_ball_once_and_tests_each_cone_once(jump, monkeypatch):
+    # Both routes bin on one shell geometry: the scan enumerates the beta-
+    # lattice ball once, each coefficient table once more, and tests each
+    # direction's cone once.
+    calls = {"ball": 0, "cone": 0}
+
+    def counted(fn, key):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for mod in (lattice, seminorm, gabor, wavefront):
+        if hasattr(mod, "points_in_ball"):
+            monkeypatch.setattr(mod, "points_in_ball", counted(mod.points_in_ball, "ball"))
+    monkeypatch.setattr(Cone, "contains", counted(Cone.contains, "cone"))
+    cfg = ScanConfig(pqs=((1.0, 1.0, 1.0), (2.0, 1.0, 0.0)))
+    # 9 lies outside the domain (no table); 0.5 sits on a cutoff cell face
+    # (a table but no windowed spectrum)
+    records = scan(jump, [[0.0], [1.0], [9.0], [0.5]], [[1.0], [-1.0]], cfg).records
+    with_table = {tuple(r.x0) for r in records if r.verdict_mod is not None}
+    assert with_table == {(0.0,), (1.0,), (0.5,)}
+    assert calls == {"ball": 1 + len(with_table), "cone": 2}
+
+
+def test_scan_fails_in_the_point_routes_order(jump):
+    # Each x0's own checks come before the ball is enumerated: x0 = 9 fails
+    # as outside the domain, though a ball of radius 2e8 is over the cell
+    # budget, which x0 = 0 then meets on both routes.
+    cfg = ScanConfig(r_max=2e8)
+    outside, inside = scan(jump, [[9.0], [0.0]], [[1.0]], cfg).records
+    routes = ((df_fl_point, cfg.lattice_pair(1)), (df_mod_point, cfg.gabor_system(1)))
+    for rec, error in ((outside, DomainClipped), (inside, BudgetExceeded)):
+        query = WavefrontQuery(rec.x0, [1.0], r_max=2e8)
+        for (route, arg), recorded in zip(routes, (rec.error_fl, rec.error_mod)):
+            with pytest.raises(error) as info:
+                route(jump, query, arg)
+            assert recorded == f"{error.__name__}: {info.value}"
+
+
+@pytest.fixture(scope="module")
+def route_scans(jump):
+    """Each _ROUTE_SCANS case's signal and its scan records as JSON."""
+    out = {}
+    for case, (x_grid, directions, cfg) in _ROUTE_SCANS.items():
+        f = jump if case == "jump_1d" else line_singularity_2d(n=512)
+        out[case] = f, _records_json(scan(f, x_grid, directions, cfg))
+    return out
+
+
+def _records_json(estimate):
+    return json.dumps([r.to_json() for r in estimate.records], sort_keys=True)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(_ROUTE_SCANS)), st.lists(st.integers(-4, 4), min_size=6, max_size=6))
+def test_property_power_of_two_direction_scaling_keeps_scan_records(route_scans, case, ks):
+    # 2^k v normalizes to exactly v / |v|, so the scan's cone cache must
+    # serve the scaled directions with the very records of the unscaled ones
+    x_grid, directions, cfg = _ROUTE_SCANS[case]
+    f, expected = route_scans[case]
+    scaled = [[2.0**k * c for c in v] for v, k in zip(directions, ks)]
+    assert _records_json(scan(f, x_grid, scaled, cfg)) == expected
