@@ -200,16 +200,15 @@ def points_in_ball(
     """All lattice points with |xi| <= r_max plus integer coordinates.
 
     The origin is among them when the lattice contains it.  Deterministic
-    lexicographic order on the integer coordinates.  Raises BudgetExceeded
+    lexicographic order on the integer coordinates: the box is enumerated
+    in that order and the radius filter keeps it.  Raises BudgetExceeded
     when the bounding box exceeds `budget` candidate cells.
     """
     lo, hi = _integer_box_for_ball(lat, r_max)
     ts = _enumerate_box(lo, hi, budget)
     pts = lat.points(ts)
-    mask = row_norms(pts) <= r_max
-    ts, pts = ts[mask], pts[mask]
-    order = np.lexsort(ts.T[::-1])  # lexicographic on integer coordinates
-    return pts[order], ts[order]
+    keep = np.flatnonzero(row_norms(pts) <= r_max)
+    return pts[keep], ts[keep]
 
 
 def parallelepiped_containing(lat: Lattice, x0) -> Parallelepiped:

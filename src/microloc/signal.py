@@ -343,6 +343,34 @@ def _norm_factor(f: GridSignal) -> float:
     return (_TWO_PI) ** (-f.d / 2) * f.cell_volume
 
 
+def _smooth_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n (n >= 1): an FFT length pocketfft
+    transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _linear_phase(c, n: int, c0=0.0) -> np.ndarray:
+    """exp(i (c0 + c t)) for t = 0..n-1, with c and c0 scalars or one value
+    per row (broadcasting against a[..., :1]).  Splitting t = B q + r with
+    B = ceil(sqrt(n)) makes it the outer product of a (rows, n/B) and a
+    (rows, B) table: O(rows sqrt(n)) exponentials, each phase formed from
+    an exact integer before scaling."""
+    block = math.isqrt(n - 1) + 1
+    t = np.arange(block, dtype=np.int64)
+    coarse = np.exp(1j * (c0 + c * (block * t[: -(-n // block)])))
+    fine = np.exp(1j * (c * t))
+    table = coarse[..., :, None] * fine[..., None, :]
+    return table.reshape(table.shape[:-2] + (-1,))[..., :n]
+
+
 class _ChirpZ:
     """Bluestein's chirp-z transform along the last axis of an array:
 
@@ -352,37 +380,47 @@ class _ChirpZ:
     with the roles read the other way round, coefficients on a frequency
     progression against sample points.  With w = sign dx du, the identity
     m k = (m^2 + k^2 - (k - m)^2) / 2 turns the sum into a convolution with
-    the chirp exp(-i w j^2 / 2), taken by FFTs of size 2^a or 3 * 2^a
-    (Rabiner, Schafer & Rader 1969).  Every chirp phase is formed from an
-    exact integer square before scaling.  The chirp's transform is built
-    once and serves every row; shorter rows count as zero-padded.  x0 and
-    u0 are scalars or one value per row (broadcasting against a[..., :1]).
+    the chirp exp(-i w j^2 / 2), 1 - length <= j < n, taken by FFTs of the
+    smallest 5-smooth size that holds it (Rabiner, Schafer & Rader 1969).
+    The chirp is even in j, so it is formed once per kernel on j >= 0, each
+    phase from an exact integer square before scaling; the pre-chirp
+    exp(i w m^2 / 2) and the post-chirp exp(i w k^2 / 2) are its conjugate
+    slices, and its transform serves every row.  Shorter rows count as
+    zero-padded.
+
+    x0 and u0 are scalars or one value per row (broadcasting against
+    a[..., :1]).  They enter as the per-row scalar exp(sign i x0 u0) and the
+    linear phases exp(sign i dx u0 m) and exp(sign i du x0 k) (see
+    `_linear_phase`), so a call forms O(rows sqrt(length + n)) complex
+    exponentials besides its FFTs.
     """
 
     def __init__(self, length: int, dx: float, du: float, n: int, sign: int):
         length, n = int(length), int(n)
         self.length, self.n = length, n
         self.dx, self.du, self.sign = dx, du, sign
-        self.half_w = 0.5 * sign * dx * du
-        size = 1 << (length + n - 2).bit_length()
-        self.size = 3 * size // 4 if 3 * size >= 4 * (length + n - 1) else size
-        j = np.arange(1 - length, n, dtype=np.int64)
-        self.chirp_ft = np.fft.fft(np.exp(-1j * self.half_w * (j * j)), self.size)
-        self.k = np.arange(n, dtype=np.int64)
+        self.size = _smooth_size(length + n - 1)
+        j = np.arange(max(length, n), dtype=np.int64)
+        half = np.exp(-0.5j * sign * dx * du * (j * j))  # the chirp on j >= 0
+        self.pre, self.post = np.conj(half[:length]), np.conj(half[:n])
+        chirp = np.concatenate((half[length - 1 : 0 : -1], half[:n]))
+        self.chirp_ft = np.fft.fft(chirp, self.size)
 
     def __call__(self, a: np.ndarray, x0=0.0, u0=0.0) -> np.ndarray:
-        m = np.arange(a.shape[-1], dtype=np.int64)
-        b = a * np.exp(1j * (self.half_w * (m * m) + self.sign * self.dx * (u0 * m)))
+        m = a.shape[-1]
+        b = a * (self.pre[:m] * _linear_phase(self.sign * self.dx * u0, m))
         lead = b.shape[:-1]
-        b = b.reshape(-1, b.shape[-1])
+        b = b.reshape(-1, m)
         out = np.empty((b.shape[0], self.n), dtype=np.complex128)
         rows = max(1, _CHUNK_ENTRIES // self.size)
         for r in range(0, b.shape[0], rows):
-            conv = np.fft.ifft(np.fft.fft(b[r : r + rows], self.size) * self.chirp_ft)
+            conv = np.fft.fft(b[r : r + rows], self.size)
+            conv *= self.chirp_ft
+            conv = np.fft.ifft(conv)
             out[r : r + rows] = conv[:, self.length - 1 : self.length - 1 + self.n]
-        k = self.k
-        post = self.half_w * (k * k) + self.sign * (x0 * (u0 + self.du * k))
-        return out.reshape(lead + (self.n,)) * np.exp(1j * post)
+        out = out.reshape(lead + (self.n,))
+        out *= self.post * _linear_phase(self.sign * self.du * x0, self.n, self.sign * (x0 * u0))
+        return out
 
 
 class _Progression(NamedTuple):

@@ -84,6 +84,36 @@ def test_classify_thresholds_and_margin():
     assert classify(_synthetic(q * (thr - 0.05), q=q)).kind == "inconclusive"
 
 
+@st.composite
+def _power_law_cone_series(draw):
+    """Lattice cone series of the magnitudes |xi|^tau: a per-point decay
+    exponent tau that `classify` should recover."""
+    d = draw(st.sampled_from([1, 2]))
+    beta = draw(st.floats(0.5, 2.0))
+    n_shells = draw(st.integers(6, 10 if d == 1 else 7))
+    tau = draw(st.floats(-3.0, 1.0))
+    q = draw(st.sampled_from([1.0, 2.0, math.inf]))
+    axis = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d).filter(
+        lambda v: np.linalg.norm(v) > 0.1))
+    cone = Cone.from_degrees(axis, draw(st.floats(10.0, 60.0)))
+    r0 = 4.0 * beta
+    r_max = r0 * 2.0**n_shells
+    pts, _ = points_in_ball(scaled_integer_lattice(beta, d), r_max)
+    radii = np.linalg.norm(pts, axis=1)
+    mags = np.where(radii > 0, radii, 1.0) ** tau
+    spec = SpectralSamples(pts, radii, mags, 1.0, 0.0, "lattice")
+    series = series_from_spectrum(spec, Weight.bracket_power(0.0), q, cone, r0, r_max)
+    return series, tau
+
+
+@settings(max_examples=40, deadline=None)
+@given(_power_law_cone_series())
+def test_property_classify_recovers_tau_within_margin(case):
+    series, tau = case
+    v = classify(series)
+    assert v.tau is not None and abs(v.tau - tau) <= v.margin
+
+
 def test_classify_zero_series_is_finite_zero():
     ser = _synthetic(-1.0)
     zero = ConeSumSeries(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import microloc.signal as signal_mod
@@ -156,6 +156,61 @@ def test_chirp_kernel_matches_scipy_czt():
         want = czt(a, n, np.exp(1j * sign * dx * du), np.exp(-1j * sign * dx * u0))
         want = want * np.exp(1j * sign * x0 * (u0 + du * k))
         assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(a).sum(axis=-1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(1, 300),
+    n=st.integers(1, 300),
+    rows=st.integers(1, 6),
+    dx=st.floats(0.01, 0.5),
+    du=st.floats(0.01, 2.0),
+    sign=st.sampled_from([-1, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(length=1, n=1, rows=3, dx=0.1, du=0.7, sign=-1, seed=0)
+@example(length=2, n=2, rows=2, dx=0.3, du=1.1, sign=1, seed=1)
+# ragged last blocks: 17 = 4 x 5 - 3 and 10 = 3 x 4 - 2; 131 = 11 x 12 - 1 and 3 = 2 x 2 - 1
+@example(length=17, n=10, rows=4, dx=0.05, du=0.9, sign=-1, seed=2)
+@example(length=131, n=3, rows=5, dx=0.02, du=1.9, sign=1, seed=3)
+def test_property_chirp_kernel_per_row_equals_row_by_row(length, n, rows, dx, du, sign, seed):
+    """A per-row x0, a per-row u0 and both give what row-by-row scalar calls
+    give, and every row is the direct sum (through `fourier_batch` too, where
+    the sign and the band let it serve)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, length)) + 1j * rng.normal(size=(rows, length))
+    x0, u0 = rng.uniform(-10.0, 10.0, rows), rng.uniform(-50.0, 50.0, rows)
+    kernel = signal_mod._ChirpZ(length, dx, du, n, sign)
+    tol = 1e-10 * np.max(np.abs(a).sum(axis=-1))
+    norm = TWO_PI**-0.5 * dx
+    per_row = (
+        (x0[:, None], u0[0], x0, np.full(rows, u0[0])),
+        (x0[0], u0[:, None], np.full(rows, x0[0]), u0),
+        (x0[:, None], u0[:, None], x0, u0),
+    )
+    for x_arg, u_arg, xs, us in per_row:
+        batch = kernel(a, x_arg, u_arg)
+        assert batch.shape == (rows, n)
+        for r in range(rows):
+            assert np.max(np.abs(batch[r] - kernel(a[r], xs[r], us[r]))) <= tol
+            freqs = (us[r] + du * np.arange(n))[:, None]
+            g = GridSignal.from_samples(a[r] if sign < 0 else np.conj(a[r]), [xs[r]], [dx])
+            want = _direct(g, freqs) / norm
+            assert np.max(np.abs(batch[r] - (want if sign < 0 else np.conj(want)))) <= tol
+            if sign < 0 and np.max(np.abs(freqs)) <= g.nyquist_limit()[0]:
+                assert np.max(np.abs(batch[r] - _via_chirp(g, freqs) / norm)) <= tol
+
+
+def test_smooth_size_is_the_smallest_5_smooth_length():
+    def smooth(v):
+        for p in (2, 3, 5):
+            while v % p == 0:
+                v //= p
+        return v == 1
+
+    lengths = np.array([v for v in range(1, 6000) if smooth(v)])
+    want = lengths[np.searchsorted(lengths, np.arange(1, 5000))]
+    assert [signal_mod._smooth_size(n) for n in range(1, 5000)] == want.tolist()
 
 
 @st.composite
