@@ -32,7 +32,7 @@ from .errors import (
     BudgetExceeded, FrequencyOutOfRange, InadmissibleParameters, MissingCoefficients
 )
 from .geometry import row_norms
-from .lattice import Lattice, LatticePair, classify_pair, points_in_ball, scaled_integer_lattice
+from .lattice import Lattice, LatticeBall, LatticePair, classify_pair, scaled_integer_lattice
 from .signal import (
     DEFAULT_NYQUIST_SAFETY,
     _EPS_FLOOR,
@@ -44,7 +44,7 @@ from .signal import (
     _gather,
     _index_box,
     _kernels,
-    _progressions,
+    _Progression,
     _support_from_nonzero,
     _window_batch,
     make_cutoff,
@@ -203,14 +203,15 @@ class CoefficientTable:
     freq_radius: float
     lambda2: Lattice
     noise_floor: float = 0.0
+    k_radii: np.ndarray | None = None  # (nk,) |xi|, computed when not given
+
+    def __post_init__(self):
+        if self.k_radii is None:
+            object.__setattr__(self, "k_radii", row_norms(self.xi))
 
     @property
     def d(self) -> int:
         return self.js.shape[1] if self.js.size else self.xi.shape[1]
-
-    @cached_property
-    def k_radii(self) -> np.ndarray:
-        return row_norms(self.xi)
 
     @cached_property
     def _j_index(self) -> dict:
@@ -256,6 +257,20 @@ def _overlapping_js(f: GridSignal, sys: GaborSystem) -> np.ndarray:
     )
 
 
+def _lattice_progressions(lat: Lattice, ks: np.ndarray) -> list[_Progression]:
+    """Per axis, the progression holding the points of an axis-aligned
+    lattice with integer coordinates ks, exact from the integers: it starts
+    at offset + step * min(k) and point k has index k - min(k)."""
+    if not lat.is_diagonal:
+        raise ValueError("Gabor analysis and synthesis need an axis-aligned frequency lattice")
+    progs = []
+    for step, offset, k in zip(np.diagonal(lat.basis), lat.offset, ks.T):
+        k_min = int(np.min(k))
+        size = int(np.max(k)) - k_min + 1
+        progs.append(_Progression(float(offset + step * k_min), float(step), size, k - k_min))
+    return progs
+
+
 def _placed(window: BumpWindow, sys: GaborSystem, js, origin, spacing, a_min, b_max):
     """window^eps, the offsets eps x_j of its translates, and their grid
     index boxes [a, b) clipped to [a_min, b_max)."""
@@ -269,20 +284,29 @@ def coefficients(
     sys: GaborSystem,
     freq_radius: float,
     js: np.ndarray | None = None,
+    ball: LatticeBall | None = None,
 ) -> CoefficientTable:
     """Analysis coefficients c_{j,k}(eps) = (f, psi^eps_{j,k})_{L^2}.
 
     Computed as (2*pi)^(d/2) * F(f * psi^eps(. - eps x_j))(xi_k) for every
     frequency lattice point with |xi_k| <= freq_radius.  By default j runs
     over every translate overlapping the signal support; pass `js` to
-    restrict (e.g. to a support index set around one point).
+    restrict (e.g. to a support index set around one point).  `ball` is
+    the `LatticeBall` of sys.lambda2 and freq_radius when the caller already
+    holds it (ValueError if it is another ball); the table then shares its
+    points and radii.
 
     Per batch of translates each axis factor of psi^eps is sampled once on
     the stacked offsets of every translate's box clipped to the signal
     support; a row's patch is f times the outer product of its axis samples,
-    and the chirp-z kernel sums the patches onto the frequency lattice.  A
-    row's noise floor counts the window's samples on the grid in 1D and the
-    nonzero bounding box of the windowed patch otherwise.
+    and the chirp-z kernel sums the patches onto the frequency lattice, on
+    progressions taken exact from the ball's integer coordinates.  For a
+    real f (and real windows) c_{j,-k} = conj(c_{j,k}), so on a centrally
+    symmetric ball the kernel runs on the half ball k_d >= 0 only and each
+    batch fills its k_d < 0 columns by a conjugate gather; a complex f is
+    transformed on the whole ball.  A row's noise floor counts the window's
+    samples on the grid in 1D and the nonzero bounding box of the windowed
+    patch otherwise.
     """
     check_positive(freq_radius, "freq_radius")
     if js is None:
@@ -290,20 +314,30 @@ def coefficients(
     js = np.atleast_2d(np.asarray(js, dtype=int))
     if js.size == 0:
         js = js.reshape(0, sys.d)
-    xi, kints = points_in_ball(sys.lambda2, freq_radius)
+    if ball is None:
+        ball = LatticeBall.of(sys.lambda2, freq_radius)
+    elif not ball.is_of(sys.lambda2, freq_radius):
+        raise ValueError(
+            f"the frequency ball (radius {ball.radius:g}, lattice {ball.lattice.to_json()}) "
+            f"is not the ball of radius {freq_radius:g} on {sys.lambda2.to_json()}"
+        )
+    xi = ball.points
     limit = f.nyquist_limit()
     if xi.size and np.any(np.array([np.max(np.abs(u)) for u in xi.T]) > limit):
         raise FrequencyOutOfRange(
             f"freq_radius {freq_radius:g} exceeds the guarded band {limit} "
             f"(safety {DEFAULT_NYQUIST_SAFETY} x pi/h)"
         )
-    values = np.zeros((js.shape[0], xi.shape[0]), dtype=np.complex128)
+    n = xi.shape[0]
+    values = np.zeros((js.shape[0], n), dtype=np.complex128)
     floor = 0.0
-    if js.size:
+    if js.size and n:
         # (2*pi)^(d/2) of the coefficients cancels the transform's (2*pi)^(-d/2)
         origin, spacing, norm = f.origin, f.spacing, f.cell_volume
         w, shifts, (a, b) = _placed(sys.psi, sys, js, origin, spacing, *zip(*f.support))
-        progs = _progressions(xi)  # beta Z^d is a progression on every axis
+        computed, mirrored = ball.split(f.is_real)
+        sources = n - 1 - mirrored
+        progs = _lattice_progressions(ball.lattice, ball.ks[computed])
         lengths = np.max(b - a, axis=0).clip(1)
         kernels = _kernels(progs, spacing, lengths)
         index = (slice(None),) + tuple(p.index for p in progs)
@@ -322,9 +356,11 @@ def coefficients(
             floor = max(floor, float(np.max(row_floors)))
             corners = origin + spacing * a[rows]
             sums = _along_axes(patches, kernels, corners.T, [p.start for p in progs])
-            values[rows] = norm * sums[index]
+            block = values[rows]
+            block[:, computed] = norm * sums[index]
+            block[:, mirrored] = np.conj(block[:, sources])
     return CoefficientTable(
-        js, kints, xi, values, sys.epsilon, float(freq_radius), sys.lambda2, floor
+        js, ball.ks, xi, values, sys.epsilon, float(freq_radius), sys.lambda2, floor, ball.radii
     )
 
 
@@ -334,9 +370,10 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
     `grid` is a GridSignal template or an (origin, spacing, shape) triple.
     The result converges to f as freq_radius grows; the residual is the
     coefficient tail plus quadrature error.  The sums over k run on each
-    window's patch by the adjoint chirp-z kernel, batched over translates;
-    per batch each axis factor of phi^eps is sampled once, as in
-    `coefficients`, and the patches are added onto the grid in order of j.
+    window's patch by the adjoint chirp-z kernel, batched over translates,
+    on the whole ball's progressions taken exact from the table's integer
+    coordinates; per batch each axis factor of phi^eps is sampled once, as
+    in `coefficients`, and the patches are added onto the grid in order of j.
     """
     if isinstance(grid, GridSignal):
         origin, spacing, shape = grid.origin, grid.spacing, grid.shape
@@ -348,7 +385,7 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
     out = np.zeros(shape, dtype=np.complex128)
     if table.js.size and table.xi.size:
         w, shifts, (a, b) = _placed(sys.phi, sys, table.js, origin, spacing, 0, shape)
-        progs = _progressions(table.xi)
+        progs = _lattice_progressions(table.lambda2, table.ks)
         lengths = np.max(b - a, axis=0).clip(1)
         kernels = _kernels(progs, spacing, lengths, adjoint=True)
         index = (slice(None),) + tuple(p.index for p in progs)

@@ -3,7 +3,9 @@
 A lattice is offset + {t1 e1 + ... + td ed : t integer}; the basis vectors
 are the rows of `basis`.  Enumeration inside a ball brackets it by an
 integer box in lattice coordinates and filters, so no point is missed and
-the cost is proportional to the bounding-box volume.
+the cost is proportional to the bounding-box volume.  A `LatticeBall` keeps
+the enumerated points with their integer coordinates and knows its
+Hermitian half.
 """
 
 from __future__ import annotations
@@ -209,6 +211,66 @@ def points_in_ball(
     pts = lat.points(ts)
     keep = np.flatnonzero(row_norms(pts) <= r_max)
     return pts[keep], ts[keep]
+
+
+_NO_INDEX = np.zeros(0, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeBall:
+    """Every point of `lattice` with |xi| <= radius and its integer
+    coordinates ks, in the lexicographic order of `points_in_ball`.
+
+    On a lattice through the origin the ball is centrally symmetric, so in
+    that order the point -xi_i sits at index n - 1 - i.  A real signal's
+    transform is Hermitian, F f(-xi) = conj(F f(xi)), so it is computed on
+    the half ball k_d >= 0 only and the rest is mirrored (see `split`).
+    """
+
+    lattice: Lattice
+    radius: float
+    points: np.ndarray  # (n, d)
+    ks: np.ndarray  # (n, d) integers
+
+    def __post_init__(self):
+        d = self.lattice.d
+        if self.points.ndim != 2 or self.points.shape[1] != d or self.ks.shape != self.points.shape:
+            raise ValueError(
+                f"ball arrays of shapes {self.points.shape} and {self.ks.shape} "
+                f"do not hold points of a {d}-d lattice"
+            )
+
+    @classmethod
+    def of(cls, lat: Lattice, r_max: float) -> "LatticeBall":
+        """Enumerate the ball by `points_in_ball`."""
+        pts, ks = points_in_ball(lat, r_max)
+        return cls(lat, float(r_max), pts, ks)
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        return row_norms(self.points)
+
+    def is_of(self, lat: Lattice, r_max: float | None = None) -> bool:
+        """True when this is a ball on lat, of radius r_max when given."""
+        return (
+            (r_max is None or self.radius == float(r_max))
+            and np.array_equal(self.lattice.basis, lat.basis)
+            and np.array_equal(self.lattice.offset, lat.offset)
+        )
+
+    @cached_property
+    def _halves(self) -> tuple[np.ndarray | slice, np.ndarray]:
+        if np.any(self.lattice.offset) or not np.array_equal(self.ks[::-1], -self.ks):
+            return slice(None), _NO_INDEX
+        last = self.ks[:, -1]
+        return np.flatnonzero(last >= 0), np.flatnonzero(last < 0)
+
+    def split(self, real: bool) -> tuple[np.ndarray | slice, np.ndarray]:
+        """(computed, mirrored): the indices on which to compute a spectrum and
+        those to fill from it, index i by conj(value at n - 1 - i).  For a
+        real signal on a centrally symmetric ball they are k_d >= 0 and
+        k_d < 0; otherwise every point is computed and none is mirrored."""
+        return self._halves if real else (slice(None), _NO_INDEX)
 
 
 def parallelepiped_containing(lat: Lattice, x0) -> Parallelepiped:

@@ -21,16 +21,19 @@ in-range point indices and the weight <xi>^s per exponent s.  Every series
 binned on the same points can share one geometry, and a call given none
 builds its own.  Both routes sample the same frequencies, the lattice ball
 |xi| <= r_max, so `wavefront.scan` builds one geometry per scan, from one
-enumeration of that ball, and bins both routes on it.  Per spectrum (per
-x0) come the magnitudes, and for the modulation route the j-aggregate of
-the coefficient table, once per exponent p; per series (per record) only
-the gather of the cone's magnitudes, the weighted power sums per shell and
-the shell maxima.
+enumeration of that ball (`lattice_ball`, whose `LatticeBall` also carries
+the integer coordinates), bins both routes on it and builds every
+coefficient table on that ball.  Per spectrum (per x0) come the
+magnitudes, and for the modulation route the j-aggregate of the
+coefficient table, once per exponent p; per series (per record) only the
+gather of the cone's magnitudes, the weighted power sums per shell and the
+shell maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
+c_{j,-k} = conj(c_{j,k}), so both routes transform only the half ball
+k_d >= 0 and mirror the rest.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,7 +44,7 @@ import numpy as np
 from .errors import MissingCoefficients, TooFewShells
 from .gabor import CoefficientTable
 from .geometry import Cone, Weight, row_norms
-from .lattice import Lattice, points_in_ball
+from .lattice import Lattice, LatticeBall
 from .signal import GridSignal, fourier_batch
 from .validation import check_exponent, check_fit_window, check_positive
 
@@ -90,12 +93,23 @@ def lattice_spectrum(f: GridSignal, lambda2: Lattice, r_max: float) -> SpectralS
     return lattice_samples(f, lambda2, lattice_ball(lambda2, r_max))
 
 
-def lattice_samples(f: GridSignal, lambda2: Lattice, ball: ShellGeometry) -> SpectralSamples:
-    """|F f| on the points of a shell geometry of lambda2, on the geometry's
-    own arrays, so that binning on it checks them in O(1)."""
-    vals = np.abs(fourier_batch(f, ball.points)) if ball.points.size else np.zeros(0)
+def lattice_samples(f: GridSignal, lambda2: Lattice, geometry: ShellGeometry) -> SpectralSamples:
+    """|F f| on the points of a `lattice_ball` geometry of lambda2, on the
+    geometry's own arrays, so that binning on it checks them in O(1).
+
+    For a real f, |F f(-xi)| = |F f(xi)|: on a centrally symmetric ball the
+    transform runs on the half ball k_d >= 0 and the magnitudes are mirrored
+    (see `LatticeBall.split`)."""
+    ball = geometry.ball
+    if ball is None or not ball.is_of(lambda2):
+        raise ValueError("lattice_samples needs a lattice_ball geometry of lambda2")
+    vals = np.zeros(ball.points.shape[0])
+    if vals.size:
+        computed, mirrored = ball.split(f.is_real)
+        vals[computed] = np.abs(fourier_batch(f, ball.points[computed]))
+        vals[mirrored] = vals[vals.size - 1 - mirrored]
     return SpectralSamples(
-        ball.points, ball.radii, vals, 1.0, f.noise_floor(), "lattice",
+        geometry.points, geometry.radii, vals, 1.0, f.noise_floor(), "lattice",
         {"lattice": lambda2.to_json()},
     )
 
@@ -163,14 +177,19 @@ class ShellGeometry:
     beyond the last full shell), each cone's in-range point indices with
     their shell indices and counts, and the weight <xi>^s for each exponent
     s.  All but the points and radii are computed once, on first use; none
-    depends on spectrum values.
+    depends on spectrum values.  `ball` is the `LatticeBall` the points and
+    radii come from, when they do (see `lattice_ball`).
     """
 
-    def __init__(self, points: np.ndarray, radii: np.ndarray, r0: float, r_max: float):
+    def __init__(
+        self, points: np.ndarray, radii: np.ndarray, r0: float, r_max: float,
+        ball: LatticeBall | None = None,
+    ):
         self.points = points
         self.radii = radii
         self.r0 = float(r0)
         self.r_max = float(r_max)
+        self.ball = ball
         self._cones: dict = {}
         self._weights: dict = {}
 
@@ -185,12 +204,6 @@ class ShellGeometry:
     def holds(self, spec: SpectralSamples) -> bool:
         """True when spec samples exactly this geometry's points."""
         return spec.points is self.points or np.array_equal(spec.points, self.points)
-
-    def share(self, spec: SpectralSamples) -> SpectralSamples:
-        """spec on this geometry's own arrays, so that checking it is O(1)."""
-        if not self.holds(spec):
-            raise ValueError("spectrum samples other points than the shell geometry")
-        return dataclasses.replace(spec, points=self.points, radii=self.radii)
 
     def cone_index(self, cone: Cone | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """In-range points of the cone (all points for None), in point order:
@@ -219,11 +232,12 @@ def lattice_ball(lambda2: Lattice, r_max: float) -> ShellGeometry:
     r0 = default_r0(lambda2).
 
     These are the frequencies of a Gabor coefficient table of radius r_max,
-    so both routes sample one set.  The origin is among them when the
-    lattice holds it; no cone holds the origin, so no cone series sees it.
+    so both routes sample one set: a table built on the geometry's `ball`
+    shares its points and radii.  The origin is among them when the lattice
+    holds it; no cone holds the origin, so no cone series sees it.
     """
-    pts, _ = points_in_ball(lambda2, r_max)
-    return ShellGeometry(pts, row_norms(pts), default_r0(lambda2), r_max)
+    ball = LatticeBall.of(lambda2, r_max)
+    return ShellGeometry(ball.points, ball.radii, default_r0(lambda2), r_max, ball)
 
 
 def series_from_spectrum(
@@ -394,10 +408,16 @@ class Verdict:
 
 
 def _weighted_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    coef = np.polyfit(x, y, 1, w=w)
-    resid = y - np.polyval(coef, x)
-    rms = float(np.sqrt(np.sum((w * resid) ** 2) / np.sum(w**2)))
-    return float(coef[0]), rms
+    """Slope and weighted rms residual of the line minimizing
+    sum (w (y - a x - b))^2, as np.polyfit(x, y, 1, w=w) fits it: in closed
+    form from the means weighted by w^2 and one slope."""
+    w2 = w * w
+    total = np.sum(w2)
+    dx = x - np.sum(w2 * x) / total
+    dy = y - np.sum(w2 * y) / total
+    slope = np.sum(w2 * dx * dy) / np.sum(w2 * dx * dx)
+    resid = dy - slope * dx
+    return float(slope), float(np.sqrt(np.sum(w2 * resid * resid) / total))
 
 
 def classify(

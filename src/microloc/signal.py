@@ -15,10 +15,18 @@ beyond `safety * pi / h` per axis (FrequencyOutOfRange).
 Frequency sets whose coordinates lie on an arithmetic progression on every
 axis (balls and shells of the cubic lattices beta Z^d, midpoint quadrature
 nodes) are evaluated by one chirp-z kernel, Bluestein's algorithm on
-`numpy.fft`, applied axis by axis in any dimension.  The same kernel with
-the opposite sign serves Gabor analysis and synthesis (gabor.py).  Other
-frequency sets fall back to chunked direct summation, which is also the
-reference the kernel is tested against.
+`numpy.fft`, applied axis by axis in any dimension.  `fourier_batch`
+recovers the progressions of an arbitrary set from its float coordinates
+(`_progressions`); Gabor analysis and synthesis (gabor.py) take them exact
+from a lattice ball's integer coordinates and use the same kernel with the
+opposite sign.  Other frequency sets fall back to chunked direct summation,
+which is also the reference the kernel is tested against.
+
+A real signal (`GridSignal.is_real`, checked once per signal) has a
+Hermitian transform, F f(-xi) = conj(F f(xi)), so its spectrum on a
+centrally symmetric lattice ball is computed on the half ball k_d >= 0 and
+mirrored (`lattice.LatticeBall.split`); the last axis's progression, which
+the kernel transforms first, is then half as long.
 
 Windows are separable: one profile per axis plus a placement (shift,
 scale) that `scaled`/`translated` move.  A batch of translates is sampled
@@ -178,6 +186,11 @@ class GridSignal:
     @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
+
+    @cached_property
+    def is_real(self) -> bool:
+        """True when every sample is real, so that F f(-xi) = conj(F f(xi))."""
+        return not np.any(self.samples.imag)
 
     def quad_l1(self) -> float:
         """Upper bound for |F f| under the quadrature convention."""

@@ -190,17 +190,21 @@ def _local_spectrum(f: GridSignal, pair: LatticePair, x0: np.ndarray, ball) -> S
 
 
 def _local_table(
-    f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float | None, r_max: float
+    f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float | None, r_max: float,
+    ball=None,
 ) -> CoefficientTable:
     """Coefficients of every translate whose window support holds x0, in one
-    table: the per-point work of every modulation verdict."""
+    table: the per-point work of every modulation verdict.  `ball()`, when
+    given, returns the `lattice_ball` the table is built on; it is asked
+    for only after the checks on x0 and its translates, so those fail first."""
     _require_interior(f, x0)
     if epsilon is not None:
         _validate_epsilon(f, sys, x0, epsilon)
     else:
         epsilon = choose_epsilon(f, sys, x0)
     sys_eps = sys.with_epsilon(epsilon)
-    return coefficients(f, sys_eps, r_max, js=support_index_set(sys_eps, x0))
+    js = support_index_set(sys_eps, x0)
+    return coefficients(f, sys_eps, r_max, js=js, ball=ball().ball if ball else None)
 
 
 def _fl_verdict(
@@ -400,15 +404,17 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
     Per-record failures are recorded in the row, never abort the scan.  The
     work is shared at three levels, and every record gets the verdicts
     df_fl_point and df_mod_point give for its question:
-    - once per scan, one shell geometry (radii, shell index, each
-      direction's cone indices, <xi>^s per s) for both routes, because every
-      x0 samples the same beta-lattice ball at the same r_max.  The ball is
-      enumerated the first time an x0 passes the checks that come before
-      it, so every x0 fails as the point operations fail;
+    - once per scan, one enumeration of the beta-lattice ball and one shell
+      geometry on it (radii, shell index, each direction's cone indices,
+      <xi>^s per s) for both routes, because every x0 samples the same ball
+      at the same r_max.  The ball is enumerated the first time an x0
+      passes the checks that come before it, so every x0 fails as the point
+      operations fail;
     - once per x0, one windowed spectrum, sampled on the geometry's points,
-      and one Gabor coefficient table, built as the point operations build
-      theirs (epsilon chosen against the Gabor step), and the table's
-      j-aggregate once per distinct p, dropped before the next x0;
+      and one Gabor coefficient table on the same ball, built as the point
+      operations build theirs (epsilon chosen against the Gabor step), and
+      the table's j-aggregate once per distinct p, dropped before the next
+      x0;
     - per record, the cone gather, the shell sums and `classify`.
     """
     x_grid = [as_point(x, f.d, "x0") for x in x_grid]
@@ -436,7 +442,7 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
                 fl_err = f"{type(exc).__name__}: {exc}"
         if want_mod:
             try:
-                table = _local_table(f, sys, x0, cfg.epsilon, r_max)
+                table = _local_table(f, sys, x0, cfg.epsilon, r_max, ball)
             except MicrolocError as exc:
                 mod_err = f"{type(exc).__name__}: {exc}"
 
@@ -463,7 +469,7 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
                 if table is not None:
                     try:
                         if p not in aggregates:
-                            aggregates[p] = ball().share(j_aggregate(table, p, table.js))
+                            aggregates[p] = j_aggregate(table, p, table.js)
                         rec.verdict_mod = _mod_verdict(
                             table, cone, w, p, q, cfg.k_last, cfg.margin, ball(), aggregates[p]
                         )

@@ -16,10 +16,12 @@ from microloc import (
     discrete_mod_norm,
     multiply,
     reconstruct,
+    scaled_integer_lattice,
     smooth_bump_window,
     support_index_set,
 )
 from microloc.fixtures import jump_1d, random_band_limited, smooth_bump_1d
+from microloc.lattice import LatticeBall
 from microloc.signal import _stft as stft
 
 TWO_PI = 2 * math.pi
@@ -310,3 +312,23 @@ def test_index_budget_refuses_clipped_translates():
     assert support_index_set(enough, [5.0])[:, 0].tolist() == list(range(2, 9))
     full = coefficients(f, build_agp(1.0, 1.0, 1), 4.0)
     assert np.array_equal(coefficients(f, enough, 4.0).values, full.values)
+
+
+def test_coefficients_on_a_given_ball_share_it_and_refuse_another():
+    sys0 = build_agp(1.0, 1.0, 1)
+    f = jump_1d()
+    ball = LatticeBall.of(sys0.lambda2, 12.0)
+    table = coefficients(f, sys0, 12.0, ball=ball)
+    assert table.xi is ball.points and table.k_radii is ball.radii
+    assert np.array_equal(table.values, coefficients(f, sys0, 12.0).values)
+    others = (
+        LatticeBall.of(sys0.lambda2, 13.0),  # another radius
+        LatticeBall.of(scaled_integer_lattice(0.5, 1), 12.0),  # another lattice
+        LatticeBall.of(scaled_integer_lattice(1.0, 1, [0.25]), 12.0),  # offset
+        LatticeBall.of(scaled_integer_lattice(1.0, 2), 12.0),  # another dimension
+    )
+    for other in others:
+        with pytest.raises(ValueError, match="frequency ball"):
+            coefficients(f, sys0, 12.0, ball=other)
+    with pytest.raises(ValueError, match="do not hold points"):
+        LatticeBall(sys0.lambda2, 12.0, ball.points[:, :0], ball.ks)

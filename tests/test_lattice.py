@@ -11,6 +11,7 @@ from microloc import (
     points_in_ball,
     scaled_integer_lattice,
 )
+from microloc.lattice import LatticeBall
 
 
 def points_in_cone_shell(lat, cone, r_min, r_max):
@@ -111,6 +112,20 @@ def test_points_in_ball_includes_origin(z2):
     as_set = set(map(tuple, ints.tolist()))
     assert (0, 0) in as_set
     assert len(as_set) == 5  # origin plus the four unit neighbours
+
+
+def test_lattice_ball_halves_mirror_through_the_origin():
+    ball = LatticeBall.of(make_lattice([[1.0, 0.3], [0.2, 0.9]]), 6.0)
+    n = ball.points.shape[0]
+    computed, mirrored = ball.split(real=True)
+    assert np.array_equal(ball.points[n - 1 - mirrored], -ball.points[mirrored])
+    assert np.all(ball.ks[computed, -1] >= 0) and np.all(ball.ks[mirrored, -1] < 0)
+    assert computed.size + mirrored.size == n
+    assert ball.split(real=False)[0] == slice(None) and ball.split(real=False)[1].size == 0
+    # integer coordinates symmetric about 0 on an offset lattice: no mirror
+    shifted = LatticeBall.of(scaled_integer_lattice(1.0, 1, [0.1]), 5.5)
+    assert np.array_equal(shifted.ks[::-1], -shifted.ks)
+    assert shifted.split(real=True)[1].size == 0
 
 
 def test_parallelepiped_containing_examples(z2):

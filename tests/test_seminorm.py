@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from microloc import (
     Cone,
     ConeSumSeries,
+    GridSignal,
     TooFewShells,
     Weight,
     build_agp,
     classify,
     coefficients,
     discrete_mod_series,
+    fourier_batch,
     make_cutoff,
     multiply,
     points_in_ball,
@@ -22,15 +24,21 @@ from microloc import (
 )
 from microloc.errors import MissingCoefficients
 from microloc.fixtures import jump_1d, jump_1d_in_cell
+from microloc.gabor import _overlapping_js
 from microloc.seminorm import (
     ShellGeometry,
     SpectralSamples,
+    _weighted_fit,
     default_r0,
+    lattice_ball,
+    lattice_samples,
     lattice_spectrum,
     quadrature_spectrum,
     series_from_spectrum,
     shell_boundaries,
 )
+
+TWO_PI = 2 * math.pi
 
 
 def _fl_series(f, omega, q, cone, lambda2, r_max):
@@ -355,7 +363,78 @@ def test_shared_geometry_rejects_other_points_or_shells(jump, unit_pair):
         series_from_spectrum(other, w, 1.0, cone, 4.0, 200.0, geometry)
     with pytest.raises(ValueError):
         series_from_spectrum(spec, w, 1.0, cone, 8.0, 200.0, geometry)
-    with pytest.raises(ValueError):
-        geometry.share(other)
-    shared = geometry.share(lattice_spectrum(jump, unit_pair.lambda2, 200.0))
-    assert shared.points is geometry.points
+
+
+@st.composite
+def _hermitian_case(draw):
+    """A real or complex signal with random samples on a random support, a
+    frequency lattice (through the origin or offset) and a radius inside
+    the guarded band."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(64, 512)) if d == 1 else draw(st.integers(24, 48))
+    h = 8.0 / n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n,) * d
+    samples = rng.normal(size=shape)
+    if draw(st.booleans()):
+        samples = samples + 1j * rng.normal(size=shape)
+    lo = [draw(st.integers(0, n // 3)) for _ in range(d)]
+    hi = [draw(st.integers(2 * n // 3, n)) for _ in range(d)]
+    f = GridSignal(-4.0 * np.ones(d), h * np.ones(d), samples, tuple(zip(lo, hi)))
+    beta = draw(st.floats(0.5, 2.0))
+    offset = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.1, 0.9)) * beta
+    radius = draw(st.floats(0.3, 0.8)) * math.pi / h
+    return f, beta, offset, radius
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hermitian_case())
+def test_property_half_ball_and_mirror_equal_the_whole_ball(case):
+    # A real signal is transformed on the half ball k_d >= 0 and mirrored;
+    # every value must equal the whole-ball transform, taken point by point
+    # through fourier_batch (windowed per translate for the coefficients).
+    f, beta, offset, radius = case
+    lat = scaled_integer_lattice(beta, f.d, offset * np.ones(f.d))
+    geometry = lattice_ball(lat, radius)
+    computed, mirrored = geometry.ball.split(f.is_real)
+    assert (mirrored.size > 0) == (f.is_real and offset == 0.0)
+    got = lattice_samples(f, lat, geometry).magnitudes
+    want = np.abs(fourier_batch(f, geometry.points))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    if offset != 0.0:
+        return
+    sys0 = build_agp(4.0 / beta, beta, d=f.d).with_epsilon(0.5)
+    js = _overlapping_js(f, sys0)[:: 1 + f.d]
+    table = coefficients(f, sys0, radius, js=js)
+    assert table.xi.shape == geometry.points.shape
+    want = np.array([
+        fourier_batch(multiply(f, sys0.psi_window(j)), table.xi) for j in table.js
+    ]) * TWO_PI ** (f.d / 2)
+    assert np.max(np.abs(table.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def _fit_data(draw):
+    """4-10 shells at log radii log(r0 2^m), any values, and weights as
+    classify uses them: all ones (q = inf) or sqrt(counts) in [1, 100]."""
+    m = draw(st.integers(4, 10))
+    shells = sorted(draw(st.sets(st.integers(1, 14), min_size=m, max_size=m)))
+    x = np.log(draw(st.floats(0.5, 40.0)) * 2.0 ** np.array(shells))
+    y = np.array(draw(st.lists(st.floats(-60.0, 60.0), min_size=m, max_size=m)))
+    weights = st.just(1.0) if draw(st.booleans()) else st.floats(1.0, 100.0)
+    w = np.array(draw(st.lists(weights, min_size=m, max_size=m)))
+    return x, y, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fit_data())
+def test_property_closed_form_fit_matches_polyfit(data):
+    # Relative to the larger of the value and the data's own scale: polyfit's
+    # round-off is of the order eps * max|y| (over the x span for the slope).
+    x, y, w = data
+    slope, rms = _weighted_fit(x, y, w)
+    coef = np.polyfit(x, y, 1, w=w)
+    want = float(np.sqrt(np.sum((w * (y - np.polyval(coef, x))) ** 2) / np.sum(w**2)))
+    y_max = float(np.max(np.abs(y)))
+    assert abs(slope - coef[0]) <= 1e-12 * max(abs(coef[0]), y_max / np.ptp(x))
+    assert abs(rms - want) <= 1e-12 * max(want, y_max)

@@ -18,13 +18,13 @@ from microloc import (
     reconstruct,
     smooth_bump_window,
 )
+from microloc.gabor import _lattice_progressions, _overlapping_js
 from microloc.lattice import points_in_ball
 from microloc.signal import (
     _along_axes,
     _batch_rows,
     _index_box,
     _kernels,
-    _progressions,
     _window_batch,
 )
 
@@ -51,13 +51,11 @@ def _full_grid_product(f, w):
 
 def _per_translate_coefficients(f, sys, radius):
     """Analysis with one pointwise-sampled window per translate."""
-    from microloc.gabor import _overlapping_js
-
     js = _overlapping_js(f, sys)
-    xi, _ = points_in_ball(sys.lambda2, radius)
+    xi, ks = points_in_ball(sys.lambda2, radius)
     windows = [sys.psi_window(j) for j in js]
     boxes = [_index_box(w.lo, w.hi, f.origin, f.spacing, *zip(*f.support)) for w in windows]
-    progs = _progressions(xi)
+    progs = _lattice_progressions(sys.lambda2, ks)
     lengths = np.max([hi - lo for lo, hi in boxes], axis=0).clip(1)
     kernels = _kernels(progs, f.spacing, lengths)
     index = (slice(None),) + tuple(p.index for p in progs)
@@ -80,7 +78,7 @@ def _per_translate_reconstruct(table, sys, f):
     """Synthesis with one pointwise-sampled window per translate."""
     windows = [sys.phi_window(j) for j in table.js]
     boxes = [_index_box(w.lo, w.hi, f.origin, f.spacing, 0, f.shape) for w in windows]
-    progs = _progressions(table.xi)
+    progs = _lattice_progressions(table.lambda2, table.ks)
     lengths = np.max([hi - lo for lo, hi in boxes], axis=0).clip(1)
     kernels = _kernels(progs, f.spacing, lengths, adjoint=True)
     index = (slice(None),) + tuple(p.index for p in progs)
