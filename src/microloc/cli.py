@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,36 +25,31 @@ from .errors import MicrolocError
 from .fixtures import random_band_limited, write_fixture_set
 from .gabor import check_partition, coefficients, reconstruct
 from .selftest import SUITES, _roundtrip_radius, run_selftest
-from .seminorm import DEFAULT_K_LAST, DEFAULT_MARGIN
+from .seminorm import DEFAULT_K_LAST
 from .signal import load_signal
 from .validation import check_exponent
-from .wavefront import (
-    ScanConfig,
-    WavefrontQuery,
-    check_equivalence,
-    df_fl_point,
-    df_mod_point,
-    scan,
+from .wavefront import ScanConfig, check_equivalence, scan
+
+
+# The settings the CLI shares with ScanConfig, by name and default; the
+# other three ScanConfig fields have CLI spellings (pqs, shells, method).
+_SharedSettings = make_dataclass(
+    "_SharedSettings",
+    [(f.name, f.type, field(default=f.default)) for f in fields(ScanConfig)
+     if f.name not in ("pqs", "k_last", "methods")],
 )
 
 
 @dataclass
-class RunConfig:
-    """Effective parameters of one CLI invocation."""
+class RunConfig(_SharedSettings):
+    """Effective parameters of one CLI invocation: the shared settings plus
+    the keys only the CLI has."""
 
     signal: str | None = None
     q: float = 1.0
     p: float = 1.0
     s: float = 1.0
-    aperture_deg: float = 20.0
-    alpha: float = 1.0
-    beta: float = 1.0
-    gabor_alpha: float | None = None
-    gabor_alpha1: float | None = None
-    epsilon: float | None = None
-    r_max: float | None = None
     shells: int = DEFAULT_K_LAST
-    margin: float = DEFAULT_MARGIN
     x0: list | None = None
     theta: list | None = None
     x_grid: list | None = None
@@ -65,24 +60,11 @@ class RunConfig:
     out: str | None = None
     seed: int = 0
 
-    @property
-    def methods(self) -> tuple:
-        return ("fl", "mod") if self.method == "both" else (self.method,)
-
     def scan_config(self) -> ScanConfig:
         """These parameters as a ScanConfig; building it checks them."""
-        return ScanConfig(
-            pqs=self.pqs or ((self.p, self.q, self.s),),
-            aperture_deg=self.aperture_deg,
-            alpha=self.alpha,
-            beta=self.beta,
-            gabor_alpha=self.gabor_alpha,
-            gabor_alpha1=self.gabor_alpha1,
-            epsilon=self.epsilon,
-            r_max=self.r_max,
-            margin=self.margin,
-            k_last=self.shells,
-            methods=self.methods,
+        shared = {f.name: getattr(self, f.name) for f in fields(_SharedSettings)}
+        return ScanConfig.from_settings(
+            self.p, self.q, self.s, self.pqs, self.method, self.shells, **shared
         )
 
     def to_json(self) -> dict:
@@ -154,33 +136,17 @@ def cmd_analyze(args) -> int:
     f = load_signal(cfg.signal)
     x0 = cfg.x0 if cfg.x0 is not None else [0.0] * f.d
     theta = cfg.theta if cfg.theta is not None else [1.0] + [0.0] * (f.d - 1)
-    query = WavefrontQuery(
-        x0,
-        theta,
-        aperture_deg=cfg.aperture_deg,
-        q=cfg.q,
-        p=cfg.p,
-        weight=cfg.s,
-        epsilon=cfg.epsilon,
-        r_max=cfg.r_max,
-        margin=cfg.margin,
-        k_last=cfg.shells,
-    )
-    result: dict = {"x0": list(map(float, x0)), "theta": list(map(float, theta))}
-    verdicts = []
-    scan_cfg = cfg.scan_config()
-    if "fl" in scan_cfg.methods:
-        v = df_fl_point(f, query, scan_cfg.lattice_pair(f.d))
-        result["fl"] = v.to_json()
-        verdicts.append(v)
-    if "mod" in scan_cfg.methods:
-        v = df_mod_point(f, query, scan_cfg.gabor_system(f.d))
-        result["mod"] = v.to_json()
-        verdicts.append(v)
+    scan_cfg = replace(cfg, pqs=None).scan_config()  # analyze asks its own (p, q, s)
+    (rec,) = scan(f, [x0], [theta], scan_cfg).records
+    if rec.error_fl or rec.error_mod:
+        print(f"error: {rec.error_fl or rec.error_mod}", file=sys.stderr)
+        return 1
+    verdicts = {m: getattr(rec, f"verdict_{m}") for m in scan_cfg.methods}
+    result = {"x0": list(map(float, x0)), "theta": list(map(float, theta))}
+    result.update((m, v.to_json()) for m, v in verdicts.items())
     path = _write_report(cfg, result, "analyze_report.json")
-    conclusive = all(v.is_conclusive for v in verdicts) and verdicts
-    print(f"analyze: {' / '.join(v.kind for v in verdicts)} -> {path}")
-    return 0 if conclusive else 2
+    print(f"analyze: {' / '.join(v.kind for v in verdicts.values())} -> {path}")
+    return 0 if all(v.is_conclusive for v in verdicts.values()) else 2
 
 
 def cmd_scan(args) -> int:

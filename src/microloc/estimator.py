@@ -88,15 +88,10 @@ class WavefrontDetector:
             X = load_signal(X)
         if not isinstance(X, GridSignal):
             raise TypeError("fit expects a GridSignal or a signal file path")
-        self.config_ = ScanConfig(
-            pqs=((float(self.p), float(self.q), float(self.s)),),
-            aperture_deg=float(self.aperture_deg),
-            alpha=float(self.alpha),
-            beta=float(self.beta),
-            epsilon=self.epsilon,
-            r_max=self.r_max,
-            margin=float(self.margin),
-            methods=("fl", "mod") if self.method == "both" else (self.method,),
+        self.config_ = ScanConfig.from_settings(
+            self.p, self.q, self.s, method=self.method, aperture_deg=float(self.aperture_deg),
+            alpha=float(self.alpha), beta=float(self.beta), epsilon=self.epsilon,
+            r_max=self.r_max, margin=float(self.margin),
         )
         self.signal_ = X
         return self
@@ -131,21 +126,11 @@ class WavefrontDetector:
 
     def predict(self, X) -> np.ndarray:
         """Verdict codes per query row (1 divergent / 0 finite / -1 unclear)."""
-        est = self.predict_records(X)
         codes = []
-        for rec in est.records:
-            if self.method == "fl":
-                v = rec.verdict_fl
-                codes.append(-1 if v is None else v.code)
-            elif self.method == "mod":
-                v = rec.verdict_mod
-                codes.append(-1 if v is None else v.code)
-            else:
-                vf, vm = rec.verdict_fl, rec.verdict_mod
-                if vf is None or vm is None or vf.kind != vm.kind:
-                    codes.append(-1)
-                else:
-                    codes.append(vf.code)
+        for rec in self.predict_records(X).records:
+            verdicts = [getattr(rec, f"verdict_{m}") for m in self.config_.methods]
+            agreed = all(v is not None for v in verdicts) and len({v.kind for v in verdicts}) == 1
+            codes.append(verdicts[0].code if agreed else -1)
         return np.asarray(codes, dtype=int)
 
     def score(self, X, y) -> float:

@@ -113,12 +113,6 @@ class GaborSystem:
     def x_point(self, j) -> np.ndarray:
         return self.alpha * np.asarray(j, dtype=float)
 
-    def psi_window(self, j) -> BumpWindow:
-        return self.psi.scaled(self.epsilon).translated(self.epsilon * self.x_point(j))
-
-    def phi_window(self, j) -> BumpWindow:
-        return self.phi.scaled(self.epsilon).translated(self.epsilon * self.x_point(j))
-
     def with_epsilon(self, epsilon: float) -> "GaborSystem":
         return dataclasses.replace(self, epsilon=float(epsilon))
 

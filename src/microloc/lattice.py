@@ -103,18 +103,6 @@ class Parallelepiped:
     lattice: Lattice
     anchor_coords: np.ndarray  # (d,) integers
 
-    @property
-    def anchor(self) -> np.ndarray:
-        return self.lattice.point(self.anchor_coords)
-
-    @property
-    def edges(self) -> np.ndarray:
-        return self.lattice.basis
-
-    @property
-    def volume(self) -> float:
-        return self.lattice.cell_volume
-
     def vertices(self) -> np.ndarray:
         d = self.lattice.d
         corners = np.array(np.meshgrid(*([[0, 1]] * d), indexing="ij")).reshape(d, -1).T
@@ -123,12 +111,6 @@ class Parallelepiped:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         v = self.vertices()
         return v.min(axis=0), v.max(axis=0)
-
-    def contains(self, x, closed: bool = True) -> bool:
-        t = self.lattice.to_lattice_coords(as_point(x, self.lattice.d)) - self.anchor_coords
-        if closed:
-            return bool(np.all(t >= -_FACE_TOL) and np.all(t <= 1.0 + _FACE_TOL))
-        return bool(np.all(t > 0.0) and np.all(t < 1.0))
 
 
 @dataclass(frozen=True)

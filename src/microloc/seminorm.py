@@ -37,11 +37,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingCoefficients, TooFewShells
+from .errors import TooFewShells
 from .gabor import CoefficientTable
 from .geometry import Cone, Weight, row_norms
 from .lattice import Lattice, LatticeBall
@@ -154,18 +153,6 @@ class ConeSumSeries:
     d: int
     core: float
     meta: dict = field(default_factory=dict)
-
-    @property
-    def n_shells(self) -> int:
-        return self.a.size
-
-    def to_csv(self, path) -> Path:
-        p = Path(path)
-        lines = ["R_m,a_m,S_m"]
-        for r, a, s in zip(self.boundaries[1:], self.a, self.S):
-            lines.append(f"{r!r},{a!r},{s!r}")
-        p.write_text("\n".join(lines) + "\n")
-        return p
 
 
 class ShellGeometry:
@@ -337,27 +324,21 @@ def discrete_mod_series(
     p,
     q,
     cone: Cone,
-    lambda2: Lattice,
     jset: np.ndarray,
-    r0: float | None = None,
     geometry: ShellGeometry | None = None,
     aggregate: SpectralSamples | None = None,
 ) -> ConeSumSeries:
-    """Shell series of ( sum_j |c_{j,k} w(xi_k)|^p )^{q/p} over the cone.
+    """Shell series of ( sum_j |c_{j,k} w(xi_k)|^p )^{q/p} over the cone,
+    on shells from default_r0(table.lambda2) to the table's radius.
 
-    jset must be contained in the table's spatial indices and the table must
-    cover the requested shells (MissingCoefficients otherwise).  `aggregate`
-    is `j_aggregate(table, p, jset)` when the caller already holds it, and
-    `geometry` a shell geometry of the table's frequencies (see
-    `series_from_spectrum`).
+    jset must be contained in the table's spatial indices (MissingCoefficients
+    otherwise).  `aggregate` is `j_aggregate(table, p, jset)` when the caller
+    already holds it, and `geometry` a shell geometry of the table's
+    frequencies (see `series_from_spectrum`).
     """
-    p = check_exponent(p, "p")
-    if not np.allclose(lambda2.basis, table.lambda2.basis):
-        raise MissingCoefficients("table was computed on a different frequency lattice")
     if aggregate is None:
         aggregate = j_aggregate(table, p, jset)
-    if r0 is None:
-        r0 = default_r0(lambda2)
+    r0 = default_r0(table.lambda2)
     return series_from_spectrum(aggregate, omega, q, cone, r0, table.freq_radius, geometry)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -44,20 +45,26 @@ def unit_direction(v, name: str = "direction") -> np.ndarray:
     return arr / n
 
 
+def as_real(x, name: str = "value") -> float:
+    """x as a float; ValueError naming it when x is not a number."""
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {x!r}") from None
+
+
 def check_exponent(p, name: str = "exponent") -> float:
     """Validate a Lebesgue exponent in [1, inf]; accepts the string 'inf'."""
-    if isinstance(p, str):
-        if p.strip().lower() in ("inf", "infty", "infinity"):
-            return math.inf
-        p = float(p)
-    p = float(p)
+    if isinstance(p, str) and p.strip().lower() in ("inf", "infty", "infinity"):
+        return math.inf
+    p = as_real(p, name)
     if math.isnan(p) or p < 1.0:
         raise ValueError(f"{name} must satisfy 1 <= {name} <= inf, got {p}")
     return p
 
 
 def check_positive(x, name: str = "value") -> float:
-    x = float(x)
+    x = as_real(x, name)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"{name} must be a positive finite number, got {x}")
     return x
@@ -65,7 +72,7 @@ def check_positive(x, name: str = "value") -> float:
 
 def check_dilation(eps) -> float:
     """Validate a Gabor dilation epsilon in (0, 1]."""
-    eps = float(eps)
+    eps = as_real(eps, "epsilon")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
     return eps
@@ -73,13 +80,13 @@ def check_dilation(eps) -> float:
 
 def check_fit_window(k_last) -> int:
     """Validate the number of shells a growth fit uses (the CLI's `shells`)."""
-    if not k_last >= 4:
-        raise ValueError(f"k_last (the CLI's shells) must be at least 4, got {k_last}")
+    if isinstance(k_last, bool) or not isinstance(k_last, numbers.Integral) or k_last < 4:
+        raise ValueError(f"k_last (the CLI's shells) must be an integer >= 4, got {k_last!r}")
     return k_last
 
 
 def check_in_open(x, lo: float, hi: float, name: str = "value") -> float:
-    x = float(x)
+    x = as_real(x, name)
     if not (lo < x < hi):
         raise ValueError(f"{name} must lie in the open interval ({lo}, {hi}), got {x}")
     return x

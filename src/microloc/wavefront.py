@@ -17,7 +17,7 @@ sampled discontinuity is visibly distorted by aliasing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cache
 from pathlib import Path
 
@@ -42,8 +42,8 @@ from .seminorm import (
 )
 from .signal import BumpWindow, GridSignal, make_cutoff, multiply
 from .validation import (
-    as_point, check_dilation, check_exponent, check_fit_window, check_in_open, check_positive,
-    unit_direction,
+    as_point, as_real, check_dilation, check_exponent, check_fit_window, check_in_open,
+    check_positive, unit_direction,
 )
 
 ALIAS_SAFE_FACTOR = 0.7
@@ -60,9 +60,9 @@ def _check_settings(aperture_deg, epsilon, r_max, margin, k_last) -> None:
     check_in_open(aperture_deg, 0.0, 90.0, "aperture_deg")
     if epsilon is not None:
         check_dilation(epsilon)
-    if r_max is not None and not r_max > 0:
+    if r_max is not None and not as_real(r_max, "r_max") > 0:
         raise ValueError(f"r_max must be positive, got {r_max}")
-    if not margin > 0:
+    if not as_real(margin, "margin") > 0:
         raise ValueError(f"margin must be positive, got {margin}")
     check_fit_window(k_last)
 
@@ -190,13 +190,12 @@ def _local_spectrum(f: GridSignal, pair: LatticePair, x0: np.ndarray, ball) -> S
 
 
 def _local_table(
-    f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float | None, r_max: float,
-    ball=None,
+    f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float | None, ball
 ) -> CoefficientTable:
     """Coefficients of every translate whose window support holds x0, in one
-    table: the per-point work of every modulation verdict.  `ball()`, when
-    given, returns the `lattice_ball` the table is built on; it is asked
-    for only after the checks on x0 and its translates, so those fail first."""
+    table: the per-point work of every modulation verdict.  `ball()` returns
+    the `lattice_ball` the table is built on; it is asked for only after the
+    checks on x0 and its translates, so those fail first."""
     _require_interior(f, x0)
     if epsilon is not None:
         _validate_epsilon(f, sys, x0, epsilon)
@@ -204,7 +203,8 @@ def _local_table(
         epsilon = choose_epsilon(f, sys, x0)
     sys_eps = sys.with_epsilon(epsilon)
     js = support_index_set(sys_eps, x0)
-    return coefficients(f, sys_eps, r_max, js=js, ball=ball().ball if ball else None)
+    geometry = ball()
+    return coefficients(f, sys_eps, geometry.r_max, js=js, ball=geometry.ball)
 
 
 def _fl_verdict(
@@ -220,7 +220,7 @@ def _mod_verdict(
     geometry: ShellGeometry | None = None, aggregate: SpectralSamples | None = None,
 ) -> Verdict:
     series = discrete_mod_series(
-        table, weight, p, q, cone, table.lambda2, table.js, geometry=geometry, aggregate=aggregate
+        table, weight, p, q, cone, table.js, geometry=geometry, aggregate=aggregate
     )
     return classify(series, k_last, margin)
 
@@ -258,7 +258,10 @@ def df_mod_point(f: GridSignal, query: WavefrontQuery, sys: GaborSystem) -> Verd
     """Modulation-space membership verdict at (x0, direction)."""
     x0 = as_point(query.x0, f.d, "x0")
     r_max = query.r_max if query.r_max is not None else default_r_max(f)
-    table = _local_table(f, sys, x0, query.epsilon, r_max)
+    # the ball, and its Hermitian split, go once the table holds its points
+    table = _local_table(
+        f, sys, x0, query.epsilon, cache(lambda: lattice_ball(sys.lambda2, r_max))
+    )
     return _mod_verdict(
         table, query.cone, query.weight, query.p, query.q, query.k_last, query.margin
     )
@@ -267,6 +270,21 @@ def df_mod_point(f: GridSignal, query: WavefrontQuery, sys: GaborSystem) -> Verd
 # ---------------------------------------------------------------------------
 # Scans
 # ---------------------------------------------------------------------------
+
+
+def _triples(pqs) -> tuple:
+    """pqs as checked (p, q, s) triples of floats; names an entry that is not one."""
+    if isinstance(pqs, (str, bytes)) or not hasattr(pqs, "__iter__"):
+        raise ValueError(f"pqs must be a list of (p, q, s) triples, got {pqs!r}")
+    out = []
+    for i, entry in enumerate(pqs):
+        try:
+            p, q, s = entry
+            s = float(s)
+        except (TypeError, ValueError):
+            raise ValueError(f"pqs entry {i} must be a (p, q, s) triple, got {entry!r}") from None
+        out.append((check_exponent(p, "p"), check_exponent(q, "q"), s))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -291,28 +309,29 @@ class ScanConfig:
     methods: tuple = ("fl", "mod")
 
     def __post_init__(self):
-        pqs = ((check_exponent(p, "p"), check_exponent(q, "q"), float(s)) for p, q, s in self.pqs)
-        object.__setattr__(self, "pqs", tuple(pqs))
+        object.__setattr__(self, "pqs", _triples(self.pqs))
         check_positive(self.alpha, "alpha")
         check_positive(self.beta, "beta")
         if not self.methods or not set(self.methods) <= {"fl", "mod"}:
             raise ValueError(f"methods must be a nonempty subset of fl, mod; got {self.methods!r}")
         _check_settings(self.aperture_deg, self.epsilon, self.r_max, self.margin, self.k_last)
 
+    @classmethod
+    def from_settings(
+        cls, p, q, s, pqs=None, method="both", shells=DEFAULT_K_LAST, **shared
+    ) -> "ScanConfig":
+        """The ScanConfig of flat settings, as the CLI and the detector name
+        them: one (p, q, s) unless `pqs` lists triples, `method` one of fl,
+        mod or both, and `shells` the fit window k_last; the other settings
+        keep their ScanConfig names."""
+        methods = ("fl", "mod") if method == "both" else (method,)
+        return cls(pqs=pqs or ((p, q, s),), methods=methods, k_last=shells, **shared)
+
     def to_json(self) -> dict:
-        return {
-            "pqs": [list(map(float, t)) for t in self.pqs],
-            "aperture_deg": self.aperture_deg,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gabor_alpha": self.gabor_alpha,
-            "gabor_alpha1": self.gabor_alpha1,
-            "epsilon": self.epsilon,
-            "r_max": self.r_max,
-            "margin": self.margin,
-            "k_last": self.k_last,
-            "methods": list(self.methods),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["pqs"] = [list(map(float, t)) for t in self.pqs]
+        out["methods"] = list(self.methods)
+        return out
 
     def lattice_pair(self, d: int) -> LatticePair:
         pair = classify_pair(
@@ -442,7 +461,7 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
                 fl_err = f"{type(exc).__name__}: {exc}"
         if want_mod:
             try:
-                table = _local_table(f, sys, x0, cfg.epsilon, r_max, ball)
+                table = _local_table(f, sys, x0, cfg.epsilon, ball)
             except MicrolocError as exc:
                 mod_err = f"{type(exc).__name__}: {exc}"
 
@@ -499,17 +518,7 @@ class EquivalenceReport:
     holds: bool
 
     def to_json(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "n_compared": self.n_compared,
-            "n_disagreements": self.n_disagreements,
-            "disagreements": self.disagreements,
-            "n_inconclusive_fl": self.n_inconclusive_fl,
-            "n_inconclusive_mod": self.n_inconclusive_mod,
-            "all_inconclusive_fl": self.all_inconclusive_fl,
-            "all_inconclusive_mod": self.all_inconclusive_mod,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 def check_equivalence(estimate: WavefrontEstimate) -> EquivalenceReport:

@@ -239,7 +239,8 @@ _BAD_SETTINGS = [
     ("aperture_deg", "aperture_deg", 0.0), ("aperture_deg", "aperture_deg", 120.0),
     ("epsilon", "epsilon", 0.0), ("epsilon", "epsilon", 2.0),
     ("r_max", "r_max", 0.0), ("r_max", "r_max", -5.0),
-    ("k_last", "shells", 3), ("methods", "method", "xx"),
+    ("k_last", "shells", 3), ("k_last", "shells", 5.5), ("k_last", "shells", True),
+    ("methods", "method", "xx"),
 ]
 
 
@@ -258,6 +259,70 @@ def test_bad_settings_fail_on_every_surface(field, key, value, fixture_dir, jump
     for command in ("analyze", "scan"):
         assert main([command, "--signal", str(fixture_dir / "jump.json"),
                      "--config", str(cfg_path)]) == 1
+
+
+@pytest.mark.parametrize("settings,says", [
+    ({"pqs": [1, 1, 1]}, "pqs entry 0 must be a (p, q, s) triple, got 1"),
+    ({"pqs": [[1, 1, 1], [1, 1]]}, "pqs entry 1 must be a (p, q, s) triple, got [1, 1]"),
+    ({"pqs": 5}, "pqs must be a list of (p, q, s) triples"),
+    ({"shells": 5.5}, "must be an integer >= 4, got 5.5"),
+    ({"q": None}, "q must be a number, got None"),
+    ({"alpha": None}, "alpha must be a number, got None"),
+    ({"margin": None}, "margin must be a number, got None"),
+    ({"r_max": "far"}, "r_max must be a number, got 'far'"),
+], ids=["pqs-flat", "pqs-short-entry", "pqs-scalar", "shells-fractional", "q-null", "alpha-null",
+        "margin-null", "r_max-text"])
+def test_malformed_config_values_fail_with_an_error_line(settings, says, fixture_dir, tmp_path,
+                                                         capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(settings))
+    for command in ("analyze", "scan"):
+        assert main([command, "--signal", str(fixture_dir / "jump.json"),
+                     "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError") and says in err
+        assert "Traceback" not in err
+
+
+_LINE = {"alpha": 2.5, "gabor_alpha": 2.0, "gabor_alpha1": 5.0, "r_max": 180.0}
+
+
+@pytest.mark.parametrize("signal,settings,x0,theta", [
+    ("jump", {}, [0.0], [1.0]),
+    ("jump", {"p": 2, "q": 2, "s": 0}, [3.0], [-1.0]),
+    ("line_singularity", _LINE, [0.0, 0.5], [1.0, 0.0]),
+    ("line_singularity", _LINE, [0.0, 0.5], [0.0, 1.0]),
+])
+def test_analyze_answers_as_the_scan_record(signal, settings, x0, theta, fixture_dir, tmp_path):
+    """analyze and scan ask one question, so their verdict blocks are equal."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**settings, "x0": x0, "theta": theta,
+                                    "x_grid": [x0], "directions": [theta]}))
+    reports = {}
+    for command in ("analyze", "scan"):
+        out = tmp_path / f"{command}.json"
+        main([command, "--signal", str(fixture_dir / f"{signal}.json"),
+              "--config", str(cfg_path), "--out", str(out)])
+        reports[command] = _payload(out)["result"]
+    (record,) = reports["scan"]["records"]
+    for route in ("fl", "mod"):
+        assert reports["analyze"][route] == record[route]
+
+
+def test_analyze_fails_on_the_cell_face_as_the_scan_record(fixture_dir, tmp_path, capsys):
+    signal = str(fixture_dir / "jump.json")
+    scan_out, analyze_out = tmp_path / "scan.json", tmp_path / "analyze.json"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"x_grid": [[0.5]], "directions": [[1.0]]}))
+    main(["scan", "--signal", signal, "--config", str(cfg_path), "--out", str(scan_out)])
+    (record,) = _payload(scan_out)["result"]["records"]
+    assert record["error_fl"].startswith("DomainClipped: ")
+    capsys.readouterr()
+    code = main(["analyze", "--signal", signal, "--x0", "0.5", "--theta", "1",
+                 "--out", str(analyze_out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {record['error_fl']}\n"
+    assert not analyze_out.exists()
 
 
 def test_config_file_rejects_unknown_keys(fixture_dir, tmp_path):

@@ -194,7 +194,7 @@ def test_coefficient_noise_floor_rule():
     )
     for f, sys0 in cases:
         for j in coefficients(f, sys0, 8.0).js:
-            w = sys0.psi_window(j)
+            w = sys0.psi.scaled(sys0.epsilon).translated(sys0.epsilon * sys0.x_point(j))
             g = multiply(f, w)
             if f.d == 1:
                 x1 = f.axes()[0]

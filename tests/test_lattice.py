@@ -136,14 +136,21 @@ def test_parallelepiped_containing_examples(z2):
     assert cell.anchor_coords.tolist() == [0, 0]
     lat2 = scaled_integer_lattice(2.0, 2)
     cell = parallelepiped_containing(lat2, [3.1, -0.2])
-    assert cell.anchor.tolist() == [2.0, -2.0]
+    assert lat2.point(cell.anchor_coords).tolist() == [2.0, -2.0]
+
+
+def _cell_contains(cell, x, tol=1e-12):
+    """x in the closed cell: lattice coordinates within [0, 1] of the anchor's."""
+    t = cell.lattice.to_lattice_coords(np.asarray(x, dtype=float)) - cell.anchor_coords
+    return bool(np.all(t >= -tol) and np.all(t <= 1.0 + tol))
 
 
 def test_parallelepiped_contains_and_volume(z2):
     a = parallelepiped_containing(z2, [0.25, 0.25])
     b = parallelepiped_containing(z2, [40.5, -3.5])
-    assert a.contains([0.25, 0.25])
-    assert abs(a.volume - b.volume) <= 1e-12 * a.volume
+    assert _cell_contains(a, [0.25, 0.25])
+    volume_a, volume_b = a.lattice.cell_volume, b.lattice.cell_volume
+    assert abs(volume_a - volume_b) <= 1e-12 * volume_a
     lo, hi = a.bounding_box()
     assert np.allclose(lo, [0.0, 0.0]) and np.allclose(hi, [1.0, 1.0])
 

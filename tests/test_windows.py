@@ -31,6 +31,11 @@ from microloc.signal import (
 TWO_PI = 2 * math.pi
 
 
+def _translate(sys, window, j):
+    """window (sys.psi or sys.phi) dilated by eps and moved to eps x_j."""
+    return window.scaled(sys.epsilon).translated(sys.epsilon * sys.x_point(j))
+
+
 def _pointwise(w, origin, spacing, a, b):
     """w called on the grid points with indices in [a, b) (per-point reference)."""
     axes = [origin[i] + spacing[i] * np.arange(a[i], b[i]) for i in range(w.d)]
@@ -53,7 +58,7 @@ def _per_translate_coefficients(f, sys, radius):
     """Analysis with one pointwise-sampled window per translate."""
     js = _overlapping_js(f, sys)
     xi, ks = points_in_ball(sys.lambda2, radius)
-    windows = [sys.psi_window(j) for j in js]
+    windows = [_translate(sys, sys.psi, j) for j in js]
     boxes = [_index_box(w.lo, w.hi, f.origin, f.spacing, *zip(*f.support)) for w in windows]
     progs = _lattice_progressions(sys.lambda2, ks)
     lengths = np.max([hi - lo for lo, hi in boxes], axis=0).clip(1)
@@ -76,7 +81,7 @@ def _per_translate_coefficients(f, sys, radius):
 
 def _per_translate_reconstruct(table, sys, f):
     """Synthesis with one pointwise-sampled window per translate."""
-    windows = [sys.phi_window(j) for j in table.js]
+    windows = [_translate(sys, sys.phi, j) for j in table.js]
     boxes = [_index_box(w.lo, w.hi, f.origin, f.spacing, 0, f.shape) for w in windows]
     progs = _lattice_progressions(table.lambda2, table.ks)
     lengths = np.max([hi - lo for lo, hi in boxes], axis=0).clip(1)
@@ -120,7 +125,7 @@ def _window(draw, d):
     if kind in ("psi", "phi"):
         sys0 = draw(_gabor_system(d))
         j = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
-        return sys0.psi_window(j) if kind == "psi" else sys0.phi_window(j)
+        return _translate(sys0, getattr(sys0, kind), j)
     center = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(d)])
     if kind == "bump":
         return smooth_bump_window(center, [draw(st.floats(0.2, 2.0)) for _ in range(d)])
