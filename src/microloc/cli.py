@@ -28,7 +28,7 @@ from .selftest import SUITES, _roundtrip_radius, run_selftest
 from .seminorm import DEFAULT_K_LAST
 from .signal import load_signal
 from .validation import check_exponent
-from .wavefront import ScanConfig, check_equivalence, scan
+from .wavefront import ScanConfig, _listed, check_equivalence, scan
 
 
 # The settings the CLI shares with ScanConfig, by name and default; the
@@ -104,6 +104,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, f.name, flag)
     for name in ("q", "p"):
         setattr(cfg, name, check_exponent(getattr(cfg, name), name))
+    for name, must in (("x_grid", "a list of points"), ("directions", "a list of vectors")):
+        if getattr(cfg, name) is not None:
+            _listed(getattr(cfg, name), f"{name} must be {must}")
     cfg.scan_config()
     return cfg
 

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (
     BudgetExceeded, FrequencyOutOfRange, InadmissibleParameters, MissingCoefficients
 )
-from .geometry import row_norms
 from .lattice import Lattice, LatticeBall, LatticePair, classify_pair, scaled_integer_lattice
 from .signal import (
     DEFAULT_NYQUIST_SAFETY,
@@ -187,25 +186,15 @@ def check_partition(sys: GaborSystem, n: int = 256) -> float:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Analysis coefficients c_{j,k}(eps) on a ball of frequency indices."""
+    """Analysis coefficients c_{j,k}(eps): row i belongs to the translate
+    js[i], column k to the point k of `ball`, the frequency ball the table
+    was built on (its points, integer coordinates, radii and radius)."""
 
     js: np.ndarray  # (nj, d) integers
-    ks: np.ndarray  # (nk, d) integers
-    xi: np.ndarray  # (nk, d) frequency points
+    ball: LatticeBall
     values: np.ndarray  # (nj, nk) complex
     epsilon: float
-    freq_radius: float
-    lambda2: Lattice
     noise_floor: float = 0.0
-    k_radii: np.ndarray | None = None  # (nk,) |xi|, computed when not given
-
-    def __post_init__(self):
-        if self.k_radii is None:
-            object.__setattr__(self, "k_radii", row_norms(self.xi))
-
-    @property
-    def d(self) -> int:
-        return self.js.shape[1] if self.js.size else self.xi.shape[1]
 
     @cached_property
     def _j_index(self) -> dict:
@@ -219,7 +208,6 @@ class CoefficientTable:
                 raise MissingCoefficients(f"table lacks spatial index {key}")
             idx.append(self._j_index[key])
         return np.asarray(idx, dtype=int)
-
 
 
 def _translates(sys: GaborSystem, lo, hi, tol: float, what: str) -> np.ndarray:
@@ -287,8 +275,8 @@ def coefficients(
     over every translate overlapping the signal support; pass `js` to
     restrict (e.g. to a support index set around one point).  `ball` is
     the `LatticeBall` of sys.lambda2 and freq_radius when the caller already
-    holds it (ValueError if it is another ball); the table then shares its
-    points and radii.
+    holds it (ValueError if it is another ball); the table points at the
+    ball either way.
 
     Per batch of translates each axis factor of psi^eps is sampled once on
     the stacked offsets of every translate's box clipped to the signal
@@ -353,9 +341,7 @@ def coefficients(
             block = values[rows]
             block[:, computed] = norm * sums[index]
             block[:, mirrored] = np.conj(block[:, sources])
-    return CoefficientTable(
-        js, ball.ks, xi, values, sys.epsilon, float(freq_radius), sys.lambda2, floor, ball.radii
-    )
+    return CoefficientTable(js, ball, values, sys.epsilon, floor)
 
 
 def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
@@ -365,8 +351,8 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
     The result converges to f as freq_radius grows; the residual is the
     coefficient tail plus quadrature error.  The sums over k run on each
     window's patch by the adjoint chirp-z kernel, batched over translates,
-    on the whole ball's progressions taken exact from the table's integer
-    coordinates; per batch each axis factor of phi^eps is sampled once, as
+    on the progressions taken exact from the integer coordinates of the
+    table's whole ball; per batch each axis factor of phi^eps is sampled once, as
     in `coefficients`, and the patches are added onto the grid in order of j.
     """
     if isinstance(grid, GridSignal):
@@ -377,9 +363,10 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
         spacing = np.broadcast_to(as_point(spacing, name="spacing"), origin.shape).astype(float)
         shape = tuple(int(n) for n in shape)
     out = np.zeros(shape, dtype=np.complex128)
-    if table.js.size and table.xi.size:
+    ball = table.ball
+    if table.js.size and ball.points.size:
         w, shifts, (a, b) = _placed(sys.phi, sys, table.js, origin, spacing, 0, shape)
-        progs = _lattice_progressions(table.lambda2, table.ks)
+        progs = _lattice_progressions(ball.lattice, ball.ks)
         lengths = np.max(b - a, axis=0).clip(1)
         kernels = _kernels(progs, spacing, lengths, adjoint=True)
         index = (slice(None),) + tuple(p.index for p in progs)
@@ -421,7 +408,7 @@ def discrete_mod_norm(table: CoefficientTable, omega, p, q) -> float:
     q = check_exponent(q, "q")
     if table.values.size == 0:
         return 0.0
-    a = np.abs(table.values) * omega(table.xi)[None, :]
+    a = np.abs(table.values) * omega(table.ball.points)[None, :]
     if math.isinf(p):
         inner = np.max(a, axis=0)
     else:

@@ -232,10 +232,10 @@ class LatticeBall:
     def radii(self) -> np.ndarray:
         return row_norms(self.points)
 
-    def is_of(self, lat: Lattice, r_max: float | None = None) -> bool:
-        """True when this is a ball on lat, of radius r_max when given."""
+    def is_of(self, lat: Lattice, r_max: float) -> bool:
+        """True when this is the ball of radius r_max on lat."""
         return (
-            (r_max is None or self.radius == float(r_max))
+            self.radius == float(r_max)
             and np.array_equal(self.lattice.basis, lat.basis)
             and np.array_equal(self.lattice.offset, lat.offset)
         )

@@ -18,7 +18,9 @@ from . import fixtures
 from .gabor import build_agp, check_partition, coefficients, discrete_mod_norm, reconstruct
 from .geometry import Cone, Weight
 from .lattice import scaled_integer_lattice
-from .seminorm import classify, lattice_spectrum, quadrature_spectrum, series_from_spectrum
+from .seminorm import (
+    classify, lattice_ball, lattice_samples, quadrature_spectrum, series_from_spectrum
+)
 from .signal import fourier_at, make_cutoff, multiply
 from .wavefront import ScanConfig, check_equivalence, scan
 
@@ -171,22 +173,23 @@ def suite_continuous_crosscheck() -> SuiteResult:
     n_conclusive = 0
     for name, f, d, r_max, density, cone_pairs, qs in _crosscheck_cases():
         lam2 = scaled_integer_lattice(1.0, d)
-        spec_d = lattice_spectrum(f, lam2, r_max)
-        spec_c = quadrature_spectrum(f, density, r_max)
+        ball = lattice_ball(lam2, r_max)
+        spec_d = lattice_samples(f, ball)
+        spec_c = quadrature_spectrum(f, density, r_max, 4.0)
         chi = make_cutoff(
             (-np.ones(d), np.ones(d)), (-2.0 * np.ones(d), 2.0 * np.ones(d))
         )
-        spec_d_cut = lattice_spectrum(multiply(f, chi), lam2, r_max)
+        spec_d_cut = lattice_samples(multiply(f, chi), ball)
         for axis, a_in, a_out in cone_pairs:
             c_in = Cone.from_degrees(axis, a_in)
             c_out = Cone.from_degrees(axis, a_out)
             for q, s in qs:
                 w = Weight.bracket_power(s)
-                vd_out = classify(series_from_spectrum(spec_d, w, q, c_out, 4.0))
-                vd_in = classify(series_from_spectrum(spec_d, w, q, c_in, 4.0))
-                vc_out = classify(series_from_spectrum(spec_c, w, q, c_out, 4.0))
-                vc_in = classify(series_from_spectrum(spec_c, w, q, c_in, 4.0))
-                vd_cut_in = classify(series_from_spectrum(spec_d_cut, w, q, c_in, 4.0))
+                vd_out = classify(series_from_spectrum(spec_d, w, q, c_out))
+                vd_in = classify(series_from_spectrum(spec_d, w, q, c_in))
+                vc_out = classify(series_from_spectrum(spec_c, w, q, c_out))
+                vc_in = classify(series_from_spectrum(spec_c, w, q, c_in))
+                vd_cut_in = classify(series_from_spectrum(spec_d_cut, w, q, c_in))
                 n_checks += 1
                 n_conclusive += sum(
                     v.is_conclusive for v in (vd_out, vd_in, vc_out, vc_in)
@@ -373,15 +376,15 @@ def suite_classifier_sanity() -> SuiteResult:
 
     chi = cutoff_for(f, pair.lambda1, np.array([0.0]))
     g = multiply(f, chi)
-    spec = lattice_spectrum(g, pair.lambda2, 716.0)
+    spec = lattice_samples(g, lattice_ball(pair.lambda2, 716.0))
     cone = Cone.from_degrees([1.0], 20.0)
     worst_shift = 0.0
     for q in (1.0, 2.0):
         for s0 in (-0.5, 0.0):
-            tau0 = classify(series_from_spectrum(spec, Weight.bracket_power(s0), q, cone, 4.0)).tau
+            tau0 = classify(series_from_spectrum(spec, Weight.bracket_power(s0), q, cone)).tau
             for t_shift in (1.0, 2.0):
                 tau1 = classify(
-                    series_from_spectrum(spec, Weight.bracket_power(s0 + t_shift), q, cone, 4.0)
+                    series_from_spectrum(spec, Weight.bracket_power(s0 + t_shift), q, cone)
                 ).tau
                 worst_shift = max(worst_shift, abs((tau1 - tau0) - t_shift))
 

@@ -16,14 +16,16 @@ spectrum values sit below the quadrature noise floor are evidence of decay,
 not data, and are excluded from the fit.
 
 Binning goes through a `ShellGeometry`, which holds what depends on the
-frequency points alone: the radii, each point's shell index, each cone's
-in-range point indices and the weight <xi>^s per exponent s.  Every series
-binned on the same points can share one geometry, and a call given none
-builds its own.  Both routes sample the same frequencies, the lattice ball
-|xi| <= r_max, so `wavefront.scan` builds one geometry per scan, from one
-enumeration of that ball (`lattice_ball`, whose `LatticeBall` also carries
-the integer coordinates), bins both routes on it and builds every
-coefficient table on that ball.  Per spectrum (per x0) come the
+frequency points alone: the points, their radii and shell edges, each
+point's shell index, each cone's in-range point indices and the weight
+<xi>^s per exponent s.  A spectrum (`SpectralSamples`) holds the geometry it
+was sampled on and a series bins on that geometry, so every spectrum of one
+geometry shares its cone indices and weights.  Both routes sample the same
+frequencies, the lattice ball |xi| <= r_max, so `wavefront.scan` builds one
+geometry per scan, from one enumeration of that ball (`lattice_ball`, whose
+`LatticeBall` also carries the integer coordinates), samples every windowed
+spectrum on it and builds every coefficient table on its ball; a table
+holds that ball, not copies of its arrays.  Per spectrum (per x0) come the
 magnitudes, and for the modulation route the j-aggregate of the
 coefficient table, once per exponent p; per series (per record) only the
 gather of the cone's magnitudes, the weighted power sums per shell and the
@@ -54,11 +56,6 @@ _CAUCHY_TOL = 1e-3
 _TRIM_TOL = 0.06
 
 
-def default_r0(lambda2: Lattice) -> float:
-    """First shell edge of a lattice series: 4 x the minimal lattice spacing."""
-    return 4.0 * lambda2.min_spacing
-
-
 def shell_boundaries(r0: float, r_max: float) -> np.ndarray:
     """Geometric shell edges r0 * 2^m not exceeding r_max (full octaves only)."""
     r0 = check_positive(r0, "r0")
@@ -72,49 +69,38 @@ def shell_boundaries(r0: float, r_max: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralSamples:
-    """Spectrum magnitudes sampled on frequency points, ready for binning."""
+    """Spectrum magnitudes on the points of the shell geometry they were
+    sampled on, ready for binning on it."""
 
-    points: np.ndarray  # (n, d)
-    radii: np.ndarray  # (n,)
-    magnitudes: np.ndarray  # (n,) nonnegative
+    geometry: ShellGeometry
+    magnitudes: np.ndarray  # (n,) nonnegative, one per geometry point
     cell_weight: float  # 1 for lattice sums, delta^d for quadrature
     noise_floor: float
     kind: str  # "lattice" | "quadrature" | "gabor"
     meta: dict = field(default_factory=dict)
 
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
 
-
-def lattice_spectrum(f: GridSignal, lambda2: Lattice, r_max: float) -> SpectralSamples:
-    """|F f| on every lattice point with |xi| <= r_max, origin included (see `lattice_ball`)."""
-    return lattice_samples(f, lambda2, lattice_ball(lambda2, r_max))
-
-
-def lattice_samples(f: GridSignal, lambda2: Lattice, geometry: ShellGeometry) -> SpectralSamples:
-    """|F f| on the points of a `lattice_ball` geometry of lambda2, on the
-    geometry's own arrays, so that binning on it checks them in O(1).
+def lattice_samples(f: GridSignal, geometry: ShellGeometry) -> SpectralSamples:
+    """|F f| on the points of a `lattice_ball` geometry, sampled on it.
 
     For a real f, |F f(-xi)| = |F f(xi)|: on a centrally symmetric ball the
     transform runs on the half ball k_d >= 0 and the magnitudes are mirrored
     (see `LatticeBall.split`)."""
     ball = geometry.ball
-    if ball is None or not ball.is_of(lambda2):
-        raise ValueError("lattice_samples needs a lattice_ball geometry of lambda2")
     vals = np.zeros(ball.points.shape[0])
     if vals.size:
         computed, mirrored = ball.split(f.is_real)
         vals[computed] = np.abs(fourier_batch(f, ball.points[computed]))
         vals[mirrored] = vals[vals.size - 1 - mirrored]
     return SpectralSamples(
-        geometry.points, geometry.radii, vals, 1.0, f.noise_floor(), "lattice",
-        {"lattice": lambda2.to_json()},
+        geometry, vals, 1.0, f.noise_floor(), "lattice", {"lattice": ball.lattice.to_json()}
     )
 
 
-def quadrature_spectrum(f: GridSignal, density: float, r_max: float) -> SpectralSamples:
-    """|F f| on midpoint quadrature nodes covering the ball |xi| <= r_max.
+def quadrature_spectrum(f: GridSignal, density: float, r_max: float, r0: float
+                        ) -> SpectralSamples:
+    """|F f| on midpoint quadrature nodes covering the ball |xi| <= r_max,
+    on a shell geometry of those nodes with shells from r0 to r_max.
 
     `density` is nodes per unit length per axis, so each node carries the
     cell weight (1/density)^d; the nodes are independent of any lattice.
@@ -130,7 +116,7 @@ def quadrature_spectrum(f: GridSignal, density: float, r_max: float) -> Spectral
     pts, radii = pts[keep], radii[keep]
     vals = np.abs(fourier_batch(f, pts)) if pts.size else np.zeros(0)
     return SpectralSamples(
-        pts, radii, vals, delta**f.d, f.noise_floor(), "quadrature",
+        ShellGeometry(pts, radii, r0, r_max), vals, delta**f.d, f.noise_floor(), "quadrature",
         {"density": density},
     )
 
@@ -155,9 +141,10 @@ class ConeSumSeries:
     meta: dict = field(default_factory=dict)
 
 
+@dataclass(eq=False)
 class ShellGeometry:
-    """Shell binning data of one frequency point set, shared by every series
-    binned on it.
+    """Shell binning data of one frequency point set, shared by every
+    spectrum sampled on it and every series binned from those.
 
     Holds the points, their radii, each point's shell index over the edges
     r0 * 2^m <= r_max (0 for the core below r0, 1..M for the shells, M + 1
@@ -168,17 +155,13 @@ class ShellGeometry:
     radii come from, when they do (see `lattice_ball`).
     """
 
-    def __init__(
-        self, points: np.ndarray, radii: np.ndarray, r0: float, r_max: float,
-        ball: LatticeBall | None = None,
-    ):
-        self.points = points
-        self.radii = radii
-        self.r0 = float(r0)
-        self.r_max = float(r_max)
-        self.ball = ball
-        self._cones: dict = {}
-        self._weights: dict = {}
+    points: np.ndarray  # (n, d)
+    radii: np.ndarray  # (n,)
+    r0: float
+    r_max: float
+    ball: LatticeBall | None = None
+    _cones: dict = field(default_factory=dict, init=False, repr=False)
+    _weights: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def boundaries(self) -> np.ndarray:
@@ -187,10 +170,6 @@ class ShellGeometry:
     @cached_property
     def shell(self) -> np.ndarray:
         return np.searchsorted(self.boundaries, self.radii, side="left")
-
-    def holds(self, spec: SpectralSamples) -> bool:
-        """True when spec samples exactly this geometry's points."""
-        return spec.points is self.points or np.array_equal(spec.points, self.points)
 
     def cone_index(self, cone: Cone | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """In-range points of the cone (all points for None), in point order:
@@ -214,41 +193,31 @@ class ShellGeometry:
         return self._weights[omega.s]
 
 
+def _ball_shells(ball: LatticeBall) -> ShellGeometry:
+    """The shell geometry of a lattice ball: its points and radii, with
+    shells from 4 x the minimal lattice spacing to its radius."""
+    r0 = 4.0 * ball.lattice.min_spacing
+    return ShellGeometry(ball.points, ball.radii, r0, ball.radius, ball)
+
+
 def lattice_ball(lambda2: Lattice, r_max: float) -> ShellGeometry:
-    """Every point of lambda2 with |xi| <= r_max, as a shell geometry with
-    r0 = default_r0(lambda2).
+    """Every point of lambda2 with |xi| <= r_max, as the shell geometry of
+    their `LatticeBall` (see `_ball_shells`), which it holds.
 
     These are the frequencies of a Gabor coefficient table of radius r_max,
     so both routes sample one set: a table built on the geometry's `ball`
-    shares its points and radii.  The origin is among them when the lattice
-    holds it; no cone holds the origin, so no cone series sees it.
+    holds that ball.  The origin is among the points when the lattice holds
+    it; no cone holds the origin, so no cone series sees it.
     """
-    ball = LatticeBall.of(lambda2, r_max)
-    return ShellGeometry(ball.points, ball.radii, default_r0(lambda2), r_max, ball)
+    return _ball_shells(LatticeBall.of(lambda2, r_max))
 
 
-def series_from_spectrum(
-    spec: SpectralSamples,
-    omega: Weight,
-    q,
-    cone: Cone | None,
-    r0: float,
-    r_max: float | None = None,
-    geometry: ShellGeometry | None = None,
-) -> ConeSumSeries:
-    """Bin weighted spectrum samples into geometric cone shells.
-
-    `geometry` is a shell geometry built on spec's points with the same r0
-    and r_max, shared with other series on those points; without one, the
-    call builds its own.
-    """
+def series_from_spectrum(spec: SpectralSamples, omega: Weight, q, cone: Cone | None
+                         ) -> ConeSumSeries:
+    """Bin weighted spectrum samples into the geometric cone shells of the
+    geometry they were sampled on."""
     q = check_exponent(q, "q")
-    if r_max is None:
-        r_max = float(np.max(spec.radii)) if spec.radii.size else r0 * 4
-    if geometry is None:
-        geometry = ShellGeometry(spec.points, spec.radii, r0, r_max)
-    elif not ((geometry.r0, geometry.r_max) == (float(r0), float(r_max)) and geometry.holds(spec)):
-        raise ValueError("the shell geometry was built on other points or shell edges")
+    geometry = spec.geometry
     bounds = geometry.boundaries
     n_shell = bounds.size - 1
     sel, idx, counts = geometry.cone_index(cone)
@@ -280,41 +249,42 @@ def series_from_spectrum(
             "cone": cone.to_json() if cone is not None else None,
         }
     )
-    return ConeSumSeries(bounds, a, s, counts, absmax, q, spec.d, core, meta)
+    return ConeSumSeries(bounds, a, s, counts, absmax, q, geometry.points.shape[1], core, meta)
 
 
-def j_aggregate(table: CoefficientTable, p, jset: np.ndarray) -> SpectralSamples:
+def j_aggregate(
+    table: CoefficientTable, p, jset: np.ndarray, geometry: ShellGeometry | None = None
+) -> SpectralSamples:
     """The j-aggregate ( sum_j |c_{j,k}|^p )^{1/p} (max_j for p = inf) of the
-    table rows jset, with its noise floor, sampled on the table's frequencies.
+    table rows jset, with its noise floor, on `geometry`, the shell geometry
+    of the table's ball (built from the ball when not given).  Rows are
+    summed one at a time, so no |c| block the size of the table is held.
 
     jset must be contained in the table's spatial indices (MissingCoefficients
     otherwise).
     """
     p = check_exponent(p, "p")
+    if geometry is None:
+        geometry = _ball_shells(table.ball)
     jset = np.atleast_2d(np.asarray(jset, dtype=int))
     if jset.size == 0:
-        mags = np.zeros(table.xi.shape[0])
+        mags = np.zeros(table.ball.points.shape[0])
         floor = 0.0
     else:
         rows = table.rows_for(jset)
-        # the whole table, in order, needs no gathered copy
-        whole = np.array_equal(rows, np.arange(table.js.shape[0]))
-        block = np.abs(table.values if whole else table.values[rows])
+        mags = np.abs(table.values[rows[0]])
         if math.isinf(p):
-            mags = np.max(block, axis=0)
+            for r in rows[1:]:
+                np.maximum(mags, np.abs(table.values[r]), out=mags)
             floor = table.noise_floor
         else:
-            block **= p
-            mags = np.sum(block, axis=0) ** (1.0 / p)
+            mags **= p
+            for r in rows[1:]:
+                mags += np.abs(table.values[r]) ** p
+            mags **= 1.0 / p
             floor = table.noise_floor * rows.size ** (1.0 / p)
     return SpectralSamples(
-        table.xi,
-        table.k_radii,
-        mags,
-        1.0,
-        floor,
-        "gabor",
-        {"epsilon": table.epsilon, "n_j": int(jset.shape[0])},
+        geometry, mags, 1.0, floor, "gabor", {"epsilon": table.epsilon, "n_j": int(jset.shape[0])}
     )
 
 
@@ -325,21 +295,18 @@ def discrete_mod_series(
     q,
     cone: Cone,
     jset: np.ndarray,
-    geometry: ShellGeometry | None = None,
     aggregate: SpectralSamples | None = None,
 ) -> ConeSumSeries:
-    """Shell series of ( sum_j |c_{j,k} w(xi_k)|^p )^{q/p} over the cone,
-    on shells from default_r0(table.lambda2) to the table's radius.
+    """Shell series of ( sum_j |c_{j,k} w(xi_k)|^p )^{q/p} over the cone, on
+    the shells of the table's ball (see `_ball_shells`).
 
     jset must be contained in the table's spatial indices (MissingCoefficients
     otherwise).  `aggregate` is `j_aggregate(table, p, jset)` when the caller
-    already holds it, and `geometry` a shell geometry of the table's
-    frequencies (see `series_from_spectrum`).
+    already holds it; the series bins on the geometry it carries.
     """
     if aggregate is None:
         aggregate = j_aggregate(table, p, jset)
-    r0 = default_r0(table.lambda2)
-    return series_from_spectrum(aggregate, omega, q, cone, r0, table.freq_radius, geometry)
+    return series_from_spectrum(aggregate, omega, q, cone)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .lattice import Lattice, LatticePair, classify_pair, parallelepiped_contain
 from .seminorm import (
     DEFAULT_K_LAST,
     DEFAULT_MARGIN,
-    ShellGeometry,
     SpectralSamples,
     Verdict,
     classify,
@@ -186,7 +185,7 @@ def _local_spectrum(f: GridSignal, pair: LatticePair, x0: np.ndarray, ball) -> S
     cutoff checks, so those fail first."""
     _require_interior(f, x0)
     chi = cutoff_for(f, pair.lambda1, x0)
-    return lattice_samples(multiply(f, chi), pair.lambda2, ball())
+    return lattice_samples(multiply(f, chi), ball())
 
 
 def _local_table(
@@ -207,24 +206,6 @@ def _local_table(
     return coefficients(f, sys_eps, geometry.r_max, js=js, ball=geometry.ball)
 
 
-def _fl_verdict(
-    spec: SpectralSamples, cone: Cone, weight: Weight, q, k_last: int, margin: float,
-    geometry: ShellGeometry,
-) -> Verdict:
-    series = series_from_spectrum(spec, weight, q, cone, geometry.r0, geometry.r_max, geometry)
-    return classify(series, k_last, margin)
-
-
-def _mod_verdict(
-    table: CoefficientTable, cone: Cone, weight: Weight, p, q, k_last: int, margin: float,
-    geometry: ShellGeometry | None = None, aggregate: SpectralSamples | None = None,
-) -> Verdict:
-    series = discrete_mod_series(
-        table, weight, p, q, cone, table.js, geometry=geometry, aggregate=aggregate
-    )
-    return classify(series, k_last, margin)
-
-
 def df_fl_point(f: GridSignal, query: WavefrontQuery, pair: LatticePair) -> Verdict:
     """Fourier-Lebesgue membership verdict at (x0, direction)."""
     (verdict,) = aperture_sweep(f, query, pair, (query.aperture_deg,)).values()
@@ -242,13 +223,15 @@ def aperture_sweep(
     if not pair.is_strong:
         raise ValueError(f"lattice pair must be strongly admissible, got {pair.kind}")
     x0 = as_point(query.x0, f.d, "x0")
+    as_point(query.direction, f.d, "direction")
     r_max = query.r_max if query.r_max is not None else default_r_max(f)
-    ball = cache(lambda: lattice_ball(pair.lambda2, r_max))
-    spec = _local_spectrum(f, pair, x0, ball)
+    spec = _local_spectrum(f, pair, x0, cache(lambda: lattice_ball(pair.lambda2, r_max)))
     return {
-        float(a): _fl_verdict(
-            spec, Cone.from_degrees(query.direction, a), query.weight, query.q, query.k_last,
-            query.margin, ball(),
+        float(a): classify(
+            series_from_spectrum(
+                spec, query.weight, query.q, Cone.from_degrees(query.direction, a)
+            ),
+            query.k_last, query.margin,
         )
         for a in apertures
     }
@@ -257,14 +240,13 @@ def aperture_sweep(
 def df_mod_point(f: GridSignal, query: WavefrontQuery, sys: GaborSystem) -> Verdict:
     """Modulation-space membership verdict at (x0, direction)."""
     x0 = as_point(query.x0, f.d, "x0")
+    as_point(query.direction, f.d, "direction")
     r_max = query.r_max if query.r_max is not None else default_r_max(f)
-    # the ball, and its Hermitian split, go once the table holds its points
     table = _local_table(
         f, sys, x0, query.epsilon, cache(lambda: lattice_ball(sys.lambda2, r_max))
     )
-    return _mod_verdict(
-        table, query.cone, query.weight, query.p, query.q, query.k_last, query.margin
-    )
+    series = discrete_mod_series(table, query.weight, query.p, query.q, query.cone, table.js)
+    return classify(series, query.k_last, query.margin)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +254,17 @@ def df_mod_point(f: GridSignal, query: WavefrontQuery, sys: GaborSystem) -> Verd
 # ---------------------------------------------------------------------------
 
 
+def _listed(values, must: str):
+    """values, if a list (not a str or dict); else a ValueError saying what they `must` be."""
+    if isinstance(values, (str, bytes, dict)) or not hasattr(values, "__iter__"):
+        raise ValueError(f"{must}, got {values!r}")
+    return values
+
+
 def _triples(pqs) -> tuple:
     """pqs as checked (p, q, s) triples of floats; names an entry that is not one."""
-    if isinstance(pqs, (str, bytes)) or not hasattr(pqs, "__iter__"):
-        raise ValueError(f"pqs must be a list of (p, q, s) triples, got {pqs!r}")
     out = []
-    for i, entry in enumerate(pqs):
+    for i, entry in enumerate(_listed(pqs, "pqs must be a list of (p, q, s) triples")):
         try:
             p, q, s = entry
             s = float(s)
@@ -436,8 +423,10 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
       x0;
     - per record, the cone gather, the shell sums and `classify`.
     """
+    _listed(x_grid, "x_grid must be a list of points")
+    _listed(directions, "directions must be a list of vectors")
     x_grid = [as_point(x, f.d, "x0") for x in x_grid]
-    directions = [unit_direction(v) for v in directions]
+    directions = [unit_direction(as_point(v, f.d, "direction")) for v in directions]
     records: list[WavefrontRecord] = []
     estimate = WavefrontEstimate(records, {"scan": cfg.to_json()})
     if not x_grid or not directions:
@@ -480,18 +469,16 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
                 )
                 if spec is not None:
                     try:
-                        rec.verdict_fl = _fl_verdict(
-                            spec, cone, w, q, cfg.k_last, cfg.margin, ball()
-                        )
+                        series = series_from_spectrum(spec, w, q, cone)
+                        rec.verdict_fl = classify(series, cfg.k_last, cfg.margin)
                     except MicrolocError as exc:
                         rec.error_fl = f"{type(exc).__name__}: {exc}"
                 if table is not None:
                     try:
                         if p not in aggregates:
-                            aggregates[p] = j_aggregate(table, p, table.js)
-                        rec.verdict_mod = _mod_verdict(
-                            table, cone, w, p, q, cfg.k_last, cfg.margin, ball(), aggregates[p]
-                        )
+                            aggregates[p] = j_aggregate(table, p, table.js, ball())
+                        series = discrete_mod_series(table, w, p, q, cone, table.js, aggregates[p])
+                        rec.verdict_mod = classify(series, cfg.k_last, cfg.margin)
                     except MicrolocError as exc:
                         rec.error_mod = f"{type(exc).__name__}: {exc}"
                 records.append(rec)

@@ -270,8 +270,13 @@ def test_bad_settings_fail_on_every_surface(field, key, value, fixture_dir, jump
     ({"alpha": None}, "alpha must be a number, got None"),
     ({"margin": None}, "margin must be a number, got None"),
     ({"r_max": "far"}, "r_max must be a number, got 'far'"),
+    ({"theta": [1, 2], "directions": [[1, 2]]}, "direction must have dimension 1, got 2"),
+    ({"x_grid": 5}, "x_grid must be a list of points, got 5"),
+    ({"directions": 5}, "directions must be a list of vectors, got 5"),
+    ({"x_grid": {"0.5": 1}}, "x_grid must be a list of points, got {'0.5': 1}"),
 ], ids=["pqs-flat", "pqs-short-entry", "pqs-scalar", "shells-fractional", "q-null", "alpha-null",
-        "margin-null", "r_max-text"])
+        "margin-null", "r_max-text", "direction-dimension", "x_grid-scalar", "directions-scalar",
+        "x_grid-object"])
 def test_malformed_config_values_fail_with_an_error_line(settings, says, fixture_dir, tmp_path,
                                                          capsys):
     cfg_path = tmp_path / "bad.json"

@@ -104,7 +104,7 @@ def test_coefficient_of_isolated_window_is_its_energy():
     f = GridSignal.from_samples(sys0.psi(x[:, None]).astype(complex), [lo], [h])
     table = coefficients(f, sys0, 5.0)
     row0 = table.rows_for(np.array([[0]]))[0]
-    k0 = int(np.nonzero((table.ks == 0).all(axis=1))[0][0])
+    k0 = int(np.nonzero((table.ball.ks == 0).all(axis=1))[0][0])
     energy = h * float(np.sum(np.abs(f.samples) ** 2))
     assert table.values[row0, k0] == pytest.approx(energy, rel=1e-10)
     for row, j in enumerate(table.js):
@@ -119,7 +119,7 @@ def test_coefficient_modulation_index_shift():
     table0 = coefficients(f, sys0, 12.0)
     modulated = f.samples * np.exp(1j * m * sys0.beta * f.axes()[0])
     table1 = coefficients(GridSignal.from_samples(modulated, f.origin, f.spacing), sys0, 12.0)
-    ks = table0.ks[:, 0]
+    ks = table0.ball.ks[:, 0]
     for k in range(-5, 6):
         a = table1.values[:, ks == k]
         b = table0.values[:, ks == k - m]
@@ -134,8 +134,8 @@ def test_coefficients_match_stft_convention():
     w = sys0.psi.scaled(sys0.epsilon)
     for j in (-1, 0, 2):
         row = table.rows_for(np.array([[j]]))[0]
-        for idx in (0, len(table.ks) // 2, len(table.ks) - 1):
-            xi = table.xi[idx]
+        for idx in (0, len(table.ball.ks) // 2, len(table.ball.ks) - 1):
+            xi = table.ball.points[idx]
             x = sys0.epsilon * sys0.x_point([j])
             expected = scale * stft(f, w, x, xi)
             assert abs(table.values[row, idx] - expected) < 1e-10
@@ -152,9 +152,10 @@ def _system_and_entry(draw, d):
 
 def _assert_coefficient_is_scaled_stft(f, sys0, j, where, radius):
     table = coefficients(f, sys0, radius, js=np.array([j]))
-    idx = min(int(where * len(table.ks)), len(table.ks) - 1)
+    xi = table.ball.points
+    idx = min(int(where * len(xi)), len(xi) - 1)
     x = sys0.epsilon * sys0.x_point(j)
-    expected = TWO_PI ** (sys0.d / 2) * stft(f, sys0.psi.scaled(sys0.epsilon), x, table.xi[idx])
+    expected = TWO_PI ** (sys0.d / 2) * stft(f, sys0.psi.scaled(sys0.epsilon), x, xi[idx])
     assert abs(table.values[0, idx] - expected) < 1e-10
 
 
@@ -210,10 +211,7 @@ def test_reconstruct_zero_table_and_round_trip():
     sys0 = build_agp(1.0, math.pi, d=1)
     f = random_band_limited(n=4096, bandwidth=6.0, seed=2)
     table = coefficients(f, sys0, 180.0)
-    zeroed = table.__class__(
-        table.js, table.ks, table.xi, np.zeros_like(table.values),
-        table.epsilon, table.freq_radius, table.lambda2,
-    )
+    zeroed = table.__class__(table.js, table.ball, np.zeros_like(table.values), table.epsilon)
     assert np.all(reconstruct(zeroed, sys0, f).samples == 0)
     for eps in (1.0, 0.5):
         se = sys0.with_epsilon(eps)
@@ -278,18 +276,12 @@ def test_discrete_mod_norm_examples():
     table = coefficients(f, sys0, 15.0)
     w0 = Weight.bracket_power(0.0)
 
-    zeroed = table.__class__(
-        table.js, table.ks, table.xi, np.zeros_like(table.values),
-        table.epsilon, table.freq_radius, table.lambda2,
-    )
+    zeroed = table.__class__(table.js, table.ball, np.zeros_like(table.values), table.epsilon)
     assert discrete_mod_norm(zeroed, w0, 1, 1) == 0.0
 
     single = np.zeros_like(table.values)
     single[2, 5] = 3 - 4j
-    one_entry = table.__class__(
-        table.js, table.ks, table.xi, single,
-        table.epsilon, table.freq_radius, table.lambda2,
-    )
+    one_entry = table.__class__(table.js, table.ball, single, table.epsilon)
     for p, q in ((1, 1), (2, math.inf), (math.inf, 3), (2, 2)):
         assert discrete_mod_norm(one_entry, w0, p, q) == pytest.approx(5.0)
 
@@ -319,7 +311,7 @@ def test_coefficients_on_a_given_ball_share_it_and_refuse_another():
     f = jump_1d()
     ball = LatticeBall.of(sys0.lambda2, 12.0)
     table = coefficients(f, sys0, 12.0, ball=ball)
-    assert table.xi is ball.points and table.k_radii is ball.radii
+    assert table.ball is ball
     assert np.array_equal(table.values, coefficients(f, sys0, 12.0).values)
     others = (
         LatticeBall.of(sys0.lambda2, 13.0),  # another radius

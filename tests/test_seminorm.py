@@ -24,15 +24,15 @@ from microloc import (
 )
 from microloc.errors import MissingCoefficients
 from microloc.fixtures import jump_1d, jump_1d_in_cell
-from microloc.gabor import _overlapping_js
+from microloc.gabor import CoefficientTable, _overlapping_js
+from microloc.lattice import LatticeBall
 from microloc.seminorm import (
     ShellGeometry,
     SpectralSamples,
     _weighted_fit,
-    default_r0,
+    j_aggregate,
     lattice_ball,
     lattice_samples,
-    lattice_spectrum,
     quadrature_spectrum,
     series_from_spectrum,
     shell_boundaries,
@@ -43,8 +43,8 @@ TWO_PI = 2 * math.pi
 
 def _fl_series(f, omega, q, cone, lambda2, r_max):
     """Lattice cone series of f, shells from 4 x the lattice spacing."""
-    spec = lattice_spectrum(f, lambda2, r_max)
-    return series_from_spectrum(spec, omega, q, cone, default_r0(lambda2), r_max)
+    spec = lattice_samples(f, lattice_ball(lambda2, r_max))
+    return series_from_spectrum(spec, omega, q, cone)
 
 
 def _psi_translate(sys, j):
@@ -104,10 +104,20 @@ def test_classify_thresholds_and_margin():
     assert classify(_synthetic(q * (thr - 0.05), q=q)).kind == "inconclusive"
 
 
-@st.composite
-def _power_law_cone_series(draw):
+def _power_law_series(d, beta, n_shells, tau, q, cone):
     """Lattice cone series of the magnitudes |xi|^tau: a per-point decay
     exponent tau that `classify` should recover."""
+    r0 = 4.0 * beta
+    r_max = r0 * 2.0**n_shells
+    pts, _ = points_in_ball(scaled_integer_lattice(beta, d), r_max)
+    radii = np.linalg.norm(pts, axis=1)
+    mags = np.where(radii > 0, radii, 1.0) ** tau
+    spec = SpectralSamples(ShellGeometry(pts, radii, r0, r_max), mags, 1.0, 0.0, "lattice")
+    return series_from_spectrum(spec, Weight.bracket_power(0.0), q, cone)
+
+
+@st.composite
+def _power_law_cone_series(draw):
     d = draw(st.sampled_from([1, 2]))
     beta = draw(st.floats(0.5, 2.0))
     n_shells = draw(st.integers(6, 10 if d == 1 else 7))
@@ -116,14 +126,7 @@ def _power_law_cone_series(draw):
     axis = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d).filter(
         lambda v: np.linalg.norm(v) > 0.1))
     cone = Cone.from_degrees(axis, draw(st.floats(10.0, 60.0)))
-    r0 = 4.0 * beta
-    r_max = r0 * 2.0**n_shells
-    pts, _ = points_in_ball(scaled_integer_lattice(beta, d), r_max)
-    radii = np.linalg.norm(pts, axis=1)
-    mags = np.where(radii > 0, radii, 1.0) ** tau
-    spec = SpectralSamples(pts, radii, mags, 1.0, 0.0, "lattice")
-    series = series_from_spectrum(spec, Weight.bracket_power(0.0), q, cone, r0, r_max)
-    return series, tau
+    return _power_law_series(d, beta, n_shells, tau, q, cone), tau
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,6 +135,16 @@ def test_property_classify_recovers_tau_within_margin(case):
     series, tau = case
     v = classify(series)
     assert v.tau is not None and abs(v.tau - tau) <= v.margin
+
+
+@pytest.mark.xfail(strict=True, reason="the unweighted q = inf fit misses a steep exact power "
+                   "law: the shell maximum sits at R_(m-1) + beta, whose ratio to R_m drifts")
+def test_classify_recovers_steep_tau_at_q_inf():
+    # The shrunk case that makes the property above fail now and then:
+    # classify gives tau = -2.590, off by 0.160 against the 0.15 margin.
+    series = _power_law_series(1, 1.0, 6, -2.75, math.inf, Cone.from_degrees([1.0], 10.0))
+    v = classify(series)
+    assert abs(v.tau + 2.75) <= v.margin
 
 
 def test_classify_zero_series_is_finite_zero():
@@ -236,8 +249,8 @@ def test_continuous_matches_discrete_classification(unit_pair):
     for q, s, expected in [(1.0, 1.0, "divergent"), (2.0, 0.0, "finite")]:
         w = Weight.bracket_power(s)
         vd = classify(_fl_series(f, w, q, cone, unit_pair.lambda2, 716.0))
-        spec_c = quadrature_spectrum(f, 4.0, 716.0)  # the continuous oracle
-        vc = classify(series_from_spectrum(spec_c, w, q, cone, 4.0, 716.0))
+        spec_c = quadrature_spectrum(f, 4.0, 716.0, 4.0)  # the continuous oracle
+        vc = classify(series_from_spectrum(spec_c, w, q, cone))
         assert vd.kind == expected and vc.kind == expected
 
 
@@ -264,15 +277,32 @@ def test_discrete_mod_series_reductions():
 
     # p = q collapses to a plain double sum over the covered shells
     both = discrete_mod_series(table, w, 2.0, 2.0, cone, jset)
-    mask = cone.contains(table.xi)
-    direct = np.abs(table.values[:, mask]) * w(table.xi[mask])[None, :]
-    radii = np.linalg.norm(table.xi[mask], axis=1)
+    xi = table.ball.points
+    mask = cone.contains(xi)
+    direct = np.abs(table.values[:, mask]) * w(xi[mask])[None, :]
+    radii = np.linalg.norm(xi[mask], axis=1)
     in_shells = (radii > both.boundaries[0]) & (radii <= both.boundaries[-1])
     expected_total = float(np.sum(direct[:, in_shells] ** 2))
     assert both.S[-1] - both.core == pytest.approx(expected_total, rel=1e-9)
 
     with pytest.raises(MissingCoefficients):
         discrete_mod_series(table, w, 1.0, 1.0, cone, np.array([[999]]))
+
+
+def test_j_aggregate_equals_the_block_reduction():
+    # Rows are aggregated one at a time; the sums run in the same order as a
+    # reduction over axis 0 of the whole |c| block, so the results are equal.
+    ball = LatticeBall.of(scaled_integer_lattice(1.0, 2), 12.0)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(5, ball.points.shape[0])) * np.exp(1j * rng.uniform(0, 7, (5, 1)))
+    table = CoefficientTable(np.arange(10).reshape(5, 2), ball, values, 1.0, 1e-15)
+    for rows in ([0, 1, 2, 3, 4], [3, 1], [2]):
+        block = np.abs(values[rows])
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+            agg = j_aggregate(table, p, table.js[rows])
+            want = block.max(axis=0) if math.isinf(p) else np.sum(block**p, axis=0) ** (1.0 / p)
+            assert np.array_equal(agg.magnitudes, want)
+            assert agg.geometry.ball is ball
 
 
 def test_series_csv_export(tmp_path, jump, unit_pair):
@@ -301,10 +331,10 @@ def _reference_series(spec, s, q, cone, r0, r_max):
     cone test, weight and shell index computed afresh on the cone's points."""
     bounds = shell_boundaries(r0, r_max)
     n_shell = bounds.size - 1
-    pts = spec.points
+    pts = spec.geometry.points
     r = np.linalg.norm(pts, axis=1)
     mask = (r > 0.0) & (pts @ cone.axis > r * math.cos(cone.aperture))
-    r, mags = spec.radii[mask], spec.magnitudes[mask]
+    r, mags = spec.geometry.radii[mask], spec.magnitudes[mask]
     weighted = mags * np.sqrt(1.0 + np.sum(pts[mask] * pts[mask], axis=1)) ** s
     idx = np.searchsorted(bounds, r, side="left")
     in_range = idx <= n_shell
@@ -333,7 +363,8 @@ def _spectrum_and_questions(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mags = rng.pareto(1.5, size=pts.shape[0]) * (rng.uniform(size=pts.shape[0]) > 0.1)
     cell = draw(st.sampled_from([1.0, 0.25]))
-    spec = SpectralSamples(pts, np.linalg.norm(pts, axis=1), mags, cell, 0.0, "lattice")
+    geometry = ShellGeometry(pts, np.linalg.norm(pts, axis=1), 4.0 * beta, r_max)
+    spec = SpectralSamples(geometry, mags, cell, 0.0, "lattice")
     questions = draw(st.lists(
         st.tuples(
             st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d).filter(
@@ -350,29 +381,17 @@ def _spectrum_and_questions(draw):
 @settings(max_examples=40, deadline=None)
 @given(_spectrum_and_questions())
 def test_property_shared_geometry_bins_as_per_call(case):
+    # every question bins on the spectrum's one geometry and its cached cones
     spec, r0, r_max, questions = case
-    geometry = ShellGeometry(spec.points, spec.radii, r0, r_max)
     for axis, aperture, q, s in questions:
         cone = Cone.from_degrees(axis, aperture)
-        got = series_from_spectrum(spec, Weight.bracket_power(s), q, cone, r0, r_max, geometry)
+        got = series_from_spectrum(spec, Weight.bracket_power(s), q, cone)
         a, total, counts, absmax, core = _reference_series(spec, s, q, cone, r0, r_max)
         assert np.array_equal(got.a, a)
         assert np.array_equal(got.S, total)
         assert np.array_equal(got.counts, counts)
         assert np.array_equal(got.shell_absmax, absmax)
         assert got.core == core
-
-
-def test_shared_geometry_rejects_other_points_or_shells(jump, unit_pair):
-    spec = lattice_spectrum(jump, unit_pair.lambda2, 200.0)
-    geometry = ShellGeometry(spec.points, spec.radii, 4.0, 200.0)
-    cone = Cone.from_degrees([1.0], 20.0)
-    w = Weight.bracket_power(1.0)
-    other = lattice_spectrum(jump, unit_pair.lambda2, 300.0)
-    with pytest.raises(ValueError):
-        series_from_spectrum(other, w, 1.0, cone, 4.0, 200.0, geometry)
-    with pytest.raises(ValueError):
-        series_from_spectrum(spec, w, 1.0, cone, 8.0, 200.0, geometry)
 
 
 @st.composite
@@ -408,7 +427,7 @@ def test_property_half_ball_and_mirror_equal_the_whole_ball(case):
     geometry = lattice_ball(lat, radius)
     computed, mirrored = geometry.ball.split(f.is_real)
     assert (mirrored.size > 0) == (f.is_real and offset == 0.0)
-    got = lattice_samples(f, lat, geometry).magnitudes
+    got = lattice_samples(f, geometry).magnitudes
     want = np.abs(fourier_batch(f, geometry.points))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
     if offset != 0.0:
@@ -416,9 +435,9 @@ def test_property_half_ball_and_mirror_equal_the_whole_ball(case):
     sys0 = build_agp(4.0 / beta, beta, d=f.d).with_epsilon(0.5)
     js = _overlapping_js(f, sys0)[:: 1 + f.d]
     table = coefficients(f, sys0, radius, js=js)
-    assert table.xi.shape == geometry.points.shape
+    assert table.ball.points.shape == geometry.points.shape
     want = np.array([
-        fourier_batch(multiply(f, _psi_translate(sys0, j)), table.xi) for j in table.js
+        fourier_batch(multiply(f, _psi_translate(sys0, j)), table.ball.points) for j in table.js
     ]) * TWO_PI ** (f.d / 2)
     assert np.max(np.abs(table.values - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -28,7 +28,7 @@ from microloc import (
 )
 from microloc import gabor, lattice, seminorm, wavefront
 from microloc.fixtures import line_singularity_2d
-from microloc.seminorm import Verdict, default_r0, lattice_spectrum, series_from_spectrum
+from microloc.seminorm import Verdict, lattice_ball, lattice_samples, series_from_spectrum
 from microloc.wavefront import WavefrontEstimate, WavefrontRecord, cutoff_for, default_r_max
 
 
@@ -87,9 +87,8 @@ def _fl_kind_with_cutoff(f, pair, x0, inner, outer):
     # the FL verdict (q = s = 1, 20 degrees) with chi = 1 on |x - x0| <= inner, 0 beyond outer
     chi = make_cutoff(([x0 - inner], [x0 + inner]), ([x0 - outer], [x0 + outer]))
     r_max, cone = default_r_max(f), Cone.from_degrees([1.0], 20.0)
-    spec = lattice_spectrum(multiply(f, chi), pair.lambda2, r_max)
-    r0 = default_r0(pair.lambda2)
-    return classify(series_from_spectrum(spec, Weight(1.0), 1.0, cone, r0, r_max)).kind
+    spec = lattice_samples(multiply(f, chi), lattice_ball(pair.lambda2, r_max))
+    return classify(series_from_spectrum(spec, Weight(1.0), 1.0, cone)).kind
 
 
 def test_cutoff_independence(jump, unit_pair):
@@ -199,7 +198,7 @@ def test_heatmap_csv(tmp_path, jump):
     assert codes <= {-1, 0, 1}
 
 
-def test_query_validation():
+def test_query_validation(jump, unit_pair):
     with pytest.raises(ValueError):
         WavefrontQuery([0.0], [0.0])  # zero direction
     with pytest.raises(ValueError):
@@ -208,6 +207,11 @@ def test_query_validation():
         WavefrontQuery([0.0], [1.0], q=0.5)
     with pytest.raises(ValueError):
         WavefrontQuery([0.0], [1.0], epsilon=1.5)
+    # a direction of another dimension than the signal's is refused up front
+    wrong = WavefrontQuery([0.0], [1.0, 2.0])
+    for route, arg in ((df_fl_point, unit_pair), (df_mod_point, build_agp(1.0, 1.0, 1))):
+        with pytest.raises(ValueError, match="direction must have dimension 1, got 2"):
+            route(jump, wrong, arg)
 
 
 _DIAG = 0.5**0.5

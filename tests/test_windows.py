@@ -83,7 +83,7 @@ def _per_translate_reconstruct(table, sys, f):
     """Synthesis with one pointwise-sampled window per translate."""
     windows = [_translate(sys, sys.phi, j) for j in table.js]
     boxes = [_index_box(w.lo, w.hi, f.origin, f.spacing, 0, f.shape) for w in windows]
-    progs = _lattice_progressions(table.lambda2, table.ks)
+    progs = _lattice_progressions(table.ball.lattice, table.ball.ks)
     lengths = np.max([hi - lo for lo, hi in boxes], axis=0).clip(1)
     kernels = _kernels(progs, f.spacing, lengths, adjoint=True)
     index = (slice(None),) + tuple(p.index for p in progs)
