@@ -27,7 +27,7 @@ from .gabor import check_partition, coefficients, reconstruct
 from .selftest import SUITES, _roundtrip_radius, run_selftest
 from .seminorm import DEFAULT_K_LAST
 from .signal import load_signal
-from .validation import check_exponent
+from .validation import as_point, check_exponent
 from .wavefront import ScanConfig, _listed, check_equivalence, scan
 
 
@@ -104,9 +104,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, f.name, flag)
     for name in ("q", "p"):
         setattr(cfg, name, check_exponent(getattr(cfg, name), name))
+    for name in ("x0", "theta"):
+        if getattr(cfg, name) is not None:
+            as_point(getattr(cfg, name), name=name)
     for name, must in (("x_grid", "a list of points"), ("directions", "a list of vectors")):
         if getattr(cfg, name) is not None:
-            _listed(getattr(cfg, name), f"{name} must be {must}")
+            for entry in _listed(getattr(cfg, name), f"{name} must be {must}"):
+                as_point(entry, name=f"{name} entry")
     cfg.scan_config()
     return cfg
 

@@ -17,6 +17,11 @@ and synthesis reproduces f with constant exactly 1.  All normalization is
 carried by the dual window; coefficients are plain L^2 inner products
 
     c_{j,k}(eps) = (f, psi^eps_{j,k}) = (2*pi)^(d/2) F(f psi^eps(. - eps x_j))(xi_k).
+
+The windows are real, so a real f has c_{j,-k} = conj(c_{j,k}): on a
+centrally symmetric frequency ball its table is computed and held on the
+half ball k_d >= 0 only, and synthesis and the mixed norms mirror the
+stored columns (see `CoefficientTable`).
 """
 
 from __future__ import annotations
@@ -187,14 +192,40 @@ def check_partition(sys: GaborSystem, n: int = 256) -> float:
 @dataclass(frozen=True)
 class CoefficientTable:
     """Analysis coefficients c_{j,k}(eps): row i belongs to the translate
-    js[i], column k to the point k of `ball`, the frequency ball the table
-    was built on (its points, integer coordinates, radii and radius)."""
+    js[i]; `ball` is the frequency ball the table was built on (its points,
+    integer coordinates, radii and radius).
+
+    A half-held table (`half`, a real signal on a centrally symmetric ball)
+    stores only the columns of the points k_d >= 0, in ball order: the
+    column of -xi_k is conj(c_{j,k}) and is never built.  Otherwise `values`
+    has one column per ball point.  `columns` gives the stored and the
+    mirrored ball indices, `whole()` the complete table.
+    """
 
     js: np.ndarray  # (nj, d) integers
     ball: LatticeBall
-    values: np.ndarray  # (nj, nk) complex
+    values: np.ndarray  # (nj, stored columns) complex
     epsilon: float
     noise_floor: float = 0.0
+    half: bool = False
+
+    def __post_init__(self):
+        width = self.ball.points.shape[0] - self.columns[1].size
+        if self.values.shape != (self.js.shape[0], width):
+            raise ValueError(
+                f"coefficient values of shape {self.values.shape} do not fit "
+                f"{self.js.shape[0]} translates and {width} stored columns"
+            )
+
+    @property
+    def columns(self) -> tuple[np.ndarray | slice, np.ndarray]:
+        """(stored, mirrored) ball indices, as `LatticeBall.split` gives them."""
+        return self.ball.split(self.half)
+
+    def whole(self) -> np.ndarray:
+        """The complete (nj, ball size) table: the stored columns and the
+        conjugates of their mirrors."""
+        return self.ball.unfold(self.values, self.half)
 
     @cached_property
     def _j_index(self) -> dict:
@@ -284,11 +315,11 @@ def coefficients(
     and the chirp-z kernel sums the patches onto the frequency lattice, on
     progressions taken exact from the ball's integer coordinates.  For a
     real f (and real windows) c_{j,-k} = conj(c_{j,k}), so on a centrally
-    symmetric ball the kernel runs on the half ball k_d >= 0 only and each
-    batch fills its k_d < 0 columns by a conjugate gather; a complex f is
-    transformed on the whole ball.  A row's noise floor counts the window's
-    samples on the grid in 1D and the nonzero bounding box of the windowed
-    patch otherwise.
+    symmetric ball the kernel runs on the half ball k_d >= 0 only and the
+    table holds just those columns (`CoefficientTable.half`); a complex f is
+    transformed and held on the whole ball.  A row's noise floor counts the
+    window's samples on the grid in 1D and the nonzero bounding box of the
+    windowed patch otherwise.
     """
     check_positive(freq_radius, "freq_radius")
     if js is None:
@@ -311,14 +342,13 @@ def coefficients(
             f"(safety {DEFAULT_NYQUIST_SAFETY} x pi/h)"
         )
     n = xi.shape[0]
-    values = np.zeros((js.shape[0], n), dtype=np.complex128)
+    computed, mirrored = ball.split(f.is_real)
+    values = np.zeros((js.shape[0], n - mirrored.size), dtype=np.complex128)
     floor = 0.0
     if js.size and n:
         # (2*pi)^(d/2) of the coefficients cancels the transform's (2*pi)^(-d/2)
         origin, spacing, norm = f.origin, f.spacing, f.cell_volume
         w, shifts, (a, b) = _placed(sys.psi, sys, js, origin, spacing, *zip(*f.support))
-        computed, mirrored = ball.split(f.is_real)
-        sources = n - 1 - mirrored
         progs = _lattice_progressions(ball.lattice, ball.ks[computed])
         lengths = np.max(b - a, axis=0).clip(1)
         kernels = _kernels(progs, spacing, lengths)
@@ -338,10 +368,8 @@ def coefficients(
             floor = max(floor, float(np.max(row_floors)))
             corners = origin + spacing * a[rows]
             sums = _along_axes(patches, kernels, corners.T, [p.start for p in progs])
-            block = values[rows]
-            block[:, computed] = norm * sums[index]
-            block[:, mirrored] = np.conj(block[:, sources])
-    return CoefficientTable(js, ball, values, sys.epsilon, floor)
+            values[rows] = norm * sums[index]
+    return CoefficientTable(js, ball, values, sys.epsilon, floor, bool(mirrored.size))
 
 
 def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
@@ -352,8 +380,10 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
     coefficient tail plus quadrature error.  The sums over k run on each
     window's patch by the adjoint chirp-z kernel, batched over translates,
     on the progressions taken exact from the integer coordinates of the
-    table's whole ball; per batch each axis factor of phi^eps is sampled once, as
-    in `coefficients`, and the patches are added onto the grid in order of j.
+    table's whole ball.  Per batch the coefficient box is filled from the
+    stored columns and, for a half-held table, their conjugates at the
+    mirrored points; each axis factor of phi^eps is sampled once, as in
+    `coefficients`, and the patches are added onto the grid in order of j.
     """
     if isinstance(grid, GridSignal):
         origin, spacing, shape = grid.origin, grid.spacing, grid.shape
@@ -369,11 +399,18 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
         progs = _lattice_progressions(ball.lattice, ball.ks)
         lengths = np.max(b - a, axis=0).clip(1)
         kernels = _kernels(progs, spacing, lengths, adjoint=True)
-        index = (slice(None),) + tuple(p.index for p in progs)
+        stored, mirrored = table.columns
+        # box positions of the stored points, the mirrored ones and their sources
+        at_stored, at_mirrored, at_sources = (
+            (slice(None),) + tuple(p.index[i] for p in progs)
+            for i in (stored, mirrored, ball.points.shape[0] - 1 - mirrored)
+        )
         for rows in _batch_rows(table.js.shape[0], kernels):
             coeffs = np.zeros((rows.stop - rows.start,) + tuple(p.size for p in progs),
                               dtype=np.complex128)
-            coeffs[index] = table.values[rows]
+            coeffs[at_stored] = table.values[rows]
+            if mirrored.size:
+                coeffs[at_mirrored] = np.conj(coeffs[at_sources])
             corners = origin + spacing * a[rows]
             inner = _along_axes(coeffs, kernels, [p.start for p in progs], corners.T)
             inner *= _window_batch(w, shifts[rows], origin, spacing, a[rows], b[rows], lengths)
@@ -402,17 +439,21 @@ def discrete_mod_norm(table: CoefficientTable, omega, p, q) -> float:
     """Mixed norm ( sum_k ( sum_j |c_{j,k} w(xi_k)|^p )^{q/p} )^{1/q}.
 
     p aggregates over the spatial index, q over frequency; inf means max.
-    Weights are evaluated at xi_k only (x-independent weights).
+    Weights are evaluated at xi_k only (x-independent, radial weights).  The
+    inner norms are taken on the stored columns and mirrored onto the whole
+    ball, as |conj c| = |c|.
     """
     p = check_exponent(p, "p")
     q = check_exponent(q, "q")
     if table.values.size == 0:
         return 0.0
-    a = np.abs(table.values) * omega(table.ball.points)[None, :]
+    stored, _ = table.columns
+    a = np.abs(table.values) * omega(table.ball.points[stored])[None, :]
     if math.isinf(p):
         inner = np.max(a, axis=0)
     else:
         inner = np.sum(a**p, axis=0) ** (1.0 / p)
+    inner = table.ball.unfold(inner, table.half)
     if math.isinf(q):
         return float(np.max(inner))
     return float(np.sum(inner**q) ** (1.0 / q))

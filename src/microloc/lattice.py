@@ -206,7 +206,8 @@ class LatticeBall:
     On a lattice through the origin the ball is centrally symmetric, so in
     that order the point -xi_i sits at index n - 1 - i.  A real signal's
     transform is Hermitian, F f(-xi) = conj(F f(xi)), so it is computed on
-    the half ball k_d >= 0 only and the rest is mirrored (see `split`).
+    the half ball k_d >= 0 only (see `split`); `unfold` mirrors values so
+    computed onto the whole ball.
     """
 
     lattice: Lattice
@@ -253,6 +254,23 @@ class LatticeBall:
         real signal on a centrally symmetric ball they are k_d >= 0 and
         k_d < 0; otherwise every point is computed and none is mirrored."""
         return self._halves if real else (slice(None), _NO_INDEX)
+
+    def unfold(self, values: np.ndarray, real: bool) -> np.ndarray:
+        """Values on every point of the ball from `values`, given along the
+        last axis on the computed points of `split(real)`: a mirrored point
+        -xi takes the conjugate of the value at xi (the value itself, for
+        magnitudes).  `values` itself when nothing is mirrored."""
+        computed, mirrored = self.split(real)
+        if not mirrored.size:
+            return values
+        n = self.points.shape[0]
+        out = np.empty(values.shape[:-1] + (n,), dtype=values.dtype)
+        out[..., computed] = values
+        mirror = out[..., n - 1 - mirrored]
+        if np.iscomplexobj(mirror):
+            np.conjugate(mirror, out=mirror)
+        out[..., mirrored] = mirror
+        return out
 
 
 def parallelepiped_containing(lat: Lattice, x0) -> Parallelepiped:

@@ -31,7 +31,10 @@ coefficient table, once per exponent p; per series (per record) only the
 gather of the cone's magnitudes, the weighted power sums per shell and the
 shell maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
 c_{j,-k} = conj(c_{j,k}), so both routes transform only the half ball
-k_d >= 0 and mirror the rest.
+k_d >= 0.  A coefficient table then holds only those columns; the
+magnitudes and the j-aggregates are taken on them and mirrored onto the
+whole ball (`LatticeBall.unfold`), so every spectrum covers the geometry's
+points and the binning does not know which half was computed.
 """
 
 from __future__ import annotations
@@ -85,15 +88,13 @@ def lattice_samples(f: GridSignal, geometry: ShellGeometry) -> SpectralSamples:
 
     For a real f, |F f(-xi)| = |F f(xi)|: on a centrally symmetric ball the
     transform runs on the half ball k_d >= 0 and the magnitudes are mirrored
-    (see `LatticeBall.split`)."""
+    (see `LatticeBall.unfold`)."""
     ball = geometry.ball
-    vals = np.zeros(ball.points.shape[0])
-    if vals.size:
-        computed, mirrored = ball.split(f.is_real)
-        vals[computed] = np.abs(fourier_batch(f, ball.points[computed]))
-        vals[mirrored] = vals[vals.size - 1 - mirrored]
+    computed, _ = ball.split(f.is_real)
+    vals = np.abs(fourier_batch(f, ball.points[computed])) if ball.points.size else np.zeros(0)
     return SpectralSamples(
-        geometry, vals, 1.0, f.noise_floor(), "lattice", {"lattice": ball.lattice.to_json()}
+        geometry, ball.unfold(vals, f.is_real), 1.0, f.noise_floor(), "lattice",
+        {"lattice": ball.lattice.to_json()},
     )
 
 
@@ -258,7 +259,9 @@ def j_aggregate(
     """The j-aggregate ( sum_j |c_{j,k}|^p )^{1/p} (max_j for p = inf) of the
     table rows jset, with its noise floor, on `geometry`, the shell geometry
     of the table's ball (built from the ball when not given).  Rows are
-    summed one at a time, so no |c| block the size of the table is held.
+    summed one at a time, so no |c| block the size of the table is held; a
+    half-held table is aggregated on its stored columns and the aggregate
+    mirrored onto k_d < 0, as |conj c| = |c|.
 
     jset must be contained in the table's spatial indices (MissingCoefficients
     otherwise).
@@ -268,7 +271,7 @@ def j_aggregate(
         geometry = _ball_shells(table.ball)
     jset = np.atleast_2d(np.asarray(jset, dtype=int))
     if jset.size == 0:
-        mags = np.zeros(table.ball.points.shape[0])
+        mags = np.zeros(table.values.shape[1])
         floor = 0.0
     else:
         rows = table.rows_for(jset)
@@ -284,7 +287,8 @@ def j_aggregate(
             mags **= 1.0 / p
             floor = table.noise_floor * rows.size ** (1.0 / p)
     return SpectralSamples(
-        geometry, mags, 1.0, floor, "gabor", {"epsilon": table.epsilon, "n_j": int(jset.shape[0])}
+        geometry, table.ball.unfold(mags, table.half), 1.0, floor, "gabor",
+        {"epsilon": table.epsilon, "n_j": int(jset.shape[0])},
     )
 
 

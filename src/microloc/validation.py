@@ -8,7 +8,23 @@ import numbers
 import numpy as np
 
 
+def _refuse_non_numbers(x, name: str) -> None:
+    """ValueError naming the first bool or string in x, at any depth: float()
+    would take True as 1.0 and "0" as 0.0."""
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, (bool, np.bool_, str, bytes)):
+        raise ValueError(f"{name} must hold numbers only, got {x!r}")
+    if isinstance(x, (list, tuple)):
+        for v in x:
+            _refuse_non_numbers(v, name)
+
+
 def as_float_array(x, name: str = "value") -> np.ndarray:
+    """x as a float array; ValueError naming a bool or string entry, or a
+    value that is not finite.  Numeric numpy arrays are taken as they are."""
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iufc"):
+        _refuse_non_numbers(x, name)
     arr = np.asarray(x, dtype=float)
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {x!r}")

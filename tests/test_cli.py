@@ -274,9 +274,12 @@ def test_bad_settings_fail_on_every_surface(field, key, value, fixture_dir, jump
     ({"x_grid": 5}, "x_grid must be a list of points, got 5"),
     ({"directions": 5}, "directions must be a list of vectors, got 5"),
     ({"x_grid": {"0.5": 1}}, "x_grid must be a list of points, got {'0.5': 1}"),
+    ({"directions": [[1], [True]]}, "directions entry must hold numbers only, got True"),
+    ({"x0": "0"}, "x0 must hold numbers only, got '0'"),
+    ({"x_grid": [["0.5"]]}, "x_grid entry must hold numbers only, got '0.5'"),
 ], ids=["pqs-flat", "pqs-short-entry", "pqs-scalar", "shells-fractional", "q-null", "alpha-null",
         "margin-null", "r_max-text", "direction-dimension", "x_grid-scalar", "directions-scalar",
-        "x_grid-object"])
+        "x_grid-object", "direction-bool", "x0-text", "x_grid-text"])
 def test_malformed_config_values_fail_with_an_error_line(settings, says, fixture_dir, tmp_path,
                                                          capsys):
     cfg_path = tmp_path / "bad.json"

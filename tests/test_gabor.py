@@ -106,7 +106,7 @@ def test_coefficient_of_isolated_window_is_its_energy():
     row0 = table.rows_for(np.array([[0]]))[0]
     k0 = int(np.nonzero((table.ball.ks == 0).all(axis=1))[0][0])
     energy = h * float(np.sum(np.abs(f.samples) ** 2))
-    assert table.values[row0, k0] == pytest.approx(energy, rel=1e-10)
+    assert table.whole()[row0, k0] == pytest.approx(energy, rel=1e-10)
     for row, j in enumerate(table.js):
         if j[0] != 0 and abs(j[0]) > 1:
             assert np.max(np.abs(table.values[row])) < 1e-14
@@ -121,8 +121,8 @@ def test_coefficient_modulation_index_shift():
     table1 = coefficients(GridSignal.from_samples(modulated, f.origin, f.spacing), sys0, 12.0)
     ks = table0.ball.ks[:, 0]
     for k in range(-5, 6):
-        a = table1.values[:, ks == k]
-        b = table0.values[:, ks == k - m]
+        a = table1.whole()[:, ks == k]
+        b = table0.whole()[:, ks == k - m]
         assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -138,7 +138,7 @@ def test_coefficients_match_stft_convention():
             xi = table.ball.points[idx]
             x = sys0.epsilon * sys0.x_point([j])
             expected = scale * stft(f, w, x, xi)
-            assert abs(table.values[row, idx] - expected) < 1e-10
+            assert abs(table.whole()[row, idx] - expected) < 1e-10
 
 
 @st.composite
@@ -156,7 +156,7 @@ def _assert_coefficient_is_scaled_stft(f, sys0, j, where, radius):
     idx = min(int(where * len(xi)), len(xi) - 1)
     x = sys0.epsilon * sys0.x_point(j)
     expected = TWO_PI ** (sys0.d / 2) * stft(f, sys0.psi.scaled(sys0.epsilon), x, xi[idx])
-    assert abs(table.values[0, idx] - expected) < 1e-10
+    assert abs(table.whole()[0, idx] - expected) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -285,7 +285,7 @@ def test_discrete_mod_norm_examples():
     for p, q in ((1, 1), (2, math.inf), (math.inf, 3), (2, 2)):
         assert discrete_mod_norm(one_entry, w0, p, q) == pytest.approx(5.0)
 
-    direct = float(np.sqrt(np.sum(np.abs(table.values) ** 2)))
+    direct = float(np.sqrt(np.sum(np.abs(table.whole()) ** 2)))
     assert discrete_mod_norm(table, w0, 2, 2) == pytest.approx(direct, rel=1e-12)
 
 

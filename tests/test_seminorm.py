@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,12 +14,15 @@ from microloc import (
     Weight,
     build_agp,
     classify,
+    classify_pair,
     coefficients,
+    discrete_mod_norm,
     discrete_mod_series,
     fourier_batch,
     make_cutoff,
     multiply,
     points_in_ball,
+    reconstruct,
     scaled_integer_lattice,
     support_index_set,
 )
@@ -279,7 +283,7 @@ def test_discrete_mod_series_reductions():
     both = discrete_mod_series(table, w, 2.0, 2.0, cone, jset)
     xi = table.ball.points
     mask = cone.contains(xi)
-    direct = np.abs(table.values[:, mask]) * w(xi[mask])[None, :]
+    direct = np.abs(table.whole()[:, mask]) * w(xi[mask])[None, :]
     radii = np.linalg.norm(xi[mask], axis=1)
     in_shells = (radii > both.boundaries[0]) & (radii <= both.boundaries[-1])
     expected_total = float(np.sum(direct[:, in_shells] ** 2))
@@ -422,6 +426,8 @@ def test_property_half_ball_and_mirror_equal_the_whole_ball(case):
     # A real signal is transformed on the half ball k_d >= 0 and mirrored;
     # every value must equal the whole-ball transform, taken point by point
     # through fourier_batch (windowed per translate for the coefficients).
+    # Its coefficient table holds only the computed columns, and whatever
+    # reads the table must answer as on the same table held whole.
     f, beta, offset, radius = case
     lat = scaled_integer_lattice(beta, f.d, offset * np.ones(f.d))
     geometry = lattice_ball(lat, radius)
@@ -430,16 +436,33 @@ def test_property_half_ball_and_mirror_equal_the_whole_ball(case):
     got = lattice_samples(f, geometry).magnitudes
     want = np.abs(fourier_batch(f, geometry.points))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
-    if offset != 0.0:
-        return
+
+    # the Gabor system's frequency lattice is lat, offset or not
     sys0 = build_agp(4.0 / beta, beta, d=f.d).with_epsilon(0.5)
+    sys0 = dataclasses.replace(sys0, pair=classify_pair(sys0.pair.lambda1, lat))
     js = _overlapping_js(f, sys0)[:: 1 + f.d]
-    table = coefficients(f, sys0, radius, js=js)
-    assert table.ball.points.shape == geometry.points.shape
+    table = coefficients(f, sys0, radius, js=js, ball=geometry.ball)
+    n = geometry.points.shape[0]
+    assert table.half == (mirrored.size > 0)
+    assert table.values.shape == (js.shape[0], n - mirrored.size)
+    whole = table.whole()
+    assert np.array_equal(whole[:, computed], table.values)
+    assert np.array_equal(whole[:, mirrored], np.conj(whole[:, n - 1 - mirrored]))
     want = np.array([
         fourier_batch(multiply(f, _psi_translate(sys0, j)), table.ball.points) for j in table.js
     ]) * TWO_PI ** (f.d / 2)
-    assert np.max(np.abs(table.values - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(whole - want)) <= 1e-12 * np.max(np.abs(want))
+
+    held_whole = dataclasses.replace(table, values=whole, half=False)
+    for p in (1.0, 2.0, math.inf):
+        got, ref = j_aggregate(table, p, js), j_aggregate(held_whole, p, js)
+        assert np.array_equal(got.magnitudes, ref.magnitudes)
+        assert got.noise_floor == ref.noise_floor
+        for q, s in ((1.0, 1.0), (2.0, 0.0), (math.inf, -1.0)):
+            w = Weight.bracket_power(s)
+            assert discrete_mod_norm(table, w, p, q) == discrete_mod_norm(held_whole, w, p, q)
+    assert np.array_equal(reconstruct(table, sys0, f).samples,
+                          reconstruct(held_whole, sys0, f).samples)
 
 
 @st.composite

@@ -14,6 +14,7 @@ from microloc import (
     GridSignal,
     MicrolocError,
     ScanConfig,
+    WavefrontDetector,
     WavefrontQuery,
     Weight,
     aperture_sweep,
@@ -316,6 +317,46 @@ def test_scan_enumerates_the_ball_once_and_tests_each_cone_once(jump, monkeypatc
     with_table = {tuple(r.x0) for r in records if r.verdict_mod is not None}
     assert with_table == {(0.0,), (1.0,), (0.5,)}
     assert calls == {"ball": 1, "cone": 2}
+
+
+def test_verdict_path_never_builds_the_whole_table(jump, monkeypatch):
+    # A real signal's table holds only its columns k_d >= 0 and every verdict
+    # reads them as they are stored: building the complete table fails here.
+    def refuse(table):
+        raise AssertionError("a verdict built the complete coefficient table")
+
+    tables = []
+
+    def kept(*args, **kwargs):
+        tables.append(gabor.coefficients(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(gabor.CoefficientTable, "whole", refuse)
+    monkeypatch.setattr(wavefront, "coefficients", kept)
+    line = line_singularity_2d(n=512)
+    cfg_line = ScanConfig(pqs=((2.0, 1.0, 0.0), (math.inf, math.inf, 1.0)), alpha=2.5,
+                          beta=1.0, gabor_alpha=2.0, gabor_alpha1=5.0, r_max=90.0)
+    cases = (
+        (jump, [0.0], [1.0], ScanConfig(pqs=((1.0, 1.0, 1.0), (2.0, 2.0, 0.0)))),
+        (line, [0.0, 0.5], [0.0, 1.0], cfg_line),
+    )
+    for f, x0, theta, cfg in cases:
+        assert all(r.verdict_mod is not None for r in scan(f, [x0], [theta], cfg).records)
+        for p, q, s in cfg.pqs:
+            query = WavefrontQuery(x0, theta, p=p, q=q, weight=s, r_max=cfg.r_max)
+            df_mod_point(f, query, cfg.gabor_system(f.d))
+    detector = WavefrontDetector(q=1.0, p=2.0, s=1.0, method="mod").fit(jump)
+    assert detector.predict([[0.0, 1.0], [3.0, -1.0]]).tolist() == [1, 0]
+    assert len(tables) == 2 + 2 * 2 + 2
+    for table in tables:
+        assert table.half
+        assert table.values.shape[1] == np.count_nonzero(table.ball.ks[:, -1] >= 0)
+
+    # a complex signal's table holds every column of its ball
+    complex_line = GridSignal.from_samples((1 + 1j) * line.samples, line.origin, line.spacing)
+    table = gabor.coefficients(complex_line, cfg_line.gabor_system(2), 20.0)
+    assert not table.half
+    assert table.values.shape[1] == table.ball.points.shape[0]
 
 
 def test_scan_fails_in_the_point_routes_order(jump):

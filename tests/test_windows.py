@@ -90,7 +90,7 @@ def _per_translate_reconstruct(table, sys, f):
     out = np.zeros(f.shape, dtype=complex)
     for rows in _batch_rows(table.js.shape[0], kernels):
         coeffs = np.zeros((rows.stop - rows.start,) + tuple(p.size for p in progs), dtype=complex)
-        coeffs[index] = table.values[rows]
+        coeffs[index] = table.whole()[rows]
         corners = f.origin + f.spacing * np.array([lo for lo, _ in boxes[rows]])
         inner = _along_axes(coeffs, kernels, [p.start for p in progs], corners.T)
         for r, (lo, hi) in enumerate(boxes[rows]):
@@ -178,7 +178,7 @@ def test_property_coefficients_and_reconstruct_match_per_translate_1d(sys0, grid
     f = _signal(origin, spacing, int(6.0 / spacing[0]))
     radius = min(30.0, 0.5 * math.pi / spacing[0])
     table = coefficients(f, sys0, radius)
-    assert np.array_equal(table.values, _per_translate_coefficients(f, sys0, radius))
+    assert np.array_equal(table.whole(), _per_translate_coefficients(f, sys0, radius))
     assert np.array_equal(reconstruct(table, sys0, f).samples,
                           _per_translate_reconstruct(table, sys0, f))
 
@@ -191,7 +191,7 @@ def test_property_coefficients_and_reconstruct_match_per_translate_2d(sys0, grid
     radius = min(6.0, 0.5 * math.pi / np.max(spacing))
     table = coefficients(f, sys0, radius)
     want = _per_translate_coefficients(f, sys0, radius)
-    assert np.max(np.abs(table.values - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+    assert np.max(np.abs(table.whole() - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
     rec = reconstruct(table, sys0, f).samples
     want = _per_translate_reconstruct(table, sys0, f)
     assert np.max(np.abs(rec - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
