@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .errors import MicrolocError
 from .fixtures import random_band_limited, write_fixture_set
-from .gabor import check_partition, coefficients, reconstruct
-from .selftest import SUITES, _roundtrip_radius, run_selftest
+from .gabor import check_partition
+from .selftest import SUITES, run_selftest, worst_roundtrip
 from .seminorm import DEFAULT_K_LAST
 from .signal import load_signal
 from .validation import as_point, check_exponent
@@ -197,16 +197,7 @@ def cmd_gabor_check(args) -> int:
         signals = [
             random_band_limited(n=8192, bandwidth=6.0, seed=cfg.seed + i) for i in range(3)
         ]
-        worst = 0.0
-        for eps in (1.0, 0.5, 0.25):
-            se = sys0.with_epsilon(eps)
-            radius = _roundtrip_radius(6.0, eps, se.alpha1)
-            for f in signals:
-                rec = reconstruct(coefficients(f, se, radius), se, f)
-                rel = float(
-                    np.linalg.norm(rec.samples - f.samples) / np.linalg.norm(f.samples)
-                )
-                worst = max(worst, rel)
+        worst = worst_roundtrip(sys0, signals, 6.0)
     ok = deviation <= 1e-10 and (worst is None or worst <= 1e-6)
     result = {
         "partition_deviation": deviation,

@@ -33,9 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded, FrequencyOutOfRange, InadmissibleParameters, MissingCoefficients
-)
+from .errors import BudgetExceeded, InadmissibleParameters, MissingCoefficients
 from .lattice import Lattice, LatticeBall, LatticePair, classify_pair, scaled_integer_lattice
 from .signal import (
     DEFAULT_NYQUIST_SAFETY,
@@ -45,6 +43,7 @@ from .signal import (
     _along_axes,
     _batch_rows,
     _bump,
+    _check_band,
     _gather,
     _index_box,
     _kernels,
@@ -126,10 +125,10 @@ def build_agp(
     beta: float,
     d: int = 1,
     alpha1: float | None = None,
-    epsilon: float = 1.0,
     index_budget: int = 4096,
 ) -> GaborSystem:
-    """Construct an admissible Gabor pair on alpha Z^d / beta Z^d.
+    """Construct an admissible Gabor pair on alpha Z^d / beta Z^d, at
+    epsilon = 1 (`GaborSystem.with_epsilon` dilates it).
 
     Requires alpha * beta < 2*pi (InadmissibleParameters otherwise).  The
     dual window psi is a normalized positive bump, so the partition value
@@ -165,9 +164,7 @@ def build_agp(
         raise InadmissibleParameters(
             f"lattice pair classified as {pair.kind}; a strong pair is required"
         )
-    return GaborSystem(
-        phi, psi, pair, alpha, beta, float(alpha1), alpha2, epsilon, index_budget
-    )
+    return GaborSystem(phi, psi, pair, alpha, beta, float(alpha1), alpha2, index_budget=index_budget)
 
 
 def check_partition(sys: GaborSystem, n: int = 256) -> float:
@@ -198,8 +195,7 @@ class CoefficientTable:
     A half-held table (`half`, a real signal on a centrally symmetric ball)
     stores only the columns of the points k_d >= 0, in ball order: the
     column of -xi_k is conj(c_{j,k}) and is never built.  Otherwise `values`
-    has one column per ball point.  `columns` gives the stored and the
-    mirrored ball indices, `whole()` the complete table.
+    has one column per ball point.  `whole()` gives the complete table.
     """
 
     js: np.ndarray  # (nj, d) integers
@@ -210,17 +206,12 @@ class CoefficientTable:
     half: bool = False
 
     def __post_init__(self):
-        width = self.ball.points.shape[0] - self.columns[1].size
+        width = self.ball.points.shape[0] - self.ball.split(self.half)[1].size
         if self.values.shape != (self.js.shape[0], width):
             raise ValueError(
                 f"coefficient values of shape {self.values.shape} do not fit "
                 f"{self.js.shape[0]} translates and {width} stored columns"
             )
-
-    @property
-    def columns(self) -> tuple[np.ndarray | slice, np.ndarray]:
-        """(stored, mirrored) ball indices, as `LatticeBall.split` gives them."""
-        return self.ball.split(self.half)
 
     def whole(self) -> np.ndarray:
         """The complete (nj, ball size) table: the stored columns and the
@@ -334,14 +325,8 @@ def coefficients(
             f"the frequency ball (radius {ball.radius:g}, lattice {ball.lattice.to_json()}) "
             f"is not the ball of radius {freq_radius:g} on {sys.lambda2.to_json()}"
         )
-    xi = ball.points
-    limit = f.nyquist_limit()
-    if xi.size and np.any(np.array([np.max(np.abs(u)) for u in xi.T]) > limit):
-        raise FrequencyOutOfRange(
-            f"freq_radius {freq_radius:g} exceeds the guarded band {limit} "
-            f"(safety {DEFAULT_NYQUIST_SAFETY} x pi/h)"
-        )
-    n = xi.shape[0]
+    _check_band(f, ball.points, DEFAULT_NYQUIST_SAFETY)
+    n = ball.points.shape[0]
     computed, mirrored = ball.split(f.is_real)
     values = np.zeros((js.shape[0], n - mirrored.size), dtype=np.complex128)
     floor = 0.0
@@ -372,26 +357,20 @@ def coefficients(
     return CoefficientTable(js, ball, values, sys.epsilon, floor, bool(mirrored.size))
 
 
-def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
-    """Partial synthesis sum_{j,k} c_{j,k}(eps) phi^eps_{j,k} on a grid.
+def reconstruct(table: CoefficientTable, sys: GaborSystem, grid: GridSignal) -> GridSignal:
+    """Partial synthesis sum_{j,k} c_{j,k}(eps) phi^eps_{j,k} on the grid of
+    the template `grid` (its samples are not read).
 
-    `grid` is a GridSignal template or an (origin, spacing, shape) triple.
     The result converges to f as freq_radius grows; the residual is the
     coefficient tail plus quadrature error.  The sums over k run on each
     window's patch by the adjoint chirp-z kernel, batched over translates,
     on the progressions taken exact from the integer coordinates of the
     table's whole ball.  Per batch the coefficient box is filled from the
-    stored columns and, for a half-held table, their conjugates at the
-    mirrored points; each axis factor of phi^eps is sampled once, as in
+    batch's rows on the whole ball (`LatticeBall.unfold` mirrors a half-held
+    table); each axis factor of phi^eps is sampled once, as in
     `coefficients`, and the patches are added onto the grid in order of j.
     """
-    if isinstance(grid, GridSignal):
-        origin, spacing, shape = grid.origin, grid.spacing, grid.shape
-    else:
-        origin, spacing, shape = grid
-        origin = as_point(origin, name="origin")
-        spacing = np.broadcast_to(as_point(spacing, name="spacing"), origin.shape).astype(float)
-        shape = tuple(int(n) for n in shape)
+    origin, spacing, shape = grid.origin, grid.spacing, grid.shape
     out = np.zeros(shape, dtype=np.complex128)
     ball = table.ball
     if table.js.size and ball.points.size:
@@ -399,18 +378,11 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid) -> GridSignal:
         progs = _lattice_progressions(ball.lattice, ball.ks)
         lengths = np.max(b - a, axis=0).clip(1)
         kernels = _kernels(progs, spacing, lengths, adjoint=True)
-        stored, mirrored = table.columns
-        # box positions of the stored points, the mirrored ones and their sources
-        at_stored, at_mirrored, at_sources = (
-            (slice(None),) + tuple(p.index[i] for p in progs)
-            for i in (stored, mirrored, ball.points.shape[0] - 1 - mirrored)
-        )
+        index = (slice(None),) + tuple(p.index for p in progs)
         for rows in _batch_rows(table.js.shape[0], kernels):
             coeffs = np.zeros((rows.stop - rows.start,) + tuple(p.size for p in progs),
                               dtype=np.complex128)
-            coeffs[at_stored] = table.values[rows]
-            if mirrored.size:
-                coeffs[at_mirrored] = np.conj(coeffs[at_sources])
+            coeffs[index] = ball.unfold(table.values[rows], table.half)
             corners = origin + spacing * a[rows]
             inner = _along_axes(coeffs, kernels, [p.start for p in progs], corners.T)
             inner *= _window_batch(w, shifts[rows], origin, spacing, a[rows], b[rows], lengths)
@@ -447,7 +419,7 @@ def discrete_mod_norm(table: CoefficientTable, omega, p, q) -> float:
     q = check_exponent(q, "q")
     if table.values.size == 0:
         return 0.0
-    stored, _ = table.columns
+    stored, _ = table.ball.split(table.half)
     a = np.abs(table.values) * omega(table.ball.points[stored])[None, :]
     if math.isinf(p):
         inner = np.max(a, axis=0)

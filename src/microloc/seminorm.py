@@ -13,7 +13,8 @@ and the series converges exactly when tau < -d/q.  Verdicts carry an
 explicit inconclusive band of width `margin` around the threshold because
 finitely many shells cannot decide the boundary case.  Shells whose raw
 spectrum values sit below the quadrature noise floor are evidence of decay,
-not data, and are excluded from the fit.
+not data, and are excluded from the fit; each series carries the floor of
+the spectrum it was binned from, so `classify` reads the series alone.
 
 Binning goes through a `ShellGeometry`, which holds what depends on the
 frequency points alone: the points, their radii and shell edges, each
@@ -27,9 +28,9 @@ geometry per scan, from one enumeration of that ball (`lattice_ball`, whose
 spectrum on it and builds every coefficient table on its ball; a table
 holds that ball, not copies of its arrays.  Per spectrum (per x0) come the
 magnitudes, and for the modulation route the j-aggregate of the
-coefficient table, once per exponent p; per series (per record) only the
-gather of the cone's magnitudes, the weighted power sums per shell and the
-shell maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
+coefficient table, once per exponent p; per series (per record, always on
+one cone) only the gather of the cone's magnitudes, the weighted power sums
+per shell and the shell maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
 c_{j,-k} = conj(c_{j,k}), so both routes transform only the half ball
 k_d >= 0.  A coefficient table then holds only those columns; the
 magnitudes and the j-aggregates are taken on them and mirrored onto the
@@ -73,14 +74,13 @@ def shell_boundaries(r0: float, r_max: float) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectralSamples:
     """Spectrum magnitudes on the points of the shell geometry they were
-    sampled on, ready for binning on it."""
+    sampled on, ready for binning on it, and the noise floor below which a
+    magnitude is round-off, which every series binned from them carries."""
 
     geometry: ShellGeometry
     magnitudes: np.ndarray  # (n,) nonnegative, one per geometry point
     cell_weight: float  # 1 for lattice sums, delta^d for quadrature
     noise_floor: float
-    kind: str  # "lattice" | "quadrature" | "gabor"
-    meta: dict = field(default_factory=dict)
 
 
 def lattice_samples(f: GridSignal, geometry: ShellGeometry) -> SpectralSamples:
@@ -92,10 +92,7 @@ def lattice_samples(f: GridSignal, geometry: ShellGeometry) -> SpectralSamples:
     ball = geometry.ball
     computed, _ = ball.split(f.is_real)
     vals = np.abs(fourier_batch(f, ball.points[computed])) if ball.points.size else np.zeros(0)
-    return SpectralSamples(
-        geometry, ball.unfold(vals, f.is_real), 1.0, f.noise_floor(), "lattice",
-        {"lattice": ball.lattice.to_json()},
-    )
+    return SpectralSamples(geometry, ball.unfold(vals, f.is_real), 1.0, f.noise_floor())
 
 
 def quadrature_spectrum(f: GridSignal, density: float, r_max: float, r0: float
@@ -116,10 +113,7 @@ def quadrature_spectrum(f: GridSignal, density: float, r_max: float, r0: float
     keep = (radii > 0) & (radii <= r_max)
     pts, radii = pts[keep], radii[keep]
     vals = np.abs(fourier_batch(f, pts)) if pts.size else np.zeros(0)
-    return SpectralSamples(
-        ShellGeometry(pts, radii, r0, r_max), vals, delta**f.d, f.noise_floor(), "quadrature",
-        {"density": density},
-    )
+    return SpectralSamples(ShellGeometry(pts, radii, r0, r_max), vals, delta**f.d, f.noise_floor())
 
 
 @dataclass(frozen=True)
@@ -129,6 +123,8 @@ class ConeSumSeries:
     boundaries has M+1 entries R_0..R_M; shell m covers (R_{m-1}, R_m].
     For q < inf, a holds q-th-power masses and S their running total plus
     the in-cone mass below R_0 (the "core"); for q = inf both hold maxima.
+    noise_floor is its spectrum's: `classify` fits no shell whose unweighted
+    maximum does not pass it.
     """
 
     boundaries: np.ndarray  # (M+1,)
@@ -139,7 +135,7 @@ class ConeSumSeries:
     q: float
     d: int
     core: float
-    meta: dict = field(default_factory=dict)
+    noise_floor: float
 
 
 @dataclass(eq=False)
@@ -172,16 +168,14 @@ class ShellGeometry:
     def shell(self) -> np.ndarray:
         return np.searchsorted(self.boundaries, self.radii, side="left")
 
-    def cone_index(self, cone: Cone | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """In-range points of the cone (all points for None), in point order:
-        their indices, their shell indices, and the point count per shell."""
-        key = None if cone is None else (cone.axis.tobytes(), cone.aperture)
+    def cone_index(self, cone: Cone) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cone's points inside the last full shell, in point order:
+        their indices, their shell indices (0 for the core), and the point
+        count per shell.  Computed once per cone axis and aperture."""
+        key = (cone.axis.tobytes(), cone.aperture)
         if key not in self._cones:
             n_shell = self.boundaries.size - 1
-            keep = self.shell <= n_shell
-            if cone is not None:
-                keep &= cone.contains(self.points)
-            sel = np.flatnonzero(keep)
+            sel = np.flatnonzero((self.shell <= n_shell) & cone.contains(self.points))
             idx = self.shell[sel]
             counts = np.bincount(idx, minlength=n_shell + 1)[1:]
             self._cones[key] = (sel, idx, counts)
@@ -213,10 +207,9 @@ def lattice_ball(lambda2: Lattice, r_max: float) -> ShellGeometry:
     return _ball_shells(LatticeBall.of(lambda2, r_max))
 
 
-def series_from_spectrum(spec: SpectralSamples, omega: Weight, q, cone: Cone | None
-                         ) -> ConeSumSeries:
+def series_from_spectrum(spec: SpectralSamples, omega: Weight, q, cone: Cone) -> ConeSumSeries:
     """Bin weighted spectrum samples into the geometric cone shells of the
-    geometry they were sampled on."""
+    geometry they were sampled on; the series carries their noise floor."""
     q = check_exponent(q, "q")
     geometry = spec.geometry
     bounds = geometry.boundaries
@@ -241,16 +234,8 @@ def series_from_spectrum(spec: SpectralSamples, omega: Weight, q, cone: Cone | N
         core = float(sums[0])
         a = sums[1:]
         s = core + np.cumsum(a)
-
-    meta = dict(spec.meta)
-    meta.update(
-        {
-            "kind": spec.kind,
-            "noise_floor": spec.noise_floor,
-            "cone": cone.to_json() if cone is not None else None,
-        }
-    )
-    return ConeSumSeries(bounds, a, s, counts, absmax, q, geometry.points.shape[1], core, meta)
+    d = geometry.points.shape[1]
+    return ConeSumSeries(bounds, a, s, counts, absmax, q, d, core, spec.noise_floor)
 
 
 def j_aggregate(
@@ -286,10 +271,7 @@ def j_aggregate(
                 mags += np.abs(table.values[r]) ** p
             mags **= 1.0 / p
             floor = table.noise_floor * rows.size ** (1.0 / p)
-    return SpectralSamples(
-        geometry, table.ball.unfold(mags, table.half), 1.0, floor, "gabor",
-        {"epsilon": table.epsilon, "n_j": int(jset.shape[0])},
-    )
+    return SpectralSamples(geometry, table.ball.unfold(mags, table.half), 1.0, floor)
 
 
 def discrete_mod_series(
@@ -403,7 +385,7 @@ def classify(
             "finite", 0.0, None, threshold, margin, {"reason": "empty series"}
         )
 
-    floor = float(series.meta.get("noise_floor", 0.0))
+    floor = series.noise_floor
     window = structural[-k_last:]
     floored = window[series.shell_absmax[window] <= floor]
     fit_idx = window[(series.shell_absmax[window] > floor) & (series.a[window] > 0)]

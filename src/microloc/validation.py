@@ -62,7 +62,11 @@ def unit_direction(v, name: str = "direction") -> np.ndarray:
 
 
 def as_real(x, name: str = "value") -> float:
-    """x as a float; ValueError naming it when x is not a number."""
+    """x as a float; ValueError naming it when x is not a number.  A bool or
+    a string is refused, as in `as_float_array`: float() would take True as
+    1.0 and "90" as 90.0."""
+    if isinstance(x, (bool, np.bool_, str, bytes)):
+        raise ValueError(f"{name} must be a number, got {x!r}")
     try:
         return float(x)
     except (TypeError, ValueError):
@@ -70,9 +74,14 @@ def as_real(x, name: str = "value") -> float:
 
 
 def check_exponent(p, name: str = "exponent") -> float:
-    """Validate a Lebesgue exponent in [1, inf]; accepts the string 'inf'."""
-    if isinstance(p, str) and p.strip().lower() in ("inf", "infty", "infinity"):
-        return math.inf
+    """Validate a Lebesgue exponent in [1, inf].  Text such as "2" or "inf"
+    is taken too, as the CLI's --p and --q flags arrive as strings."""
+    if isinstance(p, str):
+        text = p.strip().lower()
+        try:
+            p = math.inf if text in ("inf", "infty", "infinity") else float(text)
+        except ValueError:
+            raise ValueError(f"{name} must be a number, got {p!r}") from None
     p = as_real(p, name)
     if math.isnan(p) or p < 1.0:
         raise ValueError(f"{name} must satisfy 1 <= {name} <= inf, got {p}")

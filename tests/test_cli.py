@@ -277,9 +277,14 @@ def test_bad_settings_fail_on_every_surface(field, key, value, fixture_dir, jump
     ({"directions": [[1], [True]]}, "directions entry must hold numbers only, got True"),
     ({"x0": "0"}, "x0 must hold numbers only, got '0'"),
     ({"x_grid": [["0.5"]]}, "x_grid entry must hold numbers only, got '0.5'"),
+    ({"r_max": "90"}, "r_max must be a number, got '90'"),
+    ({"margin": True}, "margin must be a number, got True"),
+    ({"alpha": True}, "alpha must be a number, got True"),
+    ({"aperture_deg": "20"}, "aperture_deg must be a number, got '20'"),
 ], ids=["pqs-flat", "pqs-short-entry", "pqs-scalar", "shells-fractional", "q-null", "alpha-null",
         "margin-null", "r_max-text", "direction-dimension", "x_grid-scalar", "directions-scalar",
-        "x_grid-object", "direction-bool", "x0-text", "x_grid-text"])
+        "x_grid-object", "direction-bool", "x0-text", "x_grid-text", "r_max-numeric-text",
+        "margin-bool", "alpha-bool", "aperture-numeric-text"])
 def test_malformed_config_values_fail_with_an_error_line(settings, says, fixture_dir, tmp_path,
                                                          capsys):
     cfg_path = tmp_path / "bad.json"

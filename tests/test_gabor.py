@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from microloc import (
     BudgetExceeded,
+    FrequencyOutOfRange,
     GridSignal,
     InadmissibleParameters,
     Weight,
@@ -14,6 +15,7 @@ from microloc import (
     check_partition,
     coefficients,
     discrete_mod_norm,
+    fourier_batch,
     multiply,
     reconstruct,
     scaled_integer_lattice,
@@ -205,6 +207,19 @@ def test_coefficient_noise_floor_rule():
                 floor = g.noise_floor()
             got = coefficients(f, sys0, 8.0, js=np.array([j])).noise_floor
             assert got == pytest.approx(TWO_PI ** (f.d / 2) * floor, rel=1e-12, abs=0.0)
+
+
+def test_coefficients_refuse_frequencies_past_the_band():
+    """The Gabor route refuses a radius past 0.9 pi / h as the transform
+    does, with the message fourier_batch gives for the ball's points."""
+    f = smooth_bump_1d(n=512)  # h = 1/32, guarded band ~ 90.5
+    sys0 = build_agp(1.0, 1.0, d=1)
+    coefficients(f, sys0, 90.0)
+    with pytest.raises(FrequencyOutOfRange) as refused:
+        coefficients(f, sys0, 91.0)
+    with pytest.raises(FrequencyOutOfRange) as transform:
+        fourier_batch(f, LatticeBall.of(sys0.lambda2, 91.0).points)
+    assert str(refused.value) == str(transform.value)
 
 
 def test_reconstruct_zero_table_and_round_trip():

@@ -77,7 +77,7 @@ def _synthetic(sigma, q=1.0, d=1, n_shells=8, r0=4.0):
     counts = np.maximum((upper**d).astype(int), 1)
     absmax = np.ones(n_shells)
     return ConeSumSeries(
-        bounds, a, s, counts, absmax, q, d, 0.0, {"noise_floor": 0.0}
+        bounds, a, s, counts, absmax, q, d, 0.0, noise_floor=0.0
     )
 
 
@@ -116,7 +116,7 @@ def _power_law_series(d, beta, n_shells, tau, q, cone):
     pts, _ = points_in_ball(scaled_integer_lattice(beta, d), r_max)
     radii = np.linalg.norm(pts, axis=1)
     mags = np.where(radii > 0, radii, 1.0) ** tau
-    spec = SpectralSamples(ShellGeometry(pts, radii, r0, r_max), mags, 1.0, 0.0, "lattice")
+    spec = SpectralSamples(ShellGeometry(pts, radii, r0, r_max), mags, 1.0, 0.0)
     return series_from_spectrum(spec, Weight.bracket_power(0.0), q, cone)
 
 
@@ -155,7 +155,7 @@ def test_classify_zero_series_is_finite_zero():
     ser = _synthetic(-1.0)
     zero = ConeSumSeries(
         ser.boundaries, 0 * ser.a, 0 * ser.S, ser.counts, 0 * ser.shell_absmax,
-        1.0, 1, 0.0, {"noise_floor": 0.0},
+        1.0, 1, 0.0, noise_floor=0.0,
     )
     v = classify(zero)
     assert v.kind == "finite" and v.value == 0.0
@@ -173,7 +173,7 @@ def test_classify_floor_rule():
     ser = _synthetic(1.0)  # divergent-looking slope
     floored = ConeSumSeries(
         ser.boundaries, ser.a, ser.S, ser.counts, 1e-18 * np.ones(ser.a.size),
-        1.0, 1, 0.0, {"noise_floor": 1e-12},
+        1.0, 1, 0.0, noise_floor=1e-12,
     )
     v = classify(floored)
     assert v.kind == "finite"
@@ -191,7 +191,7 @@ def test_classify_cauchy_downgrade():
     s = np.cumsum(a)
     ser = ConeSumSeries(
         bounds, a, s, np.ones(8, int) * 100, np.ones(8), 1.0, 1, 0.0,
-        {"noise_floor": 0.0},
+        noise_floor=0.0,
     )
     v = classify(ser)
     assert v.kind == "inconclusive"
@@ -368,7 +368,7 @@ def _spectrum_and_questions(draw):
     mags = rng.pareto(1.5, size=pts.shape[0]) * (rng.uniform(size=pts.shape[0]) > 0.1)
     cell = draw(st.sampled_from([1.0, 0.25]))
     geometry = ShellGeometry(pts, np.linalg.norm(pts, axis=1), 4.0 * beta, r_max)
-    spec = SpectralSamples(geometry, mags, cell, 0.0, "lattice")
+    spec = SpectralSamples(geometry, mags, cell, 0.0)
     questions = draw(st.lists(
         st.tuples(
             st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d).filter(
