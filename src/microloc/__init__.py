@@ -14,7 +14,6 @@ from .errors import (
     FrequencyOutOfRange,
     InadmissibleParameters,
     MicrolocError,
-    MissingCoefficients,
     NotFitted,
     SingularBasis,
     TooFewShells,
@@ -90,7 +89,6 @@ __all__ = [
     "Lattice",
     "LatticePair",
     "MicrolocError",
-    "MissingCoefficients",
     "NotFitted",
     "Parallelepiped",
     "ScanConfig",

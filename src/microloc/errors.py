@@ -25,10 +25,6 @@ class InadmissibleParameters(MicrolocError):
     """Gabor lattice parameters must satisfy alpha * beta < 2*pi."""
 
 
-class MissingCoefficients(MicrolocError):
-    """Coefficient table lacks entries required by the requested sum."""
-
-
 class TooFewShells(MicrolocError):
     """Series classification needs at least four usable shells."""
 

@@ -18,10 +18,15 @@ carried by the dual window; coefficients are plain L^2 inner products
 
     c_{j,k}(eps) = (f, psi^eps_{j,k}) = (2*pi)^(d/2) F(f psi^eps(. - eps x_j))(xi_k).
 
-The windows are real, so a real f has c_{j,-k} = conj(c_{j,k}): on a
-centrally symmetric frequency ball its table is computed and held on the
-half ball k_d >= 0 only, and synthesis and the mixed norms mirror the
-stored columns (see `CoefficientTable`).
+A table's rows are its translates js and its columns the points of one
+frequency `LatticeBall`; every reduction (mixed norms, j-aggregates,
+synthesis) runs over all its rows, so the set of translates is chosen once,
+when the table is built (`coefficients(..., js=...)`, e.g. J_{x0}(eps) from
+`support_index_set`).  Translates past the index budget are refused, not
+clipped (BudgetExceeded).  The windows are real, so a real f has
+c_{j,-k} = conj(c_{j,k}): on a centrally symmetric frequency ball its table
+is computed and held on the half ball k_d >= 0 only, and synthesis and the
+mixed norms mirror the stored columns (see `CoefficientTable`).
 """
 
 from __future__ import annotations
@@ -29,14 +34,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExceeded, InadmissibleParameters, MissingCoefficients
+from .errors import BudgetExceeded, InadmissibleParameters
 from .lattice import Lattice, LatticeBall, LatticePair, classify_pair, scaled_integer_lattice
 from .signal import (
-    DEFAULT_NYQUIST_SAFETY,
     _EPS_FLOOR,
     BumpWindow,
     GridSignal,
@@ -55,6 +58,8 @@ from .signal import (
 from .validation import as_point, check_dilation, check_exponent, check_positive
 
 _TWO_PI = 2.0 * math.pi
+# Translates j with |j_i| above this are refused (BudgetExceeded), not clipped.
+_INDEX_BUDGET = 4096
 
 
 def _dual_axis_profile(alpha: float, alpha1: float, theta_axis: float):
@@ -95,7 +100,6 @@ class GaborSystem:
     alpha1: float
     alpha2: float
     epsilon: float = 1.0
-    index_budget: int = 4096
 
     def __post_init__(self):
         check_dilation(self.epsilon)
@@ -120,13 +124,7 @@ class GaborSystem:
         return dataclasses.replace(self, epsilon=float(epsilon))
 
 
-def build_agp(
-    alpha: float,
-    beta: float,
-    d: int = 1,
-    alpha1: float | None = None,
-    index_budget: int = 4096,
-) -> GaborSystem:
+def build_agp(alpha: float, beta: float, d: int = 1, alpha1: float | None = None) -> GaborSystem:
     """Construct an admissible Gabor pair on alpha Z^d / beta Z^d, at
     epsilon = 1 (`GaborSystem.with_epsilon` dilates it).
 
@@ -164,7 +162,7 @@ def build_agp(
         raise InadmissibleParameters(
             f"lattice pair classified as {pair.kind}; a strong pair is required"
         )
-    return GaborSystem(phi, psi, pair, alpha, beta, float(alpha1), alpha2, index_budget=index_budget)
+    return GaborSystem(phi, psi, pair, alpha, beta, float(alpha1), alpha2)
 
 
 def check_partition(sys: GaborSystem, n: int = 256) -> float:
@@ -189,8 +187,9 @@ def check_partition(sys: GaborSystem, n: int = 256) -> float:
 @dataclass(frozen=True)
 class CoefficientTable:
     """Analysis coefficients c_{j,k}(eps): row i belongs to the translate
-    js[i]; `ball` is the frequency ball the table was built on (its points,
-    integer coordinates, radii and radius).
+    js[i], and every reduction of the table runs over all its rows; `ball`
+    is the frequency ball the table was built on (its points, integer
+    coordinates, radii and radius).
 
     A half-held table (`half`, a real signal on a centrally symmetric ball)
     stores only the columns of the points k_d >= 0, in ball order: the
@@ -201,7 +200,6 @@ class CoefficientTable:
     js: np.ndarray  # (nj, d) integers
     ball: LatticeBall
     values: np.ndarray  # (nj, stored columns) complex
-    epsilon: float
     noise_floor: float = 0.0
     half: bool = False
 
@@ -218,25 +216,12 @@ class CoefficientTable:
         conjugates of their mirrors."""
         return self.ball.unfold(self.values, self.half)
 
-    @cached_property
-    def _j_index(self) -> dict:
-        return {tuple(int(v) for v in j): i for i, j in enumerate(self.js)}
-
-    def rows_for(self, js: np.ndarray) -> np.ndarray:
-        idx = []
-        for j in np.atleast_2d(js):
-            key = tuple(int(v) for v in j)
-            if key not in self._j_index:
-                raise MissingCoefficients(f"table lacks spatial index {key}")
-            idx.append(self._j_index[key])
-        return np.asarray(idx, dtype=int)
-
 
 def _translates(sys: GaborSystem, lo, hi, tol: float, what: str) -> np.ndarray:
     """All integer j with lo - tol <= j <= hi + tol per axis, in lexicographic
     order; BudgetExceeded if one passes the index budget, so none that `what`
     describes is dropped."""
-    b = sys.index_budget
+    b = _INDEX_BUDGET
     lo = np.ceil(np.clip(lo - tol, -b - 1, b + 1)).astype(int)
     hi = np.floor(np.clip(hi + tol, -b - 1, b + 1)).astype(int)
     if np.any(hi < lo):
@@ -325,7 +310,7 @@ def coefficients(
             f"the frequency ball (radius {ball.radius:g}, lattice {ball.lattice.to_json()}) "
             f"is not the ball of radius {freq_radius:g} on {sys.lambda2.to_json()}"
         )
-    _check_band(f, ball.points, DEFAULT_NYQUIST_SAFETY)
+    _check_band(f, ball.points)
     n = ball.points.shape[0]
     computed, mirrored = ball.split(f.is_real)
     values = np.zeros((js.shape[0], n - mirrored.size), dtype=np.complex128)
@@ -354,7 +339,7 @@ def coefficients(
             corners = origin + spacing * a[rows]
             sums = _along_axes(patches, kernels, corners.T, [p.start for p in progs])
             values[rows] = norm * sums[index]
-    return CoefficientTable(js, ball, values, sys.epsilon, floor, bool(mirrored.size))
+    return CoefficientTable(js, ball, values, floor, bool(mirrored.size))
 
 
 def reconstruct(table: CoefficientTable, sys: GaborSystem, grid: GridSignal) -> GridSignal:
@@ -394,11 +379,13 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid: GridSignal) -> 
 
 
 def support_index_set(sys: GaborSystem, x0) -> np.ndarray:
-    """The finite set J_{x0}(eps): all j with x0 in supp phi^eps_{j,k}.
+    """The finite set J_{x0}(eps): all j with x0 in supp phi^eps_{j,k}, in
+    lexicographic order.  A table built on it (`coefficients(..., js=...)`)
+    has these as its rows, so its j-aggregates are the sums over J_{x0}(eps).
 
     phi's support contains psi's, so the phi condition covers both windows;
     supports do not depend on the frequency index.  Raises BudgetExceeded
-    when one of them lies beyond the system's index budget.
+    when one of them lies past the index budget |j_i| <= _INDEX_BUDGET.
     """
     x0 = as_point(x0, sys.d, "x0")
     eps, alpha, half = sys.epsilon, sys.alpha, sys.alpha2 / 2.0

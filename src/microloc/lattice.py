@@ -161,12 +161,12 @@ def _integer_box_for_ball(lat: Lattice, r_max: float) -> tuple[np.ndarray, np.nd
     return lo, hi
 
 
-def _enumerate_box(lo: np.ndarray, hi: np.ndarray, budget: int) -> np.ndarray:
+def _enumerate_box(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     counts = hi - lo + 1
     total = int(np.prod(counts.astype(object)))
-    if total > budget:
+    if total > DEFAULT_CELL_BUDGET:
         raise BudgetExceeded(
-            f"bounding box holds {total} candidate cells, budget is {budget}"
+            f"bounding box holds {total} candidate cells, budget is {DEFAULT_CELL_BUDGET}"
         )
     if 32 * lo.size * total > _ENUMERATION_BYTES:
         raise BudgetExceeded(
@@ -178,18 +178,17 @@ def _enumerate_box(lo: np.ndarray, hi: np.ndarray, budget: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def points_in_ball(
-    lat: Lattice, r_max: float, budget: int = DEFAULT_CELL_BUDGET
-) -> tuple[np.ndarray, np.ndarray]:
+def points_in_ball(lat: Lattice, r_max: float) -> tuple[np.ndarray, np.ndarray]:
     """All lattice points with |xi| <= r_max plus integer coordinates.
 
     The origin is among them when the lattice contains it.  Deterministic
     lexicographic order on the integer coordinates: the box is enumerated
     in that order and the radius filter keeps it.  Raises BudgetExceeded
-    when the bounding box exceeds `budget` candidate cells.
+    when the bounding box exceeds DEFAULT_CELL_BUDGET candidate cells or
+    its enumeration would take more than _ENUMERATION_BYTES.
     """
     lo, hi = _integer_box_for_ball(lat, r_max)
-    ts = _enumerate_box(lo, hi, budget)
+    ts = _enumerate_box(lo, hi)
     pts = lat.points(ts)
     keep = np.flatnonzero(row_norms(pts) <= r_max)
     return pts[keep], ts[keep]

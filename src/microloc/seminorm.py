@@ -16,21 +16,22 @@ spectrum values sit below the quadrature noise floor are evidence of decay,
 not data, and are excluded from the fit; each series carries the floor of
 the spectrum it was binned from, so `classify` reads the series alone.
 
-Binning goes through a `ShellGeometry`, which holds what depends on the
-frequency points alone: the points, their radii and shell edges, each
-point's shell index, each cone's in-range point indices and the weight
-<xi>^s per exponent s.  A spectrum (`SpectralSamples`) holds the geometry it
-was sampled on and a series bins on that geometry, so every spectrum of one
-geometry shares its cone indices and weights.  Both routes sample the same
-frequencies, the lattice ball |xi| <= r_max, so `wavefront.scan` builds one
-geometry per scan, from one enumeration of that ball (`lattice_ball`, whose
-`LatticeBall` also carries the integer coordinates), samples every windowed
-spectrum on it and builds every coefficient table on its ball; a table
-holds that ball, not copies of its arrays.  Per spectrum (per x0) come the
-magnitudes, and for the modulation route the j-aggregate of the
-coefficient table, once per exponent p; per series (per record, always on
-one cone) only the gather of the cone's magnitudes, the weighted power sums
-per shell and the shell maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
+Every frequency set is a `LatticeBall`: the lattice ball |xi| <= r_max of
+both discrete routes, and the midpoint-lattice ball of the quadrature
+oracle (`quadrature_spectrum`).  Binning goes through a `ShellGeometry`,
+which wraps one ball and its first shell edge r0 and holds what depends on
+the ball's points alone: each point's shell index, each cone's in-range
+point indices and the weight <xi>^s per exponent s.  A spectrum
+(`SpectralSamples`) holds the geometry it was sampled on and a series bins
+on that geometry, so every spectrum of one geometry shares its cone indices
+and weights.  `wavefront.scan` builds one geometry per scan, from one
+enumeration of the ball (`lattice_ball`), samples every windowed spectrum on
+it and builds every coefficient table on its ball.  Per spectrum (per x0)
+come the magnitudes, and for the modulation route the j-aggregate over
+every row of the coefficient table, whose rows are J_{x0}(eps), once per
+exponent p; per series (per record, always on one cone) only the gather of
+the cone's magnitudes, the weighted power sums per shell and the shell
+maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
 c_{j,-k} = conj(c_{j,k}), so both routes transform only the half ball
 k_d >= 0.  A coefficient table then holds only those columns; the
 magnitudes and the j-aggregates are taken on them and mirrored onto the
@@ -48,8 +49,8 @@ import numpy as np
 
 from .errors import TooFewShells
 from .gabor import CoefficientTable
-from .geometry import Cone, Weight, row_norms
-from .lattice import Lattice, LatticeBall
+from .geometry import Cone, Weight
+from .lattice import Lattice, LatticeBall, scaled_integer_lattice
 from .signal import GridSignal, fourier_batch
 from .validation import check_exponent, check_fit_window, check_positive
 
@@ -97,23 +98,20 @@ def lattice_samples(f: GridSignal, geometry: ShellGeometry) -> SpectralSamples:
 
 def quadrature_spectrum(f: GridSignal, density: float, r_max: float, r0: float
                         ) -> SpectralSamples:
-    """|F f| on midpoint quadrature nodes covering the ball |xi| <= r_max,
-    on a shell geometry of those nodes with shells from r0 to r_max.
+    """|F f| on the midpoint quadrature nodes delta (Z^d + 1/2) of the ball
+    |xi| <= r_max, delta = 1 / density, on their shell geometry with shells
+    from r0 to r_max.
 
-    `density` is nodes per unit length per axis, so each node carries the
-    cell weight (1/density)^d; the nodes are independent of any lattice.
+    The nodes are the `LatticeBall` of the midpoint lattice, so each carries
+    the cell weight delta^d and none is the origin; they are independent of
+    any frequency lattice of the discrete route.
     """
-    density = check_positive(density, "density")
-    delta = 1.0 / density
-    half = int(math.ceil(r_max / delta)) + 1
-    axis = delta * (np.arange(-half, half) + 0.5)
-    mesh = np.meshgrid(*([axis] * f.d), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    radii = row_norms(pts)
-    keep = (radii > 0) & (radii <= r_max)
-    pts, radii = pts[keep], radii[keep]
+    delta = 1.0 / check_positive(density, "density")
+    midpoints = scaled_integer_lattice(delta, f.d, np.full(f.d, 0.5 * delta))
+    geometry = ShellGeometry(LatticeBall.of(midpoints, r_max), r0)
+    pts = geometry.ball.points
     vals = np.abs(fourier_batch(f, pts)) if pts.size else np.zeros(0)
-    return SpectralSamples(ShellGeometry(pts, radii, r0, r_max), vals, delta**f.d, f.noise_floor())
+    return SpectralSamples(geometry, vals, delta**f.d, f.noise_floor())
 
 
 @dataclass(frozen=True)
@@ -140,33 +138,29 @@ class ConeSumSeries:
 
 @dataclass(eq=False)
 class ShellGeometry:
-    """Shell binning data of one frequency point set, shared by every
-    spectrum sampled on it and every series binned from those.
+    """Shell binning data of one frequency ball, shared by every spectrum
+    sampled on it and every series binned from those.
 
-    Holds the points, their radii, each point's shell index over the edges
-    r0 * 2^m <= r_max (0 for the core below r0, 1..M for the shells, M + 1
-    beyond the last full shell), each cone's in-range point indices with
-    their shell indices and counts, and the weight <xi>^s for each exponent
-    s.  All but the points and radii are computed once, on first use; none
-    depends on spectrum values.  `ball` is the `LatticeBall` the points and
-    radii come from, when they do (see `lattice_ball`).
+    Reads the points and radii of `ball` and holds what depends on them
+    alone: each point's shell index over the edges r0 * 2^m <= ball.radius
+    (0 for the core below r0, 1..M for the shells, M + 1 beyond the last
+    full shell), each cone's in-range point indices with their shell
+    indices and counts, and the weight <xi>^s for each exponent s.  Each is
+    computed once, on first use; none depends on spectrum values.
     """
 
-    points: np.ndarray  # (n, d)
-    radii: np.ndarray  # (n,)
+    ball: LatticeBall
     r0: float
-    r_max: float
-    ball: LatticeBall | None = None
     _cones: dict = field(default_factory=dict, init=False, repr=False)
     _weights: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def boundaries(self) -> np.ndarray:
-        return shell_boundaries(self.r0, self.r_max)
+        return shell_boundaries(self.r0, self.ball.radius)
 
     @cached_property
     def shell(self) -> np.ndarray:
-        return np.searchsorted(self.boundaries, self.radii, side="left")
+        return np.searchsorted(self.boundaries, self.ball.radii, side="left")
 
     def cone_index(self, cone: Cone) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cone's points inside the last full shell, in point order:
@@ -175,7 +169,7 @@ class ShellGeometry:
         key = (cone.axis.tobytes(), cone.aperture)
         if key not in self._cones:
             n_shell = self.boundaries.size - 1
-            sel = np.flatnonzero((self.shell <= n_shell) & cone.contains(self.points))
+            sel = np.flatnonzero((self.shell <= n_shell) & cone.contains(self.ball.points))
             idx = self.shell[sel]
             counts = np.bincount(idx, minlength=n_shell + 1)[1:]
             self._cones[key] = (sel, idx, counts)
@@ -184,20 +178,19 @@ class ShellGeometry:
     def weight(self, omega: Weight) -> np.ndarray:
         """omega at every point."""
         if omega.s not in self._weights:
-            self._weights[omega.s] = omega(self.points)
+            self._weights[omega.s] = omega(self.ball.points)
         return self._weights[omega.s]
 
 
 def _ball_shells(ball: LatticeBall) -> ShellGeometry:
-    """The shell geometry of a lattice ball: its points and radii, with
-    shells from 4 x the minimal lattice spacing to its radius."""
-    r0 = 4.0 * ball.lattice.min_spacing
-    return ShellGeometry(ball.points, ball.radii, r0, ball.radius, ball)
+    """The shell geometry of a lattice ball, with shells from 4 x the
+    minimal lattice spacing to its radius."""
+    return ShellGeometry(ball, 4.0 * ball.lattice.min_spacing)
 
 
 def lattice_ball(lambda2: Lattice, r_max: float) -> ShellGeometry:
-    """Every point of lambda2 with |xi| <= r_max, as the shell geometry of
-    their `LatticeBall` (see `_ball_shells`), which it holds.
+    """The shell geometry (see `_ball_shells`) of the `LatticeBall` of every
+    point of lambda2 with |xi| <= r_max.
 
     These are the frequencies of a Gabor coefficient table of radius r_max,
     so both routes sample one set: a table built on the geometry's `ball`
@@ -234,43 +227,40 @@ def series_from_spectrum(spec: SpectralSamples, omega: Weight, q, cone: Cone) ->
         core = float(sums[0])
         a = sums[1:]
         s = core + np.cumsum(a)
-    d = geometry.points.shape[1]
+    d = geometry.ball.lattice.d
     return ConeSumSeries(bounds, a, s, counts, absmax, q, d, core, spec.noise_floor)
 
 
 def j_aggregate(
-    table: CoefficientTable, p, jset: np.ndarray, geometry: ShellGeometry | None = None
+    table: CoefficientTable, p, geometry: ShellGeometry | None = None
 ) -> SpectralSamples:
-    """The j-aggregate ( sum_j |c_{j,k}|^p )^{1/p} (max_j for p = inf) of the
-    table rows jset, with its noise floor, on `geometry`, the shell geometry
-    of the table's ball (built from the ball when not given).  Rows are
-    summed one at a time, so no |c| block the size of the table is held; a
-    half-held table is aggregated on its stored columns and the aggregate
-    mirrored onto k_d < 0, as |conj c| = |c|.
-
-    jset must be contained in the table's spatial indices (MissingCoefficients
-    otherwise).
+    """The j-aggregate ( sum_j |c_{j,k}|^p )^{1/p} (max_j for p = inf) over
+    every row of the table, with its noise floor, on `geometry`, the shell
+    geometry of the table's ball (built from the ball when not given).  Rows
+    are summed one at a time, so no |c| block the size of the table is held;
+    a half-held table is aggregated on its stored columns and the aggregate
+    mirrored onto k_d < 0, as |conj c| = |c|.  A table of no rows has the
+    aggregate 0.
     """
     p = check_exponent(p, "p")
     if geometry is None:
         geometry = _ball_shells(table.ball)
-    jset = np.atleast_2d(np.asarray(jset, dtype=int))
-    if jset.size == 0:
-        mags = np.zeros(table.values.shape[1])
+    rows = table.values
+    if rows.shape[0] == 0:
+        mags = np.zeros(rows.shape[1])
         floor = 0.0
     else:
-        rows = table.rows_for(jset)
-        mags = np.abs(table.values[rows[0]])
+        mags = np.abs(rows[0])
         if math.isinf(p):
-            for r in rows[1:]:
-                np.maximum(mags, np.abs(table.values[r]), out=mags)
+            for row in rows[1:]:
+                np.maximum(mags, np.abs(row), out=mags)
             floor = table.noise_floor
         else:
             mags **= p
-            for r in rows[1:]:
-                mags += np.abs(table.values[r]) ** p
+            for row in rows[1:]:
+                mags += np.abs(row) ** p
             mags **= 1.0 / p
-            floor = table.noise_floor * rows.size ** (1.0 / p)
+            floor = table.noise_floor * rows.shape[0] ** (1.0 / p)
     return SpectralSamples(geometry, table.ball.unfold(mags, table.half), 1.0, floor)
 
 
@@ -280,18 +270,19 @@ def discrete_mod_series(
     p,
     q,
     cone: Cone,
-    jset: np.ndarray,
     aggregate: SpectralSamples | None = None,
 ) -> ConeSumSeries:
-    """Shell series of ( sum_j |c_{j,k} w(xi_k)|^p )^{q/p} over the cone, on
-    the shells of the table's ball (see `_ball_shells`).
+    """Shell series of ( sum_j |c_{j,k} w(xi_k)|^p )^{q/p} over the cone and
+    every row j of the table, on the shells of the table's ball (see
+    `_ball_shells`).
 
-    jset must be contained in the table's spatial indices (MissingCoefficients
-    otherwise).  `aggregate` is `j_aggregate(table, p, jset)` when the caller
-    already holds it; the series bins on the geometry it carries.
+    The rows are the table's translates: a table built on J_{x0}(eps)
+    (`support_index_set`) gives the modulation series at x0.  `aggregate`
+    is `j_aggregate(table, p)` when the caller already holds it; the series
+    bins on the geometry it carries.
     """
     if aggregate is None:
-        aggregate = j_aggregate(table, p, jset)
+        aggregate = j_aggregate(table, p)
     return series_from_spectrum(aggregate, omega, q, cone)
 
 

@@ -10,7 +10,7 @@ discretized by the rectangle rule on the sample grid,
 
 For smooth compactly supported integrands the rectangle rule is spectrally
 accurate; the dominant error is aliasing, controlled by refusing frequencies
-beyond `safety * pi / h` per axis (FrequencyOutOfRange).
+beyond DEFAULT_NYQUIST_SAFETY * pi / h per axis (FrequencyOutOfRange).
 
 Frequency sets whose coordinates lie on an arithmetic progression on every
 axis (balls and shells of the cubic lattices beta Z^d, midpoint quadrature
@@ -159,8 +159,8 @@ class GridSignal:
         hi = self.origin + self.spacing * (np.array(self.shape) - 1)
         return self.origin.copy(), hi
 
-    def nyquist_limit(self, safety: float = DEFAULT_NYQUIST_SAFETY) -> np.ndarray:
-        return safety * math.pi / self.spacing
+    def nyquist_limit(self) -> np.ndarray:
+        return DEFAULT_NYQUIST_SAFETY * math.pi / self.spacing
 
     @property
     def support_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -340,15 +340,15 @@ def smooth_bump_window(center, radius) -> BumpWindow:
 # ---------------------------------------------------------------------------
 
 
-def _check_band(f: GridSignal, freqs: np.ndarray, safety: float) -> None:
-    limit = f.nyquist_limit(safety)
+def _check_band(f: GridSignal, freqs: np.ndarray) -> None:
+    limit = f.nyquist_limit()
     if freqs.size == 0:
         return
     worst = np.array([np.max(np.abs(u)) for u in freqs.T])  # faster than axis=0 on (n, d)
     if np.any(worst > limit):
         raise FrequencyOutOfRange(
             f"requested |xi| up to {worst} exceeds the guarded band {limit} "
-            f"(safety {safety} x pi/h); the sample grid cannot resolve it"
+            f"(safety {DEFAULT_NYQUIST_SAFETY} x pi/h); the sample grid cannot resolve it"
         )
 
 
@@ -511,9 +511,7 @@ def _direct(g: GridSignal, freqs: np.ndarray) -> np.ndarray:
     return _norm_factor(g) * out
 
 
-def fourier_batch(
-    f: GridSignal, freqs, safety: float = DEFAULT_NYQUIST_SAFETY
-) -> np.ndarray:
+def fourier_batch(f: GridSignal, freqs) -> np.ndarray:
     """Evaluate F f at a list of frequencies; pointwise equal to fourier_at.
 
     When each axis's frequency coordinates lie on an arithmetic progression
@@ -526,7 +524,7 @@ def fourier_batch(
     freqs = as_points(freqs, f.d, "frequencies")
     if freqs.shape[0] == 0:
         return np.zeros(0, dtype=np.complex128)
-    _check_band(f, freqs, safety)
+    _check_band(f, freqs)
     g = f.trimmed()
     if g.samples.size == 0:
         return np.zeros(freqs.shape[0], dtype=np.complex128)
@@ -538,10 +536,10 @@ def fourier_batch(
     return _norm_factor(g) * sums[tuple(p.index for p in progs)]
 
 
-def fourier_at(f: GridSignal, xi, safety: float = DEFAULT_NYQUIST_SAFETY) -> complex:
+def fourier_at(f: GridSignal, xi) -> complex:
     """Quadrature value of F f at one frequency (see module docstring)."""
     xi = as_point(xi, f.d, "xi")
-    vals = fourier_batch(f, xi[None, :], safety)
+    vals = fourier_batch(f, xi[None, :])
     return complex(vals[0])
 
 
@@ -606,9 +604,7 @@ def multiply(f: GridSignal, w: BumpWindow) -> GridSignal:
     return GridSignal.from_samples(np.zeros((0,) * f.d), f.origin, f.spacing)
 
 
-def _stft(
-    f: GridSignal, window: BumpWindow, x, xi, safety: float = DEFAULT_NYQUIST_SAFETY
-) -> complex:
+def _stft(f: GridSignal, window: BumpWindow, x, xi) -> complex:
     """Short-time Fourier transform V_w f(x, xi) = F(f * conj(w(.-x)))(xi).
 
     Windows built in this module are real, so no conjugation is applied;
@@ -616,7 +612,7 @@ def _stft(
     """
     x = as_point(x, f.d, "x")
     g = multiply(f, window.translated(x))
-    return fourier_at(g, xi, safety)
+    return fourier_at(g, xi)
 
 
 # ---------------------------------------------------------------------------

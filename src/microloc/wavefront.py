@@ -192,9 +192,11 @@ def _local_table(
     f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float | None, ball
 ) -> CoefficientTable:
     """Coefficients of every translate whose window support holds x0, in one
-    table: the per-point work of every modulation verdict.  `ball()` returns
-    the `lattice_ball` the table is built on; it is asked for only after the
-    checks on x0 and its translates, so those fail first."""
+    table whose rows are J_{x0}(eps) (`support_index_set`), so a j-aggregate
+    of the table sums over that set: the per-point work of every modulation
+    verdict.  `ball()` returns the `lattice_ball` the table is built on; it
+    is asked for only after the checks on x0 and its translates, so those
+    fail first."""
     _require_interior(f, x0)
     if epsilon is not None:
         _validate_epsilon(f, sys, x0, epsilon)
@@ -202,8 +204,8 @@ def _local_table(
         epsilon = choose_epsilon(f, sys, x0)
     sys_eps = sys.with_epsilon(epsilon)
     js = support_index_set(sys_eps, x0)
-    geometry = ball()
-    return coefficients(f, sys_eps, geometry.r_max, js=js, ball=geometry.ball)
+    frequencies = ball().ball
+    return coefficients(f, sys_eps, frequencies.radius, js=js, ball=frequencies)
 
 
 def df_fl_point(f: GridSignal, query: WavefrontQuery, pair: LatticePair) -> Verdict:
@@ -245,7 +247,7 @@ def df_mod_point(f: GridSignal, query: WavefrontQuery, sys: GaborSystem) -> Verd
     table = _local_table(
         f, sys, x0, query.epsilon, cache(lambda: lattice_ball(sys.lambda2, r_max))
     )
-    series = discrete_mod_series(table, query.weight, query.p, query.q, query.cone, table.js)
+    series = discrete_mod_series(table, query.weight, query.p, query.q, query.cone)
     return classify(series, query.k_last, query.margin)
 
 
@@ -267,10 +269,9 @@ def _triples(pqs) -> tuple:
     for i, entry in enumerate(_listed(pqs, "pqs must be a list of (p, q, s) triples")):
         try:
             p, q, s = entry
-            s = float(s)
         except (TypeError, ValueError):
             raise ValueError(f"pqs entry {i} must be a (p, q, s) triple, got {entry!r}") from None
-        out.append((check_exponent(p, "p"), check_exponent(q, "q"), s))
+        out.append((check_exponent(p, "p"), check_exponent(q, "q"), as_real(s, "s")))
     return tuple(out)
 
 
@@ -476,8 +477,8 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
                 if table is not None:
                     try:
                         if p not in aggregates:
-                            aggregates[p] = j_aggregate(table, p, table.js, ball())
-                        series = discrete_mod_series(table, w, p, q, cone, table.js, aggregates[p])
+                            aggregates[p] = j_aggregate(table, p, ball())
+                        series = discrete_mod_series(table, w, p, q, cone, aggregates[p])
                         rec.verdict_mod = classify(series, cfg.k_last, cfg.margin)
                     except MicrolocError as exc:
                         rec.error_mod = f"{type(exc).__name__}: {exc}"

@@ -281,10 +281,14 @@ def test_bad_settings_fail_on_every_surface(field, key, value, fixture_dir, jump
     ({"margin": True}, "margin must be a number, got True"),
     ({"alpha": True}, "alpha must be a number, got True"),
     ({"aperture_deg": "20"}, "aperture_deg must be a number, got '20'"),
+    ({"s": True}, "s must be a number, got True"),
+    ({"s": "1"}, "s must be a number, got '1'"),
+    ({"pqs": [[1, 1, "0.5"]]}, "s must be a number, got '0.5'"),
 ], ids=["pqs-flat", "pqs-short-entry", "pqs-scalar", "shells-fractional", "q-null", "alpha-null",
         "margin-null", "r_max-text", "direction-dimension", "x_grid-scalar", "directions-scalar",
         "x_grid-object", "direction-bool", "x0-text", "x_grid-text", "r_max-numeric-text",
-        "margin-bool", "alpha-bool", "aperture-numeric-text"])
+        "margin-bool", "alpha-bool", "aperture-numeric-text", "s-bool", "s-numeric-text",
+        "pqs-text-s"])
 def test_malformed_config_values_fail_with_an_error_line(settings, says, fixture_dir, tmp_path,
                                                          capsys):
     cfg_path = tmp_path / "bad.json"

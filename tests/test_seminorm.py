@@ -21,12 +21,10 @@ from microloc import (
     fourier_batch,
     make_cutoff,
     multiply,
-    points_in_ball,
     reconstruct,
     scaled_integer_lattice,
     support_index_set,
 )
-from microloc.errors import MissingCoefficients
 from microloc.fixtures import jump_1d, jump_1d_in_cell
 from microloc.gabor import CoefficientTable, _overlapping_js
 from microloc.lattice import LatticeBall
@@ -113,10 +111,9 @@ def _power_law_series(d, beta, n_shells, tau, q, cone):
     exponent tau that `classify` should recover."""
     r0 = 4.0 * beta
     r_max = r0 * 2.0**n_shells
-    pts, _ = points_in_ball(scaled_integer_lattice(beta, d), r_max)
-    radii = np.linalg.norm(pts, axis=1)
-    mags = np.where(radii > 0, radii, 1.0) ** tau
-    spec = SpectralSamples(ShellGeometry(pts, radii, r0, r_max), mags, 1.0, 0.0)
+    ball = LatticeBall.of(scaled_integer_lattice(beta, d), r_max)
+    mags = np.where(ball.radii > 0, ball.radii, 1.0) ** tau
+    spec = SpectralSamples(ShellGeometry(ball, r0), mags, 1.0, 0.0)
     return series_from_spectrum(spec, Weight.bracket_power(0.0), q, cone)
 
 
@@ -258,6 +255,36 @@ def test_continuous_matches_discrete_classification(unit_pair):
         assert vd.kind == expected and vc.kind == expected
 
 
+def _meshgrid_midpoints(density, d, r_max):
+    """The quadrature nodes as a midpoint meshgrid filtered to the ball
+    0 < |xi| <= r_max, the way quadrature_spectrum built them before they
+    were a LatticeBall."""
+    delta = 1.0 / density
+    half = int(math.ceil(r_max / delta)) + 1
+    axis = delta * (np.arange(-half, half) + 0.5)
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    radii = np.linalg.norm(pts, axis=1)
+    return pts[(radii > 0) & (radii <= r_max)]
+
+
+@pytest.mark.parametrize("d,r_max", [(1, 716.0), (2, 60.0)])
+def test_quadrature_nodes_are_the_midpoint_lattice_ball(d, r_max):
+    # The ball of delta (Z^d + 1/2) holds the meshgrid's nodes in its order.
+    # delta (k + 1/2) and delta/2 + delta k round alike when delta is a power
+    # of two, as at the crosscheck's densities 4 and 2, and within an ulp or
+    # two otherwise.  The zero signal skips the transform.
+    zero = GridSignal.from_samples(np.zeros((16,) * d), -0.5 * np.ones(d), 1 / 512)
+    for density in (4.0, 2.0, 3.0, 0.7):
+        got = quadrature_spectrum(zero, density, r_max, 4.0).geometry.ball.points
+        want = _meshgrid_midpoints(density, d, r_max)
+        if density in (4.0, 2.0):
+            assert np.array_equal(got, want)
+        else:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_discrete_mod_series_reductions():
     sys0 = build_agp(1.0, 1.0, d=1).with_epsilon(0.125)
     f = jump_1d()
@@ -268,19 +295,21 @@ def test_discrete_mod_series_reductions():
     w = Weight.bracket_power(1.0)
     lam2 = sys0.lambda2
 
-    empty = discrete_mod_series(table, w, 1.0, 1.0, cone, np.zeros((0, 1), int))
+    # the series reduces every row of its table, and a table of none is 0
+    no_rows = coefficients(f, sys0, 716.0, js=np.zeros((0, 1), int), ball=table.ball)
+    empty = discrete_mod_series(no_rows, w, 1.0, 1.0, cone)
     assert classify(empty).kind == "finite" and classify(empty).value == 0.0
 
     # a single j reduces to the windowed scalar series, up to (2 pi)^(d/2)
     j0 = jset[len(jset) // 2][None, :]
-    single = discrete_mod_series(table, w, 1.0, 1.0, cone, j0)
+    single = discrete_mod_series(coefficients(f, sys0, 716.0, js=j0), w, 1.0, 1.0, cone)
     g = multiply(f, _psi_translate(sys0, j0[0]))
     scalar = _fl_series(g, w, 1.0, cone, lam2, 716.0)
     scale = (2 * math.pi) ** 0.5
     assert np.allclose(single.a, scale * scalar.a, rtol=1e-9)
 
     # p = q collapses to a plain double sum over the covered shells
-    both = discrete_mod_series(table, w, 2.0, 2.0, cone, jset)
+    both = discrete_mod_series(table, w, 2.0, 2.0, cone)
     xi = table.ball.points
     mask = cone.contains(xi)
     direct = np.abs(table.whole()[:, mask]) * w(xi[mask])[None, :]
@@ -289,9 +318,6 @@ def test_discrete_mod_series_reductions():
     expected_total = float(np.sum(direct[:, in_shells] ** 2))
     assert both.S[-1] - both.core == pytest.approx(expected_total, rel=1e-9)
 
-    with pytest.raises(MissingCoefficients):
-        discrete_mod_series(table, w, 1.0, 1.0, cone, np.array([[999]]))
-
 
 def test_j_aggregate_equals_the_block_reduction():
     # Rows are aggregated one at a time; the sums run in the same order as a
@@ -299,11 +325,12 @@ def test_j_aggregate_equals_the_block_reduction():
     ball = LatticeBall.of(scaled_integer_lattice(1.0, 2), 12.0)
     rng = np.random.default_rng(3)
     values = rng.normal(size=(5, ball.points.shape[0])) * np.exp(1j * rng.uniform(0, 7, (5, 1)))
-    table = CoefficientTable(np.arange(10).reshape(5, 2), ball, values, 1.0, 1e-15)
+    js = np.arange(10).reshape(5, 2)
     for rows in ([0, 1, 2, 3, 4], [3, 1], [2]):
+        table = CoefficientTable(js[rows], ball, values[rows], 1e-15)
         block = np.abs(values[rows])
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
-            agg = j_aggregate(table, p, table.js[rows])
+            agg = j_aggregate(table, p)
             want = block.max(axis=0) if math.isinf(p) else np.sum(block**p, axis=0) ** (1.0 / p)
             assert np.array_equal(agg.magnitudes, want)
             assert agg.geometry.ball is ball
@@ -335,10 +362,10 @@ def _reference_series(spec, s, q, cone, r0, r_max):
     cone test, weight and shell index computed afresh on the cone's points."""
     bounds = shell_boundaries(r0, r_max)
     n_shell = bounds.size - 1
-    pts = spec.geometry.points
+    pts = spec.geometry.ball.points
     r = np.linalg.norm(pts, axis=1)
     mask = (r > 0.0) & (pts @ cone.axis > r * math.cos(cone.aperture))
-    r, mags = spec.geometry.radii[mask], spec.magnitudes[mask]
+    r, mags = spec.geometry.ball.radii[mask], spec.magnitudes[mask]
     weighted = mags * np.sqrt(1.0 + np.sum(pts[mask] * pts[mask], axis=1)) ** s
     idx = np.searchsorted(bounds, r, side="left")
     in_range = idx <= n_shell
@@ -363,11 +390,12 @@ def _spectrum_and_questions(draw):
     d = draw(st.sampled_from([1, 2]))
     beta = draw(st.floats(0.5, 2.0))
     r_max = draw(st.floats(20.0, 60.0)) * beta
-    pts, _ = points_in_ball(scaled_integer_lattice(beta, d), r_max)
+    ball = LatticeBall.of(scaled_integer_lattice(beta, d), r_max)
+    n = ball.points.shape[0]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mags = rng.pareto(1.5, size=pts.shape[0]) * (rng.uniform(size=pts.shape[0]) > 0.1)
+    mags = rng.pareto(1.5, size=n) * (rng.uniform(size=n) > 0.1)
     cell = draw(st.sampled_from([1.0, 0.25]))
-    geometry = ShellGeometry(pts, np.linalg.norm(pts, axis=1), 4.0 * beta, r_max)
+    geometry = ShellGeometry(ball, 4.0 * beta)
     spec = SpectralSamples(geometry, mags, cell, 0.0)
     questions = draw(st.lists(
         st.tuples(
@@ -434,7 +462,7 @@ def test_property_half_ball_and_mirror_equal_the_whole_ball(case):
     computed, mirrored = geometry.ball.split(f.is_real)
     assert (mirrored.size > 0) == (f.is_real and offset == 0.0)
     got = lattice_samples(f, geometry).magnitudes
-    want = np.abs(fourier_batch(f, geometry.points))
+    want = np.abs(fourier_batch(f, geometry.ball.points))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
     # the Gabor system's frequency lattice is lat, offset or not
@@ -442,7 +470,7 @@ def test_property_half_ball_and_mirror_equal_the_whole_ball(case):
     sys0 = dataclasses.replace(sys0, pair=classify_pair(sys0.pair.lambda1, lat))
     js = _overlapping_js(f, sys0)[:: 1 + f.d]
     table = coefficients(f, sys0, radius, js=js, ball=geometry.ball)
-    n = geometry.points.shape[0]
+    n = geometry.ball.points.shape[0]
     assert table.half == (mirrored.size > 0)
     assert table.values.shape == (js.shape[0], n - mirrored.size)
     whole = table.whole()
@@ -455,7 +483,7 @@ def test_property_half_ball_and_mirror_equal_the_whole_ball(case):
 
     held_whole = dataclasses.replace(table, values=whole, half=False)
     for p in (1.0, 2.0, math.inf):
-        got, ref = j_aggregate(table, p, js), j_aggregate(held_whole, p, js)
+        got, ref = j_aggregate(table, p), j_aggregate(held_whole, p)
         assert np.array_equal(got.magnitudes, ref.magnitudes)
         assert got.noise_floor == ref.noise_floor
         for q, s in ((1.0, 1.0), (2.0, 0.0), (math.inf, -1.0)):
