@@ -32,6 +32,7 @@ from .gabor import (
 from .geometry import Cone, Weight
 from .lattice import (
     Lattice,
+    LatticeBall,
     LatticePair,
     Parallelepiped,
     classify_pair,
@@ -87,6 +88,7 @@ __all__ = [
     "GridSignal",
     "InadmissibleParameters",
     "Lattice",
+    "LatticeBall",
     "LatticePair",
     "MicrolocError",
     "NotFitted",

@@ -50,7 +50,7 @@ from .signal import (
     _gather,
     _index_box,
     _kernels,
-    _Progression,
+    _lattice_progressions,
     _support_from_nonzero,
     _window_batch,
     make_cutoff,
@@ -211,10 +211,16 @@ class CoefficientTable:
                 f"{self.js.shape[0]} translates and {width} stored columns"
             )
 
+    def on_ball(self, columns: np.ndarray) -> np.ndarray:
+        """Values given along the last axis per stored column, on every ball
+        point: the column of -xi_k takes the conjugate of that of xi_k (the
+        value itself, for magnitudes; see `LatticeBall.unfold`)."""
+        return self.ball.unfold(columns, self.half)
+
     def whole(self) -> np.ndarray:
         """The complete (nj, ball size) table: the stored columns and the
         conjugates of their mirrors."""
-        return self.ball.unfold(self.values, self.half)
+        return self.on_ball(self.values)
 
 
 def _translates(sys: GaborSystem, lo, hi, tol: float, what: str) -> np.ndarray:
@@ -244,20 +250,6 @@ def _overlapping_js(f: GridSignal, sys: GaborSystem) -> np.ndarray:
     return _translates(
         sys, (lo - reach) / step, (hi + reach) / step, 1e-9, "meet the signal support"
     )
-
-
-def _lattice_progressions(lat: Lattice, ks: np.ndarray) -> list[_Progression]:
-    """Per axis, the progression holding the points of an axis-aligned
-    lattice with integer coordinates ks, exact from the integers: it starts
-    at offset + step * min(k) and point k has index k - min(k)."""
-    if not lat.is_diagonal:
-        raise ValueError("Gabor analysis and synthesis need an axis-aligned frequency lattice")
-    progs = []
-    for step, offset, k in zip(np.diagonal(lat.basis), lat.offset, ks.T):
-        k_min = int(np.min(k))
-        size = int(np.max(k)) - k_min + 1
-        progs.append(_Progression(float(offset + step * k_min), float(step), size, k - k_min))
-    return progs
 
 
 def _placed(window: BumpWindow, sys: GaborSystem, js, origin, spacing, a_min, b_max):
@@ -351,8 +343,8 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid: GridSignal) -> 
     window's patch by the adjoint chirp-z kernel, batched over translates,
     on the progressions taken exact from the integer coordinates of the
     table's whole ball.  Per batch the coefficient box is filled from the
-    batch's rows on the whole ball (`LatticeBall.unfold` mirrors a half-held
-    table); each axis factor of phi^eps is sampled once, as in
+    batch's rows on the whole ball (`CoefficientTable.on_ball` mirrors a
+    half-held table); each axis factor of phi^eps is sampled once, as in
     `coefficients`, and the patches are added onto the grid in order of j.
     """
     origin, spacing, shape = grid.origin, grid.spacing, grid.shape
@@ -367,7 +359,7 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid: GridSignal) -> 
         for rows in _batch_rows(table.js.shape[0], kernels):
             coeffs = np.zeros((rows.stop - rows.start,) + tuple(p.size for p in progs),
                               dtype=np.complex128)
-            coeffs[index] = ball.unfold(table.values[rows], table.half)
+            coeffs[index] = table.on_ball(table.values[rows])
             corners = origin + spacing * a[rows]
             inner = _along_axes(coeffs, kernels, [p.start for p in progs], corners.T)
             inner *= _window_batch(w, shifts[rows], origin, spacing, a[rows], b[rows], lengths)
@@ -412,7 +404,7 @@ def discrete_mod_norm(table: CoefficientTable, omega, p, q) -> float:
         inner = np.max(a, axis=0)
     else:
         inner = np.sum(a**p, axis=0) ** (1.0 / p)
-    inner = table.ball.unfold(inner, table.half)
+    inner = table.on_ball(inner)
     if math.isinf(q):
         return float(np.max(inner))
     return float(np.sum(inner**q) ** (1.0 / q))

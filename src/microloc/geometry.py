@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import as_points, check_in_open, unit_direction
+from .validation import as_points, check_finite, check_in_open, unit_direction
 
 
 def squared_norms(pts: np.ndarray) -> np.ndarray:
@@ -79,7 +79,7 @@ class Weight:
     s: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "s", check_finite(self.s, "s"))
 
     @classmethod
     def bracket_power(cls, s: float) -> "Weight":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, SingularBasis
 from .geometry import row_norms
-from .validation import as_float_array, as_point
+from .validation import as_float_array, as_point, check_finite
 
 DEFAULT_CELL_BUDGET = 10**8
 # Bytes an enumeration may hold at once.  The integer mesh, its stacked
@@ -162,7 +162,7 @@ def _integer_box_for_ball(lat: Lattice, r_max: float) -> tuple[np.ndarray, np.nd
 
 
 def _enumerate_box(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    counts = hi - lo + 1
+    counts = np.maximum(hi - lo + 1, 0)  # a negative radius brackets no cell
     total = int(np.prod(counts.astype(object)))
     if total > DEFAULT_CELL_BUDGET:
         raise BudgetExceeded(
@@ -185,8 +185,10 @@ def points_in_ball(lat: Lattice, r_max: float) -> tuple[np.ndarray, np.ndarray]:
     lexicographic order on the integer coordinates: the box is enumerated
     in that order and the radius filter keeps it.  Raises BudgetExceeded
     when the bounding box exceeds DEFAULT_CELL_BUDGET candidate cells or
-    its enumeration would take more than _ENUMERATION_BYTES.
+    its enumeration would take more than _ENUMERATION_BYTES, and ValueError
+    when r_max is not a finite number; a negative r_max gives no point.
     """
+    r_max = check_finite(r_max, "r_max")
     lo, hi = _integer_box_for_ball(lat, r_max)
     ts = _enumerate_box(lo, hi)
     pts = lat.points(ts)

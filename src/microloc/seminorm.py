@@ -33,10 +33,11 @@ exponent p; per series (per record, always on one cone) only the gather of
 the cone's magnitudes, the weighted power sums per shell and the shell
 maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
 c_{j,-k} = conj(c_{j,k}), so both routes transform only the half ball
-k_d >= 0.  A coefficient table then holds only those columns; the
-magnitudes and the j-aggregates are taken on them and mirrored onto the
-whole ball (`LatticeBall.unfold`), so every spectrum covers the geometry's
-points and the binning does not know which half was computed.
+k_d >= 0.  `fourier_batch` mirrors its values onto the whole ball; a
+coefficient table holds only the computed columns, and the j-aggregates are
+taken on them and mirrored (`CoefficientTable.on_ball`), so every spectrum
+covers the geometry's points and the binning does not know which half was
+computed.
 """
 
 from __future__ import annotations
@@ -85,15 +86,8 @@ class SpectralSamples:
 
 
 def lattice_samples(f: GridSignal, geometry: ShellGeometry) -> SpectralSamples:
-    """|F f| on the points of a `lattice_ball` geometry, sampled on it.
-
-    For a real f, |F f(-xi)| = |F f(xi)|: on a centrally symmetric ball the
-    transform runs on the half ball k_d >= 0 and the magnitudes are mirrored
-    (see `LatticeBall.unfold`)."""
-    ball = geometry.ball
-    computed, _ = ball.split(f.is_real)
-    vals = np.abs(fourier_batch(f, ball.points[computed])) if ball.points.size else np.zeros(0)
-    return SpectralSamples(geometry, ball.unfold(vals, f.is_real), 1.0, f.noise_floor())
+    """|F f| on the points of a `lattice_ball` geometry, sampled on it."""
+    return SpectralSamples(geometry, np.abs(fourier_batch(f, geometry.ball)), 1.0, f.noise_floor())
 
 
 def quadrature_spectrum(f: GridSignal, density: float, r_max: float, r0: float
@@ -109,8 +103,7 @@ def quadrature_spectrum(f: GridSignal, density: float, r_max: float, r0: float
     delta = 1.0 / check_positive(density, "density")
     midpoints = scaled_integer_lattice(delta, f.d, np.full(f.d, 0.5 * delta))
     geometry = ShellGeometry(LatticeBall.of(midpoints, r_max), r0)
-    pts = geometry.ball.points
-    vals = np.abs(fourier_batch(f, pts)) if pts.size else np.zeros(0)
+    vals = np.abs(fourier_batch(f, geometry.ball))
     return SpectralSamples(geometry, vals, delta**f.d, f.noise_floor())
 
 
@@ -261,7 +254,7 @@ def j_aggregate(
                 mags += np.abs(row) ** p
             mags **= 1.0 / p
             floor = table.noise_floor * rows.shape[0] ** (1.0 / p)
-    return SpectralSamples(geometry, table.ball.unfold(mags, table.half), 1.0, floor)
+    return SpectralSamples(geometry, table.on_ball(mags), 1.0, floor)
 
 
 def discrete_mod_series(

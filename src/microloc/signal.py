@@ -12,21 +12,22 @@ For smooth compactly supported integrands the rectangle rule is spectrally
 accurate; the dominant error is aliasing, controlled by refusing frequencies
 beyond DEFAULT_NYQUIST_SAFETY * pi / h per axis (FrequencyOutOfRange).
 
-Frequency sets whose coordinates lie on an arithmetic progression on every
-axis (balls and shells of the cubic lattices beta Z^d, midpoint quadrature
-nodes) are evaluated by one chirp-z kernel, Bluestein's algorithm on
-`numpy.fft`, applied axis by axis in any dimension.  `fourier_batch`
-recovers the progressions of an arbitrary set from its float coordinates
-(`_progressions`); Gabor analysis and synthesis (gabor.py) take them exact
-from a lattice ball's integer coordinates and use the same kernel with the
-opposite sign.  Other frequency sets fall back to chunked direct summation,
-which is also the reference the kernel is tested against.
+Every frequency set transformed in batch is a `lattice.LatticeBall` of an
+axis-aligned lattice (the beta Z^d balls of both routes, the midpoint
+quadrature nodes), so its coordinates lie on one arithmetic progression per
+axis, taken exact from the ball's integer coordinates
+(`_lattice_progressions`), never recovered from floats.  One chirp-z
+kernel, Bluestein's algorithm on `numpy.fft`, sums over them axis by axis
+in any dimension: `fourier_batch` here, and Gabor analysis and synthesis
+(gabor.py) with the opposite sign.  Direct summation (`_direct`) serves a
+single frequency (`fourier_at`) and is the reference the kernel is tested
+against.
 
 A real signal (`GridSignal.is_real`, checked once per signal) has a
 Hermitian transform, F f(-xi) = conj(F f(xi)), so its spectrum on a
 centrally symmetric lattice ball is computed on the half ball k_d >= 0 and
-mirrored (`lattice.LatticeBall.split`); the last axis's progression, which
-the kernel transforms first, is then half as long.
+mirrored (`LatticeBall.split`, `LatticeBall.unfold`); the last axis's
+progression, which the kernel transforms first, is then half as long.
 
 Windows are separable: one profile per axis plus a placement (shift,
 scale) that `scaled`/`translated` move.  A batch of translates is sampled
@@ -47,7 +48,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateBoxes, FrequencyOutOfRange
-from .validation import as_box, as_point, as_points
+from .lattice import Lattice, LatticeBall
+from .validation import as_box, as_point
 
 DEFAULT_NYQUIST_SAFETY = 0.9
 
@@ -61,11 +63,6 @@ _EPS_FLOOR = np.finfo(float).eps * 64.0
 
 # Entry budget for the arrays a batch transform builds at once.
 _CHUNK_ENTRIES = 2**18
-# A frequency axis takes the chirp-z path when its values sit on a
-# progression within this relative tolerance, with at most this many terms
-# per distinct value.
-_PROGRESSION_TOL = 1e-12
-_MAX_HOLE_RATIO = 16
 
 
 def _support_from_nonzero(batch: np.ndarray) -> np.ndarray:
@@ -445,27 +442,17 @@ class _Progression(NamedTuple):
     index: np.ndarray
 
 
-def _progressions(freqs: np.ndarray) -> list[_Progression] | None:
-    """Per axis, the progression holding the frequencies' coordinates, or
-    None if some axis has none with at most _MAX_HOLE_RATIO times as many
-    terms as distinct values."""
+def _lattice_progressions(lat: Lattice, ks: np.ndarray) -> list[_Progression]:
+    """Per axis, the progression holding the points of an axis-aligned
+    lattice with integer coordinates ks, exact from the integers: it starts
+    at offset + step * min(k) and point k has index k - min(k)."""
+    if not lat.is_diagonal:
+        raise ValueError("a lattice-ball transform needs an axis-aligned frequency lattice")
     progs = []
-    for u in freqs.T:
-        uu = np.unique(u)
-        tol = _PROGRESSION_TOL * float(np.max(np.abs(uu)))
-        uu = uu[np.r_[True, np.diff(uu) > tol]]
-        if uu.size == 1:
-            progs.append(_Progression(float(uu[0]), 0.0, 1, np.zeros(u.size, dtype=np.int64)))
-            continue
-        span = uu[-1] - uu[0]
-        steps = int(round(span / np.min(np.diff(uu))))
-        if steps >= _MAX_HOLE_RATIO * uu.size:
-            return None
-        step = span / steps
-        k = np.rint((u - uu[0]) / step)
-        if np.max(np.abs(uu[0] + step * k - u)) > tol:
-            return None
-        progs.append(_Progression(float(uu[0]), float(step), steps + 1, k.astype(np.int64)))
+    for step, offset, k in zip(np.diagonal(lat.basis), lat.offset, ks.T):
+        k_min = int(np.min(k))
+        size = int(np.max(k)) - k_min + 1
+        progs.append(_Progression(float(offset + step * k_min), float(step), size, k - k_min))
     return progs
 
 
@@ -511,36 +498,34 @@ def _direct(g: GridSignal, freqs: np.ndarray) -> np.ndarray:
     return _norm_factor(g) * out
 
 
-def fourier_batch(f: GridSignal, freqs) -> np.ndarray:
-    """Evaluate F f at a list of frequencies; pointwise equal to fourier_at.
+def fourier_batch(f: GridSignal, ball: LatticeBall) -> np.ndarray:
+    """F f at every point of a lattice ball, in ball order; pointwise equal
+    to fourier_at.
 
-    When each axis's frequency coordinates lie on an arithmetic progression
-    (lattice balls and shells, with or without the origin; midpoint
-    quadrature nodes; a single frequency), the quadrature sum is taken with
-    the chirp-z kernel axis by axis over the product of the progressions and
-    read off at the requested points.  Any other set falls back to chunked
-    direct summation.  The two agree to well below 1e-10 relative.
+    The quadrature sum is taken with the chirp-z kernel axis by axis over
+    the product of the ball's progressions and read off at its points.  For
+    a real f on a centrally symmetric ball only the half ball k_d >= 0 is
+    transformed and the rest is mirrored (`LatticeBall.split`).
     """
-    freqs = as_points(freqs, f.d, "frequencies")
-    if freqs.shape[0] == 0:
-        return np.zeros(0, dtype=np.complex128)
-    _check_band(f, freqs)
-    g = f.trimmed()
-    if g.samples.size == 0:
-        return np.zeros(freqs.shape[0], dtype=np.complex128)
-    progs = _progressions(freqs)
-    if progs is None:
-        return _direct(g, freqs)
+    if ball.lattice.d != f.d:
+        raise ValueError(f"a {ball.lattice.d}-d frequency ball for a {f.d}-d signal")
+    _check_band(f, ball.points)
+    computed, _ = ball.split(f.is_real)
+    ks, g = ball.ks[computed], f.trimmed()
+    if ks.size == 0 or g.samples.size == 0:
+        return np.zeros(ball.points.shape[0], dtype=np.complex128)
+    progs = _lattice_progressions(ball.lattice, ks)
     kernels = _kernels(progs, g.spacing, g.shape)
     sums = _along_axes(g.samples[None], kernels, g.origin, [p.start for p in progs])[0]
-    return _norm_factor(g) * sums[tuple(p.index for p in progs)]
+    return ball.unfold(_norm_factor(g) * sums[tuple(p.index for p in progs)], f.is_real)
 
 
 def fourier_at(f: GridSignal, xi) -> complex:
-    """Quadrature value of F f at one frequency (see module docstring)."""
-    xi = as_point(xi, f.d, "xi")
-    vals = fourier_batch(f, xi[None, :])
-    return complex(vals[0])
+    """Quadrature value of F f at one frequency, summed directly (see
+    module docstring)."""
+    xi = as_point(xi, f.d, "xi")[None, :]
+    _check_band(f, xi)
+    return complex(_direct(f.trimmed(), xi)[0])
 
 
 def _index_box(lo, hi, origin, spacing, a_min, b_max) -> tuple[np.ndarray, np.ndarray]:

@@ -73,6 +73,14 @@ def as_real(x, name: str = "value") -> float:
         raise ValueError(f"{name} must be a number, got {x!r}") from None
 
 
+def check_finite(x, name: str = "value") -> float:
+    """x as a finite float; ValueError naming it when x is not one."""
+    x = as_real(x, name)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {x}")
+    return x
+
+
 def check_exponent(p, name: str = "exponent") -> float:
     """Validate a Lebesgue exponent in [1, inf].  Text such as "2" or "inf"
     is taken too, as the CLI's --p and --q flags arrive as strings."""

@@ -41,7 +41,7 @@ from .seminorm import (
 )
 from .signal import BumpWindow, GridSignal, make_cutoff, multiply
 from .validation import (
-    as_point, as_real, check_dilation, check_exponent, check_fit_window, check_in_open,
+    as_point, check_dilation, check_exponent, check_finite, check_fit_window, check_in_open,
     check_positive, unit_direction,
 )
 
@@ -59,10 +59,9 @@ def _check_settings(aperture_deg, epsilon, r_max, margin, k_last) -> None:
     check_in_open(aperture_deg, 0.0, 90.0, "aperture_deg")
     if epsilon is not None:
         check_dilation(epsilon)
-    if r_max is not None and not as_real(r_max, "r_max") > 0:
-        raise ValueError(f"r_max must be positive, got {r_max}")
-    if not as_real(margin, "margin") > 0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    if r_max is not None:
+        check_positive(r_max, "r_max")
+    check_positive(margin, "margin")
     check_fit_window(k_last)
 
 
@@ -88,7 +87,7 @@ class WavefrontQuery:
         object.__setattr__(self, "q", check_exponent(self.q, "q"))
         object.__setattr__(self, "p", check_exponent(self.p, "p"))
         if not isinstance(self.weight, Weight):
-            object.__setattr__(self, "weight", Weight.bracket_power(float(self.weight)))
+            object.__setattr__(self, "weight", Weight.bracket_power(self.weight))
 
     @property
     def cone(self) -> Cone:
@@ -271,7 +270,7 @@ def _triples(pqs) -> tuple:
             p, q, s = entry
         except (TypeError, ValueError):
             raise ValueError(f"pqs entry {i} must be a (p, q, s) triple, got {entry!r}") from None
-        out.append((check_exponent(p, "p"), check_exponent(q, "q"), as_real(s, "s")))
+        out.append((check_exponent(p, "p"), check_exponent(q, "q"), check_finite(s, "s")))
     return tuple(out)
 
 

@@ -7,7 +7,7 @@ PUBLIC = [
     "BudgetExceeded", "BumpWindow", "CoefficientTable", "Cone", "ConeSumSeries",
     "DegenerateBoxes", "DomainClipped", "EpsilonTooLarge", "EquivalenceReport",
     "FrequencyOutOfRange", "GaborSystem", "GridSignal", "InadmissibleParameters", "Lattice",
-    "LatticePair", "MicrolocError", "NotFitted", "Parallelepiped",
+    "LatticeBall", "LatticePair", "MicrolocError", "NotFitted", "Parallelepiped",
     "ScanConfig", "SingularBasis", "TooFewShells", "Verdict", "WavefrontDetector",
     "WavefrontEstimate", "WavefrontQuery", "WavefrontRecord", "Weight", "aperture_sweep",
     "build_agp", "check_equivalence", "check_partition", "classify", "classify_pair",
@@ -20,6 +20,6 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(microloc.__all__) == PUBLIC
-    assert len(PUBLIC) == 52
+    assert len(PUBLIC) == 53
     for name in PUBLIC:
         assert getattr(microloc, name) is not None

@@ -284,11 +284,15 @@ def test_bad_settings_fail_on_every_surface(field, key, value, fixture_dir, jump
     ({"s": True}, "s must be a number, got True"),
     ({"s": "1"}, "s must be a number, got '1'"),
     ({"pqs": [[1, 1, "0.5"]]}, "s must be a number, got '0.5'"),
+    ({"r_max": math.inf}, "r_max must be a positive finite number, got inf"),
+    ({"margin": math.inf}, "margin must be a positive finite number, got inf"),
+    ({"s": math.nan}, "s must be a finite number, got nan"),
+    ({"s": math.inf}, "s must be a finite number, got inf"),
 ], ids=["pqs-flat", "pqs-short-entry", "pqs-scalar", "shells-fractional", "q-null", "alpha-null",
         "margin-null", "r_max-text", "direction-dimension", "x_grid-scalar", "directions-scalar",
         "x_grid-object", "direction-bool", "x0-text", "x_grid-text", "r_max-numeric-text",
         "margin-bool", "alpha-bool", "aperture-numeric-text", "s-bool", "s-numeric-text",
-        "pqs-text-s"])
+        "pqs-text-s", "rmax-inf", "margin-inf", "s-nan", "s-inf"])
 def test_malformed_config_values_fail_with_an_error_line(settings, says, fixture_dir, tmp_path,
                                                          capsys):
     cfg_path = tmp_path / "bad.json"

@@ -211,14 +211,14 @@ def test_coefficient_noise_floor_rule():
 
 def test_coefficients_refuse_frequencies_past_the_band():
     """The Gabor route refuses a radius past 0.9 pi / h as the transform
-    does, with the message fourier_batch gives for the ball's points."""
+    does, with the message fourier_batch gives for the ball."""
     f = smooth_bump_1d(n=512)  # h = 1/32, guarded band ~ 90.5
     sys0 = build_agp(1.0, 1.0, d=1)
     coefficients(f, sys0, 90.0)
     with pytest.raises(FrequencyOutOfRange) as refused:
         coefficients(f, sys0, 91.0)
     with pytest.raises(FrequencyOutOfRange) as transform:
-        fourier_batch(f, LatticeBall.of(sys0.lambda2, 91.0).points)
+        fourier_batch(f, LatticeBall.of(sys0.lambda2, 91.0))
     assert str(refused.value) == str(transform.value)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,26 @@ def test_enumeration_order_is_lexicographic(z2):
     pts = points_in_cone_shell(z2, cone, 0.0, 3.0)
     ints = [tuple(int(round(v)) for v in p) for p in pts]
     assert ints == sorted(ints)
+
+
+@pytest.mark.parametrize("r_max,says", [
+    (math.inf, "r_max must be a finite number, got inf"),
+    (-math.inf, "r_max must be a finite number, got -inf"),
+    (math.nan, "r_max must be a finite number, got nan"),
+    ("5", "r_max must be a number, got '5'"),
+    (True, "r_max must be a number, got True"),
+])
+def test_points_in_ball_refuses_a_radius_that_is_not_a_finite_number(z2, r_max, says):
+    with pytest.raises(ValueError) as refused:
+        points_in_ball(z2, r_max)
+    assert str(refused.value) == says
+
+
+def test_points_in_ball_of_a_negative_radius_is_empty(z2):
+    # however negative: the bracketing box is empty, not a budget refusal
+    for r_max in (-0.5, -5.0, -1e5):
+        pts, ks = points_in_ball(z2, r_max)
+        assert pts.shape == ks.shape == (0, 2)
 
 
 def test_enumeration_refuses_oversized_box_before_allocating():

@@ -26,7 +26,7 @@ from microloc.fixtures import (
     triangle_1d,
     truncated_gaussian_1d,
 )
-from microloc.lattice import points_in_ball
+from microloc.lattice import LatticeBall, make_lattice, scaled_integer_lattice
 from microloc.signal import DEFAULT_NYQUIST_SAFETY, _direct, _stft as stft
 from microloc.wavefront import cutoff_for
 
@@ -55,36 +55,30 @@ def test_zero_signal_transforms_to_zero():
     assert fourier_at(z, [3.0]) == 0.0
 
 
-def _via_chirp(g, freqs):
-    """fourier_batch with the direct fallback made to fail, so that the
-    chirp-z path is the one that runs."""
-
-    def refuse(*args):
-        raise AssertionError("fourier_batch fell back to direct summation")
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(signal_mod, "_direct", refuse)
-        return fourier_batch(g, freqs)
-
-
 def test_fourier_batch_fft_path_matches_direct():
+    # a real signal: the half ball is transformed and mirrored
     f = smooth_bump_1d(n=4096)
-    h = f.spacing[0]
-    delta = TWO_PI / (h * 8192)
-    ks = np.concatenate([np.arange(-400, 400, 7), [3, -3, 0]])
-    freqs = (ks * delta)[:, None]
-    fast = _via_chirp(f, freqs)
-    single = np.array([fourier_at(f, [float(x)]) for x in freqs[:, 0]])
-    slow = _direct(f.trimmed(), freqs)
+    delta = TWO_PI / (f.spacing[0] * 8192)
+    ball = LatticeBall.of(scaled_integer_lattice(delta, 1), 400 * delta)
+    assert ball.points.shape[0] == 801 and ball.split(f.is_real)[1].size == 400
+    fast = fourier_batch(f, ball)
+    slow = _direct(f.trimmed(), ball.points)
+    single = np.array([fourier_at(f, xi) for xi in ball.points[::7]])
     assert np.max(np.abs(fast - slow)) < 1e-10
-    assert np.max(np.abs(fast - single)) < 1e-10
+    assert np.max(np.abs(fast[::7] - single)) < 1e-10
 
 
 def test_fourier_batch_edge_cases():
     f = smooth_bump_1d(n=1024)
-    assert fourier_batch(f, np.zeros((0, 1))).shape == (0,)
-    one = fourier_batch(f, [[1.5]])
-    assert one[0] == pytest.approx(fourier_at(f, [1.5]))
+    offset = scaled_integer_lattice(10.0, 1, [1.5])
+    assert fourier_batch(f, LatticeBall.of(offset, 1.0)).shape == (0,)
+    one = fourier_batch(f, LatticeBall.of(offset, 2.0))
+    assert one.shape == (1,) and one[0] == pytest.approx(fourier_at(f, [1.5]))
+    with pytest.raises(ValueError, match="2-d frequency ball for a 1-d signal"):
+        fourier_batch(f, LatticeBall.of(scaled_integer_lattice(1.0, 2), 3.0))
+    skew = LatticeBall.of(make_lattice([[1.0, 0.3], [0.0, 1.0]]), 3.0)
+    with pytest.raises(ValueError, match="axis-aligned"):
+        fourier_batch(line_singularity_2d(n=64), skew)
 
 
 def test_fourier_batch_2d_product_vs_direct():
@@ -92,18 +86,16 @@ def test_fourier_batch_2d_product_vs_direct():
     samples = np.zeros((64, 64), complex)
     samples[20:40, 25:45] = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
     f = GridSignal.from_samples(samples, [-2.0, -2.0], [0.0625, 0.0625])
-    u = np.linspace(-8, 8, 9)
-    mesh = np.meshgrid(u, u, indexing="ij")
-    freqs = np.stack([m.ravel() for m in mesh], axis=1)
-    a = _via_chirp(f, freqs)
-    b = _direct(f.trimmed(), freqs)
+    ball = LatticeBall.of(make_lattice(np.diag([2.0, 1.5])), 8.0)
+    a = fourier_batch(f, ball)
+    b = _direct(f.trimmed(), ball.points)
     assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
 
 
-def _assert_matches_direct_on_subsample(g, freqs, stride):
-    fast = _via_chirp(g, freqs)
+def _assert_matches_direct_on_subsample(g, ball, stride):
+    fast = fourier_batch(g, ball)
     sub = slice(None, None, stride)
-    slow = _direct(g.trimmed(), freqs[sub])
+    slow = _direct(g.trimmed(), ball.points[sub])
     assert np.max(np.abs(fast[sub] - slow)) < 1e-10 * np.max(np.abs(slow))
 
 
@@ -111,37 +103,18 @@ def test_fourier_batch_largest_1d_grid_matches_direct(jump, unit_pair):
     # the 2^14 jump windowed at x0 = 0, out to r_max = 0.7 / h: the largest
     # chirp phases any default 1D question meets
     g = multiply(jump, cutoff_for(jump, unit_pair.lambda1, np.array([0.0])))
-    freqs, _ = points_in_ball(unit_pair.lambda2, 0.7 / jump.spacing[0])
-    assert jump.samples.size == 2**14 and freqs.shape[0] > 1400
-    _assert_matches_direct_on_subsample(g, freqs, 7)
+    ball = LatticeBall.of(unit_pair.lambda2, 0.7 / jump.spacing[0])
+    assert jump.samples.size == 2**14 and ball.points.shape[0] > 1400
+    _assert_matches_direct_on_subsample(g, ball, 7)
 
 
 def test_fourier_batch_largest_2d_grid_matches_direct():
     line = line_singularity_2d()
     pair = ScanConfig(alpha=2.5, beta=1.0).lattice_pair(2)
     g = multiply(line, cutoff_for(line, pair.lambda1, np.zeros(2)))
-    freqs, _ = points_in_ball(pair.lambda2, 180.0)
-    assert line.shape == (1024, 1024) and freqs.shape[0] > 100_000
-    _assert_matches_direct_on_subsample(g, freqs, 499)
-
-
-def test_fourier_batch_off_progression_falls_back_to_direct():
-    f = smooth_bump_1d(n=1024)
-    rng = np.random.default_rng(5)
-    for freqs in (
-        np.array([[0.0], [1.5], [2.5], [7.25]]),  # no common step
-        np.array([[1.0], [2.0], [150.0]]),  # too many holes
-        rng.uniform(-50, 50, size=(40, 1)),
-    ):
-        assert signal_mod._progressions(freqs) is None
-        assert np.max(np.abs(fourier_batch(f, freqs) - _direct(f.trimmed(), freqs))) < 1e-13
-    # one axis on a progression, the other not
-    g = GridSignal.from_samples(
-        rng.normal(size=(24, 20)) + 1j * rng.normal(size=(24, 20)), [-1.0, 0.5], [0.1, 0.12]
-    )
-    freqs = np.stack([np.repeat(np.arange(-3.0, 4.0), 5), rng.uniform(-9, 9, 35)], axis=1)
-    assert signal_mod._progressions(freqs) is None
-    assert np.max(np.abs(fourier_batch(g, freqs) - _direct(g.trimmed(), freqs))) < 1e-13
+    ball = LatticeBall.of(pair.lambda2, 180.0)
+    assert line.shape == (1024, 1024) and ball.points.shape[0] > 100_000
+    _assert_matches_direct_on_subsample(g, ball, 499)
 
 
 def test_chirp_kernel_matches_scipy_czt():
@@ -175,8 +148,7 @@ def test_chirp_kernel_matches_scipy_czt():
 @example(length=131, n=3, rows=5, dx=0.02, du=1.9, sign=1, seed=3)
 def test_property_chirp_kernel_per_row_equals_row_by_row(length, n, rows, dx, du, sign, seed):
     """A per-row x0, a per-row u0 and both give what row-by-row scalar calls
-    give, and every row is the direct sum (through `fourier_batch` too, where
-    the sign and the band let it serve)."""
+    give, and every row is the direct sum."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(rows, length)) + 1j * rng.normal(size=(rows, length))
     x0, u0 = rng.uniform(-10.0, 10.0, rows), rng.uniform(-50.0, 50.0, rows)
@@ -197,8 +169,6 @@ def test_property_chirp_kernel_per_row_equals_row_by_row(length, n, rows, dx, du
             g = GridSignal.from_samples(a[r] if sign < 0 else np.conj(a[r]), [xs[r]], [dx])
             want = _direct(g, freqs) / norm
             assert np.max(np.abs(batch[r] - (want if sign < 0 else np.conj(want)))) <= tol
-            if sign < 0 and np.max(np.abs(freqs)) <= g.nyquist_limit()[0]:
-                assert np.max(np.abs(batch[r] - _via_chirp(g, freqs) / norm)) <= tol
 
 
 def test_smooth_size_is_the_smallest_5_smooth_length():
@@ -214,43 +184,43 @@ def test_smooth_size_is_the_smallest_5_smooth_length():
 
 
 @st.composite
-def _signal_and_progression(draw, d):
+def _signal_and_ball(draw, d):
+    """A real or complex signal and a lattice ball inside its guarded band,
+    on a diagonal lattice with per-axis steps and an offset that may be
+    zero (then a real signal's ball is mirrored)."""
     h = draw(st.floats(0.01, 0.5))
     origin = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
     shape = draw(st.lists(st.integers(1, 300 if d == 1 else 24), min_size=d, max_size=d))
-    seed = draw(st.integers(0, 2**32 - 1))
-    limit = 0.99 * DEFAULT_NYQUIST_SAFETY * math.pi / h  # rounding stays inside the band
-    axes = []
-    for _ in range(d):
-        n = draw(st.integers(1, 300 if d == 1 else 20))
-        step = draw(st.floats(1e-3, 1.0)) * 2.0 * limit / max(n - 1, 1)
-        start = -limit + draw(st.floats(0.0, 1.0)) * (2.0 * limit - step * (n - 1))
-        axis = start + step * np.arange(n)
-        hole = draw(st.integers(0, n))  # n: no hole
-        axes.append(np.delete(axis, hole) if 0 < hole < n - 1 else axis)
-    rng = np.random.default_rng(seed)
-    samples = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    freqs = np.stack([m.ravel() for m in mesh], axis=1)
-    return GridSignal.from_samples(samples, origin, h), freqs
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.normal(size=shape)
+    if draw(st.booleans()):
+        samples = samples + 1j * rng.normal(size=shape)
+    limit = 0.99 * DEFAULT_NYQUIST_SAFETY * math.pi / h
+    steps = [limit * draw(st.floats(0.01, 1.0)) / draw(st.integers(1, 150 if d == 1 else 12))
+             for _ in range(d)]
+    offset = [draw(st.sampled_from([0.0]) | st.floats(-0.5, 0.5)) * step for step in steps]
+    radius = limit * draw(st.floats(0.0, 1.0))
+    ball = LatticeBall.of(make_lattice(np.diag(steps), offset), radius)
+    return GridSignal.from_samples(samples, origin, h), ball
+
+
+def _assert_ball_transform_is_direct(g, ball):
+    fast = fourier_batch(g, ball)
+    slow = _direct(g.trimmed(), ball.points)
+    assert fast.shape == (ball.points.shape[0],)
+    assert np.max(np.abs(fast - slow), initial=0.0) <= 1e-10 * g.quad_l1()
 
 
 @settings(max_examples=60, deadline=None)
-@given(_signal_and_progression(1))
+@given(_signal_and_ball(1))
 def test_property_fourier_batch_equals_direct_1d(case):
-    g, freqs = case
-    fast = _via_chirp(g, freqs)
-    slow = _direct(g.trimmed(), freqs)
-    assert np.max(np.abs(fast - slow)) <= 1e-10 * g.quad_l1()
+    _assert_ball_transform_is_direct(*case)
 
 
 @settings(max_examples=30, deadline=None)
-@given(_signal_and_progression(2))
+@given(_signal_and_ball(2))
 def test_property_fourier_batch_equals_direct_2d(case):
-    g, freqs = case
-    fast = _via_chirp(g, freqs)
-    slow = _direct(g.trimmed(), freqs)
-    assert np.max(np.abs(fast - slow)) <= 1e-10 * g.quad_l1()
+    _assert_ball_transform_is_direct(*case)
 
 
 def test_linearity():
@@ -340,8 +310,10 @@ def test_cutoff_fourier_decay():
     edges = 8.0 * 2.0 ** np.arange(0, 8)
     maxima = []
     for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-        grid = np.linspace(lo_e, hi_e, 33)[:, None]
-        vals = np.abs(fourier_batch(f, grid))
+        # 33 equispaced points from lo_e to hi_e, k = 32..64 on (lo_e / 32) Z
+        ball = LatticeBall.of(scaled_integer_lattice(lo_e / 32, 1), hi_e)
+        vals = np.abs(fourier_batch(f, ball))[ball.ks[:, 0] >= 32]
+        assert vals.size == 33
         maxima.append(vals.max())
     maxima = np.array(maxima)
     keep = maxima > f.noise_floor()

@@ -215,6 +215,25 @@ def test_query_validation(jump, unit_pair):
             route(jump, wrong, arg)
 
 
+@pytest.mark.parametrize("s,says", [
+    (True, "s must be a number, got True"),
+    ("2", "s must be a number, got '2'"),
+    (math.nan, "s must be a finite number, got nan"),
+    (math.inf, "s must be a finite number, got inf"),
+    (-math.inf, "s must be a finite number, got -inf"),
+])
+def test_s_must_be_a_finite_number(s, says):
+    for build in (
+        lambda: Weight(s),
+        lambda: WavefrontQuery([0.0], [1.0], weight=s),
+        lambda: ScanConfig(pqs=((1.0, 1.0, s),)),
+        lambda: ScanConfig.from_settings(1.0, 1.0, s),
+    ):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == says
+
+
 _DIAG = 0.5**0.5
 _ROUTE_PQS = (
     (1.0, 1.0, 1.0), (2.0, 2.0, 1.0), (2.0, 1.0, 0.0), (1.0, 2.0, 1.0), (2.0, 2.0, 0.0),

@@ -18,13 +18,14 @@ from microloc import (
     reconstruct,
     smooth_bump_window,
 )
-from microloc.gabor import _lattice_progressions, _overlapping_js
-from microloc.lattice import points_in_ball
+from microloc.gabor import _overlapping_js
+from microloc.lattice import LatticeBall, points_in_ball, scaled_integer_lattice
 from microloc.signal import (
     _along_axes,
     _batch_rows,
     _index_box,
     _kernels,
+    _lattice_progressions,
     _window_batch,
 )
 
@@ -236,6 +237,5 @@ def test_property_multiply_is_support_sized(case, gap):
     assert new.noise_floor() == old.noise_floor() or abs(
         new.noise_floor() - old.noise_floor()) <= 1e-14 * old.noise_floor()
     if not old.is_empty():
-        freqs = np.stack(np.meshgrid(*[np.linspace(-3.0, 3.0, 5)] * w.d, indexing="ij"),
-                         axis=-1).reshape(-1, w.d)
-        assert np.array_equal(fourier_batch(new, freqs), fourier_batch(old, freqs))
+        ball = LatticeBall.of(scaled_integer_lattice(1.5, w.d), 3.0)
+        assert np.array_equal(fourier_batch(new, ball), fourier_batch(old, ball))
