@@ -27,7 +27,7 @@ from .gabor import check_partition
 from .selftest import SUITES, run_selftest, worst_roundtrip
 from .seminorm import DEFAULT_K_LAST
 from .signal import load_signal
-from .validation import as_point, check_exponent
+from .validation import as_point, check_exponent, check_integer
 from .wavefront import ScanConfig, _listed, check_equivalence, scan
 
 
@@ -104,6 +104,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, f.name, flag)
     for name in ("q", "p"):
         setattr(cfg, name, check_exponent(getattr(cfg, name), name))
+    check_integer(cfg.d, 1, "d")
+    check_integer(cfg.seed, 0, "seed")
     for name in ("x0", "theta"):
         if getattr(cfg, name) is not None:
             as_point(getattr(cfg, name), name=name)

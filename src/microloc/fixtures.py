@@ -91,10 +91,6 @@ def jump_1d_in_cell(
     return jump_1d(n, lo, hi, jump_at=0.0, plateau=1.5, support=2.5)
 
 
-def smooth_bump_1d_in_cell(n: int = DEFAULT_GRID_1D[0]) -> GridSignal:
-    return smooth_bump_1d(n=n, radius=2.0)
-
-
 def line_singularity_2d(
     n: int = DEFAULT_GRID_2D[0], lo: float = DEFAULT_GRID_2D[1], hi: float = DEFAULT_GRID_2D[2]
 ) -> GridSignal:

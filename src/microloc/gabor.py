@@ -25,8 +25,8 @@ when the table is built (`coefficients(..., js=...)`, e.g. J_{x0}(eps) from
 `support_index_set`).  Translates past the index budget are refused, not
 clipped (BudgetExceeded).  The windows are real, so a real f has
 c_{j,-k} = conj(c_{j,k}): on a centrally symmetric frequency ball its table
-is computed and held on the half ball k_d >= 0 only, and synthesis and the
-mixed norms mirror the stored columns (see `CoefficientTable`).
+is computed and held on the half ball xi_d >= 0 only; the j-reduction
+(`CoefficientTable.aggregate`) and synthesis mirror it by `LatticeBall.unfold`.
 """
 
 from __future__ import annotations
@@ -51,11 +51,10 @@ from .signal import (
     _index_box,
     _kernels,
     _lattice_progressions,
-    _support_from_nonzero,
     _window_batch,
     make_cutoff,
 )
-from .validation import as_point, check_dilation, check_exponent, check_positive
+from .validation import as_point, check_dilation, check_exponent, check_integer, check_positive
 
 _TWO_PI = 2.0 * math.pi
 # Translates j with |j_i| above this are refused (BudgetExceeded), not clipped.
@@ -135,6 +134,7 @@ def build_agp(alpha: float, beta: float, d: int = 1, alpha1: float | None = None
     """
     alpha = check_positive(alpha, "alpha")
     beta = check_positive(beta, "beta")
+    d = check_integer(d, 1, "d")
     if alpha * beta >= _TWO_PI:
         raise InadmissibleParameters(
             f"alpha*beta = {alpha * beta:.6g} must be < 2*pi = {_TWO_PI:.6g}"
@@ -191,36 +191,49 @@ class CoefficientTable:
     is the frequency ball the table was built on (its points, integer
     coordinates, radii and radius).
 
-    A half-held table (`half`, a real signal on a centrally symmetric ball)
-    stores only the columns of the points k_d >= 0, in ball order: the
-    column of -xi_k is conj(c_{j,k}) and is never built.  Otherwise `values`
-    has one column per ball point.  `whole()` gives the complete table.
+    `values` has one column per ball point or, for a real signal on a
+    centrally symmetric ball, one per point xi_d >= 0 in ball order: the
+    column of -xi_k is then conj(c_{j,k}) and is never built.  `whole()`
+    gives the complete table.
     """
 
     js: np.ndarray  # (nj, d) integers
     ball: LatticeBall
     values: np.ndarray  # (nj, stored columns) complex
     noise_floor: float = 0.0
-    half: bool = False
 
     def __post_init__(self):
-        width = self.ball.points.shape[0] - self.ball.split(self.half)[1].size
-        if self.values.shape != (self.js.shape[0], width):
-            raise ValueError(
-                f"coefficient values of shape {self.values.shape} do not fit "
-                f"{self.js.shape[0]} translates and {width} stored columns"
-            )
-
-    def on_ball(self, columns: np.ndarray) -> np.ndarray:
-        """Values given along the last axis per stored column, on every ball
-        point: the column of -xi_k takes the conjugate of that of xi_k (the
-        value itself, for magnitudes; see `LatticeBall.unfold`)."""
-        return self.ball.unfold(columns, self.half)
+        shape, nj, n = self.values.shape, self.js.shape[0], self.ball.points.shape[0]
+        if shape != (nj, n) and shape != (nj, n - self.ball.split(True)[1].size):
+            raise ValueError(f"coefficient values of shape {shape} fit neither {nj} translates "
+                             f"on the {n} ball points nor on its computed half")
 
     def whole(self) -> np.ndarray:
         """The complete (nj, ball size) table: the stored columns and the
         conjugates of their mirrors."""
-        return self.on_ball(self.values)
+        return self.ball.unfold(self.values)
+
+    def aggregate(self, p) -> tuple[np.ndarray, float]:
+        """The j-aggregate ( sum_j |c_{j,k}|^p )^{1/p} (max_j for p = inf)
+        over every row, on every ball point, and its noise floor.  Rows are
+        summed one at a time, so no |c| block the size of the table is held;
+        stored columns are aggregated and mirrored, as |conj c| = |c|."""
+        p = check_exponent(p, "p")
+        rows = self.values
+        if rows.shape[0] == 0:
+            return self.ball.unfold(np.zeros(rows.shape[1])), 0.0
+        mags = np.abs(rows[0])
+        if math.isinf(p):
+            for row in rows[1:]:
+                np.maximum(mags, np.abs(row), out=mags)
+            floor = self.noise_floor
+        else:
+            mags **= p
+            for row in rows[1:]:
+                mags += np.abs(row) ** p
+            mags **= 1.0 / p
+            floor = self.noise_floor * rows.shape[0] ** (1.0 / p)
+        return self.ball.unfold(mags), floor
 
 
 def _translates(sys: GaborSystem, lo, hi, tol: float, what: str) -> np.ndarray:
@@ -283,11 +296,10 @@ def coefficients(
     and the chirp-z kernel sums the patches onto the frequency lattice, on
     progressions taken exact from the ball's integer coordinates.  For a
     real f (and real windows) c_{j,-k} = conj(c_{j,k}), so on a centrally
-    symmetric ball the kernel runs on the half ball k_d >= 0 only and the
-    table holds just those columns (`CoefficientTable.half`); a complex f is
-    transformed and held on the whole ball.  A row's noise floor counts the
-    window's samples on the grid in 1D and the nonzero bounding box of the
-    windowed patch otherwise.
+    symmetric ball the kernel runs on the half ball xi_d >= 0 only and the
+    table holds just those columns; a complex f is transformed and held on
+    the whole ball.  A row's noise floor counts the samples its sum takes:
+    those of its window's box clipped to the signal support.
     """
     check_positive(freq_radius, "freq_radius")
     if js is None:
@@ -318,20 +330,14 @@ def coefficients(
         for rows in _batch_rows(js.shape[0], kernels):
             patches = _gather(f.samples, a[rows], lengths)
             patches *= _window_batch(w, shifts[rows], origin, spacing, a[rows], b[rows], lengths)
-            if sys.d == 1:  # the window's samples on the whole grid
-                lo, hi = w.lo + shifts[rows], w.hi + shifts[rows]
-                grid_a, grid_b = _index_box(lo, hi, origin, spacing, 0, f.shape)
-                count = (grid_b - grid_a)[:, 0]
-            else:  # the windowed patch's nonzero bounding box
-                box = _support_from_nonzero(patches)
-                count = np.prod(box[:, :, 1] - box[:, :, 0], axis=1)
+            count = np.prod(b[rows] - a[rows], axis=1)
             mass = np.sum(np.abs(patches), axis=tuple(range(1, patches.ndim)))
             row_floors = _EPS_FLOOR * np.sqrt(np.maximum(count, 1)) * norm * mass
             floor = max(floor, float(np.max(row_floors)))
             corners = origin + spacing * a[rows]
             sums = _along_axes(patches, kernels, corners.T, [p.start for p in progs])
             values[rows] = norm * sums[index]
-    return CoefficientTable(js, ball, values, floor, bool(mirrored.size))
+    return CoefficientTable(js, ball, values, floor)
 
 
 def reconstruct(table: CoefficientTable, sys: GaborSystem, grid: GridSignal) -> GridSignal:
@@ -343,7 +349,7 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid: GridSignal) -> 
     window's patch by the adjoint chirp-z kernel, batched over translates,
     on the progressions taken exact from the integer coordinates of the
     table's whole ball.  Per batch the coefficient box is filled from the
-    batch's rows on the whole ball (`CoefficientTable.on_ball` mirrors a
+    batch's rows on the whole ball (`LatticeBall.unfold` mirrors a
     half-held table); each axis factor of phi^eps is sampled once, as in
     `coefficients`, and the patches are added onto the grid in order of j.
     """
@@ -359,7 +365,7 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid: GridSignal) -> 
         for rows in _batch_rows(table.js.shape[0], kernels):
             coeffs = np.zeros((rows.stop - rows.start,) + tuple(p.size for p in progs),
                               dtype=np.complex128)
-            coeffs[index] = table.on_ball(table.values[rows])
+            coeffs[index] = ball.unfold(table.values[rows])
             corners = origin + spacing * a[rows]
             inner = _along_axes(coeffs, kernels, [p.start for p in progs], corners.T)
             inner *= _window_batch(w, shifts[rows], origin, spacing, a[rows], b[rows], lengths)
@@ -390,21 +396,15 @@ def discrete_mod_norm(table: CoefficientTable, omega, p, q) -> float:
     """Mixed norm ( sum_k ( sum_j |c_{j,k} w(xi_k)|^p )^{q/p} )^{1/q}.
 
     p aggregates over the spatial index, q over frequency; inf means max.
-    Weights are evaluated at xi_k only (x-independent, radial weights).  The
-    inner norms are taken on the stored columns and mirrored onto the whole
-    ball, as |conj c| = |c|.
+    Weights are evaluated at xi_k only (x-independent, radial weights), so
+    they factor out of the sum over j: the inner norms are the table's
+    j-aggregate (`CoefficientTable.aggregate`) times w(xi_k).
     """
-    p = check_exponent(p, "p")
+    mags, _ = table.aggregate(p)
     q = check_exponent(q, "q")
     if table.values.size == 0:
         return 0.0
-    stored, _ = table.ball.split(table.half)
-    a = np.abs(table.values) * omega(table.ball.points[stored])[None, :]
-    if math.isinf(p):
-        inner = np.max(a, axis=0)
-    else:
-        inner = np.sum(a**p, axis=0) ** (1.0 / p)
-    inner = table.on_ball(inner)
+    inner = mags * omega(table.ball.points)
     if math.isinf(q):
         return float(np.max(inner))
     return float(np.sum(inner**q) ** (1.0 / q))

@@ -4,8 +4,8 @@ A lattice is offset + {t1 e1 + ... + td ed : t integer}; the basis vectors
 are the rows of `basis`.  Enumeration inside a ball brackets it by an
 integer box in lattice coordinates and filters, so no point is missed and
 the cost is proportional to the bounding-box volume.  A `LatticeBall` keeps
-the enumerated points with their integer coordinates and knows its
-Hermitian half.
+the enumerated points with their integer coordinates and, when the ball is
+centrally symmetric, its Hermitian half.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ class LatticePair:
         return self.kind == "strong"
 
 
-def classify_pair(lambda1: Lattice, lambda2: Lattice, tol: float = _PAIR_TOL) -> LatticePair:
-    """Classify a lattice pair from the Gram matrix <e_j, eps_k>."""
+def classify_pair(lambda1: Lattice, lambda2: Lattice) -> LatticePair:
+    """Classify a lattice pair from the Gram matrix <e_j, eps_k>, to _PAIR_TOL."""
     if lambda1.d != lambda2.d:
         raise ValueError("lattices must share a dimension")
     gram = lambda1.basis @ lambda2.basis.T
@@ -140,12 +140,12 @@ def classify_pair(lambda1: Lattice, lambda2: Lattice, tol: float = _PAIR_TOL) ->
     off = gram - np.diag(diag)
     c = float(np.mean(diag))
     biorthogonal = (
-        float(np.max(np.abs(off), initial=0.0)) <= tol
-        and float(np.max(np.abs(diag - c))) <= tol
+        float(np.max(np.abs(off), initial=0.0)) <= _PAIR_TOL
+        and float(np.max(np.abs(diag - c))) <= _PAIR_TOL
     )
-    if not biorthogonal or c <= tol:
+    if not biorthogonal or c <= _PAIR_TOL:
         return LatticePair(lambda1, lambda2, None, "inadmissible")
-    if abs(c - 2.0 * math.pi) <= tol:
+    if abs(c - 2.0 * math.pi) <= _PAIR_TOL:
         return LatticePair(lambda1, lambda2, c, "weak")
     if c < 2.0 * math.pi:
         return LatticePair(lambda1, lambda2, c, "strong")
@@ -204,11 +204,11 @@ class LatticeBall:
     """Every point of `lattice` with |xi| <= radius and its integer
     coordinates ks, in the lexicographic order of `points_in_ball`.
 
-    On a lattice through the origin the ball is centrally symmetric, so in
-    that order the point -xi_i sits at index n - 1 - i.  A real signal's
-    transform is Hermitian, F f(-xi) = conj(F f(xi)), so it is computed on
-    the half ball k_d >= 0 only (see `split`); `unfold` mirrors values so
-    computed onto the whole ball.
+    The ball is centrally symmetric when every -xi_i is the point at index
+    n - 1 - i, as on a lattice through the origin or delta (Z^d + 1/2) at a
+    dyadic delta.  There a real signal's transform, F f(-xi) =
+    conj(F f(xi)), is computed on the half xi_d >= 0 only (see `split`) and
+    `unfold` mirrors it onto the whole ball.
     """
 
     lattice: Lattice
@@ -244,27 +244,30 @@ class LatticeBall:
 
     @cached_property
     def _halves(self) -> tuple[np.ndarray | slice, np.ndarray]:
-        if np.any(self.lattice.offset) or not np.array_equal(self.ks[::-1], -self.ks):
+        if not np.array_equal(self.points[::-1], -self.points):
             return slice(None), _NO_INDEX
-        last = self.ks[:, -1]
+        last = self.points[:, -1]
         return np.flatnonzero(last >= 0), np.flatnonzero(last < 0)
 
     def split(self, real: bool) -> tuple[np.ndarray | slice, np.ndarray]:
         """(computed, mirrored): the indices on which to compute a spectrum and
         those to fill from it, index i by conj(value at n - 1 - i).  For a
-        real signal on a centrally symmetric ball they are k_d >= 0 and
-        k_d < 0; otherwise every point is computed and none is mirrored."""
+        real signal on a centrally symmetric ball they are xi_d >= 0 and
+        xi_d < 0; otherwise every point is computed and none is mirrored."""
         return self._halves if real else (slice(None), _NO_INDEX)
 
-    def unfold(self, values: np.ndarray, real: bool) -> np.ndarray:
-        """Values on every point of the ball from `values`, given along the
-        last axis on the computed points of `split(real)`: a mirrored point
-        -xi takes the conjugate of the value at xi (the value itself, for
-        magnitudes).  `values` itself when nothing is mirrored."""
-        computed, mirrored = self.split(real)
-        if not mirrored.size:
-            return values
+    def unfold(self, values: np.ndarray) -> np.ndarray:
+        """Values on every point of the ball, read by the width of the last
+        axis of `values`: one per ball point is whole and returned as it is;
+        one per computed point of `split(True)` is mirrored, -xi taking the
+        conjugate of the value at xi (the value itself, for magnitudes)."""
         n = self.points.shape[0]
+        if values.shape[-1] == n:
+            return values
+        computed, mirrored = self._halves
+        if values.shape[-1] != n - mirrored.size:
+            raise ValueError(f"{values.shape[-1]} values fit neither the {n} points of "
+                             f"the ball nor its {n - mirrored.size} computed points")
         out = np.empty(values.shape[:-1] + (n,), dtype=values.dtype)
         out[..., computed] = values
         mirror = out[..., n - 1 - mirrored]

@@ -32,12 +32,12 @@ every row of the coefficient table, whose rows are J_{x0}(eps), once per
 exponent p; per series (per record, always on one cone) only the gather of
 the cone's magnitudes, the weighted power sums per shell and the shell
 maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
-c_{j,-k} = conj(c_{j,k}), so both routes transform only the half ball
-k_d >= 0.  `fourier_batch` mirrors its values onto the whole ball; a
-coefficient table holds only the computed columns, and the j-aggregates are
-taken on them and mirrored (`CoefficientTable.on_ball`), so every spectrum
-covers the geometry's points and the binning does not know which half was
-computed.
+c_{j,-k} = conj(c_{j,k}), so on a centrally symmetric ball every route,
+the oracle's included, transforms only the half ball xi_d >= 0.
+`fourier_batch` mirrors its values onto the whole ball; a coefficient table
+holds only the computed columns, and its j-aggregates are taken on them and
+mirrored (`CoefficientTable.aggregate`), so every spectrum covers the
+geometry's points and the binning does not know which half was computed.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ def quadrature_spectrum(f: GridSignal, density: float, r_max: float, r0: float
 
     The nodes are the `LatticeBall` of the midpoint lattice, so each carries
     the cell weight delta^d and none is the origin; they are independent of
-    any frequency lattice of the discrete route.
+    any frequency lattice of the discrete route.  Where they are exactly
+    symmetric (a dyadic delta) a real f is transformed on half of them.
     """
     delta = 1.0 / check_positive(density, "density")
     midpoints = scaled_integer_lattice(delta, f.d, np.full(f.d, 0.5 * delta))
@@ -228,33 +229,14 @@ def j_aggregate(
     table: CoefficientTable, p, geometry: ShellGeometry | None = None
 ) -> SpectralSamples:
     """The j-aggregate ( sum_j |c_{j,k}|^p )^{1/p} (max_j for p = inf) over
-    every row of the table, with its noise floor, on `geometry`, the shell
-    geometry of the table's ball (built from the ball when not given).  Rows
-    are summed one at a time, so no |c| block the size of the table is held;
-    a half-held table is aggregated on its stored columns and the aggregate
-    mirrored onto k_d < 0, as |conj c| = |c|.  A table of no rows has the
-    aggregate 0.
+    every row of the table, with its noise floor (`CoefficientTable.aggregate`),
+    on `geometry`, the shell geometry of the table's ball (built from the
+    ball when not given).
     """
-    p = check_exponent(p, "p")
+    mags, floor = table.aggregate(p)
     if geometry is None:
         geometry = _ball_shells(table.ball)
-    rows = table.values
-    if rows.shape[0] == 0:
-        mags = np.zeros(rows.shape[1])
-        floor = 0.0
-    else:
-        mags = np.abs(rows[0])
-        if math.isinf(p):
-            for row in rows[1:]:
-                np.maximum(mags, np.abs(row), out=mags)
-            floor = table.noise_floor
-        else:
-            mags **= p
-            for row in rows[1:]:
-                mags += np.abs(row) ** p
-            mags **= 1.0 / p
-            floor = table.noise_floor * rows.shape[0] ** (1.0 / p)
-    return SpectralSamples(geometry, table.on_ball(mags), 1.0, floor)
+    return SpectralSamples(geometry, mags, 1.0, floor)
 
 
 def discrete_mod_series(

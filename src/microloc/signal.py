@@ -25,7 +25,7 @@ against.
 
 A real signal (`GridSignal.is_real`, checked once per signal) has a
 Hermitian transform, F f(-xi) = conj(F f(xi)), so its spectrum on a
-centrally symmetric lattice ball is computed on the half ball k_d >= 0 and
+centrally symmetric lattice ball is computed on the half ball xi_d >= 0 and
 mirrored (`LatticeBall.split`, `LatticeBall.unfold`); the last axis's
 progression, which the kernel transforms first, is then half as long.
 
@@ -504,7 +504,7 @@ def fourier_batch(f: GridSignal, ball: LatticeBall) -> np.ndarray:
 
     The quadrature sum is taken with the chirp-z kernel axis by axis over
     the product of the ball's progressions and read off at its points.  For
-    a real f on a centrally symmetric ball only the half ball k_d >= 0 is
+    a real f on a centrally symmetric ball only the half ball xi_d >= 0 is
     transformed and the rest is mirrored (`LatticeBall.split`).
     """
     if ball.lattice.d != f.d:
@@ -517,7 +517,7 @@ def fourier_batch(f: GridSignal, ball: LatticeBall) -> np.ndarray:
     progs = _lattice_progressions(ball.lattice, ks)
     kernels = _kernels(progs, g.spacing, g.shape)
     sums = _along_axes(g.samples[None], kernels, g.origin, [p.start for p in progs])[0]
-    return ball.unfold(_norm_factor(g) * sums[tuple(p.index for p in progs)], f.is_real)
+    return ball.unfold(_norm_factor(g) * sums[tuple(p.index for p in progs)])
 
 
 def fourier_at(f: GridSignal, xi) -> complex:

@@ -111,11 +111,17 @@ def check_dilation(eps) -> float:
     return eps
 
 
+def check_integer(x, lo: int, name: str = "value"):
+    """x when it is an integer >= lo; ValueError naming it otherwise, a bool
+    included."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {x!r}")
+    return x
+
+
 def check_fit_window(k_last) -> int:
     """Validate the number of shells a growth fit uses (the CLI's `shells`)."""
-    if isinstance(k_last, bool) or not isinstance(k_last, numbers.Integral) or k_last < 4:
-        raise ValueError(f"k_last (the CLI's shells) must be an integer >= 4, got {k_last!r}")
-    return k_last
+    return check_integer(k_last, 4, "k_last (the CLI's shells)")
 
 
 def check_in_open(x, lo: float, hi: float, name: str = "value") -> float:

@@ -288,11 +288,18 @@ def test_bad_settings_fail_on_every_surface(field, key, value, fixture_dir, jump
     ({"margin": math.inf}, "margin must be a positive finite number, got inf"),
     ({"s": math.nan}, "s must be a finite number, got nan"),
     ({"s": math.inf}, "s must be a finite number, got inf"),
+    ({"d": 1.5}, "d must be an integer >= 1, got 1.5"),
+    ({"d": "2"}, "d must be an integer >= 1, got '2'"),
+    ({"d": True}, "d must be an integer >= 1, got True"),
+    ({"d": 0}, "d must be an integer >= 1, got 0"),
+    ({"seed": 0.5}, "seed must be an integer >= 0, got 0.5"),
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
 ], ids=["pqs-flat", "pqs-short-entry", "pqs-scalar", "shells-fractional", "q-null", "alpha-null",
         "margin-null", "r_max-text", "direction-dimension", "x_grid-scalar", "directions-scalar",
         "x_grid-object", "direction-bool", "x0-text", "x_grid-text", "r_max-numeric-text",
         "margin-bool", "alpha-bool", "aperture-numeric-text", "s-bool", "s-numeric-text",
-        "pqs-text-s", "rmax-inf", "margin-inf", "s-nan", "s-inf"])
+        "pqs-text-s", "rmax-inf", "margin-inf", "s-nan", "s-inf", "d-float", "d-text",
+        "d-bool", "d-zero", "seed-float", "seed-bool"])
 def test_malformed_config_values_fail_with_an_error_line(settings, says, fixture_dir, tmp_path,
                                                          capsys):
     cfg_path = tmp_path / "bad.json"
@@ -370,6 +377,20 @@ def test_gabor_check_exit_codes(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"alpha": 1.0, "beta": 3.0, "gabor_alpha": 2.5}))
     assert main(["gabor-check", "--config", str(cfg_path)]) == 1
     assert "InadmissibleParameters" in capsys.readouterr().err
+
+
+def test_gabor_check_refuses_a_malformed_dimension_or_seed(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cases = (
+        ({"d": 1.5}, [], "d must be an integer >= 1, got 1.5"),
+        ({"seed": True}, [], "seed must be an integer >= 0, got True"),
+        ({}, ["--d", "0"], "d must be an integer >= 1, got 0"),
+    )
+    for settings, flags, says in cases:
+        cfg_path.write_text(json.dumps(settings))
+        assert main(["gabor-check", "--config", str(cfg_path)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError") and says in err
 
 
 def test_gabor_check_2d_reports_roundtrip_not_run(tmp_path, capsys):

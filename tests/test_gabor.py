@@ -44,6 +44,12 @@ def test_build_agp_rejects_inadmissible():
         build_agp(1.0, 1.0, alpha1=0.5)  # window side below alpha
 
 
+def test_build_agp_refuses_a_dimension_that_is_not_a_positive_integer():
+    for d in (0, -1, 1.5, "2", True):
+        with pytest.raises(ValueError, match=f"d must be an integer >= 1, got {d!r}"):
+            build_agp(1.0, 1.0, d=d)
+
+
 def test_build_agp_partition_constant_2d():
     sys0 = build_agp(0.5, math.pi, d=2)
     # (beta / 2 pi)^d with beta = pi, d = 2
@@ -182,9 +188,10 @@ def test_property_coefficients_match_stft_2d(case):
 
 
 def test_coefficient_noise_floor_rule():
-    # a 1D row is floored by its window's sample count on the grid, other
-    # rows by the nonzero bounding box of the windowed signal; the signals
-    # have compact supports with gaps, so the counts differ from the patch
+    # a row is floored by the samples its sum takes: the grid points of its
+    # window's box inside the signal's support box; the signals have compact
+    # supports with gaps, so the count is neither the window's samples on the
+    # whole grid nor the nonzero bounding box of the windowed signal
     n, lo = 256, -4.0
     h = -2 * lo / n
     x = lo + h * np.arange(n)
@@ -198,13 +205,11 @@ def test_coefficient_noise_floor_rule():
     for f, sys0 in cases:
         for j in coefficients(f, sys0, 8.0).js:
             w = sys0.psi.scaled(sys0.epsilon).translated(sys0.epsilon * sys0.x_point(j))
+            count = 1
+            for axis, lo_i, hi_i, (a, b) in zip(f.axes(), w.lo, w.hi, f.support):
+                count *= np.count_nonzero((axis[a:b] >= lo_i) & (axis[a:b] <= hi_i))
             g = multiply(f, w)
-            if f.d == 1:
-                x1 = f.axes()[0]
-                count = np.count_nonzero((x1 >= w.lo[0]) & (x1 <= w.hi[0]))
-                floor = np.finfo(float).eps * 64 * math.sqrt(max(count, 1)) * g.quad_l1()
-            else:
-                floor = g.noise_floor()
+            floor = np.finfo(float).eps * 64 * math.sqrt(max(count, 1)) * g.quad_l1()
             got = coefficients(f, sys0, 8.0, js=np.array([j])).noise_floor
             assert got == pytest.approx(TWO_PI ** (f.d / 2) * floor, rel=1e-12, abs=0.0)
 
@@ -293,6 +298,9 @@ def test_discrete_mod_norm_examples():
 
     zeroed = table.__class__(table.js, table.ball, np.zeros_like(table.values))
     assert discrete_mod_norm(zeroed, w0, 1, 1) == 0.0
+    # a table holds one column per ball point or per point of its half
+    with pytest.raises(ValueError, match="fit neither"):
+        table.__class__(table.js, table.ball, table.values[:, 1:])
 
     single = np.zeros_like(table.values)
     single[2, 5] = 3 - 4j
@@ -302,6 +310,37 @@ def test_discrete_mod_norm_examples():
 
     direct = float(np.sqrt(np.sum(np.abs(table.whole()) ** 2)))
     assert discrete_mod_norm(table, w0, 2, 2) == pytest.approx(direct, rel=1e-12)
+
+
+@st.composite
+def _mod_norm_case(draw):
+    """A random real or complex signal in 1D or 2D, its coefficient table on
+    every overlapping translate, and p, q in {1, 2, inf} with s in {-1, 0, 1}."""
+    d = draw(st.sampled_from([1, 2]))
+    n = 256 if d == 1 else 32
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.normal(size=(n,) * d)
+    if draw(st.booleans()):
+        samples = samples + 1j * rng.normal(size=samples.shape)
+    f = GridSignal.from_samples(samples, [-2.0] * d, 4.0 / n)
+    sys0 = build_agp(1.0, 1.0, d=d).with_epsilon(draw(st.sampled_from([1.0, 0.5])))
+    radius = draw(st.floats(3.0, 100.0 if d == 1 else 20.0))
+    exponents = st.sampled_from([1.0, 2.0, math.inf])
+    s = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    return coefficients(f, sys0, radius), draw(exponents), draw(exponents), s
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mod_norm_case())
+def test_property_discrete_mod_norm_equals_the_weighted_block(case):
+    # The weights are radial, so they factor out of the sum over j: the norm
+    # from the table's j-aggregate equals the one of the whole |c| w block.
+    table, p, q, s = case
+    w = Weight.bracket_power(s)
+    block = np.abs(table.whole()) * w(table.ball.points)[None, :]
+    inner = block.max(axis=0) if math.isinf(p) else np.sum(block**p, axis=0) ** (1.0 / p)
+    want = inner.max() if math.isinf(q) else np.sum(inner**q) ** (1.0 / q)
+    assert discrete_mod_norm(table, w, p, q) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_index_budget_refuses_clipped_translates():

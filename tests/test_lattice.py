@@ -121,13 +121,37 @@ def test_lattice_ball_halves_mirror_through_the_origin():
     n = ball.points.shape[0]
     computed, mirrored = ball.split(real=True)
     assert np.array_equal(ball.points[n - 1 - mirrored], -ball.points[mirrored])
-    assert np.all(ball.ks[computed, -1] >= 0) and np.all(ball.ks[mirrored, -1] < 0)
+    # on a skew lattice the half is xi_d >= 0, not k_d >= 0
+    assert np.all(ball.points[computed, -1] >= 0) and np.all(ball.points[mirrored, -1] < 0)
+    assert not np.array_equal(ball.points[:, -1] >= 0, ball.ks[:, -1] >= 0)
     assert computed.size + mirrored.size == n
     assert ball.split(real=False)[0] == slice(None) and ball.split(real=False)[1].size == 0
     # integer coordinates symmetric about 0 on an offset lattice: no mirror
     shifted = LatticeBall.of(scaled_integer_lattice(1.0, 1, [0.1]), 5.5)
     assert np.array_equal(shifted.ks[::-1], -shifted.ks)
     assert shifted.split(real=True)[1].size == 0
+    # an offset lattice whose points are symmetric, the midpoint lattice
+    # (Z + 1/2) / 4: mirrored through the origin, which is not a point
+    midpoints = LatticeBall.of(scaled_integer_lattice(0.25, 1, [0.125]), 10.0)
+    computed, mirrored = midpoints.split(real=True)
+    n = midpoints.points.shape[0]
+    assert n == 80 and mirrored.size == computed.size == n // 2
+    assert np.array_equal(midpoints.points[n - 1 - mirrored], -midpoints.points[mirrored])
+
+
+def test_unfold_reads_the_width_of_its_values():
+    ball = LatticeBall.of(scaled_integer_lattice(1.0, 2), 3.0)
+    n = ball.points.shape[0]
+    computed, mirrored = ball.split(real=True)
+    values = np.arange(n) * (1 + 1j)
+    assert ball.unfold(values) is values
+    whole = ball.unfold(values[computed][None])
+    assert whole.shape == (1, n)
+    assert np.array_equal(whole[0, computed], values[computed])
+    assert np.array_equal(whole[0, mirrored], np.conj(values[n - 1 - mirrored]))
+    for width in (0, computed.size - 1, computed.size + 1, n + 1):
+        with pytest.raises(ValueError, match=f"{width} values fit neither"):
+            ball.unfold(values[:width] if width <= n else np.ones(width))
 
 
 def test_parallelepiped_containing_examples(z2):

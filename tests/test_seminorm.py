@@ -24,7 +24,7 @@ from microloc import (
     scaled_integer_lattice,
     support_index_set,
 )
-from microloc.fixtures import jump_1d, jump_1d_in_cell
+from microloc.fixtures import jump_1d, jump_1d_in_cell, line_singularity_2d
 from microloc.gabor import CoefficientTable, _overlapping_js
 from microloc.lattice import LatticeBall
 from microloc.seminorm import (
@@ -285,6 +285,19 @@ def test_quadrature_nodes_are_the_midpoint_lattice_ball(d, r_max):
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("d,density,r_max", [(1, 4.0, 716.0), (2, 2.0, 20.0)])
+def test_quadrature_spectrum_mirrors_the_symmetric_midpoint_ball(d, density, r_max):
+    # At a dyadic delta the midpoint nodes are exactly symmetric, so a real
+    # signal is transformed on half of them and mirrored; every magnitude
+    # must still equal the direct sum at its node.
+    f = jump_1d_in_cell(n=4096) if d == 1 else line_singularity_2d(n=64)
+    spec = quadrature_spectrum(f, density, r_max, 4.0)
+    ball = spec.geometry.ball
+    assert f.is_real and 2 * ball.split(True)[1].size == ball.points.shape[0]
+    want = np.abs(_direct(f.trimmed(), ball.points))
+    assert np.max(np.abs(spec.magnitudes - want)) <= 1e-10 * f.quad_l1()
+
+
 def test_discrete_mod_series_reductions():
     sys0 = build_agp(1.0, 1.0, d=1).with_epsilon(0.125)
     f = jump_1d()
@@ -322,6 +335,7 @@ def test_discrete_mod_series_reductions():
 def test_j_aggregate_equals_the_block_reduction():
     # Rows are aggregated one at a time; the sums run in the same order as a
     # reduction over axis 0 of the whole |c| block, so the results are equal.
+    # The floor grows as the p-norm of the rows' floors, nj^(1/p) of one.
     ball = LatticeBall.of(scaled_integer_lattice(1.0, 2), 12.0)
     rng = np.random.default_rng(3)
     values = rng.normal(size=(5, ball.points.shape[0])) * np.exp(1j * rng.uniform(0, 7, (5, 1)))
@@ -333,6 +347,7 @@ def test_j_aggregate_equals_the_block_reduction():
             agg = j_aggregate(table, p)
             want = block.max(axis=0) if math.isinf(p) else np.sum(block**p, axis=0) ** (1.0 / p)
             assert np.array_equal(agg.magnitudes, want)
+            assert agg.noise_floor == 1e-15 * (1 if math.isinf(p) else len(rows) ** (1.0 / p))
             assert agg.geometry.ball is ball
 
 
@@ -429,8 +444,9 @@ def test_property_shared_geometry_bins_as_per_call(case):
 @st.composite
 def _hermitian_case(draw):
     """A real or complex signal with random samples on a random support, a
-    frequency lattice (through the origin or offset) and a radius inside
-    the guarded band."""
+    frequency lattice (through the origin or offset; a dyadic step with the
+    offset beta / 2 gives exactly symmetric points) and a radius inside the
+    guarded band."""
     d = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(64, 512)) if d == 1 else draw(st.integers(24, 48))
     h = 8.0 / n
@@ -442,7 +458,7 @@ def _hermitian_case(draw):
     lo = [draw(st.integers(0, n // 3)) for _ in range(d)]
     hi = [draw(st.integers(2 * n // 3, n)) for _ in range(d)]
     f = GridSignal(-4.0 * np.ones(d), h * np.ones(d), samples, tuple(zip(lo, hi)))
-    beta = draw(st.floats(0.5, 2.0))
+    beta = draw(st.sampled_from([0.5, 1.0, 1.5]) | st.floats(0.5, 2.0))
     offset = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.1, 0.9)) * beta
     radius = draw(st.floats(0.3, 0.8)) * math.pi / h
     return f, beta, offset, radius
@@ -451,16 +467,20 @@ def _hermitian_case(draw):
 @settings(max_examples=40, deadline=None)
 @given(_hermitian_case())
 def test_property_half_ball_and_mirror_equal_the_whole_ball(case):
-    # A real signal is transformed on the half ball k_d >= 0 and mirrored;
-    # every value must equal the whole-ball transform, summed directly at
-    # each point (windowed per translate for the coefficients).
+    # A real signal on a centrally symmetric ball, offset or not, is
+    # transformed on the half ball xi_d >= 0 and mirrored; every value must
+    # equal the whole-ball transform, summed directly at each point
+    # (windowed per translate for the coefficients).
     # Its coefficient table holds only the computed columns, and whatever
     # reads the table must answer as on the same table held whole.
     f, beta, offset, radius = case
     lat = scaled_integer_lattice(beta, f.d, offset * np.ones(f.d))
     geometry = lattice_ball(lat, radius)
     computed, mirrored = geometry.ball.split(f.is_real)
-    assert (mirrored.size > 0) == (f.is_real and offset == 0.0)
+    points = geometry.ball.points
+    assert (mirrored.size > 0) == (f.is_real and np.array_equal(points[::-1], -points))
+    if offset == 0.0:
+        assert (mirrored.size > 0) == f.is_real
     got = lattice_samples(f, geometry).magnitudes
     want = np.abs(_direct(f.trimmed(), geometry.ball.points))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
@@ -471,7 +491,6 @@ def test_property_half_ball_and_mirror_equal_the_whole_ball(case):
     js = _overlapping_js(f, sys0)[:: 1 + f.d]
     table = coefficients(f, sys0, radius, js=js, ball=geometry.ball)
     n = geometry.ball.points.shape[0]
-    assert table.half == (mirrored.size > 0)
     assert table.values.shape == (js.shape[0], n - mirrored.size)
     whole = table.whole()
     assert np.array_equal(whole[:, computed], table.values)
@@ -482,7 +501,7 @@ def test_property_half_ball_and_mirror_equal_the_whole_ball(case):
     ]) * TWO_PI ** (f.d / 2)
     assert np.max(np.abs(whole - want)) <= 1e-12 * np.max(np.abs(want))
 
-    held_whole = dataclasses.replace(table, values=whole, half=False)
+    held_whole = dataclasses.replace(table, values=whole)
     for p in (1.0, 2.0, math.inf):
         got, ref = j_aggregate(table, p), j_aggregate(held_whole, p)
         assert np.array_equal(got.magnitudes, ref.magnitudes)

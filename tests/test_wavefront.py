@@ -339,7 +339,7 @@ def test_scan_enumerates_the_ball_once_and_tests_each_cone_once(jump, monkeypatc
 
 
 def test_verdict_path_never_builds_the_whole_table(jump, monkeypatch):
-    # A real signal's table holds only its columns k_d >= 0 and every verdict
+    # A real signal's table holds only its columns xi_d >= 0 and every verdict
     # reads them as they are stored: building the complete table fails here.
     def refuse(table):
         raise AssertionError("a verdict built the complete coefficient table")
@@ -368,13 +368,11 @@ def test_verdict_path_never_builds_the_whole_table(jump, monkeypatch):
     assert detector.predict([[0.0, 1.0], [3.0, -1.0]]).tolist() == [1, 0]
     assert len(tables) == 2 + 2 * 2 + 2
     for table in tables:
-        assert table.half
         assert table.values.shape[1] == np.count_nonzero(table.ball.ks[:, -1] >= 0)
 
     # a complex signal's table holds every column of its ball
     complex_line = GridSignal.from_samples((1 + 1j) * line.samples, line.origin, line.spacing)
     table = gabor.coefficients(complex_line, cfg_line.gabor_system(2), 20.0)
-    assert not table.half
     assert table.values.shape[1] == table.ball.points.shape[0]
 
 
