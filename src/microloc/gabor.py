@@ -27,6 +27,11 @@ clipped (BudgetExceeded).  The windows are real, so a real f has
 c_{j,-k} = conj(c_{j,k}): on a centrally symmetric frequency ball its table
 is computed and held on the half ball xi_d >= 0 only; the j-reduction
 (`CoefficientTable.aggregate`) and synthesis mirror it by `LatticeBall.unfold`.
+
+Analysis (`coefficients`) is the psi^eps rows of the one analysis core of
+signal.py (`signal._analysis`), whose one unwindowed row is the FL
+transform `fourier_batch`; synthesis (`reconstruct`) runs the adjoint
+kernel of the same plan (`signal._plan`).
 """
 
 from __future__ import annotations
@@ -40,21 +45,20 @@ import numpy as np
 from .errors import BudgetExceeded, InadmissibleParameters
 from .lattice import Lattice, LatticeBall, LatticePair, classify_pair, scaled_integer_lattice
 from .signal import (
-    _EPS_FLOOR,
     BumpWindow,
     GridSignal,
     _along_axes,
-    _batch_rows,
+    _analysis,
     _bump,
     _check_band,
-    _gather,
     _index_box,
-    _kernels,
-    _lattice_progressions,
+    _plan,
     _window_batch,
     make_cutoff,
 )
-from .validation import as_point, check_dilation, check_exponent, check_integer, check_positive
+from .validation import (
+    as_integers, as_point, check_dilation, check_exponent, check_integer, check_positive
+)
 
 _TWO_PI = 2.0 * math.pi
 # Translates j with |j_i| above this are refused (BudgetExceeded), not clipped.
@@ -140,8 +144,7 @@ def build_agp(alpha: float, beta: float, d: int = 1, alpha1: float | None = None
             f"alpha*beta = {alpha * beta:.6g} must be < 2*pi = {_TWO_PI:.6g}"
         )
     alpha2 = _TWO_PI / beta
-    if alpha1 is None:
-        alpha1 = 0.5 * (alpha + alpha2)
+    alpha1 = 0.5 * (alpha + alpha2) if alpha1 is None else check_positive(alpha1, "alpha1")
     if not (alpha < alpha1 < alpha2):
         raise InadmissibleParameters(
             f"window side alpha1 = {alpha1:.6g} must lie in (alpha, 2*pi/beta) "
@@ -162,7 +165,7 @@ def build_agp(alpha: float, beta: float, d: int = 1, alpha1: float | None = None
         raise InadmissibleParameters(
             f"lattice pair classified as {pair.kind}; a strong pair is required"
         )
-    return GaborSystem(phi, psi, pair, alpha, beta, float(alpha1), alpha2)
+    return GaborSystem(phi, psi, pair, alpha, beta, alpha1, alpha2)
 
 
 def check_partition(sys: GaborSystem, n: int = 256) -> float:
@@ -265,14 +268,6 @@ def _overlapping_js(f: GridSignal, sys: GaborSystem) -> np.ndarray:
     )
 
 
-def _placed(window: BumpWindow, sys: GaborSystem, js, origin, spacing, a_min, b_max):
-    """window^eps, the offsets eps x_j of its translates, and their grid
-    index boxes [a, b) clipped to [a_min, b_max)."""
-    w = window.scaled(sys.epsilon)
-    shifts = sys.epsilon * sys.x_point(js)
-    return w, shifts, _index_box(w.lo + shifts, w.hi + shifts, origin, spacing, a_min, b_max)
-
-
 def coefficients(
     f: GridSignal,
     sys: GaborSystem,
@@ -283,28 +278,25 @@ def coefficients(
     """Analysis coefficients c_{j,k}(eps) = (f, psi^eps_{j,k})_{L^2}.
 
     Computed as (2*pi)^(d/2) * F(f * psi^eps(. - eps x_j))(xi_k) for every
-    frequency lattice point with |xi_k| <= freq_radius.  By default j runs
-    over every translate overlapping the signal support; pass `js` to
-    restrict (e.g. to a support index set around one point).  `ball` is
-    the `LatticeBall` of sys.lambda2 and freq_radius when the caller already
-    holds it (ValueError if it is another ball); the table points at the
-    ball either way.
+    frequency lattice point with |xi_k| <= freq_radius: the psi^eps rows of
+    the analysis core `signal._analysis`, one per translate, each summed
+    over its window's box clipped to the signal support, which its noise
+    floor counts.  By default j runs over every translate overlapping the
+    signal support; pass integer `js` to restrict (e.g. to a support index
+    set around one point; ValueError naming an entry that is not an
+    integer).  `ball` is the `LatticeBall` of sys.lambda2 and freq_radius
+    when the caller already holds it (ValueError if it is another ball);
+    the table points at the ball either way.
 
-    Per batch of translates each axis factor of psi^eps is sampled once on
-    the stacked offsets of every translate's box clipped to the signal
-    support; a row's patch is f times the outer product of its axis samples,
-    and the chirp-z kernel sums the patches onto the frequency lattice, on
-    progressions taken exact from the ball's integer coordinates.  For a
-    real f (and real windows) c_{j,-k} = conj(c_{j,k}), so on a centrally
-    symmetric ball the kernel runs on the half ball xi_d >= 0 only and the
-    table holds just those columns; a complex f is transformed and held on
-    the whole ball.  A row's noise floor counts the samples its sum takes:
-    those of its window's box clipped to the signal support.
+    For a real f (and real windows) c_{j,-k} = conj(c_{j,k}), so on a
+    centrally symmetric ball the core runs on the half ball xi_d >= 0 only
+    and the table holds just those columns; a complex f is transformed and
+    held on the whole ball.
     """
     check_positive(freq_radius, "freq_radius")
     if js is None:
         js = _overlapping_js(f, sys)
-    js = np.atleast_2d(np.asarray(js, dtype=int))
+    js = np.atleast_2d(as_integers(js, "js"))
     if js.size == 0:
         js = js.reshape(0, sys.d)
     if ball is None:
@@ -315,29 +307,12 @@ def coefficients(
             f"is not the ball of radius {freq_radius:g} on {sys.lambda2.to_json()}"
         )
     _check_band(f, ball.points)
-    n = ball.points.shape[0]
-    computed, mirrored = ball.split(f.is_real)
-    values = np.zeros((js.shape[0], n - mirrored.size), dtype=np.complex128)
-    floor = 0.0
-    if js.size and n:
-        # (2*pi)^(d/2) of the coefficients cancels the transform's (2*pi)^(-d/2)
-        origin, spacing, norm = f.origin, f.spacing, f.cell_volume
-        w, shifts, (a, b) = _placed(sys.psi, sys, js, origin, spacing, *zip(*f.support))
-        progs = _lattice_progressions(ball.lattice, ball.ks[computed])
-        lengths = np.max(b - a, axis=0).clip(1)
-        kernels = _kernels(progs, spacing, lengths)
-        index = (slice(None),) + tuple(p.index for p in progs)
-        for rows in _batch_rows(js.shape[0], kernels):
-            patches = _gather(f.samples, a[rows], lengths)
-            patches *= _window_batch(w, shifts[rows], origin, spacing, a[rows], b[rows], lengths)
-            count = np.prod(b[rows] - a[rows], axis=1)
-            mass = np.sum(np.abs(patches), axis=tuple(range(1, patches.ndim)))
-            row_floors = _EPS_FLOOR * np.sqrt(np.maximum(count, 1)) * norm * mass
-            floor = max(floor, float(np.max(row_floors)))
-            corners = origin + spacing * a[rows]
-            sums = _along_axes(patches, kernels, corners.T, [p.start for p in progs])
-            values[rows] = norm * sums[index]
-    return CoefficientTable(js, ball, values, floor)
+    if not (js.size and ball.points.size):
+        width = ball.points.shape[0] - ball.split(f.is_real)[1].size
+        return CoefficientTable(js, ball, np.zeros((js.shape[0], width), dtype=np.complex128))
+    # (2*pi)^(d/2) of the coefficients cancels the transform's (2*pi)^(-d/2)
+    shifts = sys.epsilon * sys.x_point(js)
+    return CoefficientTable(js, ball, *_analysis(f, ball, 1.0, sys.psi.scaled(sys.epsilon), shifts))
 
 
 def reconstruct(table: CoefficientTable, sys: GaborSystem, grid: GridSignal) -> GridSignal:
@@ -345,24 +320,22 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid: GridSignal) -> 
     the template `grid` (its samples are not read).
 
     The result converges to f as freq_radius grows; the residual is the
-    coefficient tail plus quadrature error.  The sums over k run on each
-    window's patch by the adjoint chirp-z kernel, batched over translates,
-    on the progressions taken exact from the integer coordinates of the
-    table's whole ball.  Per batch the coefficient box is filled from the
-    batch's rows on the whole ball (`LatticeBall.unfold` mirrors a
-    half-held table); each axis factor of phi^eps is sampled once, as in
-    `coefficients`, and the patches are added onto the grid in order of j.
+    coefficient tail plus quadrature error.  Per batch of translates the
+    adjoint chirp-z kernel of the analysis core's plan (`signal._plan`, on
+    the table's whole ball) sums each row over k onto its window's patch,
+    the row filled on the whole ball by `LatticeBall.unfold`; each axis
+    factor of phi^eps is sampled once, as in `coefficients`, and the
+    patches are added onto the grid in order of j.
     """
     origin, spacing, shape = grid.origin, grid.spacing, grid.shape
     out = np.zeros(shape, dtype=np.complex128)
     ball = table.ball
     if table.js.size and ball.points.size:
-        w, shifts, (a, b) = _placed(sys.phi, sys, table.js, origin, spacing, 0, shape)
-        progs = _lattice_progressions(ball.lattice, ball.ks)
-        lengths = np.max(b - a, axis=0).clip(1)
-        kernels = _kernels(progs, spacing, lengths, adjoint=True)
-        index = (slice(None),) + tuple(p.index for p in progs)
-        for rows in _batch_rows(table.js.shape[0], kernels):
+        w = sys.phi.scaled(sys.epsilon)
+        shifts = sys.epsilon * sys.x_point(table.js)
+        a, b = _index_box(w.lo + shifts, w.hi + shifts, origin, spacing, 0, shape)
+        progs, lengths, kernels, index, batches = _plan(ball.lattice, ball.ks, spacing, a, b, True)
+        for rows in batches:
             coeffs = np.zeros((rows.stop - rows.start,) + tuple(p.size for p in progs),
                               dtype=np.complex128)
             coeffs[index] = ball.unfold(table.values[rows])

@@ -22,7 +22,7 @@ from .seminorm import (
     classify, lattice_ball, lattice_samples, quadrature_spectrum, series_from_spectrum
 )
 from .signal import fourier_at, make_cutoff, multiply
-from .wavefront import ScanConfig, check_equivalence, scan
+from .wavefront import ScanConfig, check_equivalence, cutoff_for, scan
 
 _TWO_PI = 2.0 * math.pi
 
@@ -382,8 +382,6 @@ def suite_classifier_sanity() -> SuiteResult:
     t0 = time.time()
     f = fixtures.jump_1d()
     pair = ScanConfig(alpha=1.0, beta=1.0).lattice_pair(1)
-    from .wavefront import cutoff_for
-
     chi = cutoff_for(f, pair.lambda1, np.array([0.0]))
     g = multiply(f, chi)
     spec = lattice_samples(g, lattice_ball(pair.lambda2, 716.0))

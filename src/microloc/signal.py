@@ -16,12 +16,15 @@ Every frequency set transformed in batch is a `lattice.LatticeBall` of an
 axis-aligned lattice (the beta Z^d balls of both routes, the midpoint
 quadrature nodes), so its coordinates lie on one arithmetic progression per
 axis, taken exact from the ball's integer coordinates
-(`_lattice_progressions`), never recovered from floats.  One chirp-z
-kernel, Bluestein's algorithm on `numpy.fft`, sums over them axis by axis
-in any dimension: `fourier_batch` here, and Gabor analysis and synthesis
-(gabor.py) with the opposite sign.  Direct summation (`_direct`) serves a
-single frequency (`fourier_at`) and is the reference the kernel is tested
-against.
+(`_lattice_progressions`), never recovered from floats.  One analysis
+core, `_analysis`, sums f times a window's translates over grid patches
+onto them: `fourier_batch` is its one unwindowed row and Gabor analysis
+(`gabor.coefficients`) its psi^eps rows.  Its plan (`_plan`: progressions,
+chirp-z kernels, index, row batches) serves Gabor synthesis
+(`gabor.reconstruct`) too, with the adjoint kernel.  The kernel is
+Bluestein's algorithm on `numpy.fft`, axis by axis in any dimension.
+Direct summation (`_direct`) serves a single frequency (`fourier_at`) and
+is the reference the kernel is tested against.
 
 A real signal (`GridSignal.is_real`, checked once per signal) has a
 Hermitian transform, F f(-xi) = conj(F f(xi)), so its spectrum on a
@@ -349,10 +352,6 @@ def _check_band(f: GridSignal, freqs: np.ndarray) -> None:
         )
 
 
-def _norm_factor(f: GridSignal) -> float:
-    return (_TWO_PI) ** (-f.d / 2) * f.cell_volume
-
-
 def _smooth_size(n: int) -> int:
     """The smallest 2^a 3^b 5^c >= n (n >= 1): an FFT length pocketfft
     transforms fast."""
@@ -456,13 +455,20 @@ def _lattice_progressions(lat: Lattice, ks: np.ndarray) -> list[_Progression]:
     return progs
 
 
-def _kernels(progs, spacing, lengths, adjoint: bool = False) -> list[_ChirpZ]:
-    """Per axis, the kernel summing `lengths` samples onto the progression
-    or, adjoint, the progression's coefficients onto `lengths` samples."""
-    return [
+def _plan(lat: Lattice, ks: np.ndarray, spacing, a, b, adjoint: bool = False):
+    """The progressions of ks on lat, the patch lengths (widest index box
+    [a, b) per axis), the kernels (patches onto progressions or, adjoint,
+    back), the index of ks in the progression box, and the row batches."""
+    progs = _lattice_progressions(lat, ks)
+    lengths = np.max(b - a, axis=0).clip(1)
+    kernels = [
         _ChirpZ(p.size, p.step, h, n, 1) if adjoint else _ChirpZ(n, h, p.step, p.size, -1)
         for p, h, n in zip(progs, spacing, lengths)
     ]
+    index = (slice(None),) + tuple(p.index for p in progs)
+    step = max(1, _CHUNK_ENTRIES // math.prod(k.size for k in kernels))
+    batches = [slice(r, min(r + step, a.shape[0])) for r in range(0, a.shape[0], step)]
+    return progs, lengths, kernels, index, batches
 
 
 def _along_axes(a: np.ndarray, kernels, x0s, u0s) -> np.ndarray:
@@ -474,13 +480,6 @@ def _along_axes(a: np.ndarray, kernels, x0s, u0s) -> np.ndarray:
         x0, u0 = np.reshape(x0s[i], per_row), np.reshape(u0s[i], per_row)
         a = np.moveaxis(kernels[i](moved, x0, u0), -1, i + 1)
     return a
-
-
-def _batch_rows(n_rows: int, kernels):
-    """Row slices whose batches keep every transform stage within budget."""
-    per_row = math.prod(k.size for k in kernels)
-    step = max(1, _CHUNK_ENTRIES // per_row)
-    return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
 def _direct(g: GridSignal, freqs: np.ndarray) -> np.ndarray:
@@ -495,29 +494,26 @@ def _direct(g: GridSignal, freqs: np.ndarray) -> np.ndarray:
         stop = min(start + block, freqs.shape[0])
         phase = coords @ freqs[start:stop].T
         out[start:stop] = flat @ np.exp(-1j * phase)
-    return _norm_factor(g) * out
+    return _TWO_PI ** (-g.d / 2) * g.cell_volume * out
 
 
 def fourier_batch(f: GridSignal, ball: LatticeBall) -> np.ndarray:
     """F f at every point of a lattice ball, in ball order; pointwise equal
     to fourier_at.
 
-    The quadrature sum is taken with the chirp-z kernel axis by axis over
-    the product of the ball's progressions and read off at its points.  For
-    a real f on a centrally symmetric ball only the half ball xi_d >= 0 is
+    The one unwindowed row of `_analysis`: the quadrature sum over f's
+    support box, taken with the chirp-z kernel axis by axis over the
+    product of the ball's progressions and read off at its points.  For a
+    real f on a centrally symmetric ball only the half ball xi_d >= 0 is
     transformed and the rest is mirrored (`LatticeBall.split`).
     """
     if ball.lattice.d != f.d:
         raise ValueError(f"a {ball.lattice.d}-d frequency ball for a {f.d}-d signal")
     _check_band(f, ball.points)
-    computed, _ = ball.split(f.is_real)
-    ks, g = ball.ks[computed], f.trimmed()
-    if ks.size == 0 or g.samples.size == 0:
+    if f.is_empty() or not ball.points.size:
         return np.zeros(ball.points.shape[0], dtype=np.complex128)
-    progs = _lattice_progressions(ball.lattice, ks)
-    kernels = _kernels(progs, g.spacing, g.shape)
-    sums = _along_axes(g.samples[None], kernels, g.origin, [p.start for p in progs])[0]
-    return ball.unfold(_norm_factor(g) * sums[tuple(p.index for p in progs)])
+    values, _ = _analysis(f, ball, _TWO_PI ** (-f.d / 2))
+    return ball.unfold(values[0])
 
 
 def fourier_at(f: GridSignal, xi) -> complex:
@@ -565,6 +561,34 @@ def _gather(samples: np.ndarray, a, lengths) -> np.ndarray:
         for i, n in enumerate(lengths)
     ]
     return samples[tuple(idx)]
+
+
+def _analysis(f: GridSignal, ball: LatticeBall, scale: float, window=None, shifts=None):
+    """scale * h^d * sum_n f(x_n) w(x_n - c) exp(-i<x_n, xi>) on the ball's
+    computed points, one row per translate c of the window (one row, w = 1,
+    without it), and the largest row noise floor.  A row sums over f's
+    support box or its window box clipped to it; its floor counts that
+    box's samples (_EPS_FLOOR * sqrt(count) * scaled absolute mass)."""
+    a, b = np.array(f.support).T[:, None]
+    if window is not None:
+        a, b = _index_box(window.lo + shifts, window.hi + shifts, f.origin, f.spacing, a, b)
+    cols = ball.split(f.is_real)[0]  # the computed points, one column each
+    progs, lengths, kernels, index, batches = _plan(ball.lattice, ball.ks[cols], f.spacing, a, b)
+    norm = scale * f.cell_volume
+    values = np.empty((a.shape[0], progs[0].index.size), dtype=np.complex128)
+    floor = 0.0
+    for rows in batches:
+        lo, hi = a[rows], b[rows]
+        patches = _gather(f.samples, lo, lengths)
+        if window is not None:
+            patches *= _window_batch(window, shifts[rows], f.origin, f.spacing, lo, hi, lengths)
+        count = np.prod(hi - lo, axis=1)
+        mass = np.sum(np.abs(patches), axis=tuple(range(1, patches.ndim)))
+        floor = max(floor, float(np.max(_EPS_FLOOR * np.sqrt(np.maximum(count, 1)) * norm * mass)))
+        corners = f.origin + f.spacing * lo
+        sums = _along_axes(patches, kernels, corners.T, [p.start for p in progs])
+        values[rows] = norm * sums[index]
+    return values, floor
 
 
 def multiply(f: GridSignal, w: BumpWindow) -> GridSignal:

@@ -31,6 +31,18 @@ def as_float_array(x, name: str = "value") -> np.ndarray:
     return arr
 
 
+def as_integers(x, name: str = "value") -> np.ndarray:
+    """x as an integer array; ValueError naming the first entry that is not
+    an integer: a float (0.5 and 2.0 alike), a bool or a string, which
+    np.asarray(x, dtype=int) would truncate or parse.  Integer numpy arrays
+    are taken as they are."""
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iu"):
+        for v in np.ravel(np.asarray(x, dtype=object)):
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must hold integers only, got {v!r}")
+    return np.asarray(x, dtype=int)
+
+
 def as_point(x, d: int | None = None, name: str = "point") -> np.ndarray:
     """Coerce to a 1-d float vector, optionally of fixed dimension."""
     arr = np.atleast_1d(as_float_array(x, name))

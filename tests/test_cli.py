@@ -294,12 +294,14 @@ def test_bad_settings_fail_on_every_surface(field, key, value, fixture_dir, jump
     ({"d": 0}, "d must be an integer >= 1, got 0"),
     ({"seed": 0.5}, "seed must be an integer >= 0, got 0.5"),
     ({"seed": True}, "seed must be an integer >= 0, got True"),
+    ({"gabor_alpha1": "x"}, "alpha1 must be a number, got 'x'"),
+    ({"gabor_alpha1": True}, "alpha1 must be a number, got True"),
 ], ids=["pqs-flat", "pqs-short-entry", "pqs-scalar", "shells-fractional", "q-null", "alpha-null",
         "margin-null", "r_max-text", "direction-dimension", "x_grid-scalar", "directions-scalar",
         "x_grid-object", "direction-bool", "x0-text", "x_grid-text", "r_max-numeric-text",
         "margin-bool", "alpha-bool", "aperture-numeric-text", "s-bool", "s-numeric-text",
         "pqs-text-s", "rmax-inf", "margin-inf", "s-nan", "s-inf", "d-float", "d-text",
-        "d-bool", "d-zero", "seed-float", "seed-bool"])
+        "d-bool", "d-zero", "seed-float", "seed-bool", "gabor_alpha1-text", "gabor_alpha1-bool"])
 def test_malformed_config_values_fail_with_an_error_line(settings, says, fixture_dir, tmp_path,
                                                          capsys):
     cfg_path = tmp_path / "bad.json"

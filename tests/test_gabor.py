@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,16 @@ def test_build_agp_refuses_a_dimension_that_is_not_a_positive_integer():
     for d in (0, -1, 1.5, "2", True):
         with pytest.raises(ValueError, match=f"d must be an integer >= 1, got {d!r}"):
             build_agp(1.0, 1.0, d=d)
+
+
+@pytest.mark.parametrize("alpha1,says", [
+    ("x", "must be a number, got 'x'"), (True, "must be a number, got True"),
+    (math.nan, "must be a positive finite number, got nan"),
+], ids=["text", "bool", "nan"])
+def test_build_agp_refuses_a_window_side_that_is_not_a_positive_number(alpha1, says):
+    # True used to pass as alpha1 = 1.0 and "x" to fail with a TypeError
+    with pytest.raises(ValueError, match=f"alpha1 {says}"):
+        build_agp(0.8, 1.0, 1, alpha1=alpha1)
 
 
 def test_build_agp_partition_constant_2d():
@@ -100,6 +111,21 @@ def test_coefficients_zero_signal():
     z = GridSignal.from_samples(np.zeros(2048, complex), [-8.0], [16 / 2048])
     table = coefficients(z, sys0, 20.0)
     assert table.values.shape[0] == 0 or np.all(table.values == 0)
+
+
+@pytest.mark.parametrize("js,bad", [
+    ([[0.5]], "0.5"), ([[2.9]], "2.9"), ([[True]], "True"), ([["1"]], "'1'"),
+    (np.array([[2.0]]), "2.0"), ([[0], [1.5]], "1.5"),
+], ids=["half", "fraction", "bool", "text", "float-array", "second-row"])
+def test_coefficients_refuse_translate_indices_that_are_not_integers(js, bad):
+    # np.asarray(js, dtype=int) would take 0.5 as translate 0 and "1" as 1
+    sys0 = build_agp(1.0, 1.0, d=1)
+    f = smooth_bump_1d(n=512)
+    with pytest.raises(ValueError, match=f"js must hold integers only, got {re.escape(bad)}$"):
+        coefficients(f, sys0, 8.0, js=js)
+    listed = coefficients(f, sys0, 8.0, js=[[1], [-1]])
+    held = coefficients(f, sys0, 8.0, js=np.array([[1], [-1]]))
+    assert np.array_equal(listed.js, held.js) and np.array_equal(listed.values, held.values)
 
 
 def test_coefficient_of_isolated_window_is_its_energy():

@@ -1,13 +1,15 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import microloc.signal as signal_mod
 from microloc import (
     DegenerateBoxes,
+    DomainClipped,
     FrequencyOutOfRange,
     GridSignal,
     ScanConfig,
@@ -221,6 +223,57 @@ def test_property_fourier_batch_equals_direct_1d(case):
 @given(_signal_and_ball(2))
 def test_property_fourier_batch_equals_direct_2d(case):
     _assert_ball_transform_is_direct(*case)
+
+
+def test_fourier_batch_sums_over_an_explicit_support_wider_than_the_nonzero_box():
+    # the unwindowed row sums over f's support box, zeros inside it included
+    rng = np.random.default_rng(3)
+    cases = (
+        ((64,), ((5, 60),), np.s_[20:40], 1.0),
+        ((32, 40), ((2, 30), (0, 40)), np.s_[10:20, 15:25], 1 + 0.5j),
+    )
+    for shape, support, inner, phase in cases:
+        samples = np.zeros(shape, complex)
+        samples[inner] = phase * rng.normal(size=samples[inner].shape)
+        d = len(shape)
+        f = GridSignal(np.full(d, -1.0), np.full(d, 0.05), samples, support)
+        assert f.support == support and f.is_real == (phase == 1.0)
+        ball = LatticeBall.of(scaled_integer_lattice(1.0, d), 20.0)
+        got, want = fourier_batch(f, ball), _direct(f, ball.points)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@lru_cache(maxsize=None)
+def _fl_fixture(d, real):
+    """The 1D jump or the 2D line, or either times exp(i x_d)."""
+    f = jump_1d() if d == 1 else line_singularity_2d()
+    if real:
+        return f
+    return GridSignal.from_samples(f.samples * np.exp(1j * f.axes()[-1]), f.origin, f.spacing)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2]), st.booleans(), st.data())
+def test_property_the_core_with_the_cutoff_is_the_fl_spectrum(d, real, data):
+    """The analysis core with the FL cutoff chi as a one-row window at offset
+    0 is the transform of the materialised chi * f on the computed points.
+    Its floor counts chi's box clipped to the support, which holds the
+    nonzero box of chi * f that the FL floor counts."""
+    f = _fl_fixture(d, real)
+    lo, hi = f.support_box  # inside the domain, which reaches 2 past it or more
+    x0 = np.array([data.draw(st.floats(a - 1.0, b + 1.0)) for a, b in zip(lo, hi)])
+    pair = ScanConfig(alpha=1.0 if d == 1 else 2.5, beta=1.0).lattice_pair(d)
+    try:
+        chi = cutoff_for(f, pair.lambda1, x0)
+    except DomainClipped:
+        reject()
+    ball = LatticeBall.of(pair.lambda2, 716.0 if d == 1 else 60.0)
+    values, floor = signal_mod._analysis(f, ball, TWO_PI ** (-d / 2), chi, np.zeros((1, d)))
+    g = multiply(f, chi)
+    want = fourier_batch(g, ball)[ball.split(f.is_real)[0]]
+    assert values.shape == (1, want.shape[0])
+    assert np.max(np.abs(values[0] - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+    assert floor >= (1 - 1e-12) * g.noise_floor()
 
 
 def test_linearity():

@@ -84,6 +84,19 @@ def test_line_singularity_directional(line2d):
     assert df_fl_point(line2d, WavefrontQuery([2, 0], [1, 0], **q), pair).kind == "finite"
 
 
+def test_the_fl_route_never_trims_a_signal(jump, line2d, unit_pair, monkeypatch):
+    # fourier_batch sums chi * f over its support box as it stands
+    def refuse(self):
+        raise AssertionError("GridSignal.trimmed was called")
+
+    monkeypatch.setattr(GridSignal, "trimmed", refuse)
+    query = WavefrontQuery([0.0], [1.0], q=1.0, weight=1.0)
+    assert df_fl_point(jump, query, unit_pair).kind == "divergent"
+    pair = ScanConfig(alpha=2.5, beta=1.0).lattice_pair(2)
+    query = WavefrontQuery([0, 0], [1, 0], q=1.0, weight=1.0, r_max=180.0)
+    assert df_fl_point(line2d, query, pair).kind == "divergent"
+
+
 def _fl_kind_with_cutoff(f, pair, x0, inner, outer):
     # the FL verdict (q = s = 1, 20 degrees) with chi = 1 on |x - x0| <= inner, 0 beyond outer
     chi = make_cutoff(([x0 - inner], [x0 + inner]), ([x0 - outer], [x0 + outer]))

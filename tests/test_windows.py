@@ -20,14 +20,7 @@ from microloc import (
 )
 from microloc.gabor import _overlapping_js
 from microloc.lattice import LatticeBall, points_in_ball, scaled_integer_lattice
-from microloc.signal import (
-    _along_axes,
-    _batch_rows,
-    _index_box,
-    _kernels,
-    _lattice_progressions,
-    _window_batch,
-)
+from microloc.signal import _along_axes, _index_box, _plan, _window_batch
 
 TWO_PI = 2 * math.pi
 
@@ -61,20 +54,18 @@ def _per_translate_coefficients(f, sys, radius):
     xi, ks = points_in_ball(sys.lambda2, radius)
     windows = [_translate(sys, sys.psi, j) for j in js]
     boxes = [_index_box(w.lo, w.hi, f.origin, f.spacing, *zip(*f.support)) for w in windows]
-    progs = _lattice_progressions(sys.lambda2, ks)
-    lengths = np.max([hi - lo for lo, hi in boxes], axis=0).clip(1)
-    kernels = _kernels(progs, f.spacing, lengths)
-    index = (slice(None),) + tuple(p.index for p in progs)
+    a, b = (np.array(ends) for ends in zip(*boxes))
+    progs, lengths, kernels, index, batches = _plan(sys.lambda2, ks, f.spacing, a, b)
     values = np.zeros((js.shape[0], xi.shape[0]), dtype=complex)
-    for rows in _batch_rows(js.shape[0], kernels):
+    for rows in batches:
         patches = np.zeros((rows.stop - rows.start,) + tuple(lengths), dtype=complex)
-        for r, (lo, hi) in enumerate(boxes[rows]):
+        for r, (lo, hi) in enumerate(zip(a[rows], b[rows])):
             if np.all(hi > lo):
-                region = tuple(slice(a, e) for a, e in zip(lo, hi))
+                region = tuple(slice(s, e) for s, e in zip(lo, hi))
                 w = windows[rows.start + r]
                 g = f.samples[region] * _pointwise(w, f.origin, f.spacing, lo, hi)
-                patches[(r,) + tuple(slice(0, e - a) for a, e in zip(lo, hi))] = g
-        corners = f.origin + f.spacing * np.array([lo for lo, _ in boxes[rows]])
+                patches[(r,) + tuple(slice(0, e - s) for s, e in zip(lo, hi))] = g
+        corners = f.origin + f.spacing * a[rows]
         sums = _along_axes(patches, kernels, corners.T, [p.start for p in progs])
         values[rows] = f.cell_volume * sums[index]
     return values
@@ -84,20 +75,19 @@ def _per_translate_reconstruct(table, sys, f):
     """Synthesis with one pointwise-sampled window per translate."""
     windows = [_translate(sys, sys.phi, j) for j in table.js]
     boxes = [_index_box(w.lo, w.hi, f.origin, f.spacing, 0, f.shape) for w in windows]
-    progs = _lattice_progressions(table.ball.lattice, table.ball.ks)
-    lengths = np.max([hi - lo for lo, hi in boxes], axis=0).clip(1)
-    kernels = _kernels(progs, f.spacing, lengths, adjoint=True)
-    index = (slice(None),) + tuple(p.index for p in progs)
+    a, b = (np.array(ends) for ends in zip(*boxes))
+    ball = table.ball
+    progs, _, kernels, index, batches = _plan(ball.lattice, ball.ks, f.spacing, a, b, adjoint=True)
     out = np.zeros(f.shape, dtype=complex)
-    for rows in _batch_rows(table.js.shape[0], kernels):
+    for rows in batches:
         coeffs = np.zeros((rows.stop - rows.start,) + tuple(p.size for p in progs), dtype=complex)
         coeffs[index] = table.whole()[rows]
-        corners = f.origin + f.spacing * np.array([lo for lo, _ in boxes[rows]])
+        corners = f.origin + f.spacing * a[rows]
         inner = _along_axes(coeffs, kernels, [p.start for p in progs], corners.T)
-        for r, (lo, hi) in enumerate(boxes[rows]):
+        for r, (lo, hi) in enumerate(zip(a[rows], b[rows])):
             if np.all(hi > lo):
-                region = tuple(slice(a, e) for a, e in zip(lo, hi))
-                patch = inner[(r,) + tuple(slice(0, e - a) for a, e in zip(lo, hi))]
+                region = tuple(slice(s, e) for s, e in zip(lo, hi))
+                patch = inner[(r,) + tuple(slice(0, e - s) for s, e in zip(lo, hi))]
                 w = windows[rows.start + r]
                 out[region] += _pointwise(w, f.origin, f.spacing, lo, hi) * patch
     return out
