@@ -284,7 +284,8 @@ def coefficients(
     floor counts.  By default j runs over every translate overlapping the
     signal support; pass integer `js` to restrict (e.g. to a support index
     set around one point; ValueError naming an entry that is not an
-    integer).  `ball` is the `LatticeBall` of sys.lambda2 and freq_radius
+    integer, or the shape of a `js` that is not (n, d) or one flat
+    d-vector).  `ball` is the `LatticeBall` of sys.lambda2 and freq_radius
     when the caller already holds it (ValueError if it is another ball);
     the table points at the ball either way.
 
@@ -299,6 +300,10 @@ def coefficients(
     js = np.atleast_2d(as_integers(js, "js"))
     if js.size == 0:
         js = js.reshape(0, sys.d)
+    elif js.shape[1:] != (sys.d,):
+        raise ValueError(
+            f"js must be an (n, {sys.d}) array of translate indices, got shape {js.shape}"
+        )
     if ball is None:
         ball = LatticeBall.of(sys.lambda2, freq_radius)
     elif not ball.is_of(sys.lambda2, freq_radius):

@@ -68,18 +68,16 @@ _EPS_FLOOR = np.finfo(float).eps * 64.0
 _CHUNK_ENTRIES = 2**18
 
 
-def _support_from_nonzero(batch: np.ndarray) -> np.ndarray:
-    """[first, last + 1) per axis of the nonzero entries of each row of a
-    batch (axis 0 indexes rows) as an (rows, d, 2) array; all zero on rows
-    without one.  Taken from per-axis `any` reductions."""
-    nz = batch != 0
-    out = np.zeros((nz.shape[0], nz.ndim - 1, 2), dtype=int)
-    for i in range(1, nz.ndim):
-        m = np.any(nz, axis=tuple(k for k in range(1, nz.ndim) if k != i))
-        has = np.any(m, axis=1)
-        if np.any(has):
-            out[has, i - 1, 0] = np.argmax(m[has], axis=1)
-            out[has, i - 1, 1] = m.shape[1] - np.argmax(m[has, ::-1], axis=1)
+def _support_from_nonzero(samples: np.ndarray) -> np.ndarray:
+    """[first, last + 1) per axis of the nonzero entries of `samples` as a
+    (d, 2) array; all zero without one.  Taken from per-axis `any`
+    reductions."""
+    nz = samples != 0
+    out = np.zeros((nz.ndim, 2), dtype=int)
+    for i in range(nz.ndim):
+        m = np.any(nz, axis=tuple(k for k in range(nz.ndim) if k != i))
+        if np.any(m):
+            out[i] = np.argmax(m), m.size - np.argmax(m[::-1])
     return out
 
 
@@ -135,7 +133,7 @@ class GridSignal:
             as_point(spacing, name="spacing"), (samples.ndim,)
         ).astype(float)
         if support is None:
-            support = _support_from_nonzero(samples[None])[0]
+            support = _support_from_nonzero(samples)
         return cls(origin, spacing, samples, support)
 
     # -- geometry ------------------------------------------------------
@@ -605,7 +603,7 @@ def multiply(f: GridSignal, w: BumpWindow) -> GridSignal:
         region = tuple(slice(i, j) for i, j in zip(a, b))
         win = _window_batch(w, np.zeros((1, f.d)), f.origin, f.spacing, a[None], b[None], b - a)
         g = f.samples[region] * win[0]
-        box = _support_from_nonzero(g[None])[0]
+        box = _support_from_nonzero(g)
         if np.all(box[:, 1] > box[:, 0]):
             inner = g[tuple(slice(lo, hi) for lo, hi in box)]
             origin = f.origin + f.spacing * (a + box[:, 0])

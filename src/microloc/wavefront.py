@@ -8,6 +8,11 @@ classifies the mixed (p over j, q over k) cone series of Gabor coefficients
 restricted to the translates whose supports contain x0.  Divergent means
 (x0, direction) belongs to the wave-front set at the queried aperture.
 
+Each route has one per-x0 stage (`_fl_stage`, `_mod_stage`): it checks x0,
+builds the route's local object (|F(chi f)| on the lattice, or the Gabor
+table on J_{x0}(eps)) and returns a series maker (weight, p, q, cone) ->
+ConeSumSeries.  The point verdicts and `scan` ask both routes through it.
+
 Membership is reported per aperture (default 20 degrees); `aperture_sweep`
 refines toward the "every conical neighbourhood" quantifier.  Default radial
 cutoff for series is 0.7 / h: beyond that the rectangle-rule spectrum of a
@@ -24,13 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainClipped, EpsilonTooLarge, MicrolocError
-from .gabor import CoefficientTable, GaborSystem, build_agp, coefficients, support_index_set
+from .gabor import GaborSystem, build_agp, coefficients, support_index_set
 from .geometry import Cone, Weight
 from .lattice import Lattice, LatticePair, classify_pair, parallelepiped_containing, scaled_integer_lattice
 from .seminorm import (
     DEFAULT_K_LAST,
     DEFAULT_MARGIN,
-    SpectralSamples,
     Verdict,
     classify,
     discrete_mod_series,
@@ -143,6 +147,12 @@ def _require_interior(f: GridSignal, x0: np.ndarray) -> None:
         raise DomainClipped(f"x0 = {x0.tolist()} is not interior to the signal domain")
 
 
+def _reaches_inside(f: GridSignal, x0: np.ndarray, reach: float) -> bool:
+    """Whether the box of half-side `reach` around x0 lies in the signal domain."""
+    lo, hi = f.domain_box
+    return bool(np.all(x0 - reach >= lo) and np.all(x0 + reach <= hi))
+
+
 def choose_epsilon(f: GridSignal, sys: GaborSystem, x0: np.ndarray) -> float:
     """Largest dyadic epsilon whose local window supports fit the constraints.
 
@@ -151,15 +161,10 @@ def choose_epsilon(f: GridSignal, sys: GaborSystem, x0: np.ndarray) -> float:
     around x0) inside the signal domain.  Every entry point picks epsilon
     this way, so scans and point verdicts ask the same question.
     """
-    lo, hi = f.domain_box
     eps = 1.0
     for _ in range(48):
         reach = eps * sys.alpha2
-        if (
-            reach <= sys.alpha + 1e-12
-            and np.all(x0 - reach >= lo)
-            and np.all(x0 + reach <= hi)
-        ):
+        if reach <= sys.alpha + 1e-12 and _reaches_inside(f, x0, reach):
             return eps
         eps *= 0.5
     raise EpsilonTooLarge(
@@ -167,44 +172,61 @@ def choose_epsilon(f: GridSignal, sys: GaborSystem, x0: np.ndarray) -> float:
     )
 
 
-def _validate_epsilon(f: GridSignal, sys: GaborSystem, x0: np.ndarray, eps: float) -> None:
-    lo, hi = f.domain_box
-    reach = eps * sys.alpha2
-    if np.any(x0 - reach < lo) or np.any(x0 + reach > hi):
-        raise EpsilonTooLarge(
-            f"epsilon = {eps:g} lets window supports around x0 = {x0.tolist()} "
-            "stick out of the signal domain"
-        )
+# Per-x0 stages.  Each asks `ball()` (the frequencies' `lattice_ball`,
+# built on first call) only after its checks on x0, so those fail first on
+# every entry point, and returns its route's series maker at x0.
 
 
-def _local_spectrum(f: GridSignal, pair: LatticePair, x0: np.ndarray, ball) -> SpectralSamples:
-    """|F(chi f)| on the frequency lattice, chi = cutoff_for(...) around x0:
-    the per-point work of every Fourier-Lebesgue verdict.  `ball()` returns
-    the `lattice_ball` of the frequencies; it is asked for only after the
-    cutoff checks, so those fail first."""
+def _fl_stage(f: GridSignal, pair: LatticePair, x0: np.ndarray, ball):
+    """Fourier-Lebesgue: |F(chi f)| on the frequency lattice, chi =
+    cutoff_for(...) around x0, binned by `series_from_spectrum` (p unused)."""
     _require_interior(f, x0)
     chi = cutoff_for(f, pair.lambda1, x0)
-    return lattice_samples(multiply(f, chi), ball())
+    spec = lattice_samples(multiply(f, chi), ball())
+    return lambda weight, p, q, cone: series_from_spectrum(spec, weight, q, cone)
 
 
-def _local_table(
-    f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float | None, ball
-) -> CoefficientTable:
-    """Coefficients of every translate whose window support holds x0, in one
-    table whose rows are J_{x0}(eps) (`support_index_set`), so a j-aggregate
-    of the table sums over that set: the per-point work of every modulation
-    verdict.  `ball()` returns the `lattice_ball` the table is built on; it
-    is asked for only after the checks on x0 and its translates, so those
-    fail first."""
+def _mod_stage(f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float | None, ball):
+    """Modulation: the coefficients of every translate whose window support
+    holds x0, in one table whose rows are J_{x0}(eps) (`support_index_set`),
+    binned by `discrete_mod_series`; the table's j-aggregate is taken once
+    per p, on the shared geometry.  epsilon defaults to `choose_epsilon`; a
+    given one must keep the windows holding x0 inside the domain."""
     _require_interior(f, x0)
-    if epsilon is not None:
-        _validate_epsilon(f, sys, x0, epsilon)
-    else:
+    if epsilon is None:
         epsilon = choose_epsilon(f, sys, x0)
+    elif not _reaches_inside(f, x0, epsilon * sys.alpha2):
+        raise EpsilonTooLarge(
+            f"epsilon = {epsilon:g} lets window supports around x0 = {x0.tolist()} "
+            "stick out of the signal domain"
+        )
     sys_eps = sys.with_epsilon(epsilon)
     js = support_index_set(sys_eps, x0)
-    frequencies = ball().ball
-    return coefficients(f, sys_eps, frequencies.radius, js=js, ball=frequencies)
+    geometry = ball()
+    table = coefficients(f, sys_eps, geometry.ball.radius, js=js, ball=geometry.ball)
+    aggregates: dict = {}
+
+    def series(weight, p, q, cone):
+        if p not in aggregates:
+            aggregates[p] = j_aggregate(table, p, geometry)
+        return discrete_mod_series(table, weight, p, q, cone, aggregates[p])
+
+    return series
+
+
+def _ball_of(f: GridSignal, lambda2: Lattice, r_max: float | None):
+    """The ball thunk of the stages: `lattice_ball(lambda2, r_max)` built on
+    first call and kept, r_max defaulting to `default_r_max(f)`."""
+    r_max = r_max if r_max is not None else default_r_max(f)
+    return cache(lambda: lattice_ball(lambda2, r_max))
+
+
+def _point_inputs(f: GridSignal, query: WavefrontQuery, lambda2: Lattice):
+    """x0 of a point verdict and its ball thunk, after the dimension checks
+    of x0 and the direction."""
+    x0 = as_point(query.x0, f.d, "x0")
+    as_point(query.direction, f.d, "direction")
+    return x0, _ball_of(f, lambda2, query.r_max)
 
 
 def df_fl_point(f: GridSignal, query: WavefrontQuery, pair: LatticePair) -> Verdict:
@@ -220,18 +242,16 @@ def aperture_sweep(
 
     Approximates the "every conical neighbourhood" quantifier: membership at
     a point and direction is witnessed only if every tested aperture stays
-    divergent.  The windowed spectrum is computed once for all apertures."""
+    divergent.  Each aperture lies in (0, 90) degrees, as a query's does.
+    The windowed spectrum is computed once for all apertures."""
     if not pair.is_strong:
         raise ValueError(f"lattice pair must be strongly admissible, got {pair.kind}")
-    x0 = as_point(query.x0, f.d, "x0")
-    as_point(query.direction, f.d, "direction")
-    r_max = query.r_max if query.r_max is not None else default_r_max(f)
-    spec = _local_spectrum(f, pair, x0, cache(lambda: lattice_ball(pair.lambda2, r_max)))
+    apertures = [check_in_open(a, 0.0, 90.0, "aperture_deg") for a in apertures]
+    x0, ball = _point_inputs(f, query, pair.lambda2)
+    series = _fl_stage(f, pair, x0, ball)
     return {
-        float(a): classify(
-            series_from_spectrum(
-                spec, query.weight, query.q, Cone.from_degrees(query.direction, a)
-            ),
+        a: classify(
+            series(query.weight, query.p, query.q, Cone.from_degrees(query.direction, a)),
             query.k_last, query.margin,
         )
         for a in apertures
@@ -240,14 +260,9 @@ def aperture_sweep(
 
 def df_mod_point(f: GridSignal, query: WavefrontQuery, sys: GaborSystem) -> Verdict:
     """Modulation-space membership verdict at (x0, direction)."""
-    x0 = as_point(query.x0, f.d, "x0")
-    as_point(query.direction, f.d, "direction")
-    r_max = query.r_max if query.r_max is not None else default_r_max(f)
-    table = _local_table(
-        f, sys, x0, query.epsilon, cache(lambda: lattice_ball(sys.lambda2, r_max))
-    )
-    series = discrete_mod_series(table, query.weight, query.p, query.q, query.cone)
-    return classify(series, query.k_last, query.margin)
+    x0, ball = _point_inputs(f, query, sys.lambda2)
+    series = _mod_stage(f, sys, x0, query.epsilon, ball)
+    return classify(series(query.weight, query.p, query.q, query.cone), query.k_last, query.margin)
 
 
 # ---------------------------------------------------------------------------
@@ -407,20 +422,21 @@ class WavefrontEstimate:
 def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimate:
     """Run the point operations of cfg.methods over x_grid x directions x cfg.pqs.
 
-    Per-record failures are recorded in the row, never abort the scan.  The
-    work is shared at three levels, and every record gets the verdicts
-    df_fl_point and df_mod_point give for its question:
+    Per-record failures are recorded in the row, never abort the scan.  Each
+    route is asked through the per-x0 stage the point verdicts use
+    (`_fl_stage`, `_mod_stage`), so every record gets the verdict
+    df_fl_point and df_mod_point give for its question.  The work is shared
+    at three levels:
     - once per scan, one enumeration of the beta-lattice ball and one shell
       geometry on it (radii, shell index, each direction's cone indices,
       <xi>^s per s) for both routes, because every x0 samples the same ball
       at the same r_max.  The ball is enumerated the first time an x0
       passes the checks that come before it, so every x0 fails as the point
       operations fail;
-    - once per x0, one windowed spectrum, sampled on the geometry's points,
-      and one Gabor coefficient table on the same ball, built as the point
-      operations build theirs (epsilon chosen against the Gabor step), and
-      the table's j-aggregate once per distinct p, dropped before the next
-      x0;
+    - once per x0 and route, one stage: the windowed spectrum or the Gabor
+      coefficient table (with its j-aggregate once per distinct p), or the
+      error it raised, recorded in every row of that x0.  Routes run in the
+      order fl, mod, and an x0's stages are dropped before the next x0's;
     - per record, the cone gather, the shell sums and `classify`.
     """
     _listed(x_grid, "x_grid must be a list of points")
@@ -433,54 +449,35 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
         return estimate
 
     pair = cfg.lattice_pair(f.d)
-    want_fl = "fl" in cfg.methods
-    want_mod = "mod" in cfg.methods
-    sys = cfg.gabor_system(f.d) if want_mod else None
-    r_max = cfg.r_max if cfg.r_max is not None else default_r_max(f)
+    sys = cfg.gabor_system(f.d) if "mod" in cfg.methods else None
     cones = [Cone.from_degrees(th, cfg.aperture_deg) for th in directions]
-    ball = cache(lambda: lattice_ball(pair.lambda2, r_max))
+    ball = _ball_of(f, pair.lambda2, cfg.r_max)
+    stages = {
+        "fl": lambda x0: _fl_stage(f, pair, x0, ball),
+        "mod": lambda x0: _mod_stage(f, sys, x0, cfg.epsilon, ball),
+    }
+    methods = [m for m in stages if m in cfg.methods]
 
     for x0 in x_grid:
-        spec = table = fl_err = mod_err = None
-        aggregates: dict = {}  # j-aggregates of this x0's table, by p
-        if want_fl:
+        # makers[m] is read in place, never bound, so no maker (and no
+        # table) outlives its x0
+        makers, errors = {}, {}
+        for m in methods:
             try:
-                spec = _local_spectrum(f, pair, x0, ball)
+                makers[m] = stages[m](x0)
             except MicrolocError as exc:
-                fl_err = f"{type(exc).__name__}: {exc}"
-        if want_mod:
-            try:
-                table = _local_table(f, sys, x0, cfg.epsilon, ball)
-            except MicrolocError as exc:
-                mod_err = f"{type(exc).__name__}: {exc}"
-
+                errors[f"error_{m}"] = f"{type(exc).__name__}: {exc}"
         for theta, cone in zip(directions, cones):
             for p, q, s in cfg.pqs:
                 w = Weight.bracket_power(s)
-                rec = WavefrontRecord(
-                    [float(v) for v in x0],
-                    [float(v) for v in theta],
-                    float(p),
-                    float(q),
-                    float(s),
-                    cfg.aperture_deg,
-                    error_fl=fl_err,
-                    error_mod=mod_err,
-                )
-                if spec is not None:
+                rec = WavefrontRecord([float(v) for v in x0], [float(v) for v in theta],
+                                      float(p), float(q), float(s), cfg.aperture_deg, **errors)
+                for m in makers:
                     try:
-                        series = series_from_spectrum(spec, w, q, cone)
-                        rec.verdict_fl = classify(series, cfg.k_last, cfg.margin)
+                        series = makers[m](w, p, q, cone)
+                        setattr(rec, f"verdict_{m}", classify(series, cfg.k_last, cfg.margin))
                     except MicrolocError as exc:
-                        rec.error_fl = f"{type(exc).__name__}: {exc}"
-                if table is not None:
-                    try:
-                        if p not in aggregates:
-                            aggregates[p] = j_aggregate(table, p, ball())
-                        series = discrete_mod_series(table, w, p, q, cone, aggregates[p])
-                        rec.verdict_mod = classify(series, cfg.k_last, cfg.margin)
-                    except MicrolocError as exc:
-                        rec.error_mod = f"{type(exc).__name__}: {exc}"
+                        setattr(rec, f"error_{m}", f"{type(exc).__name__}: {exc}")
                 records.append(rec)
     return estimate
 

@@ -128,6 +128,35 @@ def test_coefficients_refuse_translate_indices_that_are_not_integers(js, bad):
     assert np.array_equal(listed.js, held.js) and np.array_equal(listed.values, held.values)
 
 
+def _signal(d):
+    """A small test signal of dimension d."""
+    if d == 1:
+        return smooth_bump_1d(n=512)
+    return GridSignal.from_samples(np.ones((16, 16)), [-1.0, -1.0], [0.125, 0.125])
+
+
+@pytest.mark.parametrize("d,js,shape", [
+    (1, [[0, 1]], (1, 2)), (1, [0, 1], (1, 2)), (1, [[[0]]], (1, 1, 1)),
+    (2, [[0]], (1, 1)), (2, [[0, 0, 0]], (1, 3)),
+], ids=["1d-pair", "1d-flat-pair", "1d-nested", "2d-single", "2d-triple"])
+def test_coefficients_refuse_translate_indices_of_the_wrong_shape(d, js, shape):
+    # unchecked, these fail deep inside the window sampling (IndexError,
+    # TypeError, a broadcasting error) without naming the shape
+    want = f"js must be an (n, {d}) array of translate indices, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(want) + "$"):
+        coefficients(_signal(d), build_agp(1.0, 1.0, d=d), 4.0, js=js)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_coefficients_take_empty_and_flat_translate_indices(d):
+    # an empty js is a table without rows, a flat d-vector one translate
+    f, sys0 = _signal(d), build_agp(1.0, 1.0, d=d)
+    assert coefficients(f, sys0, 4.0, js=[]).values.shape[0] == 0
+    flat = coefficients(f, sys0, 4.0, js=[0] * d)
+    rows = coefficients(f, sys0, 4.0, js=[[0] * d])
+    assert np.array_equal(flat.js, rows.js) and np.array_equal(flat.values, rows.values)
+
+
 def test_coefficient_of_isolated_window_is_its_energy():
     # with translates far apart, (psi_{0,0}, psi_{0,0}) = ||psi||^2 and
     # non-overlapping j give exactly zero

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -134,6 +135,20 @@ def test_aperture_monotonicity(jump, unit_pair):
     )
     assert sweep[20.0].kind == "finite"
     assert all(v.kind == "finite" for v in sweep.values())
+
+
+@pytest.mark.parametrize("aperture", [120.0, 179.0, "20", True, 0.0, 90.0, math.nan])
+def test_aperture_sweep_refuses_apertures_a_query_refuses(jump, unit_pair, aperture):
+    # a sweep takes the apertures a query takes, real numbers in (0, 90),
+    # not True as a 1 degree cone; the check comes before any work, so it
+    # wins over x0 = 9 lying outside the domain
+    with pytest.raises(ValueError, match="aperture_deg"):
+        WavefrontQuery([3.0], [1.0], aperture_deg=aperture)
+    for x0 in (3.0, 9.0):
+        with pytest.raises(ValueError, match="aperture_deg"):
+            aperture_sweep(jump, WavefrontQuery([x0], [1.0]), unit_pair, (20.0, aperture))
+    sweep = aperture_sweep(jump, WavefrontQuery([3.0], [1.0]), unit_pair, (20, 10))
+    assert [type(a) for a in sweep] == [float, float] and list(sweep) == [20.0, 10.0]
 
 
 def test_direction_scale_invariance(jump, unit_pair):
@@ -349,6 +364,31 @@ def test_scan_enumerates_the_ball_once_and_tests_each_cone_once(jump, monkeypatc
     with_table = {tuple(r.x0) for r in records if r.verdict_mod is not None}
     assert with_table == {(0.0,), (1.0,), (0.5,)}
     assert calls == {"ball": 1, "cone": 2}
+
+
+def test_scan_holds_one_x0s_spectrum_and_table_at_a_time(jump, monkeypatch):
+    # A scan drops each x0's windowed spectrum and coefficient table (with
+    # its j-aggregates) before it builds the next x0's: when a spectrum is
+    # built, no earlier spectrum or table is alive, and when a table is
+    # built, no earlier table is.
+    spectra, tables = [], []
+
+    def kept(fn, refs, dead):
+        def call(*args, **kwargs):
+            assert all(ref() is None for ref in dead())
+            out = fn(*args, **kwargs)
+            refs.append(weakref.ref(out))
+            return out
+        return call
+
+    monkeypatch.setattr(wavefront, "lattice_samples",
+                        kept(wavefront.lattice_samples, spectra, lambda: spectra + tables))
+    monkeypatch.setattr(wavefront, "coefficients",
+                        kept(wavefront.coefficients, tables, lambda: tables))
+    cfg = ScanConfig(pqs=((1.0, 1.0, 1.0), (2.0, 1.0, 0.0)))
+    records = scan(jump, [[0.0], [1.0], [3.0], [0.25]], [[1.0], [-1.0]], cfg).records
+    assert len(spectra) == len(tables) == 4
+    assert all(r.verdict_fl is not None and r.verdict_mod is not None for r in records)
 
 
 def test_verdict_path_never_builds_the_whole_table(jump, monkeypatch):
