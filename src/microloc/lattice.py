@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, SingularBasis
-from .geometry import row_norms
+from .geometry import Cone, row_norms
 from .validation import as_float_array, as_point, check_finite
 
 DEFAULT_CELL_BUDGET = 10**8
@@ -193,7 +193,9 @@ def points_in_ball(lat: Lattice, r_max: float) -> tuple[np.ndarray, np.ndarray]:
     ts = _enumerate_box(lo, hi)
     pts = lat.points(ts)
     keep = np.flatnonzero(row_norms(pts) <= r_max)
-    return pts[keep], ts[keep]
+    # np.take gathers rows of a tall (n, d) array several times faster than
+    # pts[keep], with the same result
+    return np.take(pts, keep, axis=0), np.take(ts, keep, axis=0)
 
 
 _NO_INDEX = np.zeros(0, dtype=np.int64)
@@ -202,13 +204,15 @@ _NO_INDEX = np.zeros(0, dtype=np.int64)
 @dataclass(frozen=True, eq=False)
 class LatticeBall:
     """Every point of `lattice` with |xi| <= radius and its integer
-    coordinates ks, in the lexicographic order of `points_in_ball`.
+    coordinates ks, in the lexicographic order of `points_in_ball`, or the
+    subset of them inside one cone (`within`), in the same order.
 
     The ball is centrally symmetric when every -xi_i is the point at index
     n - 1 - i, as on a lattice through the origin or delta (Z^d + 1/2) at a
     dyadic delta.  There a real signal's transform, F f(-xi) =
     conj(F f(xi)), is computed on the half xi_d >= 0 only (see `split`) and
-    `unfold` mirrors it onto the whole ball.
+    `unfold` mirrors it onto the whole ball.  A cone's subset is never
+    symmetric, so every point of it is computed.
     """
 
     lattice: Lattice
@@ -234,6 +238,13 @@ class LatticeBall:
     def radii(self) -> np.ndarray:
         return row_norms(self.points)
 
+    def within(self, cone: Cone) -> "LatticeBall":
+        """The points inside `cone` (`Cone.contains`), in ball order, on the
+        same lattice and radius, so `is_of` still holds for them."""
+        keep = np.flatnonzero(cone.contains(self.points))
+        return LatticeBall(self.lattice, self.radius, np.take(self.points, keep, axis=0),
+                           np.take(self.ks, keep, axis=0))
+
     def is_of(self, lat: Lattice, r_max: float) -> bool:
         """True when this is the ball of radius r_max on lat."""
         return (
@@ -255,6 +266,11 @@ class LatticeBall:
         real signal on a centrally symmetric ball they are xi_d >= 0 and
         xi_d < 0; otherwise every point is computed and none is mirrored."""
         return self._halves if real else (slice(None), _NO_INDEX)
+
+    def computed_ks(self, real: bool) -> np.ndarray:
+        """The integer coordinates of the computed points of `split(real)`."""
+        computed = self.split(real)[0]
+        return self.ks if isinstance(computed, slice) else np.take(self.ks, computed, axis=0)
 
     def unfold(self, values: np.ndarray) -> np.ndarray:
         """Values on every point of the ball, read by the width of the last

@@ -26,14 +26,19 @@ point indices and the weight <xi>^s per exponent s.  A spectrum
 on that geometry, so every spectrum of one geometry shares its cone indices
 and weights.  `wavefront.scan` builds one geometry per scan, from one
 enumeration of the ball (`lattice_ball`), samples every windowed spectrum on
-it and builds every coefficient table on its ball.  Per spectrum (per x0)
-come the magnitudes, and for the modulation route the j-aggregate over
-every row of the coefficient table, whose rows are J_{x0}(eps), once per
-exponent p; per series (per record, always on one cone) only the gather of
-the cone's magnitudes, the weighted power sums per shell and the shell
-maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
+it and builds every coefficient table on its ball.  A point verdict reads
+one cone, so it builds its geometry on the ball's points inside that cone
+(`LatticeBall.within`, same lattice and radius, so the same shell edges)
+when their integer box is smaller than the whole ball's transform box; its
+cone then selects the same points with the same shell indices.  Per
+spectrum (per x0) come the magnitudes, and for the modulation route the
+j-aggregate over every row of the coefficient table, whose rows are
+J_{x0}(eps), once per exponent p; per series (per record, always on one
+cone) only the gather of the cone's magnitudes, the weighted power sums per
+shell and the shell maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
 c_{j,-k} = conj(c_{j,k}), so on a centrally symmetric ball every route,
-the oracle's included, transforms only the half ball xi_d >= 0.
+the oracle's included, transforms only the half ball xi_d >= 0 (a cone's
+points are never symmetric and are all transformed).
 `fourier_batch` mirrors its values onto the whole ball; a coefficient table
 holds only the computed columns, and its j-aggregates are taken on them and
 mirrored (`CoefficientTable.aggregate`), so every spectrum covers the

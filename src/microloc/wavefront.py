@@ -12,6 +12,11 @@ Each route has one per-x0 stage (`_fl_stage`, `_mod_stage`): it checks x0,
 builds the route's local object (|F(chi f)| on the lattice, or the Gabor
 table on J_{x0}(eps)) and returns a series maker (weight, p, q, cone) ->
 ConeSumSeries.  The point verdicts and `scan` ask both routes through it.
+A point verdict bins on one cone (nested cones of one axis for
+`aperture_sweep`), so it transforms only the ball's points inside its
+widest cone, on their smaller integer box (`_point_inputs`); wide diagonal
+cones, whose box is larger than the half ball's, keep the whole ball.
+`scan` keeps the whole ball, shared by every x0 and direction.
 
 Membership is reported per aperture (default 20 degrees); `aperture_sweep`
 refines toward the "every conical neighbourhood" quantifier.  Default radial
@@ -35,6 +40,7 @@ from .lattice import Lattice, LatticePair, classify_pair, parallelepiped_contain
 from .seminorm import (
     DEFAULT_K_LAST,
     DEFAULT_MARGIN,
+    ShellGeometry,
     Verdict,
     classify,
     discrete_mod_series,
@@ -43,7 +49,7 @@ from .seminorm import (
     lattice_samples,
     series_from_spectrum,
 )
-from .signal import BumpWindow, GridSignal, make_cutoff, multiply
+from .signal import BumpWindow, GridSignal, _check_band, make_cutoff, multiply
 from .validation import (
     as_point, check_dilation, check_exponent, check_finite, check_fit_window, check_in_open,
     check_positive, unit_direction,
@@ -172,8 +178,9 @@ def choose_epsilon(f: GridSignal, sys: GaborSystem, x0: np.ndarray) -> float:
     )
 
 
-# Per-x0 stages.  Each asks `ball()` (the frequencies' `lattice_ball`,
-# built on first call) only after its checks on x0, so those fail first on
+# Per-x0 stages.  Each asks `ball()` (the frequencies' shell geometry:
+# `scan`'s one `lattice_ball`, built on first call, or a point verdict's,
+# see `_point_inputs`) only after its checks on x0, so those fail first on
 # every entry point, and returns its route's series maker at x0.
 
 
@@ -214,19 +221,46 @@ def _mod_stage(f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float |
     return series
 
 
-def _ball_of(f: GridSignal, lambda2: Lattice, r_max: float | None):
-    """The ball thunk of the stages: `lattice_ball(lambda2, r_max)` built on
-    first call and kept, r_max defaulting to `default_r_max(f)`."""
-    r_max = r_max if r_max is not None else default_r_max(f)
-    return cache(lambda: lattice_ball(lambda2, r_max))
+def _whole_ball(f: GridSignal, lambda2: Lattice, r_max: float | None):
+    """`lattice_ball(lambda2, r_max)`, r_max defaulting to `default_r_max(f)`."""
+    return lattice_ball(lambda2, r_max if r_max is not None else default_r_max(f))
 
 
-def _point_inputs(f: GridSignal, query: WavefrontQuery, lambda2: Lattice):
+def _box_cells(ks: np.ndarray) -> int:
+    """Cells of the integer bounding box of the rows of ks, 0 for none: the
+    progression box `signal._analysis` transforms for them."""
+    return math.prod(int(k.max()) - int(k.min()) + 1 for k in ks.T) if ks.size else 0
+
+
+def _point_inputs(f: GridSignal, query: WavefrontQuery, lambda2: Lattice, name: str, apertures):
     """x0 of a point verdict and its ball thunk, after the dimension checks
-    of x0 and the direction."""
+    of x0, the direction and lambda2, which the `name`d lattice pair or
+    Gabor system brings.
+
+    The thunk enumerates the whole ball, then keeps its points inside the
+    query's cone at the widest of `apertures` (`LatticeBall.within`) when
+    their integer box holds fewer cells than the box the whole ball's
+    transform would take (its computed half for a real signal).  Every
+    series the verdict asks bins on that cone or a narrower one about the
+    same axis, so it reads the same points either way.  The whole ball's
+    points are checked against the band first, so the refusals are those
+    the whole ball gives; the whole ball is not held past the thunk, so it
+    is freed before the transform when the cone's points are used."""
     x0 = as_point(query.x0, f.d, "x0")
     as_point(query.direction, f.d, "direction")
-    return x0, _ball_of(f, lambda2, query.r_max)
+    if lambda2.d != f.d:
+        raise ValueError(f"a {lambda2.d}-d {name} for a {f.d}-d signal")
+    cone = Cone.from_degrees(query.direction, max(apertures))
+
+    def ball():
+        geometry = _whole_ball(f, lambda2, query.r_max)
+        sub = geometry.ball.within(cone)
+        if _box_cells(sub.ks) >= _box_cells(geometry.ball.computed_ks(f.is_real)):
+            return geometry
+        _check_band(f, geometry.ball.points)
+        return ShellGeometry(sub, geometry.r0)
+
+    return x0, ball
 
 
 def df_fl_point(f: GridSignal, query: WavefrontQuery, pair: LatticePair) -> Verdict:
@@ -242,12 +276,15 @@ def aperture_sweep(
 
     Approximates the "every conical neighbourhood" quantifier: membership at
     a point and direction is witnessed only if every tested aperture stays
-    divergent.  Each aperture lies in (0, 90) degrees, as a query's does.
-    The windowed spectrum is computed once for all apertures."""
+    divergent.  Each aperture lies in (0, 90) degrees, as a query's does,
+    and at least one is given.  The windowed spectrum is computed once for
+    all apertures, on the cone of the widest."""
     if not pair.is_strong:
         raise ValueError(f"lattice pair must be strongly admissible, got {pair.kind}")
     apertures = [check_in_open(a, 0.0, 90.0, "aperture_deg") for a in apertures]
-    x0, ball = _point_inputs(f, query, pair.lambda2)
+    if not apertures:
+        raise ValueError("apertures must list at least one aperture")
+    x0, ball = _point_inputs(f, query, pair.lambda2, "lattice pair", apertures)
     series = _fl_stage(f, pair, x0, ball)
     return {
         a: classify(
@@ -260,7 +297,7 @@ def aperture_sweep(
 
 def df_mod_point(f: GridSignal, query: WavefrontQuery, sys: GaborSystem) -> Verdict:
     """Modulation-space membership verdict at (x0, direction)."""
-    x0, ball = _point_inputs(f, query, sys.lambda2)
+    x0, ball = _point_inputs(f, query, sys.lambda2, "Gabor system", (query.aperture_deg,))
     series = _mod_stage(f, sys, x0, query.epsilon, ball)
     return classify(series(query.weight, query.p, query.q, query.cone), query.k_last, query.margin)
 
@@ -451,7 +488,7 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
     pair = cfg.lattice_pair(f.d)
     sys = cfg.gabor_system(f.d) if "mod" in cfg.methods else None
     cones = [Cone.from_degrees(th, cfg.aperture_deg) for th in directions]
-    ball = _ball_of(f, pair.lambda2, cfg.r_max)
+    ball = cache(lambda: _whole_ball(f, pair.lambda2, cfg.r_max))
     stages = {
         "fl": lambda x0: _fl_stage(f, pair, x0, ball),
         "mod": lambda x0: _mod_stage(f, sys, x0, cfg.epsilon, ball),

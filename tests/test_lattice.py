@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from microloc import (
     BudgetExceeded,
@@ -13,6 +15,7 @@ from microloc import (
     points_in_ball,
     scaled_integer_lattice,
 )
+from microloc.geometry import row_norms
 from microloc.lattice import LatticeBall
 
 
@@ -137,6 +140,59 @@ def test_lattice_ball_halves_mirror_through_the_origin():
     n = midpoints.points.shape[0]
     assert n == 80 and mirrored.size == computed.size == n // 2
     assert np.array_equal(midpoints.points[n - 1 - mirrored], -midpoints.points[mirrored])
+
+
+def test_lattice_ball_within_a_cone_keeps_its_points_in_ball_order():
+    ball = LatticeBall.of(make_lattice([[1.0, 0.3], [0.2, 0.9]], offset=[0.1, 0.0]), 6.0)
+    cone = Cone.from_degrees([1.0, 2.0], 35.0)
+    sub = ball.within(cone)
+    keep = cone.contains(ball.points)
+    assert 0 < sub.points.shape[0] < ball.points.shape[0]
+    assert np.array_equal(sub.points, ball.points[keep]) and np.array_equal(sub.ks, ball.ks[keep])
+    assert sub.is_of(ball.lattice, ball.radius)
+    # no cone of aperture under 90 degrees holds both xi and -xi
+    assert sub.split(real=True)[1].size == 0
+    assert sub.computed_ks(real=True) is sub.ks
+    z2_ball = LatticeBall.of(scaled_integer_lattice(1.0, 2), 6.0)
+    computed = z2_ball.split(real=True)[0]
+    assert np.array_equal(z2_ball.computed_ks(real=True), z2_ball.ks[computed])
+    assert z2_ball.computed_ks(real=False) is z2_ball.ks
+
+
+def _box_enumeration(lat, r_max):
+    """points_in_ball as the box enumeration with a fancy-indexed gather."""
+    center = lat.to_lattice_coords(np.zeros(lat.d))
+    semi = r_max * np.linalg.norm(np.linalg.inv(lat.basis), axis=0)
+    lo = np.ceil(center - semi - 1e-9).astype(int)
+    hi = np.floor(center + semi + 1e-9).astype(int)
+    mesh = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(lo, hi)], indexing="ij")
+    ts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = lat.points(ts)
+    keep = np.flatnonzero(row_norms(pts) <= r_max)
+    return pts[keep], ts[keep]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    entries=st.lists(st.floats(-1.5, 1.5), min_size=9, max_size=9),
+    offset=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    corner=st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+    on_a_point=st.booleans(),
+    r_max=st.floats(0.0, 6.0),
+)
+def test_property_points_in_ball_matches_the_box_enumeration(
+    d, entries, offset, corner, on_a_point, r_max
+):
+    basis = np.eye(d) + 0.5 * np.array(entries[: d * d]).reshape(d, d)  # skewed, near I
+    assume(abs(np.linalg.det(basis)) > 0.2)
+    lat = make_lattice(basis, offset[:d])
+    if on_a_point:  # a radius equal to a point's norm, the edge of the filter
+        r_max = float(row_norms(lat.points(np.array([corner[:d]])))[0])
+    pts, ks = points_in_ball(lat, r_max)
+    want_pts, want_ks = _box_enumeration(lat, r_max)
+    assert np.array_equal(pts, want_pts) and np.array_equal(ks, want_ks)
+    assert pts.dtype == want_pts.dtype and ks.dtype == want_ks.dtype
 
 
 def test_unfold_reads_the_width_of_its_values():

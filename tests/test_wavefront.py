@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microloc import (
@@ -12,6 +12,7 @@ from microloc import (
     Cone,
     DomainClipped,
     EpsilonTooLarge,
+    FrequencyOutOfRange,
     GridSignal,
     MicrolocError,
     ScanConfig,
@@ -32,6 +33,7 @@ from microloc import gabor, lattice, seminorm, wavefront
 from microloc.fixtures import line_singularity_2d
 from microloc.seminorm import Verdict, lattice_ball, lattice_samples, series_from_spectrum
 from microloc.wavefront import WavefrontEstimate, WavefrontRecord, cutoff_for, default_r_max
+from test_golden import _mismatch
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +153,14 @@ def test_aperture_sweep_refuses_apertures_a_query_refuses(jump, unit_pair, apert
     assert [type(a) for a in sweep] == [float, float] and list(sweep) == [20.0, 10.0]
 
 
+def test_aperture_sweep_refuses_an_empty_aperture_list(jump, unit_pair):
+    # refused before any work: x0 = 9 outside the domain would raise
+    # DomainClipped, x0 = 3 would compute a spectrum for no verdict
+    for x0 in (3.0, 9.0):
+        with pytest.raises(ValueError, match="apertures must list at least one aperture"):
+            aperture_sweep(jump, WavefrontQuery([x0], [1.0]), unit_pair, ())
+
+
 def test_direction_scale_invariance(jump, unit_pair):
     a = df_fl_point(jump, WavefrontQuery([0.0], [1.0], q=1.0, weight=1.0), unit_pair)
     b = df_fl_point(jump, WavefrontQuery([0.0], [2.0], q=1.0, weight=1.0), unit_pair)
@@ -241,6 +251,13 @@ def test_query_validation(jump, unit_pair):
     for route, arg in ((df_fl_point, unit_pair), (df_mod_point, build_agp(1.0, 1.0, 1))):
         with pytest.raises(ValueError, match="direction must have dimension 1, got 2"):
             route(jump, wrong, arg)
+    # so is a lattice pair or Gabor system of another dimension, by name
+    query = WavefrontQuery([0.0], [1.0])
+    pair_2d = ScanConfig(alpha=1.0, beta=1.0).lattice_pair(2)
+    for route, arg, kind in ((df_fl_point, pair_2d, "lattice pair"),
+                             (df_mod_point, build_agp(1.0, 1.0, 2), "Gabor system")):
+        with pytest.raises(ValueError, match=f"a 2-d {kind} for a 1-d signal"):
+            route(jump, query, arg)
 
 
 @pytest.mark.parametrize("s,says", [
@@ -284,11 +301,25 @@ _ROUTE_SCANS = {
 }
 
 
-def _point_answer(route, f, query, arg):
+def _outcome(call, *args):
+    """call(*args), or the text of the MicrolocError it raises."""
     try:
-        return route(f, query, arg).to_json()
+        return call(*args)
     except MicrolocError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _point_answer(route, f, query, arg):
+    return _outcome(lambda: route(f, query, arg).to_json())
+
+
+# A point verdict transforms the cone's points of the ball where `scan`
+# transforms the whole ball (or its half), so their spectra differ by
+# round-off: kinds, codes, error texts and integer diagnostics must be
+# equal, float fields equal within the golden files' 1e-9 relative.
+def _same_answer(point, recorded, where: str) -> None:
+    why = _mismatch(point, recorded, where)
+    assert why is None, why
 
 
 @pytest.mark.parametrize("x0", [[0.0], [3.0]])
@@ -300,25 +331,141 @@ def test_scan_and_point_routes_agree(jump, x0):
     query = WavefrontQuery(x0, [1.0], p=1.0, q=1.0, weight=1.0)
     fl = df_fl_point(jump, query, cfg.lattice_pair(1))
     mod = df_mod_point(jump, query, build_agp(1.6, 1.0, d=1))
-    assert rec.verdict_fl.to_json() == fl.to_json()
-    assert rec.verdict_mod.to_json() == mod.to_json()
+    _same_answer(fl.to_json(), rec.verdict_fl.to_json(), "fl")
+    _same_answer(mod.to_json(), rec.verdict_mod.to_json(), "mod")
 
 
 @pytest.mark.parametrize("case", sorted(_ROUTE_SCANS))
 def test_multi_x0_scan_matches_point_routes(case, jump):
     # A multi-x0 scan shares its shell geometry and j-aggregates across
-    # records; every record must still be exactly the point operations' answer.
+    # records; every record must still be the point operations' answer.
     f = jump if case == "jump_1d" else line_singularity_2d(n=512)
     x_grid, directions, cfg = _ROUTE_SCANS[case]
     pair, gsys = cfg.lattice_pair(f.d), cfg.gabor_system(f.d)
     records = scan(f, x_grid, directions, cfg).records
     assert len(records) == len(x_grid) * len(directions) * len(_ROUTE_PQS)
-    for rec in records:
+    for i, rec in enumerate(records):
         query = WavefrontQuery(rec.x0, rec.theta, p=rec.p, q=rec.q, weight=rec.s, r_max=cfg.r_max)
         fl = rec.verdict_fl.to_json() if rec.verdict_fl else rec.error_fl
         mod = rec.verdict_mod.to_json() if rec.verdict_mod else rec.error_mod
-        assert fl == _point_answer(df_fl_point, f, query, pair)
-        assert mod == _point_answer(df_mod_point, f, query, gsys)
+        _same_answer(_point_answer(df_fl_point, f, query, pair), fl, f"record {i} fl")
+        _same_answer(_point_answer(df_mod_point, f, query, gsys), mod, f"record {i} mod")
+
+
+# Small settings for each dimension: four full shells, a cutoff cell and a
+# window of at most 2^d translates around every x0 in [-1/2, 1/2]^d.
+_SMALL = {
+    1: (1024, 4.0, ScanConfig(alpha=2.0, beta=1.0, gabor_alpha=6.0)),
+    2: (128, 2.0, ScanConfig(alpha=2.0, beta=0.25, gabor_alpha=24.0)),
+}
+
+
+def _small_signal(d: int, real: bool, seed: int) -> GridSignal:
+    """A Gaussian cut by a random half-space on a small grid of [-L, L)^d;
+    a complex one is modulated, so its spectrum is not Hermitian."""
+    rng = np.random.default_rng(seed)
+    n, half, _ = _SMALL[d]
+    axis = np.arange(n) * (2 * half / n) - half
+    x = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1)
+    samples = np.exp(-np.sum(x * x, axis=-1)) * (x @ rng.normal(size=d) > rng.uniform(-0.3, 0.3))
+    if not real:
+        samples = samples * np.exp(3j * (x @ rng.normal(size=d)))
+    return GridSignal.from_samples(samples, [-half] * d, [2 * half / n] * d)
+
+
+def _assert_series_close(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.boundaries, want.boundaries)
+    assert np.array_equal(got.counts, want.counts)
+    assert got.noise_floor == want.noise_floor
+    scale = np.max(want.S)
+    for name in ("a", "S", "shell_absmax"):
+        gap = np.max(np.abs(getattr(got, name) - getattr(want, name)))
+        assert gap <= 1e-12 * np.max(getattr(want, name)), name
+    assert abs(got.core - want.core) <= 1e-12 * scale
+    assert _outcome(lambda: classify(got).kind) == _outcome(lambda: classify(want).kind)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    x0=st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2),
+    angle=st.one_of(st.floats(0.0, 360.0), st.sampled_from([45.0, 135.0, 225.0, 315.0])),
+    aperture=st.floats(1.0, 85.0),
+    pqs=st.sampled_from(_ROUTE_PQS),
+)
+@example(d=2, real=True, seed=0, x0=[0.1, -0.2], angle=45.0, aperture=80.0, pqs=_ROUTE_PQS[0])
+def test_property_cone_series_match_whole_ball_series(d, real, seed, x0, angle, aperture, pqs):
+    # A point verdict bins on its cone's points of the ball, or on the whole
+    # ball when that transforms fewer cells (wide diagonal cones of a real
+    # signal); either way each series it asks, at every aperture up to the
+    # widest, is the whole ball's to round-off.
+    f = _small_signal(d, real, seed)
+    cfg = _SMALL[d][2]
+    x0 = np.array(x0[:d])
+    direction = [1.0 if angle < 180 else -1.0] if d == 1 else [
+        math.cos(math.radians(angle)), math.sin(math.radians(angle))]
+    p, q, s = pqs
+    query = WavefrontQuery(x0, direction, aperture_deg=aperture, p=p, q=q, weight=s)
+    pair, gsys = cfg.lattice_pair(d), cfg.gabor_system(d)
+    routes = (
+        (lambda ball: wavefront._fl_stage(f, pair, x0, ball), pair.lambda2, "lattice pair",
+         (aperture, aperture / 2)),
+        (lambda ball: wavefront._mod_stage(f, gsys, x0, None, ball), gsys.lambda2,
+         "Gabor system", (aperture,)),
+    )
+    for stage, lambda2, name, apertures in routes:
+        _, cone_ball = wavefront._point_inputs(f, query, lambda2, name, apertures)
+        on_cone = stage(cone_ball)
+        on_ball = stage(lambda: wavefront._whole_ball(f, lambda2, None))
+        for a in apertures:
+            args = (query.weight, p, q, Cone.from_degrees(query.direction, a))
+            _assert_series_close(_outcome(on_cone, *args), _outcome(on_ball, *args))
+
+
+def test_point_ball_is_the_cone_subset_only_when_its_box_is_smaller(line2d):
+    # the half ball of a real signal on r_max = 180 spans 361 x 181 cells; a
+    # diagonal cone of 80 degrees spans about 284 x 284 and keeps the whole
+    # ball, one of 60 degrees about 227 x 227; a complex signal's whole ball
+    # spans 361 x 361
+    pair = ScanConfig(alpha=2.5, beta=1.0).lattice_pair(2)
+    n_whole = lattice_ball(pair.lambda2, 180.0).ball.points.shape[0]
+    imag = GridSignal.from_samples(1j * line2d.samples, line2d.origin, line2d.spacing)
+    for f, direction, aperture, whole in (
+        (line2d, [1.0, 0.0], 20.0, False),
+        (line2d, [1.0, 1.0], 60.0, False),
+        (line2d, [1.0, 1.0], 80.0, True),
+        (imag, [1.0, 1.0], 80.0, False),
+    ):
+        query = WavefrontQuery([0.0, 0.3], direction, aperture_deg=aperture, r_max=180.0)
+        _, ball = wavefront._point_inputs(f, query, pair.lambda2, "lattice pair", (aperture,))
+        assert (ball().ball.points.shape[0] == n_whole) == whole
+
+
+def test_cone_point_verdicts_refuse_the_band_the_whole_ball_leaves():
+    # Axis 2 is sampled 4 times coarser than axis 1, so r_max = 60 leaves
+    # its band (0.9 pi / h2 = 45.2) but not axis 1's.  The 20 degree cone
+    # along e1 reaches |xi_2| <= 20.6 only; both point routes still refuse
+    # as the scan does, from the whole ball's points.
+    x1 = np.arange(256) / 64 - 2.0
+    x2 = np.arange(64) / 16 - 2.0
+    samples = (x1[:, None] > 0.1) * np.exp(-(x1[:, None] ** 2 + x2[None, :] ** 2))
+    f = GridSignal.from_samples(samples, [-2.0, -2.0], [1 / 64, 1 / 16])
+    cfg = ScanConfig(alpha=2.5, beta=1.0, r_max=60.0)
+    query = WavefrontQuery([0.0, 0.0], [1.0, 0.0], r_max=60.0)
+    pair = cfg.lattice_pair(2)
+    cone_points = lattice_ball(pair.lambda2, 60.0).ball.within(query.cone).points
+    assert np.max(np.abs(cone_points[:, 1])) < f.nyquist_limit()[1] < 60.0
+    rec = scan(f, [[0.0, 0.0]], [[1.0, 0.0]], cfg).records[0]
+    assert rec.error_fl.startswith("FrequencyOutOfRange: ") and rec.error_mod == rec.error_fl
+    for route, arg in ((df_fl_point, pair), (df_mod_point, cfg.gabor_system(2))):
+        with pytest.raises(FrequencyOutOfRange) as refused:
+            route(f, query, arg)
+        assert f"FrequencyOutOfRange: {refused.value}" == rec.error_fl
 
 
 def test_scan_and_point_routes_agree_outside_domain(jump):
