@@ -17,6 +17,7 @@ import numpy as np
 from .errors import NotFitted
 from .seminorm import DEFAULT_MARGIN
 from .signal import GridSignal, load_signal
+from .validation import as_float_array
 from .wavefront import ScanConfig, WavefrontEstimate, scan
 
 
@@ -101,7 +102,7 @@ class WavefrontDetector:
             raise NotFitted("call fit(signal) before predict()")
 
     def _split_queries(self, X) -> tuple[list, list]:
-        X = np.asarray(X, dtype=float)
+        X = as_float_array(X, "queries")
         d = self.signal_.d
         if X.ndim != 2 or X.shape[1] != 2 * d:
             raise ValueError(

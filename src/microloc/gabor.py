@@ -330,11 +330,19 @@ def reconstruct(table: CoefficientTable, sys: GaborSystem, grid: GridSignal) -> 
     the table's whole ball) sums each row over k onto its window's patch,
     the row filled on the whole ball by `LatticeBall.unfold`; each axis
     factor of phi^eps is sampled once, as in `coefficients`, and the
-    patches are added onto the grid in order of j.
+    patches are added onto the grid in order of j.  ValueError, before any
+    work, for a grid or system of another dimension than the table's, or a
+    system whose lambda2 is not the lattice of the table's ball.
     """
+    ball = table.ball
+    for name, d in (("template grid", grid.d), ("Gabor system", sys.d)):
+        if d != ball.lattice.d:
+            raise ValueError(f"a {d}-d {name} for a {ball.lattice.d}-d coefficient table")
+    if not ball.is_of(sys.lambda2, ball.radius):
+        raise ValueError(f"the table's ball lies on {ball.lattice.to_json()}, "
+                         f"the Gabor system's lambda2 is {sys.lambda2.to_json()}")
     origin, spacing, shape = grid.origin, grid.spacing, grid.shape
     out = np.zeros(shape, dtype=np.complex128)
-    ball = table.ball
     if table.js.size and ball.points.size:
         w = sys.phi.scaled(sys.epsilon)
         shifts = sys.epsilon * sys.x_point(table.js)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, SingularBasis
-from .geometry import Cone, row_norms
+from .geometry import row_norms
 from .validation import as_float_array, as_point, check_finite
 
 DEFAULT_CELL_BUDGET = 10**8
@@ -204,8 +204,9 @@ _NO_INDEX = np.zeros(0, dtype=np.int64)
 @dataclass(frozen=True, eq=False)
 class LatticeBall:
     """Every point of `lattice` with |xi| <= radius and its integer
-    coordinates ks, in the lexicographic order of `points_in_ball`, or the
-    subset of them inside one cone (`within`), in the same order.
+    coordinates ks, in the lexicographic order of `points_in_ball`, or a
+    subset of them in the same order (a point verdict's cone, see
+    `seminorm.ShellGeometry.on_cone`).
 
     The ball is centrally symmetric when every -xi_i is the point at index
     n - 1 - i, as on a lattice through the origin or delta (Z^d + 1/2) at a
@@ -238,13 +239,6 @@ class LatticeBall:
     def radii(self) -> np.ndarray:
         return row_norms(self.points)
 
-    def within(self, cone: Cone) -> "LatticeBall":
-        """The points inside `cone` (`Cone.contains`), in ball order, on the
-        same lattice and radius, so `is_of` still holds for them."""
-        keep = np.flatnonzero(cone.contains(self.points))
-        return LatticeBall(self.lattice, self.radius, np.take(self.points, keep, axis=0),
-                           np.take(self.ks, keep, axis=0))
-
     def is_of(self, lat: Lattice, r_max: float) -> bool:
         """True when this is the ball of radius r_max on lat."""
         return (
@@ -266,11 +260,6 @@ class LatticeBall:
         real signal on a centrally symmetric ball they are xi_d >= 0 and
         xi_d < 0; otherwise every point is computed and none is mirrored."""
         return self._halves if real else (slice(None), _NO_INDEX)
-
-    def computed_ks(self, real: bool) -> np.ndarray:
-        """The integer coordinates of the computed points of `split(real)`."""
-        computed = self.split(real)[0]
-        return self.ks if isinstance(computed, slice) else np.take(self.ks, computed, axis=0)
 
     def unfold(self, values: np.ndarray) -> np.ndarray:
         """Values on every point of the ball, read by the width of the last

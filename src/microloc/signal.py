@@ -570,9 +570,12 @@ def _analysis(f: GridSignal, ball: LatticeBall, scale: float, window=None, shift
     a, b = np.array(f.support).T[:, None]
     if window is not None:
         a, b = _index_box(window.lo + shifts, window.hi + shifts, f.origin, f.spacing, a, b)
-    # one column per computed point
-    progs, lengths, kernels, index, batches = _plan(ball.lattice, ball.computed_ks(f.is_real),
-                                                    f.spacing, a, b)
+    # one column per computed point; their ks are gathered inline, so the row
+    # loop does not hold them
+    computed = ball.split(f.is_real)[0]
+    progs, lengths, kernels, index, batches = _plan(
+        ball.lattice, ball.ks if isinstance(computed, slice) else np.take(ball.ks, computed, axis=0),
+        f.spacing, a, b)
     norm = scale * f.cell_volume
     values = np.empty((a.shape[0], progs[0].index.size), dtype=np.complex128)
     floor = 0.0

@@ -13,10 +13,10 @@ builds the route's local object (|F(chi f)| on the lattice, or the Gabor
 table on J_{x0}(eps)) and returns a series maker (weight, p, q, cone) ->
 ConeSumSeries.  The point verdicts and `scan` ask both routes through it.
 A point verdict bins on one cone (nested cones of one axis for
-`aperture_sweep`), so it transforms only the ball's points inside its
-widest cone, on their smaller integer box (`_point_inputs`); wide diagonal
-cones, whose box is larger than the half ball's, keep the whole ball.
-`scan` keeps the whole ball, shared by every x0 and direction.
+`aperture_sweep`), so it transforms exactly the points its widest cone's
+shells bin: the cone's points of the ball inside the last full shell
+(`_point_inputs`, `ShellGeometry.on_cone`).  `scan` keeps the whole ball,
+shared by every x0 and direction.
 
 Membership is reported per aperture (default 20 degrees); `aperture_sweep`
 refines toward the "every conical neighbourhood" quantifier.  Default radial
@@ -40,7 +40,6 @@ from .lattice import Lattice, LatticePair, classify_pair, parallelepiped_contain
 from .seminorm import (
     DEFAULT_K_LAST,
     DEFAULT_MARGIN,
-    ShellGeometry,
     Verdict,
     classify,
     discrete_mod_series,
@@ -226,26 +225,18 @@ def _whole_ball(f: GridSignal, lambda2: Lattice, r_max: float | None):
     return lattice_ball(lambda2, r_max if r_max is not None else default_r_max(f))
 
 
-def _box_cells(ks: np.ndarray) -> int:
-    """Cells of the integer bounding box of the rows of ks, 0 for none: the
-    progression box `signal._analysis` transforms for them."""
-    return math.prod(int(k.max()) - int(k.min()) + 1 for k in ks.T) if ks.size else 0
-
-
 def _point_inputs(f: GridSignal, query: WavefrontQuery, lambda2: Lattice, name: str, apertures):
     """x0 of a point verdict and its ball thunk, after the dimension checks
     of x0, the direction and lambda2, which the `name`d lattice pair or
     Gabor system brings.
 
-    The thunk enumerates the whole ball, then keeps its points inside the
-    query's cone at the widest of `apertures` (`LatticeBall.within`) when
-    their integer box holds fewer cells than the box the whole ball's
-    transform would take (its computed half for a real signal).  Every
-    series the verdict asks bins on that cone or a narrower one about the
-    same axis, so it reads the same points either way.  The whole ball's
-    points are checked against the band first, so the refusals are those
-    the whole ball gives; the whole ball is not held past the thunk, so it
-    is freed before the transform when the cone's points are used."""
+    The thunk enumerates the whole ball and checks its points against the
+    band, so the refusals are those the whole ball gives, then returns its
+    geometry on the points its series bin: the query's cone at the widest
+    of `apertures` inside the last full shell (`ShellGeometry.on_cone`).
+    Every series the verdict asks bins on that cone or a narrower one about
+    the same axis, so it reads the same points.  The whole ball is not held
+    past the thunk, so it is freed before the transform."""
     x0 = as_point(query.x0, f.d, "x0")
     as_point(query.direction, f.d, "direction")
     if lambda2.d != f.d:
@@ -254,11 +245,8 @@ def _point_inputs(f: GridSignal, query: WavefrontQuery, lambda2: Lattice, name: 
 
     def ball():
         geometry = _whole_ball(f, lambda2, query.r_max)
-        sub = geometry.ball.within(cone)
-        if _box_cells(sub.ks) >= _box_cells(geometry.ball.computed_ks(f.is_real)):
-            return geometry
         _check_band(f, geometry.ball.points)
-        return ShellGeometry(sub, geometry.r0)
+        return geometry.on_cone(cone)
 
     return x0, ball
 

@@ -66,6 +66,15 @@ def test_not_fitted_and_input_validation():
         det.predict([[0.0, 1.0, 2.0]])  # wrong row width for d = 1
 
 
+@pytest.mark.parametrize("row", [[0.0, True], ["0", "1"]], ids=["bool", "text"])
+def test_predict_refuses_rows_that_are_not_numbers(fitted, row):
+    # float() would read True as 1.0 and "1" as 1.0, a query nobody asked
+    with pytest.raises(ValueError, match="queries must hold numbers only"):
+        fitted.predict([row])
+    with pytest.raises(ValueError, match="queries must hold numbers only"):
+        fitted.predict_records([[3.0, 1.0], row])
+
+
 def test_fit_from_path(tmp_path):
     from microloc import save_signal
 

@@ -23,6 +23,7 @@ from microloc import (
     smooth_bump_window,
     support_index_set,
 )
+from microloc import gabor
 from microloc.fixtures import jump_1d, random_band_limited, smooth_bump_1d
 from microloc.lattice import LatticeBall
 from microloc.signal import _stft as stft
@@ -294,6 +295,26 @@ def test_reconstruct_zero_table_and_round_trip():
         rec = reconstruct(t, se, f)
         rel = np.linalg.norm(rec.samples - f.samples) / np.linalg.norm(f.samples)
         assert rel <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["grid-2d", "system-2d", "system-beta"])
+def test_reconstruct_refuses_a_grid_or_system_that_does_not_fit_the_table(case, monkeypatch):
+    # each mismatch is named before the synthesis plan is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("reconstruct started work on inputs it should refuse")
+
+    sys0 = build_agp(1.0, 1.0, d=1)
+    f = smooth_bump_1d(n=512)
+    table = coefficients(f, sys0, 20.0)
+    grid, system, says = {
+        "grid-2d": (GridSignal.from_samples(np.zeros((8, 8)), [0.0, 0.0], [1.0, 1.0]), sys0,
+                    "a 2-d template grid for a 1-d coefficient table"),
+        "system-2d": (f, build_agp(1.0, 1.0, d=2), "a 2-d Gabor system for a 1-d coefficient table"),
+        "system-beta": (f, build_agp(1.0, 1.3, d=1), "the Gabor system's lambda2 is"),
+    }[case]
+    monkeypatch.setattr(gabor, "_plan", refuse)
+    with pytest.raises(ValueError, match=re.escape(says)):
+        reconstruct(table, system, grid)
 
 
 def test_round_trip_2d_small():

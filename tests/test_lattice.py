@@ -142,23 +142,6 @@ def test_lattice_ball_halves_mirror_through_the_origin():
     assert np.array_equal(midpoints.points[n - 1 - mirrored], -midpoints.points[mirrored])
 
 
-def test_lattice_ball_within_a_cone_keeps_its_points_in_ball_order():
-    ball = LatticeBall.of(make_lattice([[1.0, 0.3], [0.2, 0.9]], offset=[0.1, 0.0]), 6.0)
-    cone = Cone.from_degrees([1.0, 2.0], 35.0)
-    sub = ball.within(cone)
-    keep = cone.contains(ball.points)
-    assert 0 < sub.points.shape[0] < ball.points.shape[0]
-    assert np.array_equal(sub.points, ball.points[keep]) and np.array_equal(sub.ks, ball.ks[keep])
-    assert sub.is_of(ball.lattice, ball.radius)
-    # no cone of aperture under 90 degrees holds both xi and -xi
-    assert sub.split(real=True)[1].size == 0
-    assert sub.computed_ks(real=True) is sub.ks
-    z2_ball = LatticeBall.of(scaled_integer_lattice(1.0, 2), 6.0)
-    computed = z2_ball.split(real=True)[0]
-    assert np.array_equal(z2_ball.computed_ks(real=True), z2_ball.ks[computed])
-    assert z2_ball.computed_ks(real=False) is z2_ball.ks
-
-
 def _box_enumeration(lat, r_max):
     """points_in_ball as the box enumeration with a fancy-indexed gather."""
     center = lat.to_lattice_coords(np.zeros(lat.d))

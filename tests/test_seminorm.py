@@ -19,6 +19,7 @@ from microloc import (
     discrete_mod_norm,
     discrete_mod_series,
     make_cutoff,
+    make_lattice,
     multiply,
     reconstruct,
     scaled_integer_lattice,
@@ -439,6 +440,37 @@ def test_property_shared_geometry_bins_as_per_call(case):
         assert np.array_equal(got.counts, counts)
         assert np.array_equal(got.shell_absmax, absmax)
         assert got.core == core
+
+
+def test_shell_geometry_on_a_cone_keeps_its_points_in_ball_order():
+    # shells at 1, 2, 4 on a ball of radius 6: the cone's points past the
+    # last full shell are not binned, so the restriction drops them too
+    ball = LatticeBall.of(make_lattice([[1.0, 0.3], [0.2, 0.9]], offset=[0.1, 0.0]), 6.0)
+    geometry = ShellGeometry(ball, 1.0)
+    cone = Cone.from_degrees([1.0, 2.0], 35.0)
+    sub = geometry.on_cone(cone)
+    keep = cone.contains(ball.points) & (ball.radii <= geometry.boundaries[-1])
+    assert np.any(cone.contains(ball.points) & ~keep)
+    assert 0 < sub.ball.points.shape[0] < ball.points.shape[0]
+    assert np.array_equal(sub.ball.points, ball.points[keep])
+    assert np.array_equal(sub.ball.ks, ball.ks[keep])
+    assert sub.ball.is_of(ball.lattice, ball.radius) and sub.r0 == geometry.r0
+    assert np.array_equal(sub.boundaries, geometry.boundaries)
+    # no cone of aperture under 90 degrees holds both xi and -xi
+    assert sub.ball.split(real=True)[1].size == 0
+    assert sub.ball.split(real=True)[0] == slice(None)
+    # the cone and every narrower one about its axis bin the same points
+    # with the same shell indices on either geometry
+    for aperture in (35.0, 20.0):
+        narrow = Cone.from_degrees([1.0, 2.0], aperture)
+        sel, idx, counts = geometry.cone_index(narrow)
+        sub_sel, sub_idx, sub_counts = sub.cone_index(narrow)
+        assert np.array_equal(sub.ball.points[sub_sel], ball.points[sel])
+        assert np.array_equal(sub_idx, idx) and np.array_equal(sub_counts, counts)
+    z2_ball = LatticeBall.of(scaled_integer_lattice(1.0, 2), 6.0)
+    computed = z2_ball.split(real=True)[0]
+    assert np.array_equal(z2_ball.ks[computed], z2_ball.ks[z2_ball.ks[:, -1] >= 0])
+    assert z2_ball.split(real=False)[0] == slice(None)
 
 
 @st.composite

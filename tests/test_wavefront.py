@@ -29,7 +29,7 @@ from microloc import (
     multiply,
     scan,
 )
-from microloc import gabor, lattice, seminorm, wavefront
+from microloc import gabor, lattice, seminorm, signal, wavefront
 from microloc.fixtures import line_singularity_2d
 from microloc.seminorm import Verdict, lattice_ball, lattice_samples, series_from_spectrum
 from microloc.wavefront import WavefrontEstimate, WavefrontRecord, cutoff_for, default_r_max
@@ -400,10 +400,9 @@ def _assert_series_close(got, want):
 )
 @example(d=2, real=True, seed=0, x0=[0.1, -0.2], angle=45.0, aperture=80.0, pqs=_ROUTE_PQS[0])
 def test_property_cone_series_match_whole_ball_series(d, real, seed, x0, angle, aperture, pqs):
-    # A point verdict bins on its cone's points of the ball, or on the whole
-    # ball when that transforms fewer cells (wide diagonal cones of a real
-    # signal); either way each series it asks, at every aperture up to the
-    # widest, is the whole ball's to round-off.
+    # A point verdict bins on the points of the ball its widest cone bins;
+    # each series it asks, at every aperture up to the widest, is the whole
+    # ball's to round-off.
     f = _small_signal(d, real, seed)
     cfg = _SMALL[d][2]
     x0 = np.array(x0[:d])
@@ -427,23 +426,55 @@ def test_property_cone_series_match_whole_ball_series(d, real, seed, x0, angle, 
             _assert_series_close(_outcome(on_cone, *args), _outcome(on_ball, *args))
 
 
-def test_point_ball_is_the_cone_subset_only_when_its_box_is_smaller(line2d):
-    # the half ball of a real signal on r_max = 180 spans 361 x 181 cells; a
-    # diagonal cone of 80 degrees spans about 284 x 284 and keeps the whole
-    # ball, one of 60 degrees about 227 x 227; a complex signal's whole ball
-    # spans 361 x 361
+def test_point_ball_is_the_whole_geometrys_cone_index_gather(line2d):
+    # Every point verdict transforms exactly the points its widest cone bins:
+    # the whole geometry's `cone_index` gather, in ball order.  On r_max = 180
+    # the last full shell is 128, and every cone, the 80 degree diagonal one
+    # on a real signal included, is cut there.
     pair = ScanConfig(alpha=2.5, beta=1.0).lattice_pair(2)
-    n_whole = lattice_ball(pair.lambda2, 180.0).ball.points.shape[0]
+    whole = lattice_ball(pair.lambda2, 180.0)
     imag = GridSignal.from_samples(1j * line2d.samples, line2d.origin, line2d.spacing)
-    for f, direction, aperture, whole in (
-        (line2d, [1.0, 0.0], 20.0, False),
-        (line2d, [1.0, 1.0], 60.0, False),
-        (line2d, [1.0, 1.0], 80.0, True),
-        (imag, [1.0, 1.0], 80.0, False),
+    for f, direction, aperture in (
+        (line2d, [1.0, 0.0], 20.0),
+        (line2d, [1.0, 1.0], 60.0),
+        (line2d, [1.0, 1.0], 80.0),
+        (imag, [1.0, 1.0], 80.0),
     ):
         query = WavefrontQuery([0.0, 0.3], direction, aperture_deg=aperture, r_max=180.0)
         _, ball = wavefront._point_inputs(f, query, pair.lambda2, "lattice pair", (aperture,))
-        assert (ball().ball.points.shape[0] == n_whole) == whole
+        geometry = ball()
+        sel = whole.cone_index(query.cone)[0]
+        assert np.array_equal(geometry.ball.points, whole.ball.points[sel])
+        assert np.array_equal(geometry.ball.ks, whole.ball.ks[sel])
+        assert geometry.ball.is_of(pair.lambda2, 180.0) and geometry.r0 == whole.r0
+        assert np.max(geometry.ball.radii) <= whole.boundaries[-1] == 128.0
+
+
+def test_point_verdicts_transform_no_point_past_the_last_shell(jump, line2d, monkeypatch):
+    # Both routes' transforms run through the analysis core; no point verdict
+    # hands it a point with |xi| above the last full shell edge.
+    reached = []
+
+    def watched(f, ball, *args, **kwargs):
+        reached.append(float(np.max(ball.radii, initial=0.0)))
+        return analysis(f, ball, *args, **kwargs)
+
+    analysis = signal._analysis
+    monkeypatch.setattr(signal, "_analysis", watched)
+    monkeypatch.setattr(gabor, "_analysis", watched)
+    line_cfg = ScanConfig(alpha=2.5, beta=1.0, gabor_alpha=2.0, gabor_alpha1=5.0, r_max=180.0)
+    # the last full shell edges are 512 of 716.8 (1D) and 128 of 180 (2D)
+    cases = ((jump, [0.0], [1.0], ScanConfig(), 512.0),
+             (line2d, [0.0, 0.3], [1.0, 1.0], line_cfg, 128.0))
+    for f, x0, direction, cfg, last in cases:
+        r_max = cfg.r_max or default_r_max(f)
+        assert lattice_ball(cfg.lattice_pair(f.d).lambda2, r_max).boundaries[-1] == last < r_max
+        for aperture in (20.0, 80.0):
+            query = WavefrontQuery(x0, direction, aperture_deg=aperture, r_max=cfg.r_max)
+            reached.clear()
+            df_fl_point(f, query, cfg.lattice_pair(f.d))
+            df_mod_point(f, query, cfg.gabor_system(f.d))
+            assert len(reached) == 2 and max(reached) <= last
 
 
 def test_cone_point_verdicts_refuse_the_band_the_whole_ball_leaves():
@@ -458,7 +489,8 @@ def test_cone_point_verdicts_refuse_the_band_the_whole_ball_leaves():
     cfg = ScanConfig(alpha=2.5, beta=1.0, r_max=60.0)
     query = WavefrontQuery([0.0, 0.0], [1.0, 0.0], r_max=60.0)
     pair = cfg.lattice_pair(2)
-    cone_points = lattice_ball(pair.lambda2, 60.0).ball.within(query.cone).points
+    points = lattice_ball(pair.lambda2, 60.0).ball.points
+    cone_points = points[query.cone.contains(points)]
     assert np.max(np.abs(cone_points[:, 1])) < f.nyquist_limit()[1] < 60.0
     rec = scan(f, [[0.0, 0.0]], [[1.0, 0.0]], cfg).records[0]
     assert rec.error_fl.startswith("FrequencyOutOfRange: ") and rec.error_mod == rec.error_fl
