@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotFitted
 from .seminorm import DEFAULT_MARGIN
 from .signal import GridSignal, load_signal
-from .validation import as_float_array
+from .validation import as_float_array, as_real
 from .wavefront import ScanConfig, WavefrontEstimate, scan
 
 
@@ -90,9 +90,9 @@ class WavefrontDetector:
         if not isinstance(X, GridSignal):
             raise TypeError("fit expects a GridSignal or a signal file path")
         self.config_ = ScanConfig.from_settings(
-            self.p, self.q, self.s, method=self.method, aperture_deg=float(self.aperture_deg),
-            alpha=float(self.alpha), beta=float(self.beta), epsilon=self.epsilon,
-            r_max=self.r_max, margin=float(self.margin),
+            self.p, self.q, self.s, method=self.method, epsilon=self.epsilon, r_max=self.r_max,
+            **{name: as_real(getattr(self, name), name)
+               for name in ("aperture_deg", "alpha", "beta", "margin")},
         )
         self.signal_ = X
         return self
@@ -135,8 +135,14 @@ class WavefrontDetector:
         return np.asarray(codes, dtype=int)
 
     def score(self, X, y) -> float:
-        """Fraction of conclusive predictions matching y (codes 0/1)."""
-        y = np.asarray(y, dtype=int)
+        """Fraction of conclusive predictions matching y, one label in
+        {0, 1} per row of X; ValueError for any other y, before predicting."""
+        self._check_fitted()
+        n = len(self._split_queries(X)[0])
+        y = as_float_array(y, "y")
+        if y.shape != (n,) or not np.all((y == 0) | (y == 1)):
+            raise ValueError(f"y must hold one label in {{0, 1}} for each of the {n} query rows, "
+                             f"got {y.tolist()}")
         pred = self.predict(X)
         conclusive = pred >= 0
         if not np.any(conclusive):

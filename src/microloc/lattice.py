@@ -205,15 +205,16 @@ _NO_INDEX = np.zeros(0, dtype=np.int64)
 class LatticeBall:
     """Every point of `lattice` with |xi| <= radius and its integer
     coordinates ks, in the lexicographic order of `points_in_ball`, or a
-    subset of them in the same order (a point verdict's cone, see
-    `seminorm.ShellGeometry.on_cone`).
+    subset of them in the same order (the points a verdict's series bin,
+    see `seminorm.ShellGeometry.on_cone`).
 
     The ball is centrally symmetric when every -xi_i is the point at index
     n - 1 - i, as on a lattice through the origin or delta (Z^d + 1/2) at a
-    dyadic delta.  There a real signal's transform, F f(-xi) =
-    conj(F f(xi)), is computed on the half xi_d >= 0 only (see `split`) and
-    `unfold` mirrors it onto the whole ball.  A cone's subset is never
-    symmetric, so every point of it is computed.
+    dyadic delta; so is its subset inside a radius, a scan's.  There a real
+    signal's transform, F f(-xi) = conj(F f(xi)), is computed on the half
+    xi_d >= 0 only (see `split`) and `unfold` mirrors it onto the whole
+    ball.  A cone's subset is never symmetric, so every point of it is
+    computed.
     """
 
     lattice: Lattice

@@ -24,21 +24,22 @@ the ball's points alone: each point's shell index, each cone's in-range
 point indices and the weight <xi>^s per exponent s.  A spectrum
 (`SpectralSamples`) holds the geometry it was sampled on and a series bins
 on that geometry, so every spectrum of one geometry shares its cone indices
-and weights.  `wavefront.scan` builds one geometry per scan, from one
-enumeration of the ball (`lattice_ball`), samples every windowed spectrum
-on it and builds every coefficient table on its ball.  A point verdict
-reads one cone, so it samples only the points that cone bins, the ball's
-geometry restricted to them (`ShellGeometry.on_cone`: same lattice, radius
-and r0, so the same shell edges); its cone then selects the same points
-with the same shell indices.  Per spectrum (per x0) come the magnitudes,
-and for the modulation route the j-aggregate over every row of the
-coefficient table, whose rows are J_{x0}(eps), once per exponent p; per
-series (per record, always on one cone) only the gather of the cone's
-magnitudes, the weighted power sums per shell and the shell maxima.  For a
-real signal |F f(-xi)| = |F f(xi)| and c_{j,-k} = conj(c_{j,k}), so on a
-centrally symmetric ball every route, the oracle's included, transforms
-only the half ball xi_d >= 0 (a cone's points are never symmetric and are
-all transformed).
+and weights.  A verdict samples only the points its series bin, the
+ball's geometry restricted to them (`ShellGeometry.on_cone`: same lattice,
+radius and r0, so the same shell edges), from which every cone it asks
+selects the same points with the same shell indices: `wavefront.scan`
+builds one geometry per scan, on the points inside the last full shell of
+one enumeration of the ball (`lattice_ball`), samples every windowed
+spectrum on it and builds every coefficient table on its ball; a point
+verdict reads one cone, so it keeps that cone's points of them.  Per
+spectrum (per x0) come the magnitudes, and for the modulation route the
+j-aggregate over every row of the coefficient table, whose rows are
+J_{x0}(eps), once per exponent p; per series (per record, always on one
+cone) only the gather of the cone's magnitudes, the weighted power sums per
+shell and the shell maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
+c_{j,-k} = conj(c_{j,k}), so on a centrally symmetric ball, a scan's
+included, every route, the oracle's too, transforms only the half ball
+xi_d >= 0 (a cone's points are never symmetric and are all transformed).
 `fourier_batch` mirrors its values onto the whole ball; a coefficient table
 holds only the computed columns, and its j-aggregates are taken on them and
 mirrored (`CoefficientTable.aggregate`), so every spectrum covers the
@@ -174,12 +175,14 @@ class ShellGeometry:
             self._cones[key] = (sel, idx, counts)
         return self._cones[key]
 
-    def on_cone(self, cone: Cone) -> "ShellGeometry":
-        """The geometry of the points `cone_index(cone)` selects, in point
-        order, on the same lattice, radius and r0: every cone about the same
-        axis and no wider selects the same points, with the same shell
-        indices, from either geometry."""
-        sel = self.cone_index(cone)[0]
+    def on_cone(self, cone: Cone | None = None) -> "ShellGeometry":
+        """The geometry of the points `cone_index(cone)` selects (without a
+        cone, of every point inside the last full shell), in point order, on
+        the same lattice, radius and r0: every cone about the same axis and
+        no wider (without a cone, every cone) selects the same points, with
+        the same shell indices, from either geometry."""
+        sel = (np.flatnonzero(self.shell <= self.boundaries.size - 1) if cone is None
+               else self.cone_index(cone)[0])
         ball = self.ball
         return ShellGeometry(LatticeBall(ball.lattice, ball.radius, np.take(ball.points, sel, axis=0),
                                          np.take(ball.ks, sel, axis=0)), self.r0)

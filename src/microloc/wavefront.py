@@ -12,11 +12,11 @@ Each route has one per-x0 stage (`_fl_stage`, `_mod_stage`): it checks x0,
 builds the route's local object (|F(chi f)| on the lattice, or the Gabor
 table on J_{x0}(eps)) and returns a series maker (weight, p, q, cone) ->
 ConeSumSeries.  The point verdicts and `scan` ask both routes through it.
-A point verdict bins on one cone (nested cones of one axis for
-`aperture_sweep`), so it transforms exactly the points its widest cone's
-shells bin: the cone's points of the ball inside the last full shell
-(`_point_inputs`, `ShellGeometry.on_cone`).  `scan` keeps the whole ball,
-shared by every x0 and direction.
+Every verdict transforms exactly the points its series bin, the ball's
+points inside the last full shell (`_frequencies`, `ShellGeometry.on_cone`):
+a point verdict bins on one cone (nested cones of one axis for
+`aperture_sweep`), so it keeps its widest cone's points of them, and `scan`
+keeps all of them, shared by every x0 and direction.
 
 Membership is reported per aperture (default 20 degrees); `aperture_sweep`
 refines toward the "every conical neighbourhood" quantifier.  Default radial
@@ -177,8 +177,8 @@ def choose_epsilon(f: GridSignal, sys: GaborSystem, x0: np.ndarray) -> float:
     )
 
 
-# Per-x0 stages.  Each asks `ball()` (the frequencies' shell geometry:
-# `scan`'s one `lattice_ball`, built on first call, or a point verdict's,
+# Per-x0 stages.  Each asks `ball()` (the frequencies' shell geometry,
+# `_frequencies`: `scan`'s one, built on first call, or a point verdict's,
 # see `_point_inputs`) only after its checks on x0, so those fail first on
 # every entry point, and returns its route's series maker at x0.
 
@@ -220,35 +220,33 @@ def _mod_stage(f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float |
     return series
 
 
-def _whole_ball(f: GridSignal, lambda2: Lattice, r_max: float | None):
-    """`lattice_ball(lambda2, r_max)`, r_max defaulting to `default_r_max(f)`."""
-    return lattice_ball(lambda2, r_max if r_max is not None else default_r_max(f))
+def _frequencies(f: GridSignal, lambda2: Lattice, r_max: float | None, cone: Cone | None = None):
+    """The shell geometry of the frequencies a verdict reads: the points of
+    `lattice_ball(lambda2, r_max)` (r_max defaulting to `default_r_max(f)`)
+    that `cone`'s series bin, or without a cone every cone's series, i.e.
+    the points inside the last full shell (`ShellGeometry.on_cone`).
+
+    The whole ball is enumerated and its points checked against the band,
+    so the refusals are those the whole ball gives; it is not held past the
+    call, so it is freed before any transform."""
+    geometry = lattice_ball(lambda2, r_max if r_max is not None else default_r_max(f))
+    _check_band(f, geometry.ball.points)
+    return geometry.on_cone(cone)
 
 
 def _point_inputs(f: GridSignal, query: WavefrontQuery, lambda2: Lattice, name: str, apertures):
     """x0 of a point verdict and its ball thunk, after the dimension checks
     of x0, the direction and lambda2, which the `name`d lattice pair or
-    Gabor system brings.
-
-    The thunk enumerates the whole ball and checks its points against the
-    band, so the refusals are those the whole ball gives, then returns its
-    geometry on the points its series bin: the query's cone at the widest
-    of `apertures` inside the last full shell (`ShellGeometry.on_cone`).
-    Every series the verdict asks bins on that cone or a narrower one about
-    the same axis, so it reads the same points.  The whole ball is not held
-    past the thunk, so it is freed before the transform."""
+    Gabor system brings.  The thunk gives `_frequencies` on the query's
+    cone at the widest of `apertures`: every series the verdict asks bins
+    on that cone or a narrower one about the same axis, so it reads the
+    same points."""
     x0 = as_point(query.x0, f.d, "x0")
     as_point(query.direction, f.d, "direction")
     if lambda2.d != f.d:
         raise ValueError(f"a {lambda2.d}-d {name} for a {f.d}-d signal")
     cone = Cone.from_degrees(query.direction, max(apertures))
-
-    def ball():
-        geometry = _whole_ball(f, lambda2, query.r_max)
-        _check_band(f, geometry.ball.points)
-        return geometry.on_cone(cone)
-
-    return x0, ball
+    return x0, lambda: _frequencies(f, lambda2, query.r_max, cone)
 
 
 def df_fl_point(f: GridSignal, query: WavefrontQuery, pair: LatticePair) -> Verdict:
@@ -339,6 +337,9 @@ class ScanConfig:
         object.__setattr__(self, "pqs", _triples(self.pqs))
         check_positive(self.alpha, "alpha")
         check_positive(self.beta, "beta")
+        for name in ("gabor_alpha", "gabor_alpha1"):
+            if getattr(self, name) is not None:
+                check_positive(getattr(self, name), name)
         if not self.methods or not set(self.methods) <= {"fl", "mod"}:
             raise ValueError(f"methods must be a nonempty subset of fl, mod; got {self.methods!r}")
         _check_settings(self.aperture_deg, self.epsilon, self.r_max, self.margin, self.k_last)
@@ -453,11 +454,11 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
     df_fl_point and df_mod_point give for its question.  The work is shared
     at three levels:
     - once per scan, one enumeration of the beta-lattice ball and one shell
-      geometry on it (radii, shell index, each direction's cone indices,
-      <xi>^s per s) for both routes, because every x0 samples the same ball
-      at the same r_max.  The ball is enumerated the first time an x0
-      passes the checks that come before it, so every x0 fails as the point
-      operations fail;
+      geometry on its points inside the last full shell (`_frequencies`:
+      radii, shell index, each direction's cone indices, <xi>^s per s) for
+      both routes, because every x0 samples the same points at the same
+      r_max.  The ball is enumerated the first time an x0 passes the checks
+      that come before it, so every x0 fails as the point operations fail;
     - once per x0 and route, one stage: the windowed spectrum or the Gabor
       coefficient table (with its j-aggregate once per distinct p), or the
       error it raised, recorded in every row of that x0.  Routes run in the
@@ -476,7 +477,7 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
     pair = cfg.lattice_pair(f.d)
     sys = cfg.gabor_system(f.d) if "mod" in cfg.methods else None
     cones = [Cone.from_degrees(th, cfg.aperture_deg) for th in directions]
-    ball = cache(lambda: _whole_ball(f, pair.lambda2, cfg.r_max))
+    ball = cache(lambda: _frequencies(f, pair.lambda2, cfg.r_max))
     stages = {
         "fl": lambda x0: _fl_stage(f, pair, x0, ball),
         "mod": lambda x0: _mod_stage(f, sys, x0, cfg.epsilon, ball),

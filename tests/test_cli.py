@@ -296,12 +296,17 @@ def test_bad_settings_fail_on_every_surface(field, key, value, fixture_dir, jump
     ({"seed": True}, "seed must be an integer >= 0, got True"),
     ({"gabor_alpha1": "x"}, "alpha1 must be a number, got 'x'"),
     ({"gabor_alpha1": True}, "alpha1 must be a number, got True"),
+    ({"gabor_alpha": -1}, "gabor_alpha must be a positive finite number, got -1.0"),
+    ({"gabor_alpha": math.nan}, "gabor_alpha must be a positive finite number, got nan"),
+    ({"gabor_alpha": -1, "method": "fl"}, "gabor_alpha must be a positive finite number, got -1.0"),
+    ({"gabor_alpha1": 0}, "gabor_alpha1 must be a positive finite number, got 0.0"),
 ], ids=["pqs-flat", "pqs-short-entry", "pqs-scalar", "shells-fractional", "q-null", "alpha-null",
         "margin-null", "r_max-text", "direction-dimension", "x_grid-scalar", "directions-scalar",
         "x_grid-object", "direction-bool", "x0-text", "x_grid-text", "r_max-numeric-text",
         "margin-bool", "alpha-bool", "aperture-numeric-text", "s-bool", "s-numeric-text",
         "pqs-text-s", "rmax-inf", "margin-inf", "s-nan", "s-inf", "d-float", "d-text",
-        "d-bool", "d-zero", "seed-float", "seed-bool", "gabor_alpha1-text", "gabor_alpha1-bool"])
+        "d-bool", "d-zero", "seed-float", "seed-bool", "gabor_alpha1-text", "gabor_alpha1-bool",
+        "gabor_alpha-negative", "gabor_alpha-nan", "gabor_alpha-fl-only", "gabor_alpha1-zero"])
 def test_malformed_config_values_fail_with_an_error_line(settings, says, fixture_dir, tmp_path,
                                                          capsys):
     cfg_path = tmp_path / "bad.json"

@@ -44,6 +44,21 @@ def test_score(fitted):
     assert fitted.score(X, [0, 1]) == 0.0
 
 
+@pytest.mark.parametrize("y", [[1], [[1], [0]], [1.7, 0.2]], ids=["short", "column", "fractional"])
+def test_score_refuses_labels_that_do_not_fit_the_rows(fitted, y, monkeypatch):
+    # one label in {0, 1} per row, checked before any prediction runs
+    monkeypatch.setattr(fitted, "predict", lambda X: pytest.fail("predicted before checking y"))
+    with pytest.raises(ValueError, match="y must hold one label in"):
+        fitted.score([[0.0, 1.0], [3.0, 1.0]], y)
+
+
+@pytest.mark.parametrize("name,value", [("alpha", True), ("margin", True), ("aperture_deg", "20")])
+def test_fit_refuses_settings_that_are_not_numbers(name, value):
+    # float() would run True as 1.0 and "20" as 20.0, as ScanConfig does not
+    with pytest.raises(ValueError, match=f"{name} must be a number, got {value!r}"):
+        WavefrontDetector(**{name: value}).fit(jump_1d(n=2048))
+
+
 def test_get_set_params_round_trip():
     det = WavefrontDetector(q=2.0, s=0.5, aperture_deg=15.0)
     params = det.get_params()
@@ -64,6 +79,9 @@ def test_not_fitted_and_input_validation():
     det.fit(jump_1d(n=2048))
     with pytest.raises(ValueError):
         det.predict([[0.0, 1.0, 2.0]])  # wrong row width for d = 1
+    # numbers of any type are taken as floats
+    numbers = WavefrontDetector(aperture_deg=20, alpha=1, beta=np.float64(1.0)).fit(det.signal_)
+    assert numbers.config_ == det.config_ and type(numbers.config_.alpha) is float
 
 
 @pytest.mark.parametrize("row", [[0.0, True], ["0", "1"]], ids=["bool", "text"])

@@ -313,10 +313,11 @@ def _point_answer(route, f, query, arg):
     return _outcome(lambda: route(f, query, arg).to_json())
 
 
-# A point verdict transforms the cone's points of the ball where `scan`
-# transforms the whole ball (or its half), so their spectra differ by
-# round-off: kinds, codes, error texts and integer diagnostics must be
-# equal, float fields equal within the golden files' 1e-9 relative.
+# A point verdict transforms the cone's points of the ball inside the last
+# full shell where `scan` transforms every point there (or their half), so
+# their spectra differ by round-off: kinds, codes, error texts and integer
+# diagnostics must be equal, float fields equal within the golden files'
+# 1e-9 relative.
 def _same_answer(point, recorded, where: str) -> None:
     why = _mismatch(point, recorded, where)
     assert why is None, why
@@ -400,9 +401,10 @@ def _assert_series_close(got, want):
 )
 @example(d=2, real=True, seed=0, x0=[0.1, -0.2], angle=45.0, aperture=80.0, pqs=_ROUTE_PQS[0])
 def test_property_cone_series_match_whole_ball_series(d, real, seed, x0, angle, aperture, pqs):
-    # A point verdict bins on the points of the ball its widest cone bins;
-    # each series it asks, at every aperture up to the widest, is the whole
-    # ball's to round-off.
+    # A point verdict bins on the points of the ball its widest cone bins,
+    # a scan on the ball's points inside the last full shell; each series
+    # either asks, at every aperture up to the widest, is the whole ball's
+    # to round-off.
     f = _small_signal(d, real, seed)
     cfg = _SMALL[d][2]
     x0 = np.array(x0[:d])
@@ -419,11 +421,12 @@ def test_property_cone_series_match_whole_ball_series(d, real, seed, x0, angle, 
     )
     for stage, lambda2, name, apertures in routes:
         _, cone_ball = wavefront._point_inputs(f, query, lambda2, name, apertures)
-        on_cone = stage(cone_ball)
-        on_ball = stage(lambda: wavefront._whole_ball(f, lambda2, None))
-        for a in apertures:
-            args = (query.weight, p, q, Cone.from_degrees(query.direction, a))
-            _assert_series_close(_outcome(on_cone, *args), _outcome(on_ball, *args))
+        on_ball = stage(lambda: lattice_ball(lambda2, default_r_max(f)))
+        for ball in (cone_ball, lambda: wavefront._frequencies(f, lambda2, None)):
+            series = stage(ball)
+            for a in apertures:
+                args = (query.weight, p, q, Cone.from_degrees(query.direction, a))
+                _assert_series_close(_outcome(series, *args), _outcome(on_ball, *args))
 
 
 def test_point_ball_is_the_whole_geometrys_cone_index_gather(line2d):
@@ -451,8 +454,9 @@ def test_point_ball_is_the_whole_geometrys_cone_index_gather(line2d):
 
 
 def test_point_verdicts_transform_no_point_past_the_last_shell(jump, line2d, monkeypatch):
-    # Both routes' transforms run through the analysis core; no point verdict
-    # hands it a point with |xi| above the last full shell edge.
+    # Both routes' transforms run through the analysis core; no point
+    # verdict, scan or detector prediction hands it a point with |xi| above
+    # the last full shell edge.
     reached = []
 
     def watched(f, ball, *args, **kwargs):
@@ -475,6 +479,12 @@ def test_point_verdicts_transform_no_point_past_the_last_shell(jump, line2d, mon
             df_fl_point(f, query, cfg.lattice_pair(f.d))
             df_mod_point(f, query, cfg.gabor_system(f.d))
             assert len(reached) == 2 and max(reached) <= last
+        reached.clear()
+        scan(f, [x0], [direction], cfg)
+        assert len(reached) == 2 and max(reached) == last
+    reached.clear()
+    WavefrontDetector(method="both").fit(jump).predict([[0.0, 1.0], [3.0, -1.0]])
+    assert len(reached) == 4 and max(reached) == 512.0
 
 
 def test_cone_point_verdicts_refuse_the_band_the_whole_ball_leaves():

@@ -7,7 +7,9 @@ Three counts per module:
   code        lines that hold code: no blank lines, comments or docstrings
   statements  `ast.stmt` nodes that are not docstrings; reformatting code
               does not move this count
-Uses only the standard library (`ast` and `tokenize`).
+and below the table the number of public names, the entries of `__all__`
+in the package's `__init__.py`.  Uses only the standard library (`ast` and
+`tokenize`).
 """
 
 from __future__ import annotations
@@ -47,6 +49,16 @@ def counts(text: str) -> tuple[int, int, int]:
     return text.count("\n"), len(code), statements
 
 
+def public_names(text: str) -> int:
+    """The number of entries of the module-level `__all__` list or tuple
+    (0 without one)."""
+    for node in ast.parse(text).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return len(node.value.elts)
+    return 0
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else "src/microloc")
     rows = [(p.name, *counts(p.read_text())) for p in sorted(root.glob("*.py"))]
@@ -55,6 +67,8 @@ def main(argv: list[str]) -> int:
     print(f"{'module':<{width}} {'lines':>6} {'code':>6} {'statements':>10}")
     for name, lines, code, statements in rows:
         print(f"{name:<{width}} {lines:>6} {code:>6} {statements:>10}")
+    init = root / "__init__.py"
+    print(f"public names (__all__): {public_names(init.read_text()) if init.exists() else 0}")
     return 0
 
 
