@@ -34,10 +34,8 @@ from .lattice import (
     Lattice,
     LatticeBall,
     LatticePair,
-    Parallelepiped,
     classify_pair,
     make_lattice,
-    parallelepiped_containing,
     points_in_ball,
     scaled_integer_lattice,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "LatticePair",
     "MicrolocError",
     "NotFitted",
-    "Parallelepiped",
     "ScanConfig",
     "SingularBasis",
     "TooFewShells",
@@ -119,7 +116,6 @@ __all__ = [
     "make_cutoff",
     "make_lattice",
     "multiply",
-    "parallelepiped_containing",
     "points_in_ball",
     "reconstruct",
     "save_signal",

@@ -1,4 +1,4 @@
-"""Full-rank lattices, admissible lattice pairs, cells, and ball enumeration.
+"""Full-rank lattices, admissible lattice pairs, and ball enumeration.
 
 A lattice is offset + {t1 e1 + ... + td ed : t integer}; the basis vectors
 are the rows of `basis`.  Enumeration inside a ball brackets it by an
@@ -26,7 +26,6 @@ DEFAULT_CELL_BUDGET = 10**8
 # per candidate cell, so 1 GiB allows a 4096^2 box in 2D.
 _ENUMERATION_BYTES = 2**30
 
-_FACE_TOL = 1e-12
 _PAIR_TOL = 1e-10
 
 
@@ -40,11 +39,6 @@ class Lattice:
         return self.basis.shape[0]
 
     @cached_property
-    def cell_volume(self) -> float:
-        """Volume of any fundamental cell, |det(basis)|."""
-        return abs(float(np.linalg.det(self.basis)))
-
-    @cached_property
     def _inv_basis(self) -> np.ndarray:
         return np.linalg.inv(self.basis)
 
@@ -52,9 +46,6 @@ class Lattice:
     def min_spacing(self) -> float:
         """Shortest basis-vector norm (used to scale shell radii)."""
         return float(np.min(np.linalg.norm(self.basis, axis=1)))
-
-    def point(self, t) -> np.ndarray:
-        return self.offset + np.asarray(t, dtype=float) @ self.basis
 
     def points(self, ts: np.ndarray) -> np.ndarray:
         return self.offset + np.asarray(ts, dtype=float) @ self.basis
@@ -94,23 +85,6 @@ def make_lattice(basis, offset=None) -> Lattice:
 def scaled_integer_lattice(step: float, d: int, offset=None) -> Lattice:
     """Convenience constructor for step * Z^d."""
     return make_lattice(np.eye(d) * float(step), offset)
-
-
-@dataclass(frozen=True)
-class Parallelepiped:
-    """Fundamental cell of a lattice anchored at a lattice point."""
-
-    lattice: Lattice
-    anchor_coords: np.ndarray  # (d,) integers
-
-    def vertices(self) -> np.ndarray:
-        d = self.lattice.d
-        corners = np.array(np.meshgrid(*([[0, 1]] * d), indexing="ij")).reshape(d, -1).T
-        return self.lattice.points(self.anchor_coords + corners)
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        v = self.vertices()
-        return v.min(axis=0), v.max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -282,16 +256,3 @@ class LatticeBall:
         out[..., mirrored] = mirror
         return out
 
-
-def parallelepiped_containing(lat: Lattice, x0) -> Parallelepiped:
-    """The cell D whose closure contains x0.
-
-    When x0 sits on a cell face the tie breaks toward the cell with the
-    smaller anchor coordinate, so x0 lands on that cell's upper face; the
-    rule is deterministic and documented rather than meaningful.
-    """
-    t = lat.to_lattice_coords(as_point(x0, lat.d))
-    nearest = np.round(t)
-    on_face = np.abs(t - nearest) <= _FACE_TOL * np.maximum(1.0, np.abs(nearest))
-    anchor = np.where(on_face, nearest - 1, np.floor(t)).astype(int)
-    return Parallelepiped(lat, anchor)

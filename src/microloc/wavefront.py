@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DomainClipped, EpsilonTooLarge, MicrolocError
 from .gabor import GaborSystem, build_agp, coefficients, support_index_set
 from .geometry import Cone, Weight
-from .lattice import Lattice, LatticePair, classify_pair, parallelepiped_containing, scaled_integer_lattice
+from .lattice import Lattice, LatticePair, classify_pair, scaled_integer_lattice
 from .seminorm import (
     DEFAULT_K_LAST,
     DEFAULT_MARGIN,
@@ -55,6 +55,9 @@ from .validation import (
 )
 
 ALIAS_SAFE_FACTOR = 0.7
+# x0 within this relative distance of a cell face (in lattice coordinates)
+# sits on it
+_FACE_TOL = 1e-12
 
 
 def default_r_max(f: GridSignal) -> float:
@@ -108,29 +111,43 @@ class WavefrontQuery:
 
 
 def _interior_distance(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Room from x0 to the nearest face of the box [lo, hi]; positive iff x0
+    is inside the open box."""
     return float(np.min(np.minimum(x0 - lo, hi - x0)))
+
+
+def _require_interior(f: GridSignal, x0: np.ndarray) -> None:
+    if not _interior_distance(x0, *f.domain_box) > 0:
+        raise DomainClipped(f"x0 = {x0.tolist()} is not interior to the signal domain")
 
 
 def cutoff_for(f: GridSignal, lambda1: Lattice, x0: np.ndarray) -> BumpWindow:
     """Smooth (C-infinity) cutoff chi with chi(x0) = 1 supported inside
     (cell of x0) cap X.
 
-    The outer radius is min(0.9 x distance to the boundary of the cell/domain
-    intersection, 0.45 x shortest cell edge) and the inner radius a quarter
-    of it; the cap keeps the cutoff local so membership reflects the geometry
-    near x0 rather than whatever else the cell contains.  Raises DomainClipped
-    when no cutoff with a grid-resolvable transition fits.  Callers check
-    first that x0 is interior to the signal domain, so that failure reads the
-    same on every entry point.
+    x0 must be interior to the signal domain (DomainClipped otherwise, as on
+    every entry point).  Its cell is the cell of the axis-aligned lambda1
+    whose closure holds x0, read from x0's lattice coordinates; on a cell
+    face (within _FACE_TOL) the tie breaks toward the lower cell, so x0 sits
+    on that cell's upper face and DomainClipped follows.  The outer radius
+    is min(0.9 x distance to the boundary of the cell/domain intersection,
+    0.45 x shortest cell edge) and the inner radius a quarter of it; the cap
+    keeps the cutoff local so membership reflects the geometry near x0
+    rather than whatever else the cell contains.  Raises DomainClipped when
+    no cutoff with a grid-resolvable transition fits.
     """
+    x0 = as_point(x0, lambda1.d, "x0")
+    _require_interior(f, x0)
     if not lambda1.is_diagonal:
         raise ValueError("cutoff construction requires an axis-aligned spatial lattice")
-    cell = parallelepiped_containing(lambda1, x0)
-    d_lo, d_hi = cell.bounding_box()
+    t = lambda1.to_lattice_coords(x0)
+    nearest = np.round(t)
+    on_face = np.abs(t - nearest) <= _FACE_TOL * np.maximum(1.0, np.abs(nearest))
+    anchor = np.where(on_face, nearest - 1, np.floor(t))
+    # the cell's opposite corners, ordered per axis (a basis entry may be negative)
+    cell_lo, cell_hi = np.sort(lambda1.points([anchor, anchor + 1]), axis=0)
     x_lo, x_hi = f.domain_box
-    lo = np.maximum(d_lo, x_lo)
-    hi = np.minimum(d_hi, x_hi)
-    dist = _interior_distance(x0, lo, hi)
+    dist = _interior_distance(x0, np.maximum(cell_lo, x_lo), np.minimum(cell_hi, x_hi))
     if dist <= 0:
         raise DomainClipped(
             f"x0 = {x0.tolist()} sits on the boundary of its cell/domain intersection"
@@ -144,12 +161,6 @@ def cutoff_for(f: GridSignal, lambda1: Lattice, x0: np.ndarray) -> BumpWindow:
         )
     inner = 0.25 * outer
     return make_cutoff((x0 - inner, x0 + inner), (x0 - outer, x0 + outer))
-
-
-def _require_interior(f: GridSignal, x0: np.ndarray) -> None:
-    lo, hi = f.domain_box
-    if not (np.all(x0 > lo) & np.all(x0 < hi)):
-        raise DomainClipped(f"x0 = {x0.tolist()} is not interior to the signal domain")
 
 
 def _reaches_inside(f: GridSignal, x0: np.ndarray, reach: float) -> bool:
@@ -186,7 +197,6 @@ def choose_epsilon(f: GridSignal, sys: GaborSystem, x0: np.ndarray) -> float:
 def _fl_stage(f: GridSignal, pair: LatticePair, x0: np.ndarray, ball):
     """Fourier-Lebesgue: |F(chi f)| on the frequency lattice, chi =
     cutoff_for(...) around x0, binned by `series_from_spectrum` (p unused)."""
-    _require_interior(f, x0)
     chi = cutoff_for(f, pair.lambda1, x0)
     spec = lattice_samples(multiply(f, chi), ball())
     return lambda weight, p, q, cone: series_from_spectrum(spec, weight, q, cone)
@@ -419,8 +429,9 @@ class WavefrontEstimate:
         return {"config": self.config, "records": [r.to_json() for r in self.records]}
 
     def heatmap_csv(self, path) -> Path:
-        """CSV for external plotting: coordinates, direction angle (degrees),
-        fitted exponents and verdict codes (1 divergent / 0 finite / -1
+        """CSV for external plotting: coordinates, direction angle (degrees;
+        blank for d >= 3, where one angle does not name a direction), fitted
+        exponents and verdict codes (1 divergent / 0 finite / -1
         inconclusive, blank on per-record errors)."""
         p = Path(path)
         if not self.records:
@@ -431,14 +442,17 @@ class WavefrontEstimate:
         cols += ["tau_fl", "tau_mod", "fl_code", "mod_code"]
         lines = [",".join(cols)]
         for r in self.records:
-            theta_deg = math.degrees(math.atan2(r.theta[1], r.theta[0])) if d == 2 else (
-                0.0 if r.theta[0] >= 0 else 180.0
-            )
+            if d == 1:
+                theta_deg = repr(0.0 if r.theta[0] >= 0 else 180.0)
+            elif d == 2:
+                theta_deg = repr(math.degrees(math.atan2(r.theta[1], r.theta[0])))
+            else:
+                theta_deg = ""
             def _tau(v):
                 return "" if v is None or v.tau is None else repr(v.tau)
             def _code(v):
                 return "" if v is None else str(v.code)
-            cells = [repr(x) for x in r.x0] + [repr(theta_deg), repr(r.p), repr(r.q), repr(r.s)]
+            cells = [repr(x) for x in r.x0] + [theta_deg, repr(r.p), repr(r.q), repr(r.s)]
             cells += [_tau(r.verdict_fl), _tau(r.verdict_mod), _code(r.verdict_fl), _code(r.verdict_mod)]
             lines.append(",".join(cells))
         p.write_text("\n".join(lines) + "\n")

@@ -11,7 +11,6 @@ from microloc import (
     SingularBasis,
     classify_pair,
     make_lattice,
-    parallelepiped_containing,
     points_in_ball,
     scaled_integer_lattice,
 )
@@ -26,16 +25,16 @@ def points_in_cone_shell(lat, cone, r_min, r_max):
 
 def test_make_lattice_examples():
     z2 = make_lattice([[1.0, 0.0], [0.0, 1.0]])
-    assert z2.cell_volume == pytest.approx(1.0)
+    assert z2.d == 2 and z2.is_diagonal
     scaled = make_lattice([[0.7, 0.0], [0.0, 0.7]])
-    assert scaled.cell_volume == pytest.approx(0.49)
+    assert scaled.min_spacing == pytest.approx(0.7)
     with pytest.raises(SingularBasis):
         make_lattice([[1.0, 0.0], [2.0, 0.0]])
 
 
 def test_lattice_points_and_coords():
     lat = make_lattice([[2.0, 0.0], [0.0, 2.0]], offset=[0.5, -0.5])
-    p = lat.point([3, -1])
+    p = lat.points([3, -1])
     assert np.allclose(p, [6.5, -2.5])
     assert np.allclose(lat.to_lattice_coords(p), [3.0, -1.0])
 
@@ -191,33 +190,6 @@ def test_unfold_reads_the_width_of_its_values():
     for width in (0, computed.size - 1, computed.size + 1, n + 1):
         with pytest.raises(ValueError, match=f"{width} values fit neither"):
             ball.unfold(values[:width] if width <= n else np.ones(width))
-
-
-def test_parallelepiped_containing_examples(z2):
-    cell = parallelepiped_containing(z2, [0.3, 0.7])
-    assert cell.anchor_coords.tolist() == [0, 0]
-    # the face tie-break picks the smaller anchor
-    cell = parallelepiped_containing(z2, [1.0, 0.5])
-    assert cell.anchor_coords.tolist() == [0, 0]
-    lat2 = scaled_integer_lattice(2.0, 2)
-    cell = parallelepiped_containing(lat2, [3.1, -0.2])
-    assert lat2.point(cell.anchor_coords).tolist() == [2.0, -2.0]
-
-
-def _cell_contains(cell, x, tol=1e-12):
-    """x in the closed cell: lattice coordinates within [0, 1] of the anchor's."""
-    t = cell.lattice.to_lattice_coords(np.asarray(x, dtype=float)) - cell.anchor_coords
-    return bool(np.all(t >= -tol) and np.all(t <= 1.0 + tol))
-
-
-def test_parallelepiped_contains_and_volume(z2):
-    a = parallelepiped_containing(z2, [0.25, 0.25])
-    b = parallelepiped_containing(z2, [40.5, -3.5])
-    assert _cell_contains(a, [0.25, 0.25])
-    volume_a, volume_b = a.lattice.cell_volume, b.lattice.cell_volume
-    assert abs(volume_a - volume_b) <= 1e-12 * volume_a
-    lo, hi = a.bounding_box()
-    assert np.allclose(lo, [0.0, 0.0]) and np.allclose(hi, [1.0, 1.0])
 
 
 def test_lattice_json_round_trip():

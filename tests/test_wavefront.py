@@ -168,8 +168,23 @@ def test_direction_scale_invariance(jump, unit_pair):
 
 
 def test_cutoff_for_validation(jump, unit_pair):
-    with pytest.raises(DomainClipped):
-        cutoff_for(jump, unit_pair.lambda1, np.array([0.5]))  # on a cell face
+    on_face = "sits on the boundary of its cell/domain intersection"
+    too_small = "under 10 grid steps"
+    outside = "not interior to the signal domain"
+    lambda1_08 = ScanConfig(alpha=0.8).lattice_pair(1).lambda1
+    # faces of Z - 1/2 at the half-integers and of 0.8 Z - 0.4 at 0.4 + 0.8 k:
+    # within the face tolerance x0 belongs to the lower cell, on its upper face
+    for lambda1, x0, text in [
+        (unit_pair.lambda1, 0.5, on_face),
+        (unit_pair.lambda1, 0.5 + 1e-13, on_face),
+        (unit_pair.lambda1, 0.5 - 1e-13, too_small),
+        (unit_pair.lambda1, -0.5, on_face),
+        (lambda1_08, 0.4, on_face),
+        (unit_pair.lambda1, 8.0, outside),  # past the last sample, 8 - h
+        (unit_pair.lambda1, -8.0, outside),  # on the first sample
+    ]:
+        with pytest.raises(DomainClipped, match=text):
+            cutoff_for(jump, lambda1, np.array([x0]))
     with pytest.raises(DomainClipped):
         df_fl_point(jump, WavefrontQuery([7.999], [1.0]), unit_pair)
     with pytest.raises(DomainClipped):
@@ -235,6 +250,22 @@ def test_heatmap_csv(tmp_path, jump):
     assert len(lines) == 5
     codes = {int(l.split(",")[-2]) for l in lines[1:]}
     assert codes <= {-1, 0, 1}
+
+
+def test_heatmap_csv_leaves_the_angle_blank_for_d_3(tmp_path):
+    # one angle names no direction in 3D: (1, 0, 0) and (0, 0, 1) must not
+    # both read 0.0, so the cell stays blank, as a missing value does
+    fin = Verdict("finite", 1.0, -2.0, -1.0, 0.15, {})
+    records = [
+        WavefrontRecord([0.0, 0.5, 0.0], theta, 1.0, 1.0, 1.0, 20.0, verdict_fl=fin)
+        for theta in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    ]
+    path = WavefrontEstimate(records, {}).heatmap_csv(tmp_path / "heat3.csv")
+    assert path.read_text().splitlines() == [
+        "x0_0,x0_1,x0_2,theta_deg,p,q,s,tau_fl,tau_mod,fl_code,mod_code",
+        "0.0,0.5,0.0,,1.0,1.0,1.0,-2.0,,0,",
+        "0.0,0.5,0.0,,1.0,1.0,1.0,-2.0,,0,",
+    ]
 
 
 def test_query_validation(jump, unit_pair):
@@ -656,3 +687,24 @@ def test_property_power_of_two_direction_scaling_keeps_scan_records(route_scans,
     f, expected = route_scans[case]
     scaled = [[2.0**k * c for c in v] for v, k in zip(directions, ks)]
     assert _records_json(scan(f, x_grid, scaled, cfg)) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(1e-3, 1e3), min_size=6, max_size=6))
+@example([3.0, 0.1, 7.3, 1e3, 1 / 3, 1e-3])
+def test_property_positive_direction_scaling_keeps_scan_records(route_scans, factors):
+    # c v normalizes to v / |v| up to round-off for any c > 0, so every
+    # record keeps its kinds, codes and errors, and tau moves by round-off
+    x_grid, directions, cfg = _ROUTE_SCANS["line_2d"]
+    f, expected = route_scans["line_2d"]
+    scaled = [[c * x for x in v] for v, c in zip(directions, factors)]
+    got = json.loads(_records_json(scan(f, x_grid, scaled, cfg)))
+    expected = json.loads(expected)
+    assert len(got) == len(expected)
+    same = ("x0", "p", "q", "s", "error_fl", "error_mod")
+    for a, b in zip(got, expected):
+        assert [a[k] for k in same] == [b[k] for k in same]
+        assert np.allclose(a["theta"], b["theta"], rtol=0.0, atol=1e-12)
+        for m in ("fl", "mod"):
+            assert (a[m]["kind"], a[m]["code"]) == (b[m]["kind"], b[m]["code"])
+            assert abs(a[m]["tau"] - b[m]["tau"]) <= 1e-9
