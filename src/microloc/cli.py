@@ -2,7 +2,8 @@
 
 Parameters come from an optional JSON config file plus flags; flags win.
 Every report echoes the effective configuration, with timestamps kept in a
-separate `meta` block so payloads from identical runs compare byte-equal.
+separate `meta` block so payloads from identical runs compare byte-equal, and
+is strict JSON: `_write_report` writes every non-finite float as text.
 
 Exit codes: 0 success/conclusive, 1 error or failed check, 2 inconclusive
 verdict (analyze).
@@ -67,12 +68,6 @@ class RunConfig(_SharedSettings):
             self.p, self.q, self.s, self.pqs, self.method, self.shells, **shared
         )
 
-    def to_json(self) -> dict:
-        out = asdict(self)
-        out["q"] = "inf" if math.isinf(self.q) else self.q
-        out["p"] = "inf" if math.isinf(self.p) else self.p
-        return out
-
 
 def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
@@ -117,9 +112,21 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _finite(obj):
+    """obj with every non-finite float written as its repr ("inf", "-inf",
+    "nan"), so a report is strict JSON; "inf" reads back as an exponent."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _write_report(cfg: RunConfig, result: dict, default_name: str) -> Path:
     payload = {
-        "config": cfg.to_json(),
+        "config": asdict(cfg),
         "meta": {
             "tool": "microloc",
             "version": __version__,
@@ -129,7 +136,7 @@ def _write_report(cfg: RunConfig, result: dict, default_name: str) -> Path:
     }
     path = Path(cfg.out) if cfg.out else Path(default_name)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(_finite(payload), sort_keys=True, indent=2, allow_nan=False) + "\n")
     return path
 
 
@@ -179,7 +186,7 @@ def cmd_scan(args) -> int:
         raise ValueError("scan needs nonempty x_grid and directions")
     estimate = scan(f, cfg.x_grid, cfg.directions, cfg.scan_config())
     report = check_equivalence(estimate)
-    result = {"equivalence": report.to_json(), "records": [r.to_json() for r in estimate.records]}
+    result = {"equivalence": report.to_json(), **estimate.to_json()}
     path = _write_report(cfg, result, "scan_report.json")
     csv_path = Path(str(path).removesuffix(".json") + "_heatmap.csv")
     estimate.heatmap_csv(csv_path)

@@ -123,7 +123,7 @@ class WavefrontDetector:
             est = scan(self.signal_, [points[rows[0]]], [dirs[i] for i in rows], self.config_)
             for i, rec in zip(rows, est.records):
                 records[i] = rec
-        return WavefrontEstimate(records, {"scan": self.config_.to_json()})
+        return WavefrontEstimate(records)
 
     def predict(self, X) -> np.ndarray:
         """Verdict codes per query row (1 divergent / 0 finite / -1 unclear)."""

@@ -203,7 +203,7 @@ def suite_continuous_crosscheck() -> SuiteResult:
                 n_conclusive += sum(
                     v.is_conclusive for v in (vd_out, vd_in, vc_out, vc_in)
                 )
-                row = {"signal": name, "axis": axis, "q": q if q != math.inf else "inf", "s": s}
+                row = {"signal": name, "axis": axis, "q": q, "s": s}
                 if vc_out.is_finite and vd_in.is_divergent:
                     violations.append({**row, "direction": "continuous->discrete"})
                 if vd_out.is_finite and vc_in.is_divergent:

@@ -27,7 +27,7 @@ sampled discontinuity is visibly distorted by aliasing.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cache
 from pathlib import Path
 
@@ -365,12 +365,6 @@ class ScanConfig:
         methods = ("fl", "mod") if method == "both" else (method,)
         return cls(pqs=pqs or ((p, q, s),), methods=methods, k_last=shells, **shared)
 
-    def to_json(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["pqs"] = [list(map(float, t)) for t in self.pqs]
-        out["methods"] = list(self.methods)
-        return out
-
     def lattice_pair(self, d: int) -> LatticePair:
         pair = classify_pair(
             scaled_integer_lattice(self.alpha, d, -0.5 * self.alpha * np.ones(d)),
@@ -420,13 +414,12 @@ class WavefrontRecord:
 
 @dataclass
 class WavefrontEstimate:
-    """All records of a scan plus the configuration snapshot."""
+    """All records of a scan."""
 
     records: list
-    config: dict
 
     def to_json(self) -> dict:
-        return {"config": self.config, "records": [r.to_json() for r in self.records]}
+        return {"records": [r.to_json() for r in self.records]}
 
     def heatmap_csv(self, path) -> Path:
         """CSV for external plotting: coordinates, direction angle (degrees;
@@ -484,7 +477,7 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
     x_grid = [as_point(x, f.d, "x0") for x in x_grid]
     directions = [unit_direction(as_point(v, f.d, "direction")) for v in directions]
     records: list[WavefrontRecord] = []
-    estimate = WavefrontEstimate(records, {"scan": cfg.to_json()})
+    estimate = WavefrontEstimate(records)
     if not x_grid or not directions:
         return estimate
 
@@ -552,45 +545,32 @@ def check_equivalence(estimate: WavefrontEstimate) -> EquivalenceReport:
     comparison; the equivalence claim holds iff zero exclusion-adjusted
     disagreements remain (an empty comparison set is flagged, not passed
     silently: holds stays True only when something was actually compared).
+    all_inconclusive_X flags a route that returned verdicts, none of them
+    conclusive; a route that was not run or failed on every record returned
+    none, so its flag stays False.
     """
-    n_inc_fl = n_inc_mod = n_compared = 0
-    any_fl = any_mod = False
-    disagreements = []
-    for i, rec in enumerate(estimate.records):
-        vf, vm = rec.verdict_fl, rec.verdict_mod
-        if vf is not None:
-            any_fl = any_fl or vf.is_conclusive
-            n_inc_fl += 0 if vf.is_conclusive else 1
-        if vm is not None:
-            any_mod = any_mod or vm.is_conclusive
-            n_inc_mod += 0 if vm.is_conclusive else 1
-        if vf is None or vm is None:
-            continue
-        if not (vf.is_conclusive and vm.is_conclusive):
-            continue
-        n_compared += 1
-        if vf.kind != vm.kind:
-            disagreements.append(
-                {
-                    "index": i,
-                    "x0": rec.x0,
-                    "theta": rec.theta,
-                    "p": rec.p,
-                    "q": rec.q,
-                    "s": rec.s,
-                    "fl": vf.kind,
-                    "mod": vm.kind,
-                }
-            )
-    n = len(estimate.records)
+    records = estimate.records
+    given = {m: [v for r in records if (v := getattr(r, f"verdict_{m}")) is not None]
+             for m in ("fl", "mod")}
+    inconclusive = {m: sum(not v.is_conclusive for v in vs) for m, vs in given.items()}
+    compared = [
+        (i, rec) for i, rec in enumerate(records)
+        if rec.verdict_fl is not None and rec.verdict_mod is not None
+        and rec.verdict_fl.is_conclusive and rec.verdict_mod.is_conclusive
+    ]
+    disagreements = [
+        {"index": i, "x0": rec.x0, "theta": rec.theta, "p": rec.p, "q": rec.q, "s": rec.s,
+         "fl": rec.verdict_fl.kind, "mod": rec.verdict_mod.kind}
+        for i, rec in compared if rec.verdict_fl.kind != rec.verdict_mod.kind
+    ]
     return EquivalenceReport(
-        n_records=n,
-        n_compared=n_compared,
+        n_records=len(records),
+        n_compared=len(compared),
         n_disagreements=len(disagreements),
         disagreements=disagreements,
-        n_inconclusive_fl=n_inc_fl,
-        n_inconclusive_mod=n_inc_mod,
-        all_inconclusive_fl=n > 0 and not any_fl,
-        all_inconclusive_mod=n > 0 and not any_mod,
-        holds=len(disagreements) == 0 and n_compared > 0,
+        n_inconclusive_fl=inconclusive["fl"],
+        n_inconclusive_mod=inconclusive["mod"],
+        all_inconclusive_fl=0 < len(given["fl"]) == inconclusive["fl"],
+        all_inconclusive_mod=0 < len(given["mod"]) == inconclusive["mod"],
+        holds=not disagreements and bool(compared),
     )

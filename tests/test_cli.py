@@ -15,14 +15,23 @@ def fixture_dir(tmp_path_factory):
     return out
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def _strict(path):
+    """A file the CLI wrote, read as strict JSON: no NaN or Infinity tokens."""
+    return json.loads(path.read_text(), parse_constant=_refuse)
+
+
 def _payload(path):
-    data = json.loads(path.read_text())
+    data = _strict(path)
     assert set(data) == {"config", "meta", "result"}
     return data
 
 
 def test_make_fixtures_manifest(fixture_dir):
-    manifest = json.loads((fixture_dir / "manifest.json").read_text())
+    manifest = _strict(fixture_dir / "manifest.json")
     assert set(manifest) == {"smooth_bump", "jump", "line_singularity"}
     for entry in manifest.values():
         assert (fixture_dir / entry["header"]).exists()
@@ -120,7 +129,7 @@ def test_analyze_malformed_signal(tmp_path, capsys):
 
 
 def test_analyze_rejects_nan_sample(fixture_dir, tmp_path, capsys):
-    header = json.loads((fixture_dir / "jump.json").read_text())
+    header = _strict(fixture_dir / "jump.json")
     data = bytearray((fixture_dir / "jump.bin").read_bytes())
     at = round(-header["origin"][0] / header["spacing"][0]) * 16  # the jump, complex128
     data[at : at + 8] = struct.pack("<d", math.nan)
@@ -182,6 +191,19 @@ def test_scan_honours_method(fixture_dir, tmp_path):
     assert len(records) == 2
     for rec in records:
         assert rec["fl"] is not None and rec["mod"] is None and rec["error_mod"] is None
+    # the route that did not run returned no verdicts, so it is not flagged
+    equivalence = _payload(out)["result"]["equivalence"]
+    assert equivalence["n_inconclusive_mod"] == 0 and equivalence["all_inconclusive_mod"] is False
+
+
+def test_scan_writes_infinite_exponents_as_text(fixture_dir, tmp_path):
+    out = tmp_path / "inf.json"
+    assert main(["scan", "--signal", str(fixture_dir / "jump.json"), "--q", "inf", "--p", "inf",
+                 "--out", str(out)]) == 0
+    payload = _payload(out)
+    assert payload["config"]["q"] == payload["config"]["p"] == "inf"
+    records = payload["result"]["records"]
+    assert records and all(rec["q"] == rec["p"] == "inf" for rec in records)
 
 
 def test_scan_rejects_empty_directions(fixture_dir, tmp_path):

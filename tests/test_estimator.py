@@ -42,6 +42,10 @@ def test_score(fitted):
     X = [[0.0, 1.0], [3.0, 1.0]]
     assert fitted.score(X, [1, 0]) == 1.0
     assert fitted.score(X, [0, 1]) == 0.0
+    # x0 = 0.5 lies on a cell face, so FL refuses it: no prediction is conclusive
+    on_face = [[0.5, 1.0], [0.5, -1.0]]
+    assert fitted.predict(on_face).tolist() == [-1, -1]
+    assert fitted.score(on_face, [1, 0]) == 0.0
 
 
 @pytest.mark.parametrize("y", [[1], [[1], [0]], [1.7, 0.2]], ids=["short", "column", "fractional"])

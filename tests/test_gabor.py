@@ -44,6 +44,11 @@ def test_build_agp_rejects_inadmissible():
         build_agp(2.0, math.pi)  # product exactly 2*pi
     with pytest.raises(InadmissibleParameters):
         build_agp(1.0, 1.0, alpha1=0.5)  # window side below alpha
+    # alpha * beta passes the < 2 pi check, yet lies within the pair
+    # tolerance of 2 pi, so the pair classifies as weak
+    with pytest.raises(InadmissibleParameters) as refused:
+        build_agp(1.0, TWO_PI - 1e-11)
+    assert str(refused.value) == "lattice pair classified as weak; a strong pair is required"
 
 
 def test_build_agp_refuses_a_dimension_that_is_not_a_positive_integer():

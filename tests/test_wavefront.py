@@ -195,6 +195,31 @@ def test_epsilon_too_large(jump):
     sys0 = build_agp(1.0, 1.0, d=1)
     with pytest.raises(EpsilonTooLarge):
         df_mod_point(jump, WavefrontQuery([7.0], [1.0], epsilon=1.0), sys0)
+    # one ulp inside the first sample every dyadic reach sticks out, however small
+    x0 = math.nextafter(-8.0, 0.0)
+    says = ("no dyadic epsilon keeps window supports near x0 = [-7.999999999999999] "
+            "inside the domain")
+    cfg = ScanConfig()
+    with pytest.raises(EpsilonTooLarge) as refused:
+        df_mod_point(jump, WavefrontQuery([x0], [1.0]), cfg.gabor_system(1))
+    assert str(refused.value) == says
+    (rec,) = scan(jump, [[x0]], [[1.0]], cfg).records
+    assert rec.error_mod == f"EpsilonTooLarge: {says}"
+
+
+def test_aperture_sweep_refuses_a_weak_pair(jump):
+    weak = lattice.classify_pair(lattice.scaled_integer_lattice(1.0, 1),
+                                 lattice.scaled_integer_lattice(2 * math.pi, 1))
+    with pytest.raises(ValueError) as refused:
+        aperture_sweep(jump, WavefrontQuery([0.0], [1.0]), weak)
+    assert str(refused.value) == "lattice pair must be strongly admissible, got weak"
+
+
+def test_cutoff_for_refuses_a_rotated_spatial_lattice(line2d):
+    rotated = lattice.make_lattice([[1.0, 1.0], [-1.0, 1.0]])
+    with pytest.raises(ValueError) as refused:
+        cutoff_for(line2d, rotated, np.array([0.0, 0.5]))
+    assert str(refused.value) == "cutoff construction requires an axis-aligned spatial lattice"
 
 
 def test_scan_empty_and_singleton(jump, unit_pair):
@@ -236,7 +261,7 @@ def test_check_equivalence_flags_all_inconclusive():
     records = [
         WavefrontRecord([0.0], [1.0], 1.0, 1.0, 1.0, 20.0, verdict_fl=inc, verdict_mod=fin)
     ]
-    rep = check_equivalence(WavefrontEstimate(records, {}))
+    rep = check_equivalence(WavefrontEstimate(records))
     assert rep.all_inconclusive_fl and not rep.all_inconclusive_mod
     assert rep.n_compared == 0 and not rep.holds
 
@@ -250,6 +275,8 @@ def test_heatmap_csv(tmp_path, jump):
     assert len(lines) == 5
     codes = {int(l.split(",")[-2]) for l in lines[1:]}
     assert codes <= {-1, 0, 1}
+    empty = WavefrontEstimate([]).heatmap_csv(tmp_path / "empty.csv")
+    assert empty.read_text() == lines[0] + "\n"
 
 
 def test_heatmap_csv_leaves_the_angle_blank_for_d_3(tmp_path):
@@ -260,7 +287,7 @@ def test_heatmap_csv_leaves_the_angle_blank_for_d_3(tmp_path):
         WavefrontRecord([0.0, 0.5, 0.0], theta, 1.0, 1.0, 1.0, 20.0, verdict_fl=fin)
         for theta in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     ]
-    path = WavefrontEstimate(records, {}).heatmap_csv(tmp_path / "heat3.csv")
+    path = WavefrontEstimate(records).heatmap_csv(tmp_path / "heat3.csv")
     assert path.read_text().splitlines() == [
         "x0_0,x0_1,x0_2,theta_deg,p,q,s,tau_fl,tau_mod,fl_code,mod_code",
         "0.0,0.5,0.0,,1.0,1.0,1.0,-2.0,,0,",
