@@ -31,7 +31,13 @@ is computed and held on the half ball xi_d >= 0 only; the j-reduction
 Analysis (`coefficients`) is the psi^eps rows of the one analysis core of
 signal.py (`signal._analysis`), whose one unwindowed row is the FL
 transform `fourier_batch`; synthesis (`reconstruct`) runs the adjoint
-kernel of the same plan (`signal._plan`).
+kernel of the same plan (`signal._plan`).  A row's window box is clipped to
+the signal support; a row whose box is empty is exactly 0 and is not
+transformed, and `_overlapping_js` yields none.  Each row carries its own
+noise floor, and a table's floor is the largest of them.  The reductions
+read only |c_{j,k}|, so a table may hold the magnitudes: a scan keeps each
+row's magnitudes once for all the x0s that read it and stacks an x0's rows
+J_{x0}(eps) into its table (`wavefront._RowStore`).
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from .signal import (
     _check_band,
     _index_box,
     _plan,
+    _row_boxes,
     _window_batch,
     make_cutoff,
 )
@@ -197,19 +204,34 @@ class CoefficientTable:
     `values` has one column per ball point or, for a real signal on a
     centrally symmetric ball, one per point xi_d >= 0 in ball order: the
     column of -xi_k is then conj(c_{j,k}) and is never built.  `whole()`
-    gives the complete table.
+    gives the complete table.  Each row carries its own noise floor
+    (`floors`).
+
+    The reductions (`aggregate`, `discrete_mod_norm`) read only |c_{j,k}|,
+    so a table may hold the magnitudes instead of the coefficients, as a
+    scan's per-x0 tables do (`wavefront._RowStore`); such a table is not
+    synthesised.
     """
 
     js: np.ndarray  # (nj, d) integers
     ball: LatticeBall
-    values: np.ndarray  # (nj, stored columns) complex
-    noise_floor: float = 0.0
+    values: np.ndarray  # (nj, stored columns) complex, or their magnitudes
+    floors: np.ndarray | float = 0.0  # (nj,) each row's noise floor, or one for all
 
     def __post_init__(self):
         shape, nj, n = self.values.shape, self.js.shape[0], self.ball.points.shape[0]
         if shape != (nj, n) and shape != (nj, n - self.ball.split(True)[1].size):
             raise ValueError(f"coefficient values of shape {shape} fit neither {nj} translates "
                              f"on the {n} ball points nor on its computed half")
+        floors = np.full(nj, self.floors) if np.ndim(self.floors) == 0 else self.floors
+        if np.shape(floors) != (nj,):
+            raise ValueError(f"{np.shape(floors)} row floors for {nj} translates")
+        object.__setattr__(self, "floors", np.asarray(floors, dtype=float))
+
+    @property
+    def noise_floor(self) -> float:
+        """The largest row floor (0 without rows)."""
+        return float(np.max(self.floors, initial=0.0))
 
     def whole(self) -> np.ndarray:
         """The complete (nj, ball size) table: the stored columns and the
@@ -218,22 +240,26 @@ class CoefficientTable:
 
     def aggregate(self, p) -> tuple[np.ndarray, float]:
         """The j-aggregate ( sum_j |c_{j,k}|^p )^{1/p} (max_j for p = inf)
-        over every row, on every ball point, and its noise floor.  Rows are
-        summed one at a time, so no |c| block the size of the table is held;
-        stored columns are aggregated and mirrored, as |conj c| = |c|."""
+        over every row, on every ball point, and its noise floor: the
+        largest row floor, times nj^{1/p} for p < inf.  Rows are
+        summed one at a time into one buffer, so no |c| block the size of the
+        table is held; stored columns are aggregated and mirrored, as
+        |conj c| = |c|."""
         p = check_exponent(p, "p")
         rows = self.values
         if rows.shape[0] == 0:
             return self.ball.unfold(np.zeros(rows.shape[1])), 0.0
-        mags = np.abs(rows[0])
+        mags, term = np.abs(rows[0]), np.empty(rows.shape[1])
         if math.isinf(p):
             for row in rows[1:]:
-                np.maximum(mags, np.abs(row), out=mags)
+                np.maximum(mags, np.abs(row, out=term), out=mags)
             floor = self.noise_floor
         else:
             mags **= p
             for row in rows[1:]:
-                mags += np.abs(row) ** p
+                np.abs(row, out=term)
+                term **= p
+                mags += term
             mags **= 1.0 / p
             floor = self.noise_floor * rows.shape[0] ** (1.0 / p)
         return self.ball.unfold(mags), floor
@@ -258,14 +284,19 @@ def _translates(sys: GaborSystem, lo, hi, tol: float, what: str) -> np.ndarray:
 
 
 def _overlapping_js(f: GridSignal, sys: GaborSystem) -> np.ndarray:
-    """All j whose scaled dual-window support meets the signal support."""
+    """All j whose scaled dual-window support holds a sample of the signal
+    support: the rows of `signal._analysis` whose box is not empty."""
     if f.is_empty():
         return np.zeros((0, sys.d), dtype=int)
     lo, hi = f.support_box
     step, reach = sys.epsilon * sys.alpha, sys.epsilon * sys.alpha1 / 2.0
-    return _translates(
+    js = _translates(
         sys, (lo - reach) / step, (hi + reach) / step, 1e-9, "meet the signal support"
     )
+    # the boxes of psi^eps(. - eps x_j), as `coefficients` places them
+    centres = sys.epsilon * sys.x_point(js)
+    a, b = _row_boxes(f, centres - reach, centres + reach)
+    return js[np.all(b > a, axis=1)]
 
 
 def coefficients(
@@ -281,13 +312,14 @@ def coefficients(
     frequency lattice point with |xi_k| <= freq_radius: the psi^eps rows of
     the analysis core `signal._analysis`, one per translate, each summed
     over its window's box clipped to the signal support, which its noise
-    floor counts.  By default j runs over every translate overlapping the
-    signal support; pass integer `js` to restrict (e.g. to a support index
-    set around one point; ValueError naming an entry that is not an
-    integer, or the shape of a `js` that is not (n, d) or one flat
-    d-vector).  `ball` is the `LatticeBall` of sys.lambda2 and freq_radius
-    when the caller already holds it (ValueError if it is another ball);
-    the table points at the ball either way.
+    floor counts.  By default j runs over every translate whose window box
+    holds a sample of the signal support (`_overlapping_js`); pass integer
+    `js` to restrict (e.g. to a support index set around one point;
+    ValueError naming an entry that is not an integer, or the shape of a
+    `js` that is not (n, d) or one flat d-vector).  `ball` is the
+    `LatticeBall` of sys.lambda2 and freq_radius when the caller already
+    holds it (ValueError if it is another ball); the table points at the
+    ball either way.
 
     For a real f (and real windows) c_{j,-k} = conj(c_{j,k}), so on a
     centrally symmetric ball the core runs on the half ball xi_d >= 0 only

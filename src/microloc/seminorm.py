@@ -33,8 +33,10 @@ one enumeration of the ball (`lattice_ball`), samples every windowed
 spectrum on it and builds every coefficient table on its ball; a point
 verdict reads one cone, so it keeps that cone's points of them.  Per
 spectrum (per x0) come the magnitudes, and for the modulation route the
-j-aggregate over every row of the coefficient table, whose rows are
-J_{x0}(eps), once per exponent p; per series (per record, always on one
+j-aggregate over every row of the x0's table, whose rows are J_{x0}(eps),
+once per exponent p (a scan builds each row once, for every x0 that reads
+it, and its x0s' tables hold the rows' magnitudes, see
+`wavefront._RowStore`); per series (per record, always on one
 cone) only the gather of the cone's magnitudes, the weighted power sums per
 shell and the shell maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
 c_{j,-k} = conj(c_{j,k}), so on a centrally symmetric ball, a scan's

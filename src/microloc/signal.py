@@ -561,36 +561,55 @@ def _gather(samples: np.ndarray, a, lengths) -> np.ndarray:
     return samples[tuple(idx)]
 
 
+def _row_boxes(f: GridSignal, lo=None, hi=None) -> tuple[np.ndarray, np.ndarray]:
+    """The index box [a, b) per axis each row of `_analysis` sums over: f's
+    support box, or each row's window box [lo, hi] clipped to it.  A row
+    whose box is empty (b <= a on some axis) is exactly 0."""
+    a, b = np.array(f.support).T[:, None]
+    if lo is None:
+        return a, b
+    return _index_box(lo, hi, f.origin, f.spacing, a, b)
+
+
 def _analysis(f: GridSignal, ball: LatticeBall, scale: float, window=None, shifts=None):
     """scale * h^d * sum_n f(x_n) w(x_n - c) exp(-i<x_n, xi>) on the ball's
     computed points, one row per translate c of the window (one row, w = 1,
-    without it), and the largest row noise floor.  A row sums over f's
-    support box or its window box clipped to it; its floor counts that
-    box's samples (_EPS_FLOOR * sqrt(count) * scaled absolute mass)."""
-    a, b = np.array(f.support).T[:, None]
-    if window is not None:
-        a, b = _index_box(window.lo + shifts, window.hi + shifts, f.origin, f.spacing, a, b)
+    without it), and each row's noise floor.  A row sums over its box
+    (`_row_boxes`); its floor counts that box's samples (_EPS_FLOOR *
+    sqrt(count) * scaled absolute mass).  Rows with an empty box are 0 with
+    floor 0 and are not transformed: the batches run over the others."""
+    a, b = (_row_boxes(f) if window is None
+            else _row_boxes(f, window.lo + shifts, window.hi + shifts))
     # one column per computed point; their ks are gathered inline, so the row
     # loop does not hold them
     computed = ball.split(f.is_real)[0]
+    n = ball.points.shape[0] if isinstance(computed, slice) else computed.size
+    values = np.empty((a.shape[0], n), dtype=np.complex128)
+    floors = np.empty(a.shape[0])
+    empty = np.any(b <= a, axis=1)
+    values[empty], floors[empty] = 0.0, 0.0
+    if empty.all():
+        return values, floors
+    # with every row live the batches are slices, with no row index
+    live = np.flatnonzero(~empty) if empty.any() else slice(None)
+    a, b = a[live], b[live]
     progs, lengths, kernels, index, batches = _plan(
-        ball.lattice, ball.ks if isinstance(computed, slice) else np.take(ball.ks, computed, axis=0),
+        ball.lattice,
+        ball.ks if isinstance(computed, slice) else np.take(ball.ks, computed, axis=0),
         f.spacing, a, b)
     norm = scale * f.cell_volume
-    values = np.empty((a.shape[0], progs[0].index.size), dtype=np.complex128)
-    floor = 0.0
     for rows in batches:
+        at = rows if isinstance(live, slice) else live[rows]
         lo, hi = a[rows], b[rows]
         patches = _gather(f.samples, lo, lengths)
         if window is not None:
-            patches *= _window_batch(window, shifts[rows], f.origin, f.spacing, lo, hi, lengths)
-        count = np.prod(hi - lo, axis=1)
+            patches *= _window_batch(window, shifts[at], f.origin, f.spacing, lo, hi, lengths)
         mass = np.sum(np.abs(patches), axis=tuple(range(1, patches.ndim)))
-        floor = max(floor, float(np.max(_EPS_FLOOR * np.sqrt(np.maximum(count, 1)) * norm * mass)))
+        floors[at] = _EPS_FLOOR * np.sqrt(np.prod(hi - lo, axis=1)) * norm * mass
         corners = f.origin + f.spacing * lo
         sums = _along_axes(patches, kernels, corners.T, [p.start for p in progs])
-        values[rows] = norm * sums[index]
-    return values, floor
+        values[at] = norm * sums[index]
+    return values, floors
 
 
 def multiply(f: GridSignal, w: BumpWindow) -> GridSignal:

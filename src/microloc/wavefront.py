@@ -9,14 +9,21 @@ restricted to the translates whose supports contain x0.  Divergent means
 (x0, direction) belongs to the wave-front set at the queried aperture.
 
 Each route has one per-x0 stage (`_fl_stage`, `_mod_stage`): it checks x0,
-builds the route's local object (|F(chi f)| on the lattice, or the Gabor
-table on J_{x0}(eps)) and returns a series maker (weight, p, q, cone) ->
-ConeSumSeries.  The point verdicts and `scan` ask both routes through it.
-Every verdict transforms exactly the points its series bin, the ball's
-points inside the last full shell (`_frequencies`, `ShellGeometry.on_cone`):
-a point verdict bins on one cone (nested cones of one axis for
-`aperture_sweep`), so it keeps its widest cone's points of them, and `scan`
-keeps all of them, shared by every x0 and direction.
+builds the route's local object (|F(chi f)| on the lattice, or the table of
+Gabor magnitudes |c_{j,k}| on J_{x0}(eps)) and returns a series maker
+(weight, p, q, cone) -> ConeSumSeries.  The point verdicts and `scan` ask
+both routes through it.  Every verdict transforms exactly the points its
+series bin, the ball's points inside the last full shell (`_frequencies`,
+`ShellGeometry.on_cone`): a point verdict bins on one cone (nested cones of
+one axis for `aperture_sweep`), so it keeps its widest cone's points of
+them, and `scan` keeps all of them, shared by every x0 and direction.
+
+The modulation stage reads its rows (eps, j) from a row store
+(`_RowStore`) over the x0s asked: `scan`'s holds every x0 of its x_grid, a
+point verdict's its one x0.  The store builds each distinct row once, when
+the first x0 reads it, keeps its magnitudes and noise floor until the last
+x0 that reads it, and transforms no row whose window box misses the signal
+support (such a row is 0, see `signal._analysis`).
 
 Membership is reported per aperture (default 20 degrees); `aperture_sweep`
 refines toward the "every conical neighbourhood" quantifier.  Default radial
@@ -34,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainClipped, EpsilonTooLarge, MicrolocError
-from .gabor import GaborSystem, build_agp, coefficients, support_index_set
+from .gabor import CoefficientTable, GaborSystem, build_agp, coefficients, support_index_set
 from .geometry import Cone, Weight
 from .lattice import Lattice, LatticePair, classify_pair, scaled_integer_lattice
 from .seminorm import (
@@ -202,12 +209,11 @@ def _fl_stage(f: GridSignal, pair: LatticePair, x0: np.ndarray, ball):
     return lambda weight, p, q, cone: series_from_spectrum(spec, weight, q, cone)
 
 
-def _mod_stage(f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float | None, ball):
-    """Modulation: the coefficients of every translate whose window support
-    holds x0, in one table whose rows are J_{x0}(eps) (`support_index_set`),
-    binned by `discrete_mod_series`; the table's j-aggregate is taken once
-    per p, on the shared geometry.  epsilon defaults to `choose_epsilon`; a
-    given one must keep the windows holding x0 inside the domain."""
+def _support_rows(f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float | None):
+    """The modulation route's checks on x0 and the Gabor rows its verdict
+    reads: the system at x0's epsilon and J_{x0}(eps) (`support_index_set`).
+    epsilon defaults to `choose_epsilon`; a given one must keep the windows
+    holding x0 inside the domain."""
     _require_interior(f, x0)
     if epsilon is None:
         epsilon = choose_epsilon(f, sys, x0)
@@ -217,9 +223,63 @@ def _mod_stage(f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float |
             "stick out of the signal domain"
         )
     sys_eps = sys.with_epsilon(epsilon)
-    js = support_index_set(sys_eps, x0)
-    geometry = ball()
-    table = coefficients(f, sys_eps, geometry.ball.radius, js=js, ball=geometry.ball)
+    return sys_eps, support_index_set(sys_eps, x0)
+
+
+class _RowStore:
+    """The Gabor rows (eps, j) that the modulation verdicts at the points of
+    x_grid read, each built once: its magnitudes |c_{j,k}| (float64) and its
+    noise floor, held from the first x0 that reads it to the last.
+
+    On construction every x0 runs `_support_rows`, never the ball, which
+    gives the last x0 (by index) that reads each row; an x0 whose checks
+    fail reads none, and `table` runs them again in its turn, so they raise
+    there.  The x0s ask `table` in index order, all on one ball."""
+
+    def __init__(self, f: GridSignal, sys: GaborSystem, x_grid, epsilon: float | None):
+        self.f, self.sys, self.x_grid, self.epsilon = f, sys, x_grid, epsilon
+        self.supports: list = []  # per x0, `_support`, or None where its checks fail
+        self.last: dict = {}
+        for i in range(len(x_grid)):
+            try:
+                support = self._support(i)
+            except MicrolocError:
+                support = None
+            else:
+                self.last.update(dict.fromkeys(support[2], i))
+            self.supports.append(support)
+        self.held: dict = {}
+
+    def _support(self, i: int):
+        """`_support_rows` at x0 = x_grid[i] and the keys (eps, *j) of its rows."""
+        sys_eps, js = _support_rows(self.f, self.sys, self.x_grid[i], self.epsilon)
+        return sys_eps, js, [(sys_eps.epsilon, *j) for j in js.tolist()]
+
+    def table(self, i: int, ball):
+        """The shell geometry `ball()` and the table of |c_{j,k}| on
+        J_{x0}(eps) at x0 = x_grid[i], each row with its floor, after x0's
+        checks.  The rows no earlier x0 built are built by one `coefficients`
+        call, in J order; then every held row no later x0 reads is dropped."""
+        sys_eps, js, keys = self.supports[i] or self._support(i)
+        geometry = ball()
+        new = [r for r, key in enumerate(keys) if key not in self.held]
+        if new:
+            built = coefficients(self.f, sys_eps, geometry.ball.radius, js=js[new],
+                                 ball=geometry.ball)
+            self.held.update(zip([keys[r] for r in new],
+                                 zip(map(np.abs, built.values), built.floors)))
+            del built  # the complex rows go before the table is stacked
+        rows = [self.held[key] for key in keys]  # J_{x0}(eps) is never empty
+        self.held = {key: row for key, row in self.held.items() if self.last[key] > i}
+        return geometry, CoefficientTable(js, geometry.ball, np.stack([m for m, _ in rows]),
+                                          np.array([floor for _, floor in rows]))
+
+
+def _mod_stage(store: _RowStore, i: int, ball):
+    """Modulation at x0 = store.x_grid[i]: the table of |c_{j,k}| whose rows
+    are J_{x0}(eps) (`_RowStore.table`), binned by `discrete_mod_series`;
+    its j-aggregate is taken once per p, on the shared geometry."""
+    geometry, table = store.table(i, ball)
     aggregates: dict = {}
 
     def series(weight, p, q, cone):
@@ -294,7 +354,7 @@ def aperture_sweep(
 def df_mod_point(f: GridSignal, query: WavefrontQuery, sys: GaborSystem) -> Verdict:
     """Modulation-space membership verdict at (x0, direction)."""
     x0, ball = _point_inputs(f, query, sys.lambda2, "Gabor system", (query.aperture_deg,))
-    series = _mod_stage(f, sys, x0, query.epsilon, ball)
+    series = _mod_stage(_RowStore(f, sys, [x0], query.epsilon), 0, ball)
     return classify(series(query.weight, query.p, query.q, query.cone), query.k_last, query.margin)
 
 
@@ -459,17 +519,22 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
     route is asked through the per-x0 stage the point verdicts use
     (`_fl_stage`, `_mod_stage`), so every record gets the verdict
     df_fl_point and df_mod_point give for its question.  The work is shared
-    at three levels:
+    at four levels:
     - once per scan, one enumeration of the beta-lattice ball and one shell
       geometry on its points inside the last full shell (`_frequencies`:
       radii, shell index, each direction's cone indices, <xi>^s per s) for
       both routes, because every x0 samples the same points at the same
       r_max.  The ball is enumerated the first time an x0 passes the checks
       that come before it, so every x0 fails as the point operations fail;
-    - once per x0 and route, one stage: the windowed spectrum or the Gabor
-      coefficient table (with its j-aggregate once per distinct p), or the
-      error it raised, recorded in every row of that x0.  Routes run in the
-      order fl, mod, and an x0's stages are dropped before the next x0's;
+    - once per scan and Gabor row (eps, j), its magnitudes |c_{j,k}| and
+      noise floor (`_RowStore`): built when the first x0 that reads the row
+      asks for it, dropped after the last one has, never built when the
+      row's window box misses the signal support;
+    - once per x0 and route, one stage: the windowed spectrum or the table
+      of the x0's rows J_{x0}(eps) (with its j-aggregate once per distinct
+      p), or the error it raised, recorded in every row of that x0.  Routes
+      run in the order fl, mod, and an x0's stages are dropped before the
+      next x0's;
     - per record, the cone gather, the shell sums and `classify`.
     """
     _listed(x_grid, "x_grid must be a list of points")
@@ -482,22 +547,23 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
         return estimate
 
     pair = cfg.lattice_pair(f.d)
-    sys = cfg.gabor_system(f.d) if "mod" in cfg.methods else None
+    store = (_RowStore(f, cfg.gabor_system(f.d), x_grid, cfg.epsilon)
+             if "mod" in cfg.methods else None)
     cones = [Cone.from_degrees(th, cfg.aperture_deg) for th in directions]
     ball = cache(lambda: _frequencies(f, pair.lambda2, cfg.r_max))
     stages = {
-        "fl": lambda x0: _fl_stage(f, pair, x0, ball),
-        "mod": lambda x0: _mod_stage(f, sys, x0, cfg.epsilon, ball),
+        "fl": lambda i: _fl_stage(f, pair, x_grid[i], ball),
+        "mod": lambda i: _mod_stage(store, i, ball),
     }
     methods = [m for m in stages if m in cfg.methods]
 
-    for x0 in x_grid:
+    for i, x0 in enumerate(x_grid):
         # makers[m] is read in place, never bound, so no maker (and no
         # table) outlives its x0
         makers, errors = {}, {}
         for m in methods:
             try:
-                makers[m] = stages[m](x0)
+                makers[m] = stages[m](i)
             except MicrolocError as exc:
                 errors[f"error_{m}"] = f"{type(exc).__name__}: {exc}"
         for theta, cone in zip(directions, cones):

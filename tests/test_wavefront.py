@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import json
 import math
 import weakref
@@ -130,6 +132,49 @@ def test_property_power_of_two_scaling_keeps_verdicts(jump, unit_pair, sign, k, 
         assert a.kind == b.kind and abs(a.tau - b.tau) <= 1e-9
 
 
+_DIAG = 0.5**0.5
+_STANDARD_PQS = (
+    (1.0, 1.0, 1.0), (2.0, 2.0, 1.0), (2.0, 1.0, 0.0), (1.0, 2.0, 1.0), (2.0, 2.0, 0.0),
+)
+# The x_grid of each of the standard matrix's 1D scans.
+_STANDARD_1D = {
+    "jump": [[0.0], [1.0], [-1.0], [2.0], [-2.0], [3.0]],
+    "bump": [[0.0], [1.2], [-1.2]],
+}
+
+
+def _scan_kinds(f, x_grid):
+    cfg = ScanConfig(pqs=_STANDARD_PQS, alpha=1.0, beta=1.0)
+    return [
+        [v.kind if v is not None else err
+         for v, err in ((r.verdict_fl, r.error_fl), (r.verdict_mod, r.error_mod))]
+        for r in scan(f, x_grid, [[1.0], [-1.0]], cfg).records
+    ]
+
+
+@pytest.fixture(scope="module")
+def standard_1d_kinds(jump, bump):
+    """Each standard 1D scan's signal and its records' kinds per route."""
+    return {name: (f, _scan_kinds(f, _STANDARD_1D[name]))
+            for name, f in (("jump", jump), ("bump", bump))}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-4.0, 4.0), st.floats(0.0, 2 * math.pi))
+@example(0.0, math.pi / 2)
+@example(4.0, math.pi / 2)
+@example(-3.0, 2.1)
+def test_property_complex_scaling_keeps_scan_kinds(standard_1d_kinds, log_modulus, phase):
+    # c = 10^u e^{i phase} != 0 scales every coefficient and spectrum value
+    # by |c| and the noise floor with them; a phase off the real axis makes
+    # the signal complex, so both routes transform the whole ball.  Both
+    # routes keep every kind of the standard jump and bump scans.
+    c = 10.0**log_modulus * cmath.exp(1j * phase)
+    for name, (f, kinds) in standard_1d_kinds.items():
+        scaled = GridSignal.from_samples(c * f.samples, f.origin, f.spacing)
+        assert _scan_kinds(scaled, _STANDARD_1D[name]) == kinds, (name, c)
+
+
 def test_aperture_monotonicity(jump, unit_pair):
     # finite at 20 degrees must stay finite at every smaller aperture
     sweep = aperture_sweep(
@@ -137,6 +182,43 @@ def test_aperture_monotonicity(jump, unit_pair):
     )
     assert sweep[20.0].kind == "finite"
     assert all(v.kind == "finite" for v in sweep.values())
+
+
+_LINE_PAIR = ScanConfig(alpha=2.5, beta=1.0).lattice_pair(2)
+_SWEEP_POINTS = {
+    "jump": ([[0.0], [1.0], [-1.0], [0.25], [3.0]], [[1.0], [-1.0]]),
+    "line": ([[0.0, 0.0], [0.0, 0.5], [0.0, -0.5], [2.0, 0.0]],
+             [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [_DIAG, _DIAG]]),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "line x0 = (0, 0.5), theta = e1, (p, q, s) = (2, 1, 0) is divergent at 5 and 10 "
+    "degrees and finite at 80 and 85"))
+@settings(max_examples=20, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_SWEEP_POINTS)),
+    point=st.integers(0, 3),
+    direction=st.integers(0, 3),
+    pqs=st.sampled_from(_STANDARD_PQS),
+    apertures=st.lists(st.floats(1.0, 89.0), min_size=2, max_size=4, unique=True),
+)
+@example(case="line", point=1, direction=0, pqs=(2.0, 1.0, 0.0), apertures=[5.0, 10.0, 80.0, 85.0])
+def test_property_enlarging_the_aperture_never_turns_divergent_into_finite(
+    jump, line2d, unit_pair, case, point, direction, pqs, apertures
+):
+    # A wider cone holds the narrower one, so its seminorm is no smaller:
+    # once a narrow cone is divergent, no wider cone about the same axis
+    # may be finite.
+    x_grid, thetas = _SWEEP_POINTS[case]
+    f, pair, r_max = (jump, unit_pair, None) if case == "jump" else (line2d, _LINE_PAIR, 180.0)
+    p, q, s = pqs
+    query = WavefrontQuery(x_grid[point % len(x_grid)], thetas[direction % len(thetas)],
+                           p=p, q=q, weight=s, r_max=r_max)
+    sweep = aperture_sweep(f, query, pair, sorted(apertures))
+    kinds = [sweep[a].kind for a in sorted(apertures)]
+    first = kinds.index("divergent") if "divergent" in kinds else len(kinds)
+    assert "finite" not in kinds[first:], dict(zip(sorted(apertures), kinds))
 
 
 @pytest.mark.parametrize("aperture", [120.0, 179.0, "20", True, 0.0, 90.0, math.nan])
@@ -337,11 +419,7 @@ def test_s_must_be_a_finite_number(s, says):
         assert str(refused.value) == says
 
 
-_DIAG = 0.5**0.5
-_ROUTE_PQS = (
-    (1.0, 1.0, 1.0), (2.0, 2.0, 1.0), (2.0, 1.0, 0.0), (1.0, 2.0, 1.0), (2.0, 2.0, 0.0),
-    (math.inf, math.inf, 1.0),
-)
+_ROUTE_PQS = _STANDARD_PQS + ((math.inf, math.inf, 1.0),)
 # (x_grid, directions, scan config); the jump's Gabor step is twice its
 # cutoff lattice step, so both entry points must pick epsilon against the
 # same cell edge, and x0 = -2 sits on a cutoff cell face.
@@ -474,8 +552,8 @@ def test_property_cone_series_match_whole_ball_series(d, real, seed, x0, angle, 
     routes = (
         (lambda ball: wavefront._fl_stage(f, pair, x0, ball), pair.lambda2, "lattice pair",
          (aperture, aperture / 2)),
-        (lambda ball: wavefront._mod_stage(f, gsys, x0, None, ball), gsys.lambda2,
-         "Gabor system", (aperture,)),
+        (lambda ball: wavefront._mod_stage(wavefront._RowStore(f, gsys, [x0], None), 0, ball),
+         gsys.lambda2, "Gabor system", (aperture,)),
     )
     for stage, lambda2, name, apertures in routes:
         _, cone_ball = wavefront._point_inputs(f, query, lambda2, name, apertures)
@@ -613,29 +691,141 @@ def test_scan_enumerates_the_ball_once_and_tests_each_cone_once(jump, monkeypatc
     assert calls == {"ball": 1, "cone": 2}
 
 
+def _row_readers(f, x_grid, cfg):
+    """Each Gabor row (eps, j) the modulation verdicts at x_grid read, with
+    the indices of the x0s that read it, found as a point verdict finds them."""
+    sys0 = cfg.gabor_system(f.d)
+    readers = {}
+    for i, x0 in enumerate(x_grid):
+        x0 = np.array(x0, dtype=float)
+        eps = cfg.epsilon or wavefront.choose_epsilon(f, sys0, x0)
+        for j in gabor.support_index_set(sys0.with_epsilon(eps), x0).tolist():
+            readers.setdefault((eps, *j), []).append(i)
+    return readers
+
+
 def test_scan_holds_one_x0s_spectrum_and_table_at_a_time(jump, monkeypatch):
-    # A scan drops each x0's windowed spectrum and coefficient table (with
-    # its j-aggregates) before it builds the next x0's: when a spectrum is
-    # built, no earlier spectrum or table is alive, and when a table is
-    # built, no earlier table is.
-    spectra, tables = [], []
-
-    def kept(fn, refs, dead):
-        def call(*args, **kwargs):
-            assert all(ref() is None for ref in dead())
-            out = fn(*args, **kwargs)
-            refs.append(weakref.ref(out))
-            return out
-        return call
-
-    monkeypatch.setattr(wavefront, "lattice_samples",
-                        kept(wavefront.lattice_samples, spectra, lambda: spectra + tables))
-    monkeypatch.setattr(wavefront, "coefficients",
-                        kept(wavefront.coefficients, tables, lambda: tables))
+    # A scan drops each x0's windowed spectrum and Gabor table (with its
+    # j-aggregates) before it builds the next x0's, and each Gabor row right
+    # after the last x0 that reads it: when a spectrum is built, no earlier
+    # spectrum or table is alive; when an x0's table is built, no earlier
+    # table is, nor any row whose readers are all earlier; after it, the
+    # store holds only rows a later x0 reads.
+    x_grid = [[1.0], [0.0], [3.0], [0.25], [1.0], [0.0]]
     cfg = ScanConfig(pqs=((1.0, 1.0, 1.0), (2.0, 1.0, 0.0)))
-    records = scan(jump, [[0.0], [1.0], [3.0], [0.25]], [[1.0], [-1.0]], cfg).records
-    assert len(spectra) == len(tables) == 4
+    last = {key: max(i) for key, i in _row_readers(jump, x_grid, cfg).items()}
+    spectra, tables, rows = [], [], {}
+
+    def spectrum(*args, **kwargs):
+        assert all(ref() is None for ref in spectra + tables)
+        out = samples(*args, **kwargs)
+        spectra.append(weakref.ref(out))
+        return out
+
+    def table(store, i, ball):
+        assert all(ref() is None for ref in tables)
+        assert all(ref() is None for key, ref in rows.items() if last[key] < i)
+        geometry, out = store_table(store, i, ball)
+        assert all(last[key] > i for key in store.held)
+        rows.update((key, weakref.ref(mags)) for key, (mags, _) in store.held.items())
+        tables.append(weakref.ref(out))
+        return geometry, out
+
+    samples, store_table = wavefront.lattice_samples, wavefront._RowStore.table
+    monkeypatch.setattr(wavefront, "lattice_samples", spectrum)
+    monkeypatch.setattr(wavefront._RowStore, "table", table)
+    records = scan(jump, x_grid, [[1.0], [-1.0]], cfg).records
+    assert len(spectra) == len(tables) == len(x_grid)
+    assert rows and all(ref() is None for ref in rows.values())
     assert all(r.verdict_fl is not None and r.verdict_mod is not None for r in records)
+
+
+def _nonempty(f, sys0, keys):
+    """The rows (eps, j) among `keys` whose window box holds a sample of the
+    support of f, in order."""
+    out = []
+    for eps, *j in keys:
+        window, centre = sys0.psi.scaled(eps), eps * sys0.x_point([j])
+        a, b = signal._row_boxes(f, window.lo + centre, window.hi + centre)
+        if np.all(b > a):
+            out.append((eps, *j))
+    return out
+
+
+@pytest.mark.parametrize("case", ["jump, repeated and out of order", "complex jump", "line"])
+def test_scan_transforms_each_nonempty_gabor_row_once(case, jump, line2d, monkeypatch):
+    # A scan transforms each distinct Gabor row (eps, j) its x0s read once,
+    # and none whose window box misses the signal support: such a row is 0.
+    # `signal._analysis` samples the window on exactly the rows it
+    # transforms.  A complex signal's rows cover the whole ball.  On the line
+    # (supported in x1 >= 0), every window at x0 = (-2, 0) lies in x1 < 0,
+    # so that x0 transforms no row.
+    rows, widths = [], []
+
+    def sampled(window, shifts, *args):
+        js = np.rint(shifts / (window.scale * sys0.alpha)).astype(int).tolist()
+        rows.extend((window.scale, *j) for j in js)
+        return window_batch(window, shifts, *args)
+
+    def analysis(f, ball, *args):
+        values, floors = core(f, ball, *args)
+        widths.append(values.shape[1] == whole)
+        return values, floors
+
+    window_batch, core = signal._window_batch, signal._analysis
+    monkeypatch.setattr(signal, "_window_batch", sampled)
+    monkeypatch.setattr(gabor, "_analysis", analysis)
+    if case == "line":
+        f, cfg = line2d, ScanConfig(alpha=2.5, beta=1.0, gabor_alpha=2.0, gabor_alpha1=5.0,
+                                    r_max=180.0, methods=("mod",))
+        x_grid = [[0.0, 0.0], [0.0, 0.5], [0.0, -0.5], [2.0, 0.0], [-2.0, 0.0]]
+    else:
+        f, cfg = jump, ScanConfig(methods=("mod",))
+        if case == "complex jump":
+            f = GridSignal.from_samples((1 + 2j) * jump.samples, jump.origin, jump.spacing)
+        x_grid = [[1.0], [0.0], [-1.0], [3.0], [0.0], [0.25], [1.0], [-5.0]]
+    sys0 = cfg.gabor_system(f.d)
+    whole = wavefront._frequencies(f, sys0.lambda2, cfg.r_max).ball.points.shape[0]
+    scan(f, x_grid, [[1.0] + [0.0] * (f.d - 1)], cfg)
+    readers = _row_readers(f, x_grid, cfg)
+    assert sorted(rows) == sorted(_nonempty(f, sys0, readers))
+    assert widths and all(widths) == (case == "complex jump")
+    if case == "line":
+        assert len(rows) < len(readers)
+        rows.clear()
+        scan(f, [[-2.0, 0.0]], [[1.0, 0.0]], cfg)
+        assert rows == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    shifted=st.booleans(),
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+)
+def test_property_row_store_matches_per_x0_tables(d, real, seed, shifted, picks):
+    # The scan's row store builds each row once, in the batches its x0s
+    # first need, where a point verdict builds its x0's rows in one table:
+    # every record keeps its kinds, codes and errors, floats within 1e-9.
+    # The x0s repeat and come in any order; nearer the domain's edges they
+    # take smaller epsilons, and on the domain [0, 2L)^d rows of different
+    # epsilons share their j.
+    f = _small_signal(d, real, seed)
+    _, half, cfg = _SMALL[d]
+    if shifted:
+        f = GridSignal.from_samples(f.samples, f.origin + half, f.spacing)
+    cfg = dataclasses.replace(cfg, pqs=_ROUTE_PQS[:3], methods=("mod",))
+    at = [f.origin[0] + 2 * half * t for t in (0.2, 0.4, 0.5, 0.55, 0.7, 0.9)]
+    x_grid = [[at[k]] + [at[(k + 2) % 6]] * (d - 1) for k in picks]
+    directions = [[1.0] + [0.0] * (d - 1), [-1.0] + [0.5] * (d - 1)]
+    together = scan(f, x_grid, directions, cfg).records
+    alone = [r for x0 in x_grid for r in scan(f, [x0], directions, cfg).records]
+    assert len(together) == len(alone)
+    for i, (got, want) in enumerate(zip(together, alone)):
+        why = _mismatch(got.to_json(), want.to_json(), f"record {i}")
+        assert why is None, why
 
 
 def test_verdict_path_never_builds_the_whole_table(jump, monkeypatch):
