@@ -33,11 +33,11 @@ signal.py (`signal._analysis`), whose one unwindowed row is the FL
 transform `fourier_batch`; synthesis (`reconstruct`) runs the adjoint
 kernel of the same plan (`signal._plan`).  A row's window box is clipped to
 the signal support; a row whose box is empty is exactly 0 and is not
-transformed, and `_overlapping_js` yields none.  Each row carries its own
-noise floor, and a table's floor is the largest of them.  The reductions
-read only |c_{j,k}|, so a table may hold the magnitudes: a scan keeps each
-row's magnitudes once for all the x0s that read it and stacks an x0's rows
-J_{x0}(eps) into its table (`wavefront._RowStore`).
+transformed.  Each row carries its own noise floor, and a table's floor is
+the largest of them.  The reductions read only |c_{j,k}|, so a table may
+hold the magnitudes: a scan keeps each row's magnitudes once for all the
+x0s that read it and stacks an x0's rows J_{x0}(eps) into its table
+(`wavefront._RowStore`).
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .signal import (
     _check_band,
     _index_box,
     _plan,
-    _row_boxes,
     _window_batch,
     make_cutoff,
 )
@@ -284,19 +283,14 @@ def _translates(sys: GaborSystem, lo, hi, tol: float, what: str) -> np.ndarray:
 
 
 def _overlapping_js(f: GridSignal, sys: GaborSystem) -> np.ndarray:
-    """All j whose scaled dual-window support holds a sample of the signal
-    support: the rows of `signal._analysis` whose box is not empty."""
+    """All j whose scaled dual-window support meets the signal support."""
     if f.is_empty():
         return np.zeros((0, sys.d), dtype=int)
     lo, hi = f.support_box
     step, reach = sys.epsilon * sys.alpha, sys.epsilon * sys.alpha1 / 2.0
-    js = _translates(
+    return _translates(
         sys, (lo - reach) / step, (hi + reach) / step, 1e-9, "meet the signal support"
     )
-    # the boxes of psi^eps(. - eps x_j), as `coefficients` places them
-    centres = sys.epsilon * sys.x_point(js)
-    a, b = _row_boxes(f, centres - reach, centres + reach)
-    return js[np.all(b > a, axis=1)]
 
 
 def coefficients(
@@ -312,14 +306,13 @@ def coefficients(
     frequency lattice point with |xi_k| <= freq_radius: the psi^eps rows of
     the analysis core `signal._analysis`, one per translate, each summed
     over its window's box clipped to the signal support, which its noise
-    floor counts.  By default j runs over every translate whose window box
-    holds a sample of the signal support (`_overlapping_js`); pass integer
-    `js` to restrict (e.g. to a support index set around one point;
-    ValueError naming an entry that is not an integer, or the shape of a
-    `js` that is not (n, d) or one flat d-vector).  `ball` is the
-    `LatticeBall` of sys.lambda2 and freq_radius when the caller already
-    holds it (ValueError if it is another ball); the table points at the
-    ball either way.
+    floor counts.  By default j runs over every translate overlapping the
+    signal support; pass integer `js` to restrict (e.g. to a support index
+    set around one point; ValueError naming an entry that is not an
+    integer, or the shape of a `js` that is not (n, d) or one flat
+    d-vector).  `ball` is the `LatticeBall` of sys.lambda2 and freq_radius
+    when the caller already holds it (ValueError if it is another ball);
+    the table points at the ball either way.
 
     For a real f (and real windows) c_{j,-k} = conj(c_{j,k}), so on a
     centrally symmetric ball the core runs on the half ball xi_d >= 0 only

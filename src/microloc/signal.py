@@ -561,25 +561,17 @@ def _gather(samples: np.ndarray, a, lengths) -> np.ndarray:
     return samples[tuple(idx)]
 
 
-def _row_boxes(f: GridSignal, lo=None, hi=None) -> tuple[np.ndarray, np.ndarray]:
-    """The index box [a, b) per axis each row of `_analysis` sums over: f's
-    support box, or each row's window box [lo, hi] clipped to it.  A row
-    whose box is empty (b <= a on some axis) is exactly 0."""
-    a, b = np.array(f.support).T[:, None]
-    if lo is None:
-        return a, b
-    return _index_box(lo, hi, f.origin, f.spacing, a, b)
-
-
 def _analysis(f: GridSignal, ball: LatticeBall, scale: float, window=None, shifts=None):
     """scale * h^d * sum_n f(x_n) w(x_n - c) exp(-i<x_n, xi>) on the ball's
     computed points, one row per translate c of the window (one row, w = 1,
-    without it), and each row's noise floor.  A row sums over its box
-    (`_row_boxes`); its floor counts that box's samples (_EPS_FLOOR *
-    sqrt(count) * scaled absolute mass).  Rows with an empty box are 0 with
-    floor 0 and are not transformed: the batches run over the others."""
-    a, b = (_row_boxes(f) if window is None
-            else _row_boxes(f, window.lo + shifts, window.hi + shifts))
+    without it), and each row's noise floor.  A row sums over f's support
+    box or its window box clipped to it; its floor counts that box's samples
+    (_EPS_FLOOR * sqrt(count) * scaled absolute mass).  A row whose box is
+    empty (b <= a on some axis) is 0 with floor 0 and is not transformed:
+    the batches run over the others."""
+    a, b = np.array(f.support).T[:, None]
+    if window is not None:
+        a, b = _index_box(window.lo + shifts, window.hi + shifts, f.origin, f.spacing, a, b)
     # one column per computed point; their ks are gathered inline, so the row
     # loop does not hold them
     computed = ball.split(f.is_real)[0]
@@ -590,8 +582,7 @@ def _analysis(f: GridSignal, ball: LatticeBall, scale: float, window=None, shift
     values[empty], floors[empty] = 0.0, 0.0
     if empty.all():
         return values, floors
-    # with every row live the batches are slices, with no row index
-    live = np.flatnonzero(~empty) if empty.any() else slice(None)
+    live = np.flatnonzero(~empty)
     a, b = a[live], b[live]
     progs, lengths, kernels, index, batches = _plan(
         ball.lattice,
@@ -599,8 +590,7 @@ def _analysis(f: GridSignal, ball: LatticeBall, scale: float, window=None, shift
         f.spacing, a, b)
     norm = scale * f.cell_volume
     for rows in batches:
-        at = rows if isinstance(live, slice) else live[rows]
-        lo, hi = a[rows], b[rows]
+        at, lo, hi = live[rows], a[rows], b[rows]
         patches = _gather(f.samples, lo, lengths)
         if window is not None:
             patches *= _window_batch(window, shifts[at], f.origin, f.spacing, lo, hi, lengths)

@@ -259,20 +259,26 @@ class _RowStore:
         """The shell geometry `ball()` and the table of |c_{j,k}| on
         J_{x0}(eps) at x0 = x_grid[i], each row with its floor, after x0's
         checks.  The rows no earlier x0 built are built by one `coefficients`
-        call, in J order; then every held row no later x0 reads is dropped."""
+        call, in J order, and are the table when no row was held; otherwise
+        the table stacks held and new rows in J order.  Then every held row
+        no later x0 reads is dropped, and each new row a later x0 reads is
+        copied out of the table, which goes with its x0."""
         sys_eps, js, keys = self.supports[i] or self._support(i)
         geometry = ball()
         new = [r for r, key in enumerate(keys) if key not in self.held]
         if new:
             built = coefficients(self.f, sys_eps, geometry.ball.radius, js=js[new],
                                  ball=geometry.ball)
-            self.held.update(zip([keys[r] for r in new],
-                                 zip(map(np.abs, built.values), built.floors)))
+            mags, floors = np.abs(built.values), built.floors
             del built  # the complex rows go before the table is stacked
-        rows = [self.held[key] for key in keys]  # J_{x0}(eps) is never empty
+        if len(new) < len(keys):  # J_{x0}(eps) is never empty
+            fresh = dict(zip(new, zip(mags, floors))) if new else {}
+            rows = [fresh.get(r) or self.held[key] for r, key in enumerate(keys)]
+            mags, floors = np.stack([m for m, _ in rows]), np.array([fl for _, fl in rows])
         self.held = {key: row for key, row in self.held.items() if self.last[key] > i}
-        return geometry, CoefficientTable(js, geometry.ball, np.stack([m for m, _ in rows]),
-                                          np.array([floor for _, floor in rows]))
+        self.held.update((keys[r], (mags[r].copy(), floors[r]))
+                         for r in new if self.last[keys[r]] > i)
+        return geometry, CoefficientTable(js, geometry.ball, mags, floors)
 
 
 def _mod_stage(store: _RowStore, i: int, ball):
@@ -529,7 +535,10 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
     - once per scan and Gabor row (eps, j), its magnitudes |c_{j,k}| and
       noise floor (`_RowStore`): built when the first x0 that reads the row
       asks for it, dropped after the last one has, never built when the
-      row's window box misses the signal support;
+      row's window box misses the signal support.  The rows held at once
+      grow with how far apart in x_grid a row's readers sit: an x_grid that
+      comes back to its first x0 at the end holds that x0's rows throughout,
+      and one listed twice holds every row it reads until the second pass;
     - once per x0 and route, one stage: the windowed spectrum or the table
       of the x0's rows J_{x0}(eps) (with its j-aggregate once per distinct
       p), or the error it raised, recorded in every row of that x0.  Routes

@@ -746,7 +746,8 @@ def _nonempty(f, sys0, keys):
     out = []
     for eps, *j in keys:
         window, centre = sys0.psi.scaled(eps), eps * sys0.x_point([j])
-        a, b = signal._row_boxes(f, window.lo + centre, window.hi + centre)
+        a, b = signal._index_box(window.lo + centre, window.hi + centre, f.origin,
+                                 f.spacing, *zip(*f.support))
         if np.all(b > a):
             out.append((eps, *j))
     return out
@@ -811,12 +812,14 @@ def test_property_row_store_matches_per_x0_tables(d, real, seed, shifted, picks)
     # every record keeps its kinds, codes and errors, floats within 1e-9.
     # The x0s repeat and come in any order; nearer the domain's edges they
     # take smaller epsilons, and on the domain [0, 2L)^d rows of different
-    # epsilons share their j.
+    # epsilons share their j.  At half the small settings' gabor_alpha an x0
+    # reads 2 to 6 rows, some of them built for another x0.
     f = _small_signal(d, real, seed)
     _, half, cfg = _SMALL[d]
     if shifted:
         f = GridSignal.from_samples(f.samples, f.origin + half, f.spacing)
-    cfg = dataclasses.replace(cfg, pqs=_ROUTE_PQS[:3], methods=("mod",))
+    cfg = dataclasses.replace(cfg, pqs=_ROUTE_PQS[:3], methods=("mod",),
+                              gabor_alpha=cfg.gabor_alpha / 2)
     at = [f.origin[0] + 2 * half * t for t in (0.2, 0.4, 0.5, 0.55, 0.7, 0.9)]
     x_grid = [[at[k]] + [at[(k + 2) % 6]] * (d - 1) for k in picks]
     directions = [[1.0] + [0.0] * (d - 1), [-1.0] + [0.5] * (d - 1)]
