@@ -68,6 +68,21 @@ class Cone:
         inside = (r > 0.0) & (pts @ self.axis > r * math.cos(self.aperture))
         return bool(inside[0]) if scalar else inside
 
+    def box(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), the smallest box holding the cone's points with
+        |xi| <= radius.  Along e_i, at angle phi_i from the axis, the cone's
+        cap reaches radius * cos(max(phi_i - aperture, 0)), or the box stops
+        at the apex where that is negative; along -e_i the angle is
+        pi - phi_i."""
+        # math on the d axis entries: a few numpy calls on d-vectors cost more
+        phis = [math.acos(min(max(a, -1.0), 1.0)) for a in self.axis.tolist()]
+
+        def reach(angle):
+            return radius * max(math.cos(max(angle - self.aperture, 0.0)), 0.0)
+
+        return (np.array([-reach(math.pi - phi) for phi in phis]),
+                np.array([reach(phi) for phi in phis]))
+
     def to_json(self) -> dict:
         return {"axis": self.axis.tolist(), "aperture_deg": self.aperture_deg}
 

@@ -3,9 +3,14 @@
 A lattice is offset + {t1 e1 + ... + td ed : t integer}; the basis vectors
 are the rows of `basis`.  Enumeration inside a ball brackets it by an
 integer box in lattice coordinates and filters, so no point is missed and
-the cost is proportional to the bounding-box volume.  A `LatticeBall` keeps
-the enumerated points with their integer coordinates and, when the ball is
-centrally symmetric, its Hermitian half.
+the cost is proportional to the bounding-box volume.  A cone's part of the
+ball is bracketed by the ball's box cut to the cone's (`Cone.box`) and
+takes the same filters plus the cone's, so it keeps exactly the whole
+ball's points in the cone.  A box is counted before it is cast or
+allocated, and refused (BudgetExceeded) past the cell budget, the memory
+cap or the int64 range.  A `LatticeBall` keeps the enumerated points with
+their integer coordinates and, when the ball is centrally symmetric, its
+Hermitian half.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, SingularBasis
-from .geometry import row_norms
+from .geometry import Cone, row_norms
 from .validation import as_float_array, as_point, check_finite
 
 DEFAULT_CELL_BUDGET = 10**8
@@ -126,18 +131,40 @@ def classify_pair(lambda1: Lattice, lambda2: Lattice) -> LatticePair:
     return LatticePair(lambda1, lambda2, None, "inadmissible")
 
 
+def _integer_box(center: np.ndarray, semi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) of the integer coordinates within semi of center,
+    with a 1e-9 slack.  They stay floats until `_check_box` has passed them,
+    since a huge radius puts them past the int64 range."""
+    return np.ceil(center - semi - 1e-9), np.floor(center + semi + 1e-9)
+
+
 def _integer_box_for_ball(lat: Lattice, r_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Integer coordinate ranges bracketing the ball |x| <= r_max."""
-    center = lat.to_lattice_coords(np.zeros(lat.d))
     semi = r_max * np.linalg.norm(lat._inv_basis, axis=0)
-    lo = np.ceil(center - semi - 1e-9).astype(int)
-    hi = np.floor(center + semi + 1e-9).astype(int)
-    return lo, hi
+    return _integer_box(lat.to_lattice_coords(np.zeros(lat.d)), semi)
 
 
-def _enumerate_box(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    counts = np.maximum(hi - lo + 1, 0)  # a negative radius brackets no cell
-    total = int(np.prod(counts.astype(object)))
+def _integer_box_for_cone(lat: Lattice, cone: Cone, r_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integer coordinate ranges bracketing the cone's points with
+    |x| <= r_max: the box `Cone.box` gives, widened by 1e-9 r_max against
+    its round-off, in lattice coordinates through |B^-1|."""
+    lo, hi = cone.box(r_max)
+    semi = ((hi - lo) / 2 + 1e-9 * abs(r_max)) @ np.abs(lat._inv_basis)
+    return _integer_box(lat.to_lattice_coords((lo + hi) / 2), semi)
+
+
+def _check_box(lo: np.ndarray, hi: np.ndarray) -> None:
+    """Refuse the integer box [lo, hi] before it is cast or allocated:
+    BudgetExceeded when it holds more than DEFAULT_CELL_BUDGET candidate
+    cells, when enumerating them would take more than _ENUMERATION_BYTES,
+    or when a coordinate passes the int64 range.  An empty box, a negative
+    radius's, passes."""
+    edges = list(zip(lo.tolist(), hi.tolist()))
+    if any(l > h for l, h in edges):
+        return
+    # counted on Python integers, so a box past the int64 range is counted exactly
+    total = (math.prod(int(h) - int(l) + 1 for l, h in edges)
+             if all(math.isfinite(h - l) for l, h in edges) else math.inf)
     if total > DEFAULT_CELL_BUDGET:
         raise BudgetExceeded(
             f"bounding box holds {total} candidate cells, budget is {DEFAULT_CELL_BUDGET}"
@@ -147,26 +174,52 @@ def _enumerate_box(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             f"enumerating {total} candidate cells would take about "
             f"{32 * lo.size * total / 2**30:.1f} GiB, over {_ENUMERATION_BYTES / 2**30:g} GiB"
         )
-    axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
+    reach = max(max(-l, h) for l, h in edges)  # the largest |coordinate|, as l <= h
+    if reach >= 2.0**63:
+        raise BudgetExceeded(f"bounding box reaches lattice coordinate {reach:g}, "
+                             "past the int64 range")
+
+
+def _enumerate_box(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integer points of a box `_check_box` passed, in lexicographic order."""
+    if np.any(lo > hi):
+        return np.zeros((0, lo.size), dtype=int)
+    axes = [np.arange(l, h + 1) for l, h in zip(lo.astype(int), hi.astype(int))]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def points_in_ball(lat: Lattice, r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """All lattice points with |xi| <= r_max plus integer coordinates.
+def points_in_ball(lat: Lattice, r_max: float, *, cone: Cone | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """All lattice points with |xi| <= r_max plus integer coordinates, or
+    with a `cone` only those the cone holds.
 
-    The origin is among them when the lattice contains it.  Deterministic
-    lexicographic order on the integer coordinates: the box is enumerated
-    in that order and the radius filter keeps it.  Raises BudgetExceeded
-    when the bounding box exceeds DEFAULT_CELL_BUDGET candidate cells or
-    its enumeration would take more than _ENUMERATION_BYTES, and ValueError
-    when r_max is not a finite number; a negative r_max gives no point.
+    The origin is among them when the lattice contains it (no cone holds
+    it).  Deterministic lexicographic order on the integer coordinates: the
+    box is enumerated in that order and the filters keep it.  A cone's box
+    is the ball's cut down to the cone's (`_integer_box_for_cone`); the
+    filters are the float tests the whole ball's points would take, so a
+    cone keeps exactly the points of the whole ball it holds.  Raises
+    BudgetExceeded when the box holds more than DEFAULT_CELL_BUDGET
+    candidate cells, its enumeration would take more than
+    _ENUMERATION_BYTES or it passes the int64 range (`_check_box`), and
+    ValueError when r_max is not a finite number or the cone has another
+    dimension; a negative r_max gives no point.
     """
     r_max = check_finite(r_max, "r_max")
     lo, hi = _integer_box_for_ball(lat, r_max)
+    if cone is not None:
+        if cone.d != lat.d:
+            raise ValueError(f"a {cone.d}-d cone for a {lat.d}-d lattice")
+        cone_lo, cone_hi = _integer_box_for_cone(lat, cone, r_max)
+        lo, hi = np.maximum(lo, cone_lo), np.minimum(hi, cone_hi)
+    _check_box(lo, hi)
     ts = _enumerate_box(lo, hi)
     pts = lat.points(ts)
-    keep = np.flatnonzero(row_norms(pts) <= r_max)
+    keep = row_norms(pts) <= r_max
+    if cone is not None:
+        keep &= cone.contains(pts)
+    keep = np.flatnonzero(keep)
     # np.take gathers rows of a tall (n, d) array several times faster than
     # pts[keep], with the same result
     return np.take(pts, keep, axis=0), np.take(ts, keep, axis=0)
@@ -180,7 +233,7 @@ class LatticeBall:
     """Every point of `lattice` with |xi| <= radius and its integer
     coordinates ks, in the lexicographic order of `points_in_ball`, or a
     subset of them in the same order (the points a verdict's series bin,
-    see `seminorm.ShellGeometry.on_cone`).
+    see `seminorm.binned_ball`).
 
     The ball is centrally symmetric when every -xi_i is the point at index
     n - 1 - i, as on a lattice through the origin or delta (Z^d + 1/2) at a

@@ -24,14 +24,15 @@ the ball's points alone: each point's shell index, each cone's in-range
 point indices and the weight <xi>^s per exponent s.  A spectrum
 (`SpectralSamples`) holds the geometry it was sampled on and a series bins
 on that geometry, so every spectrum of one geometry shares its cone indices
-and weights.  A verdict samples only the points its series bin, the
-ball's geometry restricted to them (`ShellGeometry.on_cone`: same lattice,
-radius and r0, so the same shell edges), from which every cone it asks
-selects the same points with the same shell indices: `wavefront.scan`
-builds one geometry per scan, on the points inside the last full shell of
-one enumeration of the ball (`lattice_ball`), samples every windowed
-spectrum on it and builds every coefficient table on its ball; a point
-verdict reads one cone, so it keeps that cone's points of them.  Per
+and weights.  A verdict enumerates and samples only the points its series
+bin (`binned_ball`: the ball's points inside the last full shell, of one
+cone when one is given, on the same lattice, radius and r0, so the same
+shell edges), from which every cone it asks selects the same points with
+the same shell indices as from the whole ball's geometry:
+`wavefront.scan` builds one geometry per scan, on every point inside the
+last full shell, samples every windowed spectrum on it and builds every
+coefficient table on its ball; a point verdict reads one cone, so only
+that cone's points are enumerated.  Per
 spectrum (per x0) come the magnitudes, and for the modulation route the
 j-aggregate over every row of the x0's table, whose rows are J_{x0}(eps),
 once per exponent p (a scan builds each row once, for every x0 that reads
@@ -59,7 +60,7 @@ import numpy as np
 from .errors import TooFewShells
 from .gabor import CoefficientTable
 from .geometry import Cone, Weight
-from .lattice import Lattice, LatticeBall, scaled_integer_lattice
+from .lattice import Lattice, LatticeBall, points_in_ball, scaled_integer_lattice
 from .signal import GridSignal, fourier_batch
 from .validation import check_exponent, check_fit_window, check_positive
 
@@ -177,18 +178,6 @@ class ShellGeometry:
             self._cones[key] = (sel, idx, counts)
         return self._cones[key]
 
-    def on_cone(self, cone: Cone | None = None) -> "ShellGeometry":
-        """The geometry of the points `cone_index(cone)` selects (without a
-        cone, of every point inside the last full shell), in point order, on
-        the same lattice, radius and r0: every cone about the same axis and
-        no wider (without a cone, every cone) selects the same points, with
-        the same shell indices, from either geometry."""
-        sel = (np.flatnonzero(self.shell <= self.boundaries.size - 1) if cone is None
-               else self.cone_index(cone)[0])
-        ball = self.ball
-        return ShellGeometry(LatticeBall(ball.lattice, ball.radius, np.take(ball.points, sel, axis=0),
-                                         np.take(ball.ks, sel, axis=0)), self.r0)
-
     def weight(self, omega: Weight) -> np.ndarray:
         """omega at every point."""
         if omega.s not in self._weights:
@@ -196,10 +185,15 @@ class ShellGeometry:
         return self._weights[omega.s]
 
 
+def _first_edge(lat: Lattice) -> float:
+    """r0 of a lattice ball's shells: 4 x the minimal lattice spacing."""
+    return 4.0 * lat.min_spacing
+
+
 def _ball_shells(ball: LatticeBall) -> ShellGeometry:
-    """The shell geometry of a lattice ball, with shells from 4 x the
-    minimal lattice spacing to its radius."""
-    return ShellGeometry(ball, 4.0 * ball.lattice.min_spacing)
+    """The shell geometry of a lattice ball, with shells from `_first_edge`
+    to its radius."""
+    return ShellGeometry(ball, _first_edge(ball.lattice))
 
 
 def lattice_ball(lambda2: Lattice, r_max: float) -> ShellGeometry:
@@ -212,6 +206,24 @@ def lattice_ball(lambda2: Lattice, r_max: float) -> ShellGeometry:
     it; no cone holds the origin, so no cone series sees it.
     """
     return _ball_shells(LatticeBall.of(lambda2, r_max))
+
+
+def binned_ball(lambda2: Lattice, r_max: float, cone: Cone | None = None) -> ShellGeometry:
+    """The geometry of the points of `lattice_ball(lambda2, r_max)` that
+    `cone`'s series bin, or without a cone every cone's series: the points
+    inside the last full shell R_M = min(r_max, r0 2^M), of the cone when
+    one is given, in ball order, on the same lattice, radius and r0.  Every
+    cone about the same axis and no wider (without a cone, every cone)
+    selects the same points with the same shell indices from it as from the
+    whole ball's.  Only those points are enumerated
+    (`points_in_ball(lambda2, R_M, cone=cone)`); ValueError when r_max
+    leaves no full shell.
+    """
+    r0 = _first_edge(lambda2)
+    # r0 2^M passes r_max when log2(r_max / r0) falls short of an integer by
+    # under 1e-9 (`shell_boundaries`), and no ball point lies past r_max
+    pts, ks = points_in_ball(lambda2, min(r_max, shell_boundaries(r0, r_max)[-1]), cone=cone)
+    return ShellGeometry(LatticeBall(lambda2, float(r_max), pts, ks), r0)
 
 
 def series_from_spectrum(spec: SpectralSamples, omega: Weight, q, cone: Cone) -> ConeSumSeries:

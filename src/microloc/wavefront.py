@@ -12,11 +12,13 @@ Each route has one per-x0 stage (`_fl_stage`, `_mod_stage`): it checks x0,
 builds the route's local object (|F(chi f)| on the lattice, or the table of
 Gabor magnitudes |c_{j,k}| on J_{x0}(eps)) and returns a series maker
 (weight, p, q, cone) -> ConeSumSeries.  The point verdicts and `scan` ask
-both routes through it.  Every verdict transforms exactly the points its
-series bin, the ball's points inside the last full shell (`_frequencies`,
-`ShellGeometry.on_cone`): a point verdict bins on one cone (nested cones of
-one axis for `aperture_sweep`), so it keeps its widest cone's points of
-them, and `scan` keeps all of them, shared by every x0 and direction.
+both routes through it.  Every verdict enumerates and transforms exactly
+the points its series bin, the ball's points inside the last full shell
+(`_frequencies`, `seminorm.binned_ball`): a point verdict bins on one cone
+(nested cones of one axis for `aperture_sweep`), so it enumerates only its
+widest cone's points of them, and `scan` all of them, shared by every x0
+and direction.  The whole ball is enumerated only to quote the band it
+leaves; its other refusals are read off its box.
 
 The modulation stage reads its rows (eps, j) from a row store
 (`_RowStore`) over the x0s asked: `scan`'s holds every x0 of its x_grid, a
@@ -43,15 +45,18 @@ import numpy as np
 from .errors import DomainClipped, EpsilonTooLarge, MicrolocError
 from .gabor import CoefficientTable, GaborSystem, build_agp, coefficients, support_index_set
 from .geometry import Cone, Weight
-from .lattice import Lattice, LatticePair, classify_pair, scaled_integer_lattice
+from .lattice import (
+    Lattice, LatticePair, _check_box, _integer_box_for_ball, classify_pair, points_in_ball,
+    scaled_integer_lattice,
+)
 from .seminorm import (
     DEFAULT_K_LAST,
     DEFAULT_MARGIN,
     Verdict,
+    binned_ball,
     classify,
     discrete_mod_series,
     j_aggregate,
-    lattice_ball,
     lattice_samples,
     series_from_spectrum,
 )
@@ -300,14 +305,21 @@ def _frequencies(f: GridSignal, lambda2: Lattice, r_max: float | None, cone: Con
     """The shell geometry of the frequencies a verdict reads: the points of
     `lattice_ball(lambda2, r_max)` (r_max defaulting to `default_r_max(f)`)
     that `cone`'s series bin, or without a cone every cone's series, i.e.
-    the points inside the last full shell (`ShellGeometry.on_cone`).
+    the points inside the last full shell (`binned_ball`, which enumerates
+    only them).
 
-    The whole ball is enumerated and its points checked against the band,
-    so the refusals are those the whole ball gives; it is not held past the
-    call, so it is freed before any transform."""
-    geometry = lattice_ball(lambda2, r_max if r_max is not None else default_r_max(f))
-    _check_band(f, geometry.ball.points)
-    return geometry.on_cone(cone)
+    The refusals are those the whole ball gives, in its order: its box
+    against the cell and memory budgets, decided on the box alone; then the
+    band, which no point of the ball can leave while r_max (1 + 1e-9) is
+    under the Nyquist limit on every axis (a kept |xi_i| is at most r_max
+    to a few ulps), and otherwise is checked on the whole ball, enumerated
+    for that and freed before any transform; then r_max leaving no full
+    shell."""
+    r_max = check_finite(r_max if r_max is not None else default_r_max(f), "r_max")
+    _check_box(*_integer_box_for_ball(lambda2, r_max))
+    if not np.all(r_max * (1 + 1e-9) < f.nyquist_limit()):
+        _check_band(f, points_in_ball(lambda2, r_max)[0])
+    return binned_ball(lambda2, r_max, cone)
 
 
 def _point_inputs(f: GridSignal, query: WavefrontQuery, lambda2: Lattice, name: str, apertures):
@@ -316,7 +328,7 @@ def _point_inputs(f: GridSignal, query: WavefrontQuery, lambda2: Lattice, name: 
     Gabor system brings.  The thunk gives `_frequencies` on the query's
     cone at the widest of `apertures`: every series the verdict asks bins
     on that cone or a narrower one about the same axis, so it reads the
-    same points."""
+    same points, and only they are enumerated."""
     x0 = as_point(query.x0, f.d, "x0")
     as_point(query.direction, f.d, "direction")
     if lambda2.d != f.d:
@@ -526,12 +538,13 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
     (`_fl_stage`, `_mod_stage`), so every record gets the verdict
     df_fl_point and df_mod_point give for its question.  The work is shared
     at four levels:
-    - once per scan, one enumeration of the beta-lattice ball and one shell
-      geometry on its points inside the last full shell (`_frequencies`:
-      radii, shell index, each direction's cone indices, <xi>^s per s) for
-      both routes, because every x0 samples the same points at the same
-      r_max.  The ball is enumerated the first time an x0 passes the checks
-      that come before it, so every x0 fails as the point operations fail;
+    - once per scan, one enumeration of the beta-lattice ball's points
+      inside the last full shell and one shell geometry on them
+      (`_frequencies`: radii, shell index, each direction's cone indices,
+      <xi>^s per s) for both routes, because every x0 samples the same
+      points at the same r_max.  They are enumerated the first time an x0
+      passes the checks that come before it, so every x0 fails as the
+      point operations fail;
     - once per scan and Gabor row (eps, j), its magnitudes |c_{j,k}| and
       noise floor (`_RowStore`): built when the first x0 that reads the row
       asks for it, dropped after the last one has, never built when the

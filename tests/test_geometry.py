@@ -46,6 +46,29 @@ def test_cone_scaling_invariance(rng):
         assert cone.contains(xi) == cone.contains(t * xi)
 
 
+def test_cone_box_holds_the_cones_part_of_the_ball(rng):
+    # along e1 at 30 degrees: x1 in [0, r], |x2| <= r sin 30; the opposite
+    # cone mirrors it; at 120 degrees the cap reaches back to
+    # x1 = -r cos(180 - 120 degrees) and spans x2 whole
+    lo, hi = Cone.from_degrees([1.0, 0.0], 30.0).box(2.0)
+    assert np.allclose(lo, [0.0, -1.0]) and np.allclose(hi, [2.0, 1.0])
+    lo, hi = Cone.from_degrees([-1.0, 0.0], 30.0).box(2.0)
+    assert np.allclose(lo, [-2.0, -1.0]) and np.allclose(hi, [0.0, 1.0])
+    lo, hi = Cone.from_degrees([1.0, 0.0], 120.0).box(2.0)
+    assert np.allclose(lo, [-1.0, -2.0]) and np.allclose(hi, [2.0, 2.0])
+    assert np.array_equal(Cone.from_degrees([1.0], 10.0).box(3.0)[1], [3.0])
+    # every point of the cone in the ball lies in the box, and the box is
+    # tight: sampled points come within 0.1 of each face
+    for d in (2, 3):
+        cone = Cone.from_degrees(rng.normal(size=d), float(rng.uniform(20.0, 85.0)))
+        lo, hi = cone.box(1.5)
+        pts = rng.uniform(-1.5, 1.5, size=(200_000, d))
+        pts = pts[cone.contains(pts) & (row_norms(pts) <= 1.5)]
+        assert np.all(pts >= lo) and np.all(pts <= hi)
+        assert np.allclose(pts.min(axis=0), lo, atol=0.1)
+        assert np.allclose(pts.max(axis=0), hi, atol=0.1)
+
+
 def test_compactly_contained_examples():
     axis = [1.0, 0.0]
     assert compactly_contained(Cone.from_degrees(axis, 20), Cone.from_degrees(axis, 30))

@@ -219,6 +219,12 @@ def test_points_in_ball_refuses_a_radius_that_is_not_a_finite_number(z2, r_max, 
     assert str(refused.value) == says
 
 
+def test_points_in_ball_refuses_a_cone_of_another_dimension(z2):
+    with pytest.raises(ValueError) as refused:
+        points_in_ball(z2, 3.0, cone=Cone.from_degrees([1.0, 0.0, 0.0], 20.0))
+    assert str(refused.value) == "a 3-d cone for a 2-d lattice"
+
+
 def test_points_in_ball_of_a_negative_radius_is_empty(z2):
     # however negative: the bracketing box is empty, not a budget refusal
     for r_max in (-0.5, -5.0, -1e5):
@@ -243,3 +249,62 @@ def test_enumeration_refuses_oversized_box_before_allocating():
     # the largest default question, the 2D ball at r_max = 180, stays far under
     pts, _ = points_in_ball(scaled_integer_lattice(1.0, 2), 180.0)
     assert 100_000 < pts.shape[0] < 110_000
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    entries=st.lists(st.floats(-1.5, 1.5), min_size=9, max_size=9),
+    offset=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    along=st.sampled_from(["basis vector", "coordinate axis", "any"]),
+    which=st.integers(0, 2),
+    sign=st.sampled_from([1.0, -1.0]),
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    aperture=st.floats(0.1, 89.9),
+    corner=st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+    on_a_point=st.booleans(),
+    r_max=st.floats(0.0, 6.0),
+)
+def test_property_points_in_a_cone_match_the_filtered_box_enumeration(
+    d, entries, offset, along, which, sign, direction, aperture, corner, on_a_point, r_max
+):
+    # a cone's enumeration keeps exactly the points of the whole ball's box
+    # enumeration that the radius and cone filters keep, in the same order
+    basis = np.eye(d) + 0.5 * np.array(entries[: d * d]).reshape(d, d)  # skewed, near I
+    assume(abs(np.linalg.det(basis)) > 0.2)
+    lat = make_lattice(basis, offset[:d])
+    if along == "basis vector":
+        axis = sign * basis[which % d]
+    elif along == "coordinate axis":
+        axis = sign * np.eye(d)[which % d]
+    else:
+        axis = np.array(direction[:d])
+        assume(np.linalg.norm(axis) > 0.1)
+    cone = Cone.from_degrees(axis, aperture)
+    if on_a_point:  # a radius equal to a point's norm, the edge of the filter
+        r_max = float(row_norms(lat.points(np.array([corner[:d]])))[0])
+    pts, ks = points_in_ball(lat, r_max, cone=cone)
+    ball_pts, ball_ks = _box_enumeration(lat, r_max)
+    inside = cone.contains(ball_pts)
+    assert np.array_equal(pts, ball_pts[inside]) and np.array_equal(ks, ball_ks[inside])
+    assert pts.dtype == ball_pts.dtype and ks.dtype == ball_ks.dtype
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("r_max", [1e19, 1e20, 1e300])
+def test_points_in_ball_refuses_a_box_past_the_int64_range(d, r_max):
+    # the box is counted and refused before its bounds are cast to integers,
+    # so a huge radius gives neither bogus points nor a cast warning
+    lat = scaled_integer_lattice(1.0, d)
+    cells = (2 * int(r_max) + 1) ** d
+    for cone in (None, Cone.from_degrees(np.ones(d), 20.0)):
+        with pytest.raises(BudgetExceeded) as refused:
+            points_in_ball(lat, r_max, cone=cone)
+        if cone is None:
+            assert str(refused.value) == (
+                f"bounding box holds {cells} candidate cells, budget is 100000000")
+    # a box of few cells whose coordinates pass the int64 range
+    far = scaled_integer_lattice(1.0, d, np.full(d, r_max))
+    with pytest.raises(BudgetExceeded, match="past the int64 range"):
+        points_in_ball(far, 2.0)

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from microloc import (
@@ -28,11 +28,14 @@ from microloc import (
     df_fl_point,
     df_mod_point,
     make_cutoff,
+    make_lattice,
     multiply,
+    scaled_integer_lattice,
     scan,
 )
 from microloc import gabor, lattice, seminorm, signal, wavefront
 from microloc.fixtures import line_singularity_2d
+from microloc.lattice import LatticeBall
 from microloc.seminorm import Verdict, lattice_ball, lattice_samples, series_from_spectrum
 from microloc.wavefront import WavefrontEstimate, WavefrontRecord, cutoff_for, default_r_max
 from test_golden import _mismatch
@@ -589,6 +592,140 @@ def test_point_ball_is_the_whole_geometrys_cone_index_gather(line2d):
         assert np.max(geometry.ball.radii) <= whole.boundaries[-1] == 128.0
 
 
+def _binned_by_the_whole_ball(lambda2, r_max, cone):
+    """The points a verdict bins, picked from the whole ball: the shell
+    geometry of every point of lambda2 with |xi| <= r_max, and the indices
+    of its points inside the last full shell, of `cone` when one is given."""
+    whole = lattice_ball(lambda2, r_max)
+    keep = whole.shell <= whole.boundaries.size - 1
+    if cone is not None:
+        keep &= cone.contains(whole.ball.points)
+    return whole, np.flatnonzero(keep)
+
+
+def _fine_signal(d):
+    """A signal sampled finely enough that no frequency below 140 leaves its band."""
+    return GridSignal.from_samples(np.ones((4,) * d), np.zeros(d), np.full(d, 0.02))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    entries=st.lists(st.floats(-1.5, 1.5), min_size=9, max_size=9),
+    offset=st.one_of(st.just([0.0] * 3), st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)),
+    octaves=st.floats(0.5, 2.5),
+    axis=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    aperture=st.one_of(st.none(), st.floats(0.1, 89.9)),
+)
+@example(d=2, entries=[0.0, 0.6, 0.4, -0.2] + [0.0] * 5, offset=[0.1, 0.0, 0.0], octaves=2.44,
+         axis=[1.0, 2.0, 0.0], aperture=35.0)
+def test_property_frequencies_keep_the_whole_balls_binned_points_in_ball_order(
+    d, entries, offset, octaves, axis, aperture
+):
+    # A verdict's frequencies are the whole ball's points inside the last
+    # full shell, of its cone when it has one, in ball order, on the whole
+    # ball's lattice, radius and shell edges, though only they are
+    # enumerated; or the whole ball's refusal when r_max leaves no full
+    # shell (under one octave above r0 = 4 x min spacing).
+    basis = np.eye(d) + 0.5 * np.array(entries[: d * d]).reshape(d, d)  # skewed, near I
+    assume(abs(np.linalg.det(basis)) > 0.2)
+    axis = np.array(axis[:d])
+    assume(np.linalg.norm(axis) > 0.1)
+    lambda2 = make_lattice(basis, offset[:d])
+    r_max = 4.0 * lambda2.min_spacing * 2.0 ** (octaves if d < 3 else min(octaves, 1.5))
+    lo, hi = lattice._integer_box_for_ball(lambda2, r_max)
+    assume(np.prod(hi - lo + 1) <= 400_000)  # a whole ball a test can enumerate quickly
+    cone = None if aperture is None else Cone.from_degrees(axis, aperture)
+    f = _fine_signal(d)
+    try:
+        whole, sel = _binned_by_the_whole_ball(lambda2, r_max, cone)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            wavefront._frequencies(f, lambda2, r_max, cone)
+        assert str(refused.value) == str(exc)
+        return
+    got = wavefront._frequencies(f, lambda2, r_max, cone)
+    assert np.array_equal(got.ball.points, whole.ball.points[sel])
+    assert np.array_equal(got.ball.ks, whole.ball.ks[sel])
+    assert got.ball.points.dtype == whole.ball.points.dtype
+    assert got.ball.ks.dtype == whole.ball.ks.dtype
+    assert got.ball.is_of(lambda2, r_max) and got.r0 == whole.r0
+    assert np.array_equal(got.boundaries, whole.boundaries)
+    computed, mirrored = got.ball.split(real=True)
+    n = got.ball.points.shape[0]
+    if cone is not None:
+        # no cone of aperture under 90 degrees holds both xi and -xi, so
+        # every point is computed
+        assert mirrored.size == 0 and np.array_equal(np.arange(n)[computed], np.arange(n))
+    elif whole.ball.split(real=True)[1].size:
+        # a centrally symmetric ball stays so inside the last full shell
+        assert np.array_equal(computed, np.flatnonzero(got.ball.points[:, -1] >= 0))
+    # the cone and every narrower one about its axis (without a cone, any
+    # cone) bin the same points with the same shell indices on either geometry
+    for a in (35.0, 89.9) if cone is None else (aperture, aperture / 2):
+        narrow = Cone.from_degrees(axis, a)
+        sel_w, idx_w, counts_w = whole.cone_index(narrow)
+        sel_g, idx_g, counts_g = got.cone_index(narrow)
+        assert np.array_equal(got.ball.points[sel_g], whole.ball.points[sel_w])
+        assert np.array_equal(idx_g, idx_w) and np.array_equal(counts_g, counts_w)
+
+
+def test_frequencies_of_a_cone_drop_its_points_past_the_last_full_shell():
+    # shells from 4 x 0.92 to 14.75 on a ball of radius 20: the cone's points
+    # past the last full shell are not binned, so they are not enumerated
+    lambda2 = make_lattice([[1.0, 0.3], [0.2, 0.9]], offset=[0.1, 0.0])
+    cone = Cone.from_degrees([1.0, 2.0], 35.0)
+    whole, sel = _binned_by_the_whole_ball(lambda2, 20.0, cone)
+    got = wavefront._frequencies(_fine_signal(2), lambda2, 20.0, cone)
+    assert np.count_nonzero(cone.contains(whole.ball.points)) > sel.size
+    assert 0 < got.ball.points.shape[0] == sel.size < whole.ball.points.shape[0]
+    # a centrally symmetric ball is computed on its half xi_d >= 0
+    z2_ball = LatticeBall.of(scaled_integer_lattice(1.0, 2), 6.0)
+    computed = z2_ball.split(real=True)[0]
+    assert np.array_equal(z2_ball.ks[computed], z2_ball.ks[z2_ball.ks[:, -1] >= 0])
+    assert z2_ball.split(real=False)[0] == slice(None)
+
+
+def test_verdicts_enumerate_only_the_points_they_bin(line2d, monkeypatch):
+    # On r_max = 180 the last full shell is 128: each point route enumerates
+    # its 20 degree cone's points inside it, and a scan every point inside
+    # it, each once; none enumerates the whole ball of 101,765 points.
+    calls = []
+
+    def enumerated(lat, r_max, **kwargs):
+        out = points_in_ball(lat, r_max, **kwargs)
+        calls.append((r_max, kwargs.get("cone") is not None, out[0].shape[0]))
+        return out
+
+    points_in_ball = lattice.points_in_ball
+    for mod in (lattice, seminorm, gabor, wavefront):
+        if hasattr(mod, "points_in_ball"):
+            monkeypatch.setattr(mod, "points_in_ball", enumerated)
+    cfg = ScanConfig(alpha=2.5, beta=1.0, gabor_alpha=2.0, gabor_alpha1=5.0, r_max=180.0)
+    query = WavefrontQuery([0.0, 0.3], [1.0, 0.0], aperture_deg=20.0, r_max=180.0)
+    for route, arg in ((df_fl_point, cfg.lattice_pair(2)), (df_mod_point, cfg.gabor_system(2))):
+        calls.clear()
+        route(line2d, query, arg)
+        assert calls == [(128.0, True, 5716)]
+    calls.clear()
+    scan(line2d, [[0.0, 0.3]], [[1.0, 0.0]], cfg)
+    assert calls == [(128.0, False, 51433)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r_max", [1e19, 1e20, 1e300])
+def test_point_routes_refuse_a_ball_past_the_int64_range(jump, line2d, r_max):
+    # the whole ball's box is refused by its cell count before any bound is
+    # cast to integers: no cast warning, no bogus points or shell counts
+    line_cfg = ScanConfig(alpha=2.5, beta=1.0, gabor_alpha=2.0, gabor_alpha1=5.0)
+    for f, x0, cfg in ((jump, [0.25], ScanConfig()), (line2d, [0.0, 0.3], line_cfg)):
+        query = WavefrontQuery(x0, [1.0] + [0.0] * (f.d - 1), r_max=r_max)
+        for route, arg in ((df_fl_point, cfg.lattice_pair(f.d)),
+                           (df_mod_point, cfg.gabor_system(f.d))):
+            with pytest.raises(BudgetExceeded, match="candidate cells, budget is"):
+                route(f, query, arg)
+
+
 def test_point_verdicts_transform_no_point_past_the_last_shell(jump, line2d, monkeypatch):
     # Both routes' transforms run through the analysis core; no point
     # verdict, scan or detector prediction hands it a point with |xi| above
@@ -668,13 +805,17 @@ def test_scan_config_rejects_inadmissible_pair(jump):
 
 def test_scan_enumerates_the_ball_once_and_tests_each_cone_once(jump, monkeypatch):
     # Both routes bin on one shell geometry and every coefficient table is
-    # built on its ball: the scan enumerates the beta-lattice ball once and
-    # tests each direction's cone once.
+    # built on its ball: the scan enumerates the beta-lattice ball once,
+    # inside its last full shell (512 of r_max = 716.8), and tests each
+    # direction's cone once.
     calls = {"ball": 0, "cone": 0}
+    enumerated = []
 
     def counted(fn, key):
         def call(*args, **kwargs):
             calls[key] += 1
+            if key == "ball":
+                enumerated.append((args[1], kwargs))
             return fn(*args, **kwargs)
         return call
 
@@ -689,6 +830,7 @@ def test_scan_enumerates_the_ball_once_and_tests_each_cone_once(jump, monkeypatc
     with_table = {tuple(r.x0) for r in records if r.verdict_mod is not None}
     assert with_table == {(0.0,), (1.0,), (0.5,)}
     assert calls == {"ball": 1, "cone": 2}
+    assert enumerated == [(512.0, {"cone": None})]
 
 
 def _row_readers(f, x_grid, cfg):
