@@ -17,8 +17,8 @@ import numpy as np
 from .errors import NotFitted
 from .seminorm import DEFAULT_MARGIN
 from .signal import GridSignal, load_signal
-from .validation import as_float_array, as_real
-from .wavefront import ScanConfig, WavefrontEstimate, scan
+from .validation import as_float_array, as_real, unit_direction
+from .wavefront import ScanConfig, WavefrontEstimate, _scan
 
 
 class WavefrontDetector:
@@ -112,18 +112,13 @@ class WavefrontDetector:
 
     def predict_records(self, X) -> WavefrontEstimate:
         """Full per-query records (both verdict columns where computed), one
-        per row in row order.  Rows sharing an x0 share one scan."""
+        per row in row order, from one scan over the rows' (x0, direction)
+        questions: all rows share one ball and one Gabor row store, and rows
+        sharing an x0 share its stages."""
         self._check_fitted()
         points, dirs = self._split_queries(X)
-        rows_at: dict = {}  # x0 bytes -> row indices
-        for i, x0 in enumerate(points):
-            rows_at.setdefault(x0.tobytes(), []).append(i)
-        records = [None] * len(points)
-        for rows in rows_at.values():
-            est = scan(self.signal_, [points[rows[0]]], [dirs[i] for i in rows], self.config_)
-            for i, rec in zip(rows, est.records):
-                records[i] = rec
-        return WavefrontEstimate(records)
+        return _scan(self.signal_, [(x0, unit_direction(v)) for x0, v in zip(points, dirs)],
+                     self.config_)
 
     def predict(self, X) -> np.ndarray:
         """Verdict codes per query row (1 divergent / 0 finite / -1 unclear)."""

@@ -21,11 +21,12 @@ and direction.  The whole ball is enumerated only to quote the band it
 leaves; its other refusals are read off its box.
 
 The modulation stage reads its rows (eps, j) from a row store
-(`_RowStore`) over the x0s asked: `scan`'s holds every x0 of its x_grid, a
-point verdict's its one x0.  The store builds each distinct row once, when
-the first x0 reads it, keeps its magnitudes and noise floor until the last
-x0 that reads it, and transforms no row whose window box misses the signal
-support (such a row is 0, see `signal._analysis`).
+(`_RowStore`) over the distinct x0s asked: a scan's holds each x0 its
+questions name, once however often it is named, a point verdict's its one
+x0.  The store builds each distinct row once, when the first x0 reads it,
+keeps its magnitudes and noise floor until the last x0 that reads it, and
+transforms no row whose window box misses the signal support (such a row is
+0, see `signal._analysis`).
 
 Membership is reported per aperture (default 20 degrees); `aperture_sweep`
 refines toward the "every conical neighbourhood" quantifier.  Default radial
@@ -397,6 +398,8 @@ def _triples(pqs) -> tuple:
         except (TypeError, ValueError):
             raise ValueError(f"pqs entry {i} must be a (p, q, s) triple, got {entry!r}") from None
         out.append((check_exponent(p, "p"), check_exponent(q, "q"), check_finite(s, "s")))
+    if not out:
+        raise ValueError("pqs must list at least one (p, q, s) triple")
     return tuple(out)
 
 
@@ -536,8 +539,11 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
     Per-record failures are recorded in the row, never abort the scan.  Each
     route is asked through the per-x0 stage the point verdicts use
     (`_fl_stage`, `_mod_stage`), so every record gets the verdict
-    df_fl_point and df_mod_point give for its question.  The work is shared
-    at four levels:
+    df_fl_point and df_mod_point give for its question.  The records come
+    in x_grid, then directions, then cfg.pqs order, and every distinct x0
+    (by its bytes) is worked once, at its first place in x_grid: an x0
+    listed twice costs what it costs once.  The work is shared at four
+    levels:
     - once per scan, one enumeration of the beta-lattice ball's points
       inside the last full shell and one shell geometry on them
       (`_frequencies`: radii, shell index, each direction's cone indices,
@@ -549,37 +555,46 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
       noise floor (`_RowStore`): built when the first x0 that reads the row
       asks for it, dropped after the last one has, never built when the
       row's window box misses the signal support.  The rows held at once
-      grow with how far apart in x_grid a row's readers sit: an x_grid that
-      comes back to its first x0 at the end holds that x0's rows throughout,
-      and one listed twice holds every row it reads until the second pass;
-    - once per x0 and route, one stage: the windowed spectrum or the table
-      of the x0's rows J_{x0}(eps) (with its j-aggregate once per distinct
-      p), or the error it raised, recorded in every row of that x0.  Routes
-      run in the order fl, mod, and an x0's stages are dropped before the
-      next x0's;
+      grow with how far apart among the distinct x0s a row's readers sit;
+    - once per distinct x0 and route, one stage: the windowed spectrum or
+      the table of the x0's rows J_{x0}(eps) (with its j-aggregate once per
+      distinct p), or the error it raised, recorded in every row of that
+      x0.  Routes run in the order fl, mod, and an x0's stages are dropped
+      before the next x0's;
     - per record, the cone gather, the shell sums and `classify`.
     """
     _listed(x_grid, "x_grid must be a list of points")
     _listed(directions, "directions must be a list of vectors")
     x_grid = [as_point(x, f.d, "x0") for x in x_grid]
     directions = [unit_direction(as_point(v, f.d, "direction")) for v in directions]
-    records: list[WavefrontRecord] = []
-    estimate = WavefrontEstimate(records)
-    if not x_grid or not directions:
-        return estimate
+    return _scan(f, [(x0, theta) for x0 in x_grid for theta in directions], cfg)
+
+
+def _scan(f: GridSignal, questions, cfg: ScanConfig) -> WavefrontEstimate:
+    """The records of cfg.methods at `questions`, checked (x0, unit
+    direction) pairs of f.d-vectors: one per question and (p, q, s) of
+    cfg.pqs, in that order, shared as `scan` says.  The questions are
+    grouped by distinct x0 (`x0.tobytes()`), visited in order of first
+    appearance, so each x0 gets one set of stages and one row-store entry."""
+    at: dict = {}  # x0 bytes -> indices of the questions at that x0
+    for n, (x0, _) in enumerate(questions):
+        at.setdefault(x0.tobytes(), []).append(n)
+    if not at:
+        return WavefrontEstimate([])
+    x_grid = [questions[ns[0]][0] for ns in at.values()]
 
     pair = cfg.lattice_pair(f.d)
     store = (_RowStore(f, cfg.gabor_system(f.d), x_grid, cfg.epsilon)
              if "mod" in cfg.methods else None)
-    cones = [Cone.from_degrees(th, cfg.aperture_deg) for th in directions]
     ball = cache(lambda: _frequencies(f, pair.lambda2, cfg.r_max))
     stages = {
         "fl": lambda i: _fl_stage(f, pair, x_grid[i], ball),
         "mod": lambda i: _mod_stage(store, i, ball),
     }
     methods = [m for m in stages if m in cfg.methods]
+    placed: list = [[] for _ in questions]  # per question, its records
 
-    for i, x0 in enumerate(x_grid):
+    for i, (x0, ns) in enumerate(zip(x_grid, at.values())):
         # makers[m] is read in place, never bound, so no maker (and no
         # table) outlives its x0
         makers, errors = {}, {}
@@ -588,7 +603,9 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
                 makers[m] = stages[m](i)
             except MicrolocError as exc:
                 errors[f"error_{m}"] = f"{type(exc).__name__}: {exc}"
-        for theta, cone in zip(directions, cones):
+        for n in ns:
+            theta = questions[n][1]
+            cone = Cone.from_degrees(theta, cfg.aperture_deg)
             for p, q, s in cfg.pqs:
                 w = Weight.bracket_power(s)
                 rec = WavefrontRecord([float(v) for v in x0], [float(v) for v in theta],
@@ -599,8 +616,8 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
                         setattr(rec, f"verdict_{m}", classify(series, cfg.k_last, cfg.margin))
                     except MicrolocError as exc:
                         setattr(rec, f"error_{m}", f"{type(exc).__name__}: {exc}")
-                records.append(rec)
-    return estimate
+                placed[n].append(rec)
+    return WavefrontEstimate([rec for recs in placed for rec in recs])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from microloc import NotFitted, WavefrontDetector, scan
+from microloc import gabor, lattice, seminorm, signal, wavefront
 from microloc.fixtures import jump_1d
 
 
@@ -22,14 +23,46 @@ def test_predict_records(fitted):
     assert est.records[0].verdict_fl.kind == "divergent"
 
 
-def test_predict_records_repeated_and_interleaved_rows():
+def test_predict_records_repeated_and_interleaved_rows(monkeypatch):
+    # One prediction over several x0s is one scan of its rows: it enumerates
+    # one ball and transforms each Gabor row its x0s read once (a row whose
+    # window misses the signal support is never transformed), and every
+    # record is the one a scan of its row alone gives.
     det = WavefrontDetector(q=1.0, s=1.0, method="both").fit(jump_1d())
     X = [[0.0, 1.0], [3.0, -1.0], [0.0, -1.0], [0.0, 1.0], [3.0, 1.0]]
+    balls, windows, rows = [], [], []
+
+    def counted(*args, **kwargs):
+        balls.append(args)
+        return points_in_ball(*args, **kwargs)
+
+    def analysis(f, ball, scale, window, shifts):
+        windows.append(window)
+        return core(f, ball, scale, window, shifts)
+
+    def sampled(window, shifts, *args):
+        # the Gabor windows' rows, not the FL cutoffs'
+        if any(window is w for w in windows):
+            rows.extend((window.scale, *shift) for shift in shifts.tolist())
+        return window_batch(window, shifts, *args)
+
+    points_in_ball, core = lattice.points_in_ball, gabor._analysis
+    window_batch = signal._window_batch
+    for mod in (lattice, seminorm, gabor, wavefront):
+        if hasattr(mod, "points_in_ball"):
+            monkeypatch.setattr(mod, "points_in_ball", counted)
+    monkeypatch.setattr(gabor, "_analysis", analysis)
+    monkeypatch.setattr(signal, "_window_batch", sampled)
     est = det.predict_records(X)
+    assert len(balls) == 1
+    assert rows and len(set(rows)) == len(rows)
+    predicted = rows.copy()
+    rows.clear()
     assert len(est.records) == len(X)
     for row, rec in zip(X, est.records):
         alone = scan(det.signal_, [row[:1]], [row[1:]], det.config_).records[0]
         assert rec.to_json() == alone.to_json()
+    assert sorted(predicted) == sorted(set(rows))
 
 
 def test_both_methods_demand_agreement():

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -847,15 +848,18 @@ def _row_readers(f, x_grid, cfg):
 
 
 def test_scan_holds_one_x0s_spectrum_and_table_at_a_time(jump, monkeypatch):
-    # A scan drops each x0's windowed spectrum and Gabor table (with its
-    # j-aggregates) before it builds the next x0's, and each Gabor row right
-    # after the last x0 that reads it: when a spectrum is built, no earlier
-    # spectrum or table is alive; when an x0's table is built, no earlier
-    # table is, nor any row whose readers are all earlier; after it, the
-    # store holds only rows a later x0 reads.
+    # A scan works each distinct x0 once, at its first place in x_grid: it
+    # builds one windowed spectrum and one Gabor table per distinct x0.  It
+    # drops each x0's spectrum and table (with its j-aggregates) before it
+    # builds the next x0's, and each Gabor row right after the last distinct
+    # x0 that reads it: when a spectrum is built, no earlier spectrum or
+    # table is alive; when an x0's table is built, no earlier table is, nor
+    # any row whose readers are all earlier; after it, the store holds only
+    # rows a later x0 reads.
     x_grid = [[1.0], [0.0], [3.0], [0.25], [1.0], [0.0]]
+    distinct = [[1.0], [0.0], [3.0], [0.25]]
     cfg = ScanConfig(pqs=((1.0, 1.0, 1.0), (2.0, 1.0, 0.0)))
-    last = {key: max(i) for key, i in _row_readers(jump, x_grid, cfg).items()}
+    last = {key: max(i) for key, i in _row_readers(jump, distinct, cfg).items()}
     spectra, tables, rows = [], [], {}
 
     def spectrum(*args, **kwargs):
@@ -877,9 +881,38 @@ def test_scan_holds_one_x0s_spectrum_and_table_at_a_time(jump, monkeypatch):
     monkeypatch.setattr(wavefront, "lattice_samples", spectrum)
     monkeypatch.setattr(wavefront._RowStore, "table", table)
     records = scan(jump, x_grid, [[1.0], [-1.0]], cfg).records
-    assert len(spectra) == len(tables) == len(x_grid)
+    assert len(spectra) == len(tables) == len(distinct)
     assert rows and all(ref() is None for ref in rows.values())
+    assert [r.x0 for r in records] == [x0 for x0 in x_grid for _ in range(4)]
     assert all(r.verdict_fl is not None and r.verdict_mod is not None for r in records)
+
+
+def test_scan_of_a_grid_listed_twice_peaks_as_the_grid_listed_once(line2d):
+    # Each distinct x0 is worked once, at its first place in x_grid, so the
+    # second pass over a grid listed twice builds no stage and holds no row:
+    # the traced peak stays that of one pass.
+    cfg = ScanConfig(alpha=2.5, beta=1.0, gabor_alpha=2.0, gabor_alpha1=5.0, r_max=180.0,
+                     methods=("mod",))
+    grid = [[a, b] for a in (-1.0, -0.5, 0.0, 0.5, 1.0) for b in (-1.0, 0.0, 1.0)]
+    scan(line2d, grid[:1], [[1.0, 0.0]], cfg)
+    peaks = []
+    for x_grid in (grid, grid + grid):
+        tracemalloc.start()
+        try:
+            records = scan(line2d, x_grid, [[1.0, 0.0]], cfg).records
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(records) == len(x_grid)
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_scan_config_refuses_an_empty_pqs():
+    # a scan under no (p, q, s) would build every x0's stages for no record;
+    # flat settings still default to their one triple
+    with pytest.raises(ValueError, match=r"pqs must list at least one \(p, q, s\) triple"):
+        ScanConfig(pqs=())
+    assert ScanConfig.from_settings(1.0, 2.0, 0.5, pqs=()).pqs == ((1.0, 2.0, 0.5),)
 
 
 def _nonempty(f, sys0, keys):
