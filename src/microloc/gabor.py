@@ -178,8 +178,9 @@ def check_partition(sys: GaborSystem, n: int = 256) -> float:
     """Max deviation of sum_j (phi psi)(. - eps x_j) from the partition value.
 
     The sum is eps*alpha periodic, so one fundamental cell sampled at n
-    points per axis is checked.
+    points per axis is checked; n is an integer >= 1 (ValueError otherwise).
     """
+    n = check_integer(n, 1, "n")
     eps, alpha = sys.epsilon, sys.alpha
     step = eps * alpha
     axes = [np.linspace(0.0, step, n, endpoint=False) for _ in range(sys.d)]

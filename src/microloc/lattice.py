@@ -10,7 +10,9 @@ ball's points in the cone.  A box is counted before it is cast or
 allocated, and refused (BudgetExceeded) past the cell budget, the memory
 cap or the int64 range.  A `LatticeBall` keeps the enumerated points with
 their integer coordinates and, when the ball is centrally symmetric, its
-Hermitian half.
+Hermitian half.  The largest |xi_i| of an axis-aligned lattice's ball is
+read off the ball's points nearest the axes (`_axis_points`), one per
+slab of its box, without enumerating the ball.
 """
 
 from __future__ import annotations
@@ -225,6 +227,28 @@ def points_in_ball(lat: Lattice, r_max: float, *, cone: Cone | None = None
     return np.take(pts, keep, axis=0), np.take(ts, keep, axis=0)
 
 
+def _axis_points(lat: Lattice, r_max: float) -> np.ndarray:
+    """The points of the ball |xi| <= r_max of an axis-aligned (diagonal)
+    lattice that lie nearest the axes: for each axis i and each integer k_i
+    of the ball's box (`_integer_box_for_ball`), the point whose other
+    coordinates are the integers with the smallest |xi_j|, built by
+    `Lattice.points` and kept by the ball's float filter.  Float squaring
+    and summing are monotone, so a slab k_i meets the ball exactly when
+    that point passes: per axis, their largest |xi_i| is the whole ball's,
+    and there is none exactly when the ball is empty.  O(box side) points,
+    for a box `_check_box` has passed."""
+    step, offset = np.diagonal(lat.basis), lat.offset
+    below = np.floor(-offset / step)
+    # the nearer of below and below + 1 as the floats compare them: where
+    # -offset / step rounds to a half, np.round can take the one an ulp farther
+    near = np.where(np.abs(offset + (below + 1) * step) < np.abs(offset + below * step),
+                    below + 1, below)
+    ts = np.concatenate([np.where(np.arange(lat.d) == i, np.arange(l, h + 1)[:, None], near)
+                         for i, (l, h) in enumerate(zip(*_integer_box_for_ball(lat, r_max)))])
+    pts = lat.points(ts)
+    return pts[row_norms(pts) <= r_max]
+
+
 _NO_INDEX = np.zeros(0, dtype=np.int64)
 
 
@@ -233,7 +257,7 @@ class LatticeBall:
     """Every point of `lattice` with |xi| <= radius and its integer
     coordinates ks, in the lexicographic order of `points_in_ball`, or a
     subset of them in the same order (the points a verdict's series bin,
-    see `seminorm.binned_ball`).
+    see `wavefront._frequencies`).
 
     The ball is centrally symmetric when every -xi_i is the point at index
     n - 1 - i, as on a lattice through the origin or delta (Z^d + 1/2) at a

@@ -18,11 +18,9 @@ from . import fixtures
 from .gabor import build_agp, check_partition, coefficients, discrete_mod_norm, reconstruct
 from .geometry import Cone, Weight
 from .lattice import scaled_integer_lattice
-from .seminorm import (
-    classify, lattice_ball, lattice_samples, quadrature_spectrum, series_from_spectrum
-)
+from .seminorm import classify, lattice_samples, quadrature_spectrum, series_from_spectrum
 from .signal import fourier_at, make_cutoff, multiply
-from .wavefront import ScanConfig, check_equivalence, cutoff_for, scan
+from .wavefront import ScanConfig, _fl_stage, _frequencies, check_equivalence, scan
 
 _TWO_PI = 2.0 * math.pi
 
@@ -182,7 +180,7 @@ def suite_continuous_crosscheck() -> SuiteResult:
     n_conclusive = 0
     for name, f, d, r_max, density, cone_pairs, qs in _crosscheck_cases():
         lam2 = scaled_integer_lattice(1.0, d)
-        ball = lattice_ball(lam2, r_max)
+        ball = _frequencies(f, lam2, r_max)
         spec_d = lattice_samples(f, ball)
         spec_c = quadrature_spectrum(f, density, r_max, 4.0)
         chi = make_cutoff(
@@ -382,18 +380,15 @@ def suite_classifier_sanity() -> SuiteResult:
     t0 = time.time()
     f = fixtures.jump_1d()
     pair = ScanConfig(alpha=1.0, beta=1.0).lattice_pair(1)
-    chi = cutoff_for(f, pair.lambda1, np.array([0.0]))
-    g = multiply(f, chi)
-    spec = lattice_samples(g, lattice_ball(pair.lambda2, 716.0))
+    # the FL verdict path's own stage at x0 = 0 (p is unused on that route)
+    series = _fl_stage(f, pair, np.array([0.0]), lambda: _frequencies(f, pair.lambda2, 716.0))
     cone = Cone.from_degrees([1.0], 20.0)
     worst_shift = 0.0
     for q in (1.0, 2.0):
         for s0 in (-0.5, 0.0):
-            tau0 = classify(series_from_spectrum(spec, Weight.bracket_power(s0), q, cone)).tau
+            tau0 = classify(series(Weight.bracket_power(s0), 1.0, q, cone)).tau
             for t_shift in (1.0, 2.0):
-                tau1 = classify(
-                    series_from_spectrum(spec, Weight.bracket_power(s0 + t_shift), q, cone)
-                ).tau
+                tau1 = classify(series(Weight.bracket_power(s0 + t_shift), 1.0, q, cone)).tau
                 worst_shift = max(worst_shift, abs((tau1 - tau0) - t_shift))
 
     n_sides = 0

@@ -24,22 +24,16 @@ the ball's points alone: each point's shell index, each cone's in-range
 point indices and the weight <xi>^s per exponent s.  A spectrum
 (`SpectralSamples`) holds the geometry it was sampled on and a series bins
 on that geometry, so every spectrum of one geometry shares its cone indices
-and weights.  A verdict enumerates and samples only the points its series
-bin (`binned_ball`: the ball's points inside the last full shell, of one
-cone when one is given, on the same lattice, radius and r0, so the same
-shell edges), from which every cone it asks selects the same points with
-the same shell indices as from the whole ball's geometry:
-`wavefront.scan` builds one geometry per scan, on every point inside the
-last full shell, samples every windowed spectrum on it and builds every
-coefficient table on its ball; a point verdict reads one cone, so only
-that cone's points are enumerated.  Per
-spectrum (per x0) come the magnitudes, and for the modulation route the
-j-aggregate over every row of the x0's table, whose rows are J_{x0}(eps),
-once per exponent p (a scan builds each row once, for every x0 that reads
-it, and its x0s' tables hold the rows' magnitudes, see
-`wavefront._RowStore`); per series (per record, always on one
-cone) only the gather of the cone's magnitudes, the weighted power sums per
-shell and the shell maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
+and weights.  A verdict's geometry holds only the points its series bin
+(`wavefront._frequencies`): `wavefront.scan` builds one per scan and
+samples every windowed spectrum and builds every coefficient table on its
+ball.  Per spectrum (per x0) come the magnitudes, and for the modulation
+route the j-aggregate over every row of the x0's table, whose rows are
+J_{x0}(eps), once per exponent p (a scan builds each row once, for every
+x0 that reads it, and its x0s' tables hold the rows' magnitudes, see
+`wavefront._RowStore`); per series (per record, always on one cone) only
+the gather of the cone's magnitudes, the weighted power sums per shell and
+the shell maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
 c_{j,-k} = conj(c_{j,k}), so on a centrally symmetric ball, a scan's
 included, every route, the oracle's too, transforms only the half ball
 xi_d >= 0 (a cone's points are never symmetric and are all transformed).
@@ -60,7 +54,7 @@ import numpy as np
 from .errors import TooFewShells
 from .gabor import CoefficientTable
 from .geometry import Cone, Weight
-from .lattice import Lattice, LatticeBall, points_in_ball, scaled_integer_lattice
+from .lattice import Lattice, LatticeBall, scaled_integer_lattice
 from .signal import GridSignal, fourier_batch
 from .validation import check_exponent, check_fit_window, check_positive
 
@@ -95,7 +89,7 @@ class SpectralSamples:
 
 
 def lattice_samples(f: GridSignal, geometry: ShellGeometry) -> SpectralSamples:
-    """|F f| on the points of a `lattice_ball` geometry, sampled on it."""
+    """|F f| on the points of a lattice ball's geometry, sampled on it."""
     return SpectralSamples(geometry, np.abs(fourier_batch(f, geometry.ball)), 1.0, f.noise_floor())
 
 
@@ -190,42 +184,6 @@ def _first_edge(lat: Lattice) -> float:
     return 4.0 * lat.min_spacing
 
 
-def _ball_shells(ball: LatticeBall) -> ShellGeometry:
-    """The shell geometry of a lattice ball, with shells from `_first_edge`
-    to its radius."""
-    return ShellGeometry(ball, _first_edge(ball.lattice))
-
-
-def lattice_ball(lambda2: Lattice, r_max: float) -> ShellGeometry:
-    """The shell geometry (see `_ball_shells`) of the `LatticeBall` of every
-    point of lambda2 with |xi| <= r_max.
-
-    These are the frequencies of a Gabor coefficient table of radius r_max,
-    so both routes sample one set: a table built on the geometry's `ball`
-    holds that ball.  The origin is among the points when the lattice holds
-    it; no cone holds the origin, so no cone series sees it.
-    """
-    return _ball_shells(LatticeBall.of(lambda2, r_max))
-
-
-def binned_ball(lambda2: Lattice, r_max: float, cone: Cone | None = None) -> ShellGeometry:
-    """The geometry of the points of `lattice_ball(lambda2, r_max)` that
-    `cone`'s series bin, or without a cone every cone's series: the points
-    inside the last full shell R_M = min(r_max, r0 2^M), of the cone when
-    one is given, in ball order, on the same lattice, radius and r0.  Every
-    cone about the same axis and no wider (without a cone, every cone)
-    selects the same points with the same shell indices from it as from the
-    whole ball's.  Only those points are enumerated
-    (`points_in_ball(lambda2, R_M, cone=cone)`); ValueError when r_max
-    leaves no full shell.
-    """
-    r0 = _first_edge(lambda2)
-    # r0 2^M passes r_max when log2(r_max / r0) falls short of an integer by
-    # under 1e-9 (`shell_boundaries`), and no ball point lies past r_max
-    pts, ks = points_in_ball(lambda2, min(r_max, shell_boundaries(r0, r_max)[-1]), cone=cone)
-    return ShellGeometry(LatticeBall(lambda2, float(r_max), pts, ks), r0)
-
-
 def series_from_spectrum(spec: SpectralSamples, omega: Weight, q, cone: Cone) -> ConeSumSeries:
     """Bin weighted spectrum samples into the geometric cone shells of the
     geometry they were sampled on; the series carries their noise floor."""
@@ -262,12 +220,12 @@ def j_aggregate(
 ) -> SpectralSamples:
     """The j-aggregate ( sum_j |c_{j,k}|^p )^{1/p} (max_j for p = inf) over
     every row of the table, with its noise floor (`CoefficientTable.aggregate`),
-    on `geometry`, the shell geometry of the table's ball (built from the
-    ball when not given).
+    on `geometry`, the shell geometry of the table's ball; when not given,
+    the ball's with shells from `_first_edge` to its radius.
     """
     mags, floor = table.aggregate(p)
     if geometry is None:
-        geometry = _ball_shells(table.ball)
+        geometry = ShellGeometry(table.ball, _first_edge(table.ball.lattice))
     return SpectralSamples(geometry, mags, 1.0, floor)
 
 
@@ -281,7 +239,7 @@ def discrete_mod_series(
 ) -> ConeSumSeries:
     """Shell series of ( sum_j |c_{j,k} w(xi_k)|^p )^{q/p} over the cone and
     every row j of the table, on the shells of the table's ball (see
-    `_ball_shells`).
+    `j_aggregate`).
 
     The rows are the table's translates: a table built on J_{x0}(eps)
     (`support_index_set`) gives the modulation series at x0.  `aggregate`

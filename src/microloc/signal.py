@@ -109,6 +109,9 @@ class GridSignal:
             bad = np.argwhere(~np.isfinite(samples))[0].tolist()
             raise ValueError(f"samples must be finite; index {bad} holds {samples[tuple(bad)]}")
         support = tuple((int(a), int(b)) for a, b in self.support)
+        if len(support) != samples.ndim:
+            raise ValueError(f"support must give one (start, stop) range per axis of the "
+                             f"{samples.ndim}-d samples, got {len(support)}")
         for (a, b), n in zip(support, samples.shape):
             if not (0 <= a <= b <= n):
                 raise ValueError(f"support range {(a, b)} outside shape {samples.shape}")

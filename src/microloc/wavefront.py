@@ -14,11 +14,11 @@ Gabor magnitudes |c_{j,k}| on J_{x0}(eps)) and returns a series maker
 (weight, p, q, cone) -> ConeSumSeries.  The point verdicts and `scan` ask
 both routes through it.  Every verdict enumerates and transforms exactly
 the points its series bin, the ball's points inside the last full shell
-(`_frequencies`, `seminorm.binned_ball`): a point verdict bins on one cone
-(nested cones of one axis for `aperture_sweep`), so it enumerates only its
-widest cone's points of them, and `scan` all of them, shared by every x0
-and direction.  The whole ball is enumerated only to quote the band it
-leaves; its other refusals are read off its box.
+(`_frequencies`): a point verdict bins on one cone (nested cones of one
+axis for `aperture_sweep`), so it enumerates only its widest cone's points
+of them, and `scan` all of them, shared by every x0 and direction.  No
+verdict enumerates the whole ball: its budget refusals are read off its
+box, and the band it leaves off its points nearest the axes.
 
 The modulation stage reads its rows (eps, j) from a row store
 (`_RowStore`) over the distinct x0s asked: a scan's holds each x0 its
@@ -47,19 +47,21 @@ from .errors import DomainClipped, EpsilonTooLarge, MicrolocError
 from .gabor import CoefficientTable, GaborSystem, build_agp, coefficients, support_index_set
 from .geometry import Cone, Weight
 from .lattice import (
-    Lattice, LatticePair, _check_box, _integer_box_for_ball, classify_pair, points_in_ball,
-    scaled_integer_lattice,
+    Lattice, LatticeBall, LatticePair, _axis_points, _check_box, _integer_box_for_ball,
+    classify_pair, points_in_ball, scaled_integer_lattice,
 )
 from .seminorm import (
     DEFAULT_K_LAST,
     DEFAULT_MARGIN,
+    ShellGeometry,
     Verdict,
-    binned_ball,
+    _first_edge,
     classify,
     discrete_mod_series,
     j_aggregate,
     lattice_samples,
     series_from_spectrum,
+    shell_boundaries,
 )
 from .signal import BumpWindow, GridSignal, _check_band, make_cutoff, multiply
 from .validation import (
@@ -303,24 +305,35 @@ def _mod_stage(store: _RowStore, i: int, ball):
 
 
 def _frequencies(f: GridSignal, lambda2: Lattice, r_max: float | None, cone: Cone | None = None):
-    """The shell geometry of the frequencies a verdict reads: the points of
-    `lattice_ball(lambda2, r_max)` (r_max defaulting to `default_r_max(f)`)
-    that `cone`'s series bin, or without a cone every cone's series, i.e.
-    the points inside the last full shell (`binned_ball`, which enumerates
-    only them).
+    """The shell geometry of the frequencies a verdict reads: of the ball of
+    every point of lambda2 with |xi| <= r_max (r_max defaulting to
+    `default_r_max(f)`), the points that `cone`'s series bin, or without a
+    cone every cone's series.  These are the points inside the last full
+    shell R_M = min(r_max, r0 2^M), r0 = `seminorm._first_edge`, of the
+    cone when one is given, in ball order, on the ball's lattice, radius
+    and r0, so its shell edges; only they are enumerated.  Every cone about
+    the same axis and no wider (without a cone, every cone) selects the
+    same points with the same shell indices from it as from the whole
+    ball's geometry.  lambda2 is axis-aligned on every public route:
+    `cutoff_for` refuses a skewed lambda1, a strong pair of a diagonal
+    lambda1 has a diagonal lambda2, and `build_agp`'s is diagonal.
 
     The refusals are those the whole ball gives, in its order: its box
     against the cell and memory budgets, decided on the box alone; then the
     band, which no point of the ball can leave while r_max (1 + 1e-9) is
     under the Nyquist limit on every axis (a kept |xi_i| is at most r_max
-    to a few ulps), and otherwise is checked on the whole ball, enumerated
-    for that and freed before any transform; then r_max leaving no full
-    shell."""
+    to a few ulps), and otherwise is checked on the ball's points nearest
+    the axes (`lattice._axis_points`), whose largest |xi_i| per axis is
+    the whole ball's; then ValueError when r_max leaves no full shell."""
     r_max = check_finite(r_max if r_max is not None else default_r_max(f), "r_max")
     _check_box(*_integer_box_for_ball(lambda2, r_max))
     if not np.all(r_max * (1 + 1e-9) < f.nyquist_limit()):
-        _check_band(f, points_in_ball(lambda2, r_max)[0])
-    return binned_ball(lambda2, r_max, cone)
+        _check_band(f, _axis_points(lambda2, r_max))
+    r0 = _first_edge(lambda2)
+    # r0 2^M passes r_max when log2(r_max / r0) falls short of an integer by
+    # under 1e-9 (`shell_boundaries`), and no ball point lies past r_max
+    pts, ks = points_in_ball(lambda2, min(r_max, shell_boundaries(r0, r_max)[-1]), cone=cone)
+    return ShellGeometry(LatticeBall(lambda2, r_max, pts, ks), r0)
 
 
 def _point_inputs(f: GridSignal, query: WavefrontQuery, lambda2: Lattice, name: str, apertures):

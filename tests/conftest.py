@@ -3,6 +3,14 @@ import pytest
 
 from microloc import ScanConfig, scaled_integer_lattice
 from microloc.fixtures import jump_1d, smooth_bump_1d
+from microloc.lattice import LatticeBall
+from microloc.seminorm import ShellGeometry
+
+
+def whole_ball(lat, r_max):
+    """The shell geometry of every point of lat with |xi| <= r_max, shells
+    from 4 x its minimal spacing: the whole ball, which no verdict enumerates."""
+    return ShellGeometry(LatticeBall.of(lat, r_max), 4 * lat.min_spacing)
 
 
 @pytest.fixture(scope="session")

@@ -93,6 +93,12 @@ def test_check_partition_detects_broken_systems():
     assert check_partition(killed, n=128) == pytest.approx(theta, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, -3, 2.5, True, "8"])
+def test_check_partition_refuses_a_sample_count_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match=r"n must be an integer >= 1, got "):
+        check_partition(build_agp(1.0, 1.0, d=1), n=n)
+
+
 def test_partition_identity_100_random_systems(rng):
     worst = 0.0
     for _ in range(100):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from microloc import (
@@ -15,7 +15,7 @@ from microloc import (
     scaled_integer_lattice,
 )
 from microloc.geometry import row_norms
-from microloc.lattice import LatticeBall
+from microloc.lattice import LatticeBall, _axis_points
 
 
 def points_in_cone_shell(lat, cone, r_min, r_max):
@@ -308,3 +308,36 @@ def test_points_in_ball_refuses_a_box_past_the_int64_range(d, r_max):
     far = scaled_integer_lattice(1.0, d, np.full(d, r_max))
     with pytest.raises(BudgetExceeded, match="past the int64 range"):
         points_in_ball(far, 2.0)
+
+
+@st.composite
+def _axis_ball(draw):
+    """An axis-aligned lattice, steps of either sign, and a radius exactly
+    at, 1e-12 below or 1e-12 above the norm |o_a + k s_a| of a lattice
+    coordinate, k = 0 included (a tiny or empty ball)."""
+    d = draw(st.integers(1, 3))
+    steps = [draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.0)) for _ in range(d)]
+    fractions = st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-1.0, 1.0)
+    offset = [draw(fractions) * abs(step) for step in steps]
+    axis, k = draw(st.integers(0, d - 1)), draw(st.integers(0, 4))
+    r_max = abs(offset[axis] + k * steps[axis]) + draw(st.sampled_from([0.0, -1e-12, 1e-12]))
+    return make_lattice(np.diag(steps), offset), r_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(_axis_ball())
+# o_2 = 1.5 s_2 to round-off, and r_max the norm of (1, o_2 - s_2): np.round
+# takes -o_2 / s_2 = -1.5 to -2, whose |xi_2| is one ulp larger, so that
+# point misses the ball and slab k_1 = 1 would look empty
+@example((make_lattice(np.diag([1.0, -2.339742627483026]), [0.0, -3.509613941224539]),
+          1.5390253054174559))
+def test_property_axis_points_give_the_whole_balls_largest_coordinates(case):
+    # the ball's points nearest the axes are ball points, and their largest
+    # |xi_i| per axis is the whole ball's, or both sets are empty
+    lat, r_max = case
+    whole, _ = points_in_ball(lat, r_max)
+    got = _axis_points(lat, r_max)
+    assert got.shape[1] == lat.d and (got.shape[0] == 0) == (whole.shape[0] == 0)
+    assert set(map(tuple, got.tolist())) <= set(map(tuple, whole.tolist()))
+    if whole.shape[0]:
+        assert np.array_equal(np.max(np.abs(got), axis=0), np.max(np.abs(whole), axis=0))

@@ -33,20 +33,20 @@ from microloc.seminorm import (
     SpectralSamples,
     _weighted_fit,
     j_aggregate,
-    lattice_ball,
     lattice_samples,
     quadrature_spectrum,
     series_from_spectrum,
     shell_boundaries,
 )
 from microloc.signal import _direct
+from conftest import whole_ball
 
 TWO_PI = 2 * math.pi
 
 
 def _fl_series(f, omega, q, cone, lambda2, r_max):
     """Lattice cone series of f, shells from 4 x the lattice spacing."""
-    spec = lattice_samples(f, lattice_ball(lambda2, r_max))
+    spec = lattice_samples(f, whole_ball(lambda2, r_max))
     return series_from_spectrum(spec, omega, q, cone)
 
 
@@ -476,7 +476,7 @@ def test_property_half_ball_and_mirror_equal_the_whole_ball(case):
     # reads the table must answer as on the same table held whole.
     f, beta, offset, radius = case
     lat = scaled_integer_lattice(beta, f.d, offset * np.ones(f.d))
-    geometry = lattice_ball(lat, radius)
+    geometry = whole_ball(lat, radius)
     computed, mirrored = geometry.ball.split(f.is_real)
     points = geometry.ball.points
     assert (mirrored.size > 0) == (f.is_real and np.array_equal(points[::-1], -points))

@@ -243,6 +243,18 @@ def test_fourier_batch_sums_over_an_explicit_support_wider_than_the_nonzero_box(
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_grid_signal_refuses_a_support_of_another_length_than_its_axes():
+    # one range on an 8 x 8 signal would leave axis 2 unbounded in the
+    # support box and the noise floor, and three would index past its axes
+    samples = np.ones((8, 8))
+    for support in (((0, 3),), ((0, 3), (0, 8), (0, 2)), ()):
+        with pytest.raises(ValueError, match=r"support must give one \(start, stop\) range "
+                                             r"per axis of the 2-d samples, got \d"):
+            GridSignal(np.zeros(2), np.full(2, 0.25), samples, support)
+    f = GridSignal(np.zeros(2), np.full(2, 0.25), samples, ((0, 3), (0, 8)))
+    assert np.array_equal(f.support_box[1], [0.5, 1.75])
+
+
 @lru_cache(maxsize=None)
 def _fl_fixture(d, real):
     """The 1D jump or the 2D line, or either times exp(i x_d)."""

@@ -37,8 +37,9 @@ from microloc import (
 from microloc import gabor, lattice, seminorm, signal, wavefront
 from microloc.fixtures import line_singularity_2d
 from microloc.lattice import LatticeBall
-from microloc.seminorm import Verdict, lattice_ball, lattice_samples, series_from_spectrum
+from microloc.seminorm import Verdict, lattice_samples, series_from_spectrum
 from microloc.wavefront import WavefrontEstimate, WavefrontRecord, cutoff_for, default_r_max
+from conftest import whole_ball
 from test_golden import _mismatch
 
 
@@ -110,7 +111,7 @@ def _fl_kind_with_cutoff(f, pair, x0, inner, outer):
     # the FL verdict (q = s = 1, 20 degrees) with chi = 1 on |x - x0| <= inner, 0 beyond outer
     chi = make_cutoff(([x0 - inner], [x0 + inner]), ([x0 - outer], [x0 + outer]))
     r_max, cone = default_r_max(f), Cone.from_degrees([1.0], 20.0)
-    spec = lattice_samples(multiply(f, chi), lattice_ball(pair.lambda2, r_max))
+    spec = lattice_samples(multiply(f, chi), whole_ball(pair.lambda2, r_max))
     return classify(series_from_spectrum(spec, Weight(1.0), 1.0, cone)).kind
 
 
@@ -561,7 +562,7 @@ def test_property_cone_series_match_whole_ball_series(d, real, seed, x0, angle, 
     )
     for stage, lambda2, name, apertures in routes:
         _, cone_ball = wavefront._point_inputs(f, query, lambda2, name, apertures)
-        on_ball = stage(lambda: lattice_ball(lambda2, default_r_max(f)))
+        on_ball = stage(lambda: whole_ball(lambda2, default_r_max(f)))
         for ball in (cone_ball, lambda: wavefront._frequencies(f, lambda2, None)):
             series = stage(ball)
             for a in apertures:
@@ -575,7 +576,7 @@ def test_point_ball_is_the_whole_geometrys_cone_index_gather(line2d):
     # the last full shell is 128, and every cone, the 80 degree diagonal one
     # on a real signal included, is cut there.
     pair = ScanConfig(alpha=2.5, beta=1.0).lattice_pair(2)
-    whole = lattice_ball(pair.lambda2, 180.0)
+    whole = whole_ball(pair.lambda2, 180.0)
     imag = GridSignal.from_samples(1j * line2d.samples, line2d.origin, line2d.spacing)
     for f, direction, aperture in (
         (line2d, [1.0, 0.0], 20.0),
@@ -597,7 +598,7 @@ def _binned_by_the_whole_ball(lambda2, r_max, cone):
     """The points a verdict bins, picked from the whole ball: the shell
     geometry of every point of lambda2 with |xi| <= r_max, and the indices
     of its points inside the last full shell, of `cone` when one is given."""
-    whole = lattice_ball(lambda2, r_max)
+    whole = whole_ball(lambda2, r_max)
     keep = whole.shell <= whole.boundaries.size - 1
     if cone is not None:
         keep &= cone.contains(whole.ball.points)
@@ -746,7 +747,7 @@ def test_point_verdicts_transform_no_point_past_the_last_shell(jump, line2d, mon
              (line2d, [0.0, 0.3], [1.0, 1.0], line_cfg, 128.0))
     for f, x0, direction, cfg, last in cases:
         r_max = cfg.r_max or default_r_max(f)
-        assert lattice_ball(cfg.lattice_pair(f.d).lambda2, r_max).boundaries[-1] == last < r_max
+        assert whole_ball(cfg.lattice_pair(f.d).lambda2, r_max).boundaries[-1] == last < r_max
         for aperture in (20.0, 80.0):
             query = WavefrontQuery(x0, direction, aperture_deg=aperture, r_max=cfg.r_max)
             reached.clear()
@@ -765,7 +766,8 @@ def test_cone_point_verdicts_refuse_the_band_the_whole_ball_leaves():
     # Axis 2 is sampled 4 times coarser than axis 1, so r_max = 60 leaves
     # its band (0.9 pi / h2 = 45.2) but not axis 1's.  The 20 degree cone
     # along e1 reaches |xi_2| <= 20.6 only; both point routes still refuse
-    # as the scan does, from the whole ball's points.
+    # as the scan does, quoting the whole ball's largest |xi_i|, which is
+    # read off its points nearest the axes, not off the cone's.
     x1 = np.arange(256) / 64 - 2.0
     x2 = np.arange(64) / 16 - 2.0
     samples = (x1[:, None] > 0.1) * np.exp(-(x1[:, None] ** 2 + x2[None, :] ** 2))
@@ -773,7 +775,7 @@ def test_cone_point_verdicts_refuse_the_band_the_whole_ball_leaves():
     cfg = ScanConfig(alpha=2.5, beta=1.0, r_max=60.0)
     query = WavefrontQuery([0.0, 0.0], [1.0, 0.0], r_max=60.0)
     pair = cfg.lattice_pair(2)
-    points = lattice_ball(pair.lambda2, 60.0).ball.points
+    points = whole_ball(pair.lambda2, 60.0).ball.points
     cone_points = points[query.cone.contains(points)]
     assert np.max(np.abs(cone_points[:, 1])) < f.nyquist_limit()[1] < 60.0
     rec = scan(f, [[0.0, 0.0]], [[1.0, 0.0]], cfg).records[0]
@@ -782,6 +784,38 @@ def test_cone_point_verdicts_refuse_the_band_the_whole_ball_leaves():
         with pytest.raises(FrequencyOutOfRange) as refused:
             route(f, query, arg)
         assert f"FrequencyOutOfRange: {refused.value}" == rec.error_fl
+
+
+def test_band_refusals_enumerate_no_whole_ball(line2d):
+    # r_max = 2000 leaves the line's band (0.9 pi / h = 361.9) on a ball of
+    # 12.6 million points; each route refuses with the same text, read off
+    # the ball's points nearest the axes, in well under 10 MB (a whole ball
+    # took about 1 GB)
+    cfg = ScanConfig(alpha=2.5, beta=1.0, gabor_alpha=2.0, gabor_alpha1=5.0, r_max=2000.0)
+    query = WavefrontQuery([0.0, 0.3], [1.0, 0.0], r_max=2000.0)
+
+    def refusal(route, arg):
+        with pytest.raises(FrequencyOutOfRange) as refused:
+            route(line2d, query, arg)
+        return [f"FrequencyOutOfRange: {refused.value}"]
+
+    def scanned():
+        rec = scan(line2d, [[0.0, 0.3]], [[1.0, 0.0]], cfg).records[0]
+        return [rec.error_fl, rec.error_mod]
+
+    texts = []
+    for run in (lambda: refusal(df_fl_point, cfg.lattice_pair(2)),
+                lambda: refusal(df_mod_point, cfg.gabor_system(2)), scanned):
+        tracemalloc.start()
+        try:
+            texts += run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
+    assert len(texts) == 4 and len(set(texts)) == 1
+    assert texts[0].startswith("FrequencyOutOfRange: requested |xi| up to [2000. 2000.] "
+                               "exceeds the guarded band [361.91147369 361.91147369]")
 
 
 def test_scan_and_point_routes_agree_outside_domain(jump):
