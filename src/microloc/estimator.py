@@ -84,17 +84,18 @@ class WavefrontDetector:
     # -- estimation -------------------------------------------------------
 
     def fit(self, X, y=None) -> "WavefrontDetector":
-        """Bind the signal to analyze; X is a GridSignal or a path to one."""
-        if isinstance(X, (str,)) or hasattr(X, "__fspath__"):
-            X = load_signal(X)
-        if not isinstance(X, GridSignal):
-            raise TypeError("fit expects a GridSignal or a signal file path")
-        self.config_ = ScanConfig.from_settings(
+        """Bind the signal to analyze; X is a GridSignal or a path to one.
+        The settings are checked first, before a signal file is read."""
+        config = ScanConfig.from_settings(
             self.p, self.q, self.s, method=self.method, epsilon=self.epsilon, r_max=self.r_max,
             **{name: as_real(getattr(self, name), name)
                for name in ("aperture_deg", "alpha", "beta", "margin")},
         )
-        self.signal_ = X
+        if isinstance(X, (str,)) or hasattr(X, "__fspath__"):
+            X = load_signal(X)
+        if not isinstance(X, GridSignal):
+            raise TypeError("fit expects a GridSignal or a signal file path")
+        self.config_, self.signal_ = config, X
         return self
 
     def _check_fitted(self) -> None:

@@ -35,9 +35,9 @@ kernel of the same plan (`signal._plan`).  A row's window box is clipped to
 the signal support; a row whose box is empty is exactly 0 and is not
 transformed.  Each row carries its own noise floor, and a table's floor is
 the largest of them.  The reductions read only |c_{j,k}|, so a table may
-hold the magnitudes: a scan keeps each row's magnitudes once for all the
-x0s that read it and stacks an x0's rows J_{x0}(eps) into its table
-(`wavefront._RowStore`).
+hold the magnitudes: a scan keeps each row's magnitudes once, as its own
+array, for all the x0s that read it and stacks an x0's rows J_{x0}(eps)
+into its table (`wavefront._RowStore`).
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .signal import (
     _along_axes,
     _analysis,
     _bump,
-    _check_band,
     _index_box,
     _plan,
     _window_batch,
@@ -318,8 +317,12 @@ def coefficients(
     For a real f (and real windows) c_{j,-k} = conj(c_{j,k}), so on a
     centrally symmetric ball the core runs on the half ball xi_d >= 0 only
     and the table holds just those columns; a complex f is transformed and
-    held on the whole ball.
+    held on the whole ball.  ValueError first for a system of another
+    dimension than f; the band refusal (FrequencyOutOfRange) and the zero
+    rows of an empty f, an empty ball or no translate are the core's.
     """
+    if sys.d != f.d:
+        raise ValueError(f"a {sys.d}-d Gabor system for a {f.d}-d signal")
     check_positive(freq_radius, "freq_radius")
     if js is None:
         js = _overlapping_js(f, sys)
@@ -337,10 +340,6 @@ def coefficients(
             f"the frequency ball (radius {ball.radius:g}, lattice {ball.lattice.to_json()}) "
             f"is not the ball of radius {freq_radius:g} on {sys.lambda2.to_json()}"
         )
-    _check_band(f, ball.points)
-    if not (js.size and ball.points.size):
-        width = ball.points.shape[0] - ball.split(f.is_real)[1].size
-        return CoefficientTable(js, ball, np.zeros((js.shape[0], width), dtype=np.complex128))
     # (2*pi)^(d/2) of the coefficients cancels the transform's (2*pi)^(-d/2)
     shifts = sys.epsilon * sys.x_point(js)
     return CoefficientTable(js, ball, *_analysis(f, ball, 1.0, sys.psi.scaled(sys.epsilon), shifts))

@@ -19,11 +19,13 @@ axis, taken exact from the ball's integer coordinates
 (`_lattice_progressions`), never recovered from floats.  One analysis
 core, `_analysis`, sums f times a window's translates over grid patches
 onto them: `fourier_batch` is its one unwindowed row and Gabor analysis
-(`gabor.coefficients`) its psi^eps rows.  Its plan (`_plan`: progressions,
-chirp-z kernels, index, row batches) serves Gabor synthesis
-(`gabor.reconstruct`) too, with the adjoint kernel.  The kernel is
-Bluestein's algorithm on `numpy.fft`, axis by axis in any dimension.
-Direct summation (`_direct`) serves a single frequency (`fourier_at`) and
+(`gabor.coefficients`) its psi^eps rows.  The core owns the guards of
+both: it refuses a ball of another dimension or past the band, and gives
+0 for every row of an empty signal, an empty ball or no translate.  Its
+plan (`_plan`: progressions, chirp-z kernels, index, row batches) serves
+Gabor synthesis (`gabor.reconstruct`) too, with the adjoint kernel.  The
+kernel is Bluestein's algorithm on `numpy.fft`, axis by axis in any
+dimension.  Direct summation (`_direct`) serves a single frequency (`fourier_at`) and
 is the reference the kernel is tested against.
 
 A real signal (`GridSignal.is_real`, checked once per signal) has a
@@ -52,7 +54,7 @@ import numpy as np
 
 from .errors import DegenerateBoxes, FrequencyOutOfRange
 from .lattice import Lattice, LatticeBall
-from .validation import as_box, as_point
+from .validation import as_box, as_integers, as_point
 
 DEFAULT_NYQUIST_SAFETY = 0.9
 
@@ -108,10 +110,12 @@ class GridSignal:
         if not np.all(np.isfinite(samples)):
             bad = np.argwhere(~np.isfinite(samples))[0].tolist()
             raise ValueError(f"samples must be finite; index {bad} holds {samples[tuple(bad)]}")
-        support = tuple((int(a), int(b)) for a, b in self.support)
-        if len(support) != samples.ndim:
+        support = np.atleast_1d(np.asarray(self.support, dtype=object))
+        if support.shape != (samples.ndim, 2):
             raise ValueError(f"support must give one (start, stop) range per axis of the "
-                             f"{samples.ndim}-d samples, got {len(support)}")
+                             f"{samples.ndim}-d samples, got {len(support)} entries in "
+                             f"{self.support!r}")
+        support = tuple(map(tuple, as_integers(support, "support").tolist()))
         for (a, b), n in zip(support, samples.shape):
             if not (0 <= a <= b <= n):
                 raise ValueError(f"support range {(a, b)} outside shape {samples.shape}")
@@ -502,17 +506,15 @@ def fourier_batch(f: GridSignal, ball: LatticeBall) -> np.ndarray:
     """F f at every point of a lattice ball, in ball order; pointwise equal
     to fourier_at.
 
-    The one unwindowed row of `_analysis`: the quadrature sum over f's
-    support box, taken with the chirp-z kernel axis by axis over the
-    product of the ball's progressions and read off at its points.  For a
-    real f on a centrally symmetric ball only the half ball xi_d >= 0 is
-    transformed and the rest is mirrored (`LatticeBall.split`).
+    The one unwindowed row of `_analysis`, mirrored onto the whole ball
+    (`LatticeBall.unfold`): the quadrature sum over f's support box, taken
+    with the chirp-z kernel axis by axis over the product of the ball's
+    progressions and read off at its points.  For a real f on a centrally
+    symmetric ball only the half ball xi_d >= 0 is transformed and the rest
+    is mirrored (`LatticeBall.split`).  The core's guards are its own: a
+    ball of another dimension (ValueError) or past the band
+    (FrequencyOutOfRange) is refused, and an empty f or ball gives zeros.
     """
-    if ball.lattice.d != f.d:
-        raise ValueError(f"a {ball.lattice.d}-d frequency ball for a {f.d}-d signal")
-    _check_band(f, ball.points)
-    if f.is_empty() or not ball.points.size:
-        return np.zeros(ball.points.shape[0], dtype=np.complex128)
     values, _ = _analysis(f, ball, _TWO_PI ** (-f.d / 2))
     return ball.unfold(values[0])
 
@@ -570,8 +572,14 @@ def _analysis(f: GridSignal, ball: LatticeBall, scale: float, window=None, shift
     without it), and each row's noise floor.  A row sums over f's support
     box or its window box clipped to it; its floor counts that box's samples
     (_EPS_FLOOR * sqrt(count) * scaled absolute mass).  A row whose box is
-    empty (b <= a on some axis) is 0 with floor 0 and is not transformed:
-    the batches run over the others."""
+    empty (b <= a on some axis, so every row of an empty f), and every row
+    on an empty ball, is 0 with floor 0 and is not transformed: the batches
+    run over the others.  First, the guards of every caller: ValueError for
+    a ball of another dimension than f, then FrequencyOutOfRange for one
+    past the band (`_check_band`)."""
+    if ball.lattice.d != f.d:
+        raise ValueError(f"a {ball.lattice.d}-d frequency ball for a {f.d}-d signal")
+    _check_band(f, ball.points)
     a, b = np.array(f.support).T[:, None]
     if window is not None:
         a, b = _index_box(window.lo + shifts, window.hi + shifts, f.origin, f.spacing, a, b)
@@ -581,7 +589,7 @@ def _analysis(f: GridSignal, ball: LatticeBall, scale: float, window=None, shift
     n = ball.points.shape[0] if isinstance(computed, slice) else computed.size
     values = np.empty((a.shape[0], n), dtype=np.complex128)
     floors = np.empty(a.shape[0])
-    empty = np.any(b <= a, axis=1)
+    empty = np.any(b <= a, axis=1) | (n == 0)
     values[empty], floors[empty] = 0.0, 0.0
     if empty.all():
         return values, floors

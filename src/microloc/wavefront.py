@@ -23,7 +23,8 @@ box, and the band it leaves off its points nearest the axes.
 The modulation stage reads its rows (eps, j) from a row store
 (`_RowStore`) over the distinct x0s asked: a scan's holds each x0 its
 questions name, once however often it is named, a point verdict's its one
-x0.  The store builds each distinct row once, when the first x0 reads it,
+x0.  The store runs each x0's checks once, keeping the error they raise for
+that x0's turn, builds each distinct row once, when the first x0 reads it,
 keeps its magnitudes and noise floor until the last x0 that reads it, and
 transforms no row whose window box misses the signal support (such a row is
 0, see `signal._analysis`).
@@ -219,9 +220,9 @@ def _fl_stage(f: GridSignal, pair: LatticePair, x0: np.ndarray, ball):
 
 def _support_rows(f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: float | None):
     """The modulation route's checks on x0 and the Gabor rows its verdict
-    reads: the system at x0's epsilon and J_{x0}(eps) (`support_index_set`).
-    epsilon defaults to `choose_epsilon`; a given one must keep the windows
-    holding x0 inside the domain."""
+    reads: the system at x0's epsilon, J_{x0}(eps) (`support_index_set`)
+    and the rows' keys (eps, *j).  epsilon defaults to `choose_epsilon`; a
+    given one must keep the windows holding x0 inside the domain."""
     _require_interior(f, x0)
     if epsilon is None:
         epsilon = choose_epsilon(f, sys, x0)
@@ -231,68 +232,66 @@ def _support_rows(f: GridSignal, sys: GaborSystem, x0: np.ndarray, epsilon: floa
             "stick out of the signal domain"
         )
     sys_eps = sys.with_epsilon(epsilon)
-    return sys_eps, support_index_set(sys_eps, x0)
+    js = support_index_set(sys_eps, x0)
+    return sys_eps, js, [(sys_eps.epsilon, *j) for j in js.tolist()]
 
 
 class _RowStore:
-    """The Gabor rows (eps, j) that the modulation verdicts at the points of
-    x_grid read, each built once: its magnitudes |c_{j,k}| (float64) and its
-    noise floor, held from the first x0 that reads it to the last.
+    """The Gabor rows (eps, j) that the modulation verdicts at a list of x0s
+    read, each built once: its magnitudes |c_{j,k}| (float64) and its noise
+    floor, held from the first x0 that reads it to the last.
 
-    On construction every x0 runs `_support_rows`, never the ball, which
-    gives the last x0 (by index) that reads each row; an x0 whose checks
-    fail reads none, and `table` runs them again in its turn, so they raise
-    there.  The x0s ask `table` in index order, all on one ball."""
+    On construction every x0 runs `_support_rows` once, never the ball:
+    `supports` keeps its result, or the MicrolocError its checks raised,
+    and `last` the last x0 (by index) that reads each row; an x0 whose
+    checks failed reads none.  The x0s ask `table` in index order, all on
+    one ball.  Each held row is its own array, so every table is stacked
+    from held rows and no row is copied out of a table."""
 
     def __init__(self, f: GridSignal, sys: GaborSystem, x_grid, epsilon: float | None):
-        self.f, self.sys, self.x_grid, self.epsilon = f, sys, x_grid, epsilon
-        self.supports: list = []  # per x0, `_support`, or None where its checks fail
-        self.last: dict = {}
-        for i in range(len(x_grid)):
+        self.f = f
+        self.supports: list = []
+        for x0 in x_grid:
             try:
-                support = self._support(i)
-            except MicrolocError:
-                support = None
-            else:
-                self.last.update(dict.fromkeys(support[2], i))
-            self.supports.append(support)
+                self.supports.append(_support_rows(f, sys, x0, epsilon))
+            except MicrolocError as exc:
+                self.supports.append(exc)
+        self.last = {key: i for i, support in enumerate(self.supports)
+                     if not isinstance(support, MicrolocError) for key in support[2]}
         self.held: dict = {}
-
-    def _support(self, i: int):
-        """`_support_rows` at x0 = x_grid[i] and the keys (eps, *j) of its rows."""
-        sys_eps, js = _support_rows(self.f, self.sys, self.x_grid[i], self.epsilon)
-        return sys_eps, js, [(sys_eps.epsilon, *j) for j in js.tolist()]
 
     def table(self, i: int, ball):
         """The shell geometry `ball()` and the table of |c_{j,k}| on
-        J_{x0}(eps) at x0 = x_grid[i], each row with its floor, after x0's
-        checks.  The rows no earlier x0 built are built by one `coefficients`
-        call, in J order, and are the table when no row was held; otherwise
-        the table stacks held and new rows in J order.  Then every held row
-        no later x0 reads is dropped, and each new row a later x0 reads is
-        copied out of the table, which goes with its x0."""
-        sys_eps, js, keys = self.supports[i] or self._support(i)
+        J_{x0}(eps) at the i-th x0, each row with its floor; the error of
+        x0's checks, raised again, before the ball is asked.  The rows no
+        earlier x0 built are built by one `coefficients` call, in J order,
+        and held as one magnitude array each; the table stacks the x0's held
+        rows in J order, and then every held row no later x0 reads is
+        dropped."""
+        support = self.supports[i]
+        if isinstance(support, MicrolocError):
+            raise support
+        sys_eps, js, keys = support
         geometry = ball()
         new = [r for r, key in enumerate(keys) if key not in self.held]
         if new:
             built = coefficients(self.f, sys_eps, geometry.ball.radius, js=js[new],
                                  ball=geometry.ball)
-            mags, floors = np.abs(built.values), built.floors
+            self.held.update((keys[r], (np.abs(row), floor))
+                             for r, row, floor in zip(new, built.values, built.floors))
             del built  # the complex rows go before the table is stacked
-        if len(new) < len(keys):  # J_{x0}(eps) is never empty
-            fresh = dict(zip(new, zip(mags, floors))) if new else {}
-            rows = [fresh.get(r) or self.held[key] for r, key in enumerate(keys)]
-            mags, floors = np.stack([m for m, _ in rows]), np.array([fl for _, fl in rows])
+        rows = [self.held[key] for key in keys]  # J_{x0}(eps) is never empty
+        mags, floors = np.stack([m for m, _ in rows]), np.array([fl for _, fl in rows])
         self.held = {key: row for key, row in self.held.items() if self.last[key] > i}
-        self.held.update((keys[r], (mags[r].copy(), floors[r]))
-                         for r in new if self.last[keys[r]] > i)
         return geometry, CoefficientTable(js, geometry.ball, mags, floors)
 
 
 def _mod_stage(store: _RowStore, i: int, ball):
-    """Modulation at x0 = store.x_grid[i]: the table of |c_{j,k}| whose rows
-    are J_{x0}(eps) (`_RowStore.table`), binned by `discrete_mod_series`;
-    its j-aggregate is taken once per p, on the shared geometry."""
+    """Modulation at the store's i-th x0: the table of |c_{j,k}| whose rows
+    are J_{x0}(eps) (`_RowStore.table`, which raises the error of x0's
+    checks, run once when the store was built), binned by
+    `discrete_mod_series`; its j-aggregate is taken once per p, on the
+    shared geometry."""
     geometry, table = store.table(i, ball)
     aggregates: dict = {}
 
@@ -422,7 +421,9 @@ class ScanConfig:
 
     Spatial cells of Lambda1 = alpha Z^d - alpha/2 are centred on the lattice
     points, the cutoffs are C-infinity, and each shell series starts at
-    4 x the frequency step.
+    r0 = 4 x the frequency step, so an r_max that leaves no full shell
+    above it (r_max <= 8 beta) is refused here, as `shell_boundaries`
+    refuses it, whatever x0s a scan asks.
     """
 
     pqs: tuple = ((1.0, 1.0, 1.0),)  # (p, q, s) triples
@@ -447,6 +448,8 @@ class ScanConfig:
         if not self.methods or not set(self.methods) <= {"fl", "mod"}:
             raise ValueError(f"methods must be a nonempty subset of fl, mod; got {self.methods!r}")
         _check_settings(self.aperture_deg, self.epsilon, self.r_max, self.margin, self.k_last)
+        if self.r_max is not None:
+            shell_boundaries(_first_edge(scaled_integer_lattice(self.beta, 1)), self.r_max)
 
     @classmethod
     def from_settings(

@@ -341,6 +341,22 @@ def test_malformed_config_values_fail_with_an_error_line(settings, says, fixture
         assert "Traceback" not in err
 
 
+def test_an_r_max_that_leaves_no_full_shell_is_refused_before_the_signal_is_read(
+        fixture_dir, tmp_path, capsys):
+    # the signal path does not exist: the settings are refused first; just
+    # above 8 the one full shell is too few for a fit, which the verdicts say
+    for command in ("analyze", "scan"):
+        assert main([command, "--signal", str(tmp_path / "absent.json"), "--rmax", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: r_max = 8 leaves no full shell above r0 = 4\n"
+    assert main(["analyze", "--signal", str(fixture_dir / "jump.json"), "--rmax", "8.5"]) == 1
+    assert capsys.readouterr().err.startswith("error: TooFewShells: only 1 shells")
+    out = tmp_path / "scan.json"
+    main(["scan", "--signal", str(fixture_dir / "jump.json"), "--rmax", "8.5", "--out", str(out)])
+    records = _payload(out)["result"]["records"]
+    assert records and all(r["error_fl"].startswith("TooFewShells") for r in records)
+
+
 _LINE = {"alpha": 2.5, "gabor_alpha": 2.0, "gabor_alpha1": 5.0, "r_max": 180.0}
 
 

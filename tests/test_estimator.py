@@ -96,6 +96,16 @@ def test_fit_refuses_settings_that_are_not_numbers(name, value):
         WavefrontDetector(**{name: value}).fit(jump_1d(n=2048))
 
 
+def test_fit_refuses_an_r_max_that_leaves_no_full_shell(tmp_path):
+    # refused with the config, whatever rows a prediction would ask: it used
+    # to predict -1 at x0 = 9 (outside the domain) and raise at x0 = 0; the
+    # settings are checked before a signal file is read (this one is absent)
+    for signal in (jump_1d(n=2048), tmp_path / "absent.json"):
+        with pytest.raises(ValueError, match="^r_max = 1 leaves no full shell above r0 = 4$"):
+            WavefrontDetector(r_max=1.0).fit(signal)
+    WavefrontDetector(r_max=8.5).fit(jump_1d(n=2048))
+
+
 def test_get_set_params_round_trip():
     det = WavefrontDetector(q=2.0, s=0.5, aperture_deg=15.0)
     params = det.get_params()

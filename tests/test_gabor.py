@@ -123,6 +123,31 @@ def test_coefficients_zero_signal():
     z = GridSignal.from_samples(np.zeros(2048, complex), [-8.0], [16 / 2048])
     table = coefficients(z, sys0, 20.0)
     assert table.values.shape[0] == 0 or np.all(table.values == 0)
+    # The analysis core owns the guards of both its callers: an all-zero
+    # signal, an empty ball or no translates give zeros of the stored width
+    # (the half ball of a real signal) with zero floors, and a ball past the
+    # band or of another dimension is refused, empty input or not, with the
+    # texts the core gives.
+    ball = LatticeBall.of(sys0.lambda2, 20.0)
+    half = ball.points.shape[0] - ball.split(True)[1].size
+    full = GridSignal.from_samples(np.zeros(2048), [-8.0], [16 / 2048], support=((0, 2048),))
+    f = smooth_bump_1d(n=512)
+    for g, js, rows in ((z, None, 0), (full, None, 19), (f, [], 0), (f, np.zeros((0, 1), int), 0)):
+        table = coefficients(g, sys0, 20.0, js=js)
+        assert np.array_equal(table.values, np.zeros((rows, half), complex))
+        assert np.array_equal(table.floors, np.zeros(rows)) and table.js.shape == (rows, 1)
+    for g in (z, full, f):
+        assert np.array_equal(fourier_batch(g, ball), np.zeros(41)) or g is f
+        empty = fourier_batch(g, LatticeBall.of(sys0.lambda2, -1.0))
+        assert empty.shape == (0,) and empty.dtype == complex
+        past = "requested |xi| up to [1000.] exceeds the guarded band"
+        for js in (None, []):
+            with pytest.raises(FrequencyOutOfRange, match=re.escape(past)):
+                coefficients(g, sys0, 1000.0, js=js)
+        with pytest.raises(FrequencyOutOfRange, match=re.escape(past)):
+            fourier_batch(g, LatticeBall.of(sys0.lambda2, 1000.0))
+        with pytest.raises(ValueError, match="^a 2-d frequency ball for a 1-d signal$"):
+            fourier_batch(g, LatticeBall.of(scaled_integer_lattice(1.0, 2), 100.0))
 
 
 @pytest.mark.parametrize("js,bad", [
@@ -279,6 +304,18 @@ def test_coefficient_noise_floor_rule():
             floor = np.finfo(float).eps * 64 * math.sqrt(max(count, 1)) * g.quad_l1()
             got = coefficients(f, sys0, 8.0, js=np.array([j])).noise_floor
             assert got == pytest.approx(TWO_PI ** (f.d / 2) * floor, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("d,system_d,js", [(1, 2, None), (1, 2, [[0, 0]]), (2, 1, [[0]])],
+                         ids=["1d-default-js", "1d-pair-js", "2d-single-js"])
+def test_coefficients_refuse_a_gabor_system_of_another_dimension(d, system_d, js):
+    # checked before js, whose shape follows the system: unchecked, the
+    # default js of a 2-d system on a 1-d signal was refused as a js of the
+    # wrong shape, and a js of the system's shape failed with an IndexError
+    # or a broadcasting error
+    want = f"a {system_d}-d Gabor system for a {d}-d signal"
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        coefficients(_signal(d), build_agp(1.0, 1.0, d=system_d), 4.0, js=js)
 
 
 def test_coefficients_refuse_frequencies_past_the_band():

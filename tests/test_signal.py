@@ -1,4 +1,5 @@
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -253,6 +254,25 @@ def test_grid_signal_refuses_a_support_of_another_length_than_its_axes():
             GridSignal(np.zeros(2), np.full(2, 0.25), samples, support)
     f = GridSignal(np.zeros(2), np.full(2, 0.25), samples, ((0, 3), (0, 8)))
     assert np.array_equal(f.support_box[1], [0.5, 1.75])
+
+
+@pytest.mark.parametrize("support,says", [
+    (((0.5, 3), (0, 8)), "support must hold integers only, got 0.5"),
+    (((True, 3), (0, 8)), "support must hold integers only, got True"),
+    ((("0", 3), (0, 8)), "support must hold integers only, got '0'"),
+    ((3, 8), "support must give one (start, stop) range per axis of the 2-d samples, "
+             "got 2 entries in (3, 8)"),
+    (((0, 3, 5), (0, 8, 2)), "support must give one (start, stop) range per axis of the 2-d "
+                             "samples, got 2 entries in ((0, 3, 5), (0, 8, 2))"),
+], ids=["fraction", "bool", "text", "flat-pair", "triples"])
+def test_grid_signal_refuses_support_entries_that_are_not_integer_ranges(support, says):
+    # read as (int(a), int(b)), 0.5 became 0, True 1 and "0" 0, and a flat
+    # pair or a triple failed to unpack without naming `support`
+    samples = np.ones((8, 8))
+    with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+        GridSignal(np.zeros(2), np.full(2, 0.25), samples, support)
+    f = GridSignal(np.zeros(2), np.full(2, 0.25), samples, np.array([[1, 3], [0, 8]]))
+    assert f.support == ((1, 3), (0, 8)) and all(type(v) is int for r in f.support for v in r)
 
 
 @lru_cache(maxsize=None)

@@ -838,6 +838,56 @@ def test_scan_config_rejects_inadmissible_pair(jump):
         cfg.lattice_pair(1)
 
 
+def test_scan_config_refuses_an_r_max_that_leaves_no_full_shell(jump):
+    # The shells start at r0 = 4 beta, so an r_max at or under 8 beta leaves
+    # none.  It is refused when the config is built, with the text of
+    # `shell_boundaries`: a scan used to record DomainClipped at an x0 outside
+    # the domain and raise at one inside it.
+    for beta in (1.0, 0.5):
+        for r_max in (8 * beta, beta):
+            says = f"r_max = {r_max:g} leaves no full shell above r0 = {4 * beta:g}"
+            with pytest.raises(ValueError, match=f"^{says}$"):
+                ScanConfig(beta=beta, r_max=r_max)
+        cfg = ScanConfig(beta=beta, r_max=8 * beta * (1 + 1e-6), methods=("fl",))
+        records = scan(jump, [[9.0], [0.0]], [[1.0]], cfg).records
+        assert [r.error_fl.split(":")[0] for r in records] == ["DomainClipped", "TooFewShells"]
+
+
+def test_scan_and_point_verdict_run_each_x0s_modulation_checks_once(jump, monkeypatch):
+    # The row store runs the checks of each distinct x0 once, when it is
+    # built, and raises the error they gave in that x0's turn: the records of
+    # an x0 that fails them carry the error the point verdict raises.  9 and
+    # -8 are not interior to the domain [-8, 8); at epsilon = 1/2 the windows
+    # around 6 reach past 8.
+    calls = []
+
+    def counted(f, sys0, x0, epsilon):
+        calls.append(float(x0[0]))
+        return support_rows(f, sys0, x0, epsilon)
+
+    support_rows = wavefront._support_rows
+    monkeypatch.setattr(wavefront, "_support_rows", counted)
+    cases = (
+        (None, [[1.0], [9.0], [0.0], [9.0], [-8.0], [1.0], [0.5]], {9.0: DomainClipped,
+                                                                  -8.0: DomainClipped}),
+        (0.5, [[6.0], [0.0], [6.0]], {6.0: EpsilonTooLarge}),
+    )
+    for epsilon, x_grid, failing in cases:
+        cfg = ScanConfig(methods=("mod",), epsilon=epsilon)
+        calls.clear()
+        records = scan(jump, x_grid, [[1.0], [-1.0]], cfg).records
+        assert calls == list(dict.fromkeys(x for (x,) in x_grid))
+        for x0, error in failing.items():
+            calls.clear()
+            with pytest.raises(error) as refused:
+                df_mod_point(jump, WavefrontQuery([x0], [1.0], epsilon=epsilon),
+                             cfg.gabor_system(1))
+            assert calls == [x0]
+            texts = {r.error_mod for r in records if r.x0 == [x0]}
+            assert texts == {f"{error.__name__}: {refused.value}"}
+        assert all(r.verdict_mod is not None for r in records if r.x0[0] not in failing)
+
+
 def test_scan_enumerates_the_ball_once_and_tests_each_cone_once(jump, monkeypatch):
     # Both routes bin on one shell geometry and every coefficient table is
     # built on its ball: the scan enumerates the beta-lattice ball once,
