@@ -31,12 +31,16 @@ ball.  Per spectrum (per x0) come the magnitudes, and for the modulation
 route the j-aggregate over every row of the x0's table, whose rows are
 J_{x0}(eps), once per exponent p (a scan builds each row once, for every
 x0 that reads it, and its x0s' tables hold the rows' magnitudes, see
-`wavefront._RowStore`); per series (per record, always on one cone) only
-the gather of the cone's magnitudes, the weighted power sums per shell and
-the shell maxima.  For a real signal |F f(-xi)| = |F f(xi)| and
-c_{j,-k} = conj(c_{j,k}), so on a centrally symmetric ball, a scan's
-included, every route, the oracle's too, transforms only the half ball
-xi_d >= 0 (a cone's points are never symmetric and are all transformed).
+`wavefront._RowStore`).  Per spectrum and cone, cached on the spectrum and
+dropped with it: the gather of the cone's magnitudes, their unweighted
+maximum per shell, and the weighted magnitudes per exponent s.  Per series
+(per record, always on one cone) only the q-th powers summed per shell and
+their running total, or at q = inf the weighted shell maxima; `classify`
+then reads at most k_last shells, on Python floats.  For a real signal
+|F f(-xi)| = |F f(xi)| and c_{j,-k} = conj(c_{j,k}), so on a centrally
+symmetric ball, a scan's included, every route, the oracle's too,
+transforms only the half ball xi_d >= 0 (a cone's points are never
+symmetric and are all transformed).
 `fourier_batch` mirrors its values onto the whole ball; a coefficient table
 holds only the computed columns, and its j-aggregates are taken on them and
 mirrored (`CoefficientTable.aggregate`), so every spectrum covers the
@@ -48,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -80,12 +85,35 @@ def shell_boundaries(r0: float, r_max: float) -> np.ndarray:
 class SpectralSamples:
     """Spectrum magnitudes on the points of the shell geometry they were
     sampled on, ready for binning on it, and the noise floor below which a
-    magnitude is round-off, which every series binned from them carries."""
+    magnitude is round-off, which every series binned from them carries.
+
+    Per cone (axis and aperture) it caches, on first use, what every series
+    binned on that cone shares: the gather of the cone's magnitudes, their
+    maximum per shell, and the weighted magnitudes per exponent s.  The
+    cache lives and dies with the spectrum (in a scan, with its x0's stage),
+    so nothing that depends on spectrum values outlives it.
+    """
 
     geometry: ShellGeometry
     magnitudes: np.ndarray  # (n,) nonnegative, one per geometry point
     cell_weight: float  # 1 for lattice sums, delta^d for quadrature
     noise_floor: float
+    _cones: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _on_cone(self, cone: Cone, omega: Weight) -> tuple[np.ndarray, np.ndarray]:
+        """The cone's unweighted maximum per shell (core first) and its
+        magnitudes times omega, both on `cone_index`'s points."""
+        sel, idx, counts = self.geometry.cone_index(cone)
+        key = (cone.axis.tobytes(), cone.aperture)
+        if key not in self._cones:
+            mags = self.magnitudes[sel]
+            absmax = np.zeros(counts.size + 1)
+            np.maximum.at(absmax, idx, mags)
+            self._cones[key] = (mags, absmax, {})
+        mags, absmax, weighted = self._cones[key]
+        if omega.s not in weighted:
+            weighted[omega.s] = mags * self.geometry.weight(omega)[sel]
+        return absmax, weighted[omega.s]
 
 
 def lattice_samples(f: GridSignal, geometry: ShellGeometry) -> SpectralSamples:
@@ -186,33 +214,28 @@ def _first_edge(lat: Lattice) -> float:
 
 def series_from_spectrum(spec: SpectralSamples, omega: Weight, q, cone: Cone) -> ConeSumSeries:
     """Bin weighted spectrum samples into the geometric cone shells of the
-    geometry they were sampled on; the series carries their noise floor."""
+    geometry they were sampled on; the series carries their noise floor.
+    The cone's gather, shell maxima and weighted magnitudes come from the
+    spectrum's cache, so a call sums only the q-th powers per shell (or
+    takes the weighted shell maxima at q = inf)."""
     q = check_exponent(q, "q")
     geometry = spec.geometry
     bounds = geometry.boundaries
-    n_shell = bounds.size - 1
-    sel, idx, counts = geometry.cone_index(cone)
-    mags = spec.magnitudes[sel]
-    weighted = mags * geometry.weight(omega)[sel]
-
-    absmax = np.zeros(n_shell + 1)
-    np.maximum.at(absmax, idx, mags)
-    absmax = absmax[1:]
-
+    _, idx, counts = geometry.cone_index(cone)
+    absmax, weighted = spec._on_cone(cone, omega)
     if math.isinf(q):
-        shell_max = np.zeros(n_shell + 1)
+        shell_max = np.zeros(counts.size + 1)
         np.maximum.at(shell_max, idx, weighted)
         core = float(shell_max[0])
         a = shell_max[1:]
-        s = np.maximum.accumulate(np.concatenate(([core], a)))[1:]
+        s = np.maximum.accumulate(shell_max)[1:]
     else:
-        contrib = weighted**q * spec.cell_weight
-        sums = np.bincount(idx, weights=contrib, minlength=n_shell + 1)
+        sums = np.bincount(idx, weights=weighted**q * spec.cell_weight, minlength=counts.size + 1)
         core = float(sums[0])
         a = sums[1:]
         s = core + np.cumsum(a)
     d = geometry.ball.lattice.d
-    return ConeSumSeries(bounds, a, s, counts, absmax, q, d, core, spec.noise_floor)
+    return ConeSumSeries(bounds, a, s, counts, absmax[1:], q, d, core, spec.noise_floor)
 
 
 def j_aggregate(
@@ -297,17 +320,22 @@ class Verdict:
         }
 
 
-def _weighted_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+def _weighted_fit(x, y, w) -> tuple[float, float]:
     """Slope and weighted rms residual of the line minimizing
     sum (w (y - a x - b))^2, as np.polyfit(x, y, 1, w=w) fits it: in closed
-    form from the means weighted by w^2 and one slope."""
-    w2 = w * w
-    total = np.sum(w2)
-    dx = x - np.sum(w2 * x) / total
-    dy = y - np.sum(w2 * y) / total
-    slope = np.sum(w2 * dx * dy) / np.sum(w2 * dx * dx)
-    resid = dy - slope * dx
-    return float(slope), float(np.sqrt(np.sum(w2 * resid * resid) / total))
+    form from the means weighted by w^2 and one slope, on Python floats (a
+    fit spans at most k_last shells, too few for numpy's per-call overhead
+    to pay)."""
+    w2 = list(map(mul, w, w))
+    total = sum(w2)
+    mx = sum(map(mul, w2, x)) / total
+    my = sum(map(mul, w2, y)) / total
+    dx = [xi - mx for xi in x]
+    dy = [yi - my for yi in y]
+    w2dx = list(map(mul, w2, dx))
+    slope = sum(map(mul, w2dx, dy)) / sum(map(mul, w2dx, dx))
+    resid = [v - slope * u for u, v in zip(dx, dy)]
+    return float(slope), math.sqrt(sum(map(mul, map(mul, w2, resid), resid)) / total)
 
 
 def classify(
@@ -319,19 +347,23 @@ def classify(
 
     See the module docstring for the decision rule.  A Cauchy cross-check
     (a stabilized partial sum cannot belong to a divergent series) may
-    downgrade a divergent fit to inconclusive; it never upgrades.
+    downgrade a divergent fit to inconclusive; it never upgrades.  The
+    window, the floor rule and the fit run on Python floats: they read at
+    most k_last shells.
     """
     check_fit_window(k_last)
     q, d = series.q, series.d
     threshold = 0.0 if math.isinf(q) else -d / q
 
-    structural = np.nonzero(series.counts > 0)[0]
-    if structural.size < 4:
+    counts = series.counts.tolist()
+    structural = [m for m, c in enumerate(counts) if c > 0]
+    if len(structural) < 4:
         raise TooFewShells(
-            f"only {structural.size} shells hold frequency points; need >= 4"
+            f"only {len(structural)} shells hold frequency points; need >= 4"
         )
 
-    total = float(series.S[structural[-1]])
+    partial = series.S.tolist()
+    total = float(partial[structural[-1]])
     if math.isinf(q):
         norm_estimate = total
     else:
@@ -342,40 +374,39 @@ def classify(
         )
 
     floor = series.noise_floor
+    absmax, a = series.shell_absmax.tolist(), series.a.tolist()
+    edges = series.boundaries.tolist()
     window = structural[-k_last:]
-    floored = window[series.shell_absmax[window] <= floor]
-    fit_idx = window[(series.shell_absmax[window] > floor) & (series.a[window] > 0)]
+    fit_idx = [m for m in window if absmax[m] > floor and a[m] > 0]
 
     diagnostics: dict = {
-        "n_fit": int(fit_idx.size),
-        "n_floored": int(floored.size),
-        "shells_used": series.boundaries[1:][fit_idx].tolist(),
+        "n_fit": len(fit_idx),
+        "n_floored": sum(1 for m in window if absmax[m] <= floor),
+        "shells_used": [edges[m + 1] for m in fit_idx],
     }
 
-    if fit_idx.size < 4:
+    if len(fit_idx) < 4:
         # The spectrum tail decayed into quadrature round-off: that is decay
         # evidence, so the series is finite at working precision.
         diagnostics["reason"] = "tail below quadrature noise floor"
         return Verdict("finite", norm_estimate, None, threshold, margin, diagnostics)
 
-    x = np.log(series.boundaries[1:][fit_idx])
+    x = [math.log(edges[m + 1]) for m in fit_idx]
     if math.isinf(q):
-        y = np.log(series.a[fit_idx])
-        w = np.ones(fit_idx.size)
+        y = [math.log(a[m]) for m in fit_idx]
+        w = [1.0] * len(fit_idx)
     else:
-        widths = (series.boundaries[1:] - series.boundaries[:-1])[fit_idx]
-        y = np.log(series.a[fit_idx] / widths)
-        w = np.sqrt(series.counts[fit_idx])
+        y = [math.log(a[m] / (edges[m + 1] - edges[m])) for m in fit_idx]
+        w = [math.sqrt(counts[m]) for m in fit_idx]
     # Inner shells can carry a transient (cutoff transition spectrum, window
     # spread) that has not reached the power-law regime.  Drop leading
     # shells while doing so still moves the slope, keeping at least 4.
     sigma, resid = _weighted_fit(x, y, w)
     trimmed = 0
-    while x.size > 4:
-        sigma_drop, resid_drop = _weighted_fit(x[1:], y[1:], w[1:])
+    while len(x) - trimmed > 4:
+        sigma_drop, resid_drop = _weighted_fit(x[trimmed + 1:], y[trimmed + 1:], w[trimmed + 1:])
         if abs(sigma_drop - sigma) <= _TRIM_TOL:
             break
-        x, y, w = x[1:], y[1:], w[1:]
         sigma, resid = sigma_drop, resid_drop
         trimmed += 1
     tau = sigma if math.isinf(q) else (sigma - (d - 1)) / q
@@ -385,8 +416,8 @@ def classify(
 
     rel_tail = None
     if not math.isinf(q) and total > 0:
-        half = structural[structural.size // 2]
-        rel_tail = float((series.S[structural[-1]] - series.S[half]) / total)
+        half = structural[len(structural) // 2]
+        rel_tail = (partial[structural[-1]] - partial[half]) / total
         diagnostics["rel_tail"] = rel_tail
 
     dist = tau - threshold

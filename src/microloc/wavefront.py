@@ -558,7 +558,7 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
     df_fl_point and df_mod_point give for its question.  The records come
     in x_grid, then directions, then cfg.pqs order, and every distinct x0
     (by its bytes) is worked once, at its first place in x_grid: an x0
-    listed twice costs what it costs once.  The work is shared at four
+    listed twice costs what it costs once.  The work is shared at five
     levels:
     - once per scan, one enumeration of the beta-lattice ball's points
       inside the last full shell and one shell geometry on them
@@ -577,7 +577,17 @@ def scan(f: GridSignal, x_grid, directions, cfg: ScanConfig) -> WavefrontEstimat
       distinct p), or the error it raised, recorded in every row of that
       x0.  Routes run in the order fl, mod, and an x0's stages are dropped
       before the next x0's;
-    - per record, the cone gather, the shell sums and `classify`.
+    - once per spectrum of an x0 (the windowed one, or a j-aggregate per
+      p) and cone, the cone's gathered magnitudes, their shell maxima and
+      their weighted magnitudes per s, cached on the spectrum and dropped
+      with the x0's stages;
+    - per record, the shell sums of the q-th powers (the weighted shell
+      maxima at q = inf) and `classify`, one `Weight` per (p, q, s) of
+      cfg.pqs serving every record.
+
+    A default r_max (`default_r_max`, from f's spacing) that leaves no full
+    shell is refused before any x0 is worked, as `ScanConfig` refuses a
+    given one.
     """
     _listed(x_grid, "x_grid must be a list of points")
     _listed(directions, "directions must be a list of vectors")
@@ -600,6 +610,11 @@ def _scan(f: GridSignal, questions, cfg: ScanConfig) -> WavefrontEstimate:
     x_grid = [questions[ns[0]][0] for ns in at.values()]
 
     pair = cfg.lattice_pair(f.d)
+    if cfg.r_max is None:
+        # the default r_max depends on f's spacing, so ScanConfig cannot
+        # refuse it: refuse it here, before any x0's checks, as
+        # `_frequencies` would refuse it for an x0 that passed them
+        shell_boundaries(_first_edge(pair.lambda2), default_r_max(f))
     store = (_RowStore(f, cfg.gabor_system(f.d), x_grid, cfg.epsilon)
              if "mod" in cfg.methods else None)
     ball = cache(lambda: _frequencies(f, pair.lambda2, cfg.r_max))
@@ -608,6 +623,7 @@ def _scan(f: GridSignal, questions, cfg: ScanConfig) -> WavefrontEstimate:
         "mod": lambda i: _mod_stage(store, i, ball),
     }
     methods = [m for m in stages if m in cfg.methods]
+    triples = [(p, q, s, Weight.bracket_power(s)) for p, q, s in cfg.pqs]
     placed: list = [[] for _ in questions]  # per question, its records
 
     for i, (x0, ns) in enumerate(zip(x_grid, at.values())):
@@ -622,8 +638,7 @@ def _scan(f: GridSignal, questions, cfg: ScanConfig) -> WavefrontEstimate:
         for n in ns:
             theta = questions[n][1]
             cone = Cone.from_degrees(theta, cfg.aperture_deg)
-            for p, q, s in cfg.pqs:
-                w = Weight.bracket_power(s)
+            for p, q, s, w in triples:
                 rec = WavefrontRecord([float(v) for v in x0], [float(v) for v in theta],
                                       float(p), float(q), float(s), cfg.aperture_deg, **errors)
                 for m in makers:

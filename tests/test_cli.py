@@ -6,6 +6,8 @@ import pytest
 
 from microloc import ScanConfig, WavefrontDetector, WavefrontQuery
 from microloc.cli import main
+from microloc.fixtures import jump_1d
+from microloc.signal import save_signal
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +341,21 @@ def test_malformed_config_values_fail_with_an_error_line(settings, says, fixture
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError") and says in err
         assert "Traceback" not in err
+
+
+def test_scan_refuses_a_default_r_max_that_leaves_no_full_shell_whatever_its_x0s(
+        tmp_path, capsys):
+    # a step sampled at h = 0.1 gets the default r_max 0.7 / h = 7, under
+    # 2 r0 = 8: refused with exit 1 whether or not an x0 is interior
+    save_signal(jump_1d(n=160), tmp_path / "coarse")
+    for x_grid in ([[0.0], [9.0]], [[9.0]]):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({"x_grid": x_grid}))
+        assert main(["scan", "--signal", str(tmp_path / "coarse.json"), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "scan.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: r_max = 7 leaves no full shell above r0 = 4\n"
+        assert not (tmp_path / "scan.json").exists()
 
 
 def test_an_r_max_that_leaves_no_full_shell_is_refused_before_the_signal_is_read(

@@ -106,6 +106,16 @@ def test_fit_refuses_an_r_max_that_leaves_no_full_shell(tmp_path):
     WavefrontDetector(r_max=8.5).fit(jump_1d(n=2048))
 
 
+def test_predict_refuses_a_default_r_max_that_leaves_no_full_shell_whatever_its_rows():
+    # fit cannot refuse the default r_max = 0.7 / h (7 at h = 0.1) without the
+    # signal's spacing; predict refuses it before any row's x0 is worked, so
+    # a row at x0 = 9 (outside the domain) alone no longer predicts -1
+    detector = WavefrontDetector().fit(jump_1d(n=160))
+    for rows in ([[0.0, 1.0], [9.0, 1.0]], [[9.0, 1.0]]):
+        with pytest.raises(ValueError, match="^r_max = 7 leaves no full shell above r0 = 4$"):
+            detector.predict(rows)
+
+
 def test_get_set_params_round_trip():
     det = WavefrontDetector(q=2.0, s=0.5, aperture_deg=15.0)
     params = det.get_params()

@@ -31,6 +31,7 @@ from microloc.lattice import LatticeBall
 from microloc.seminorm import (
     ShellGeometry,
     SpectralSamples,
+    Verdict,
     _weighted_fit,
     j_aggregate,
     lattice_samples,
@@ -539,3 +540,136 @@ def test_property_closed_form_fit_matches_polyfit(data):
     y_max = float(np.max(np.abs(y)))
     assert abs(slope - coef[0]) <= 1e-12 * max(abs(coef[0]), y_max / np.ptp(x))
     assert abs(rms - want) <= 1e-12 * max(want, y_max)
+
+
+def _reference_fit(x, y, w):
+    """The numpy closed-form fit `classify` used before it ran on Python floats."""
+    w2 = w * w
+    total = np.sum(w2)
+    dx = x - np.sum(w2 * x) / total
+    dy = y - np.sum(w2 * y) / total
+    slope = np.sum(w2 * dx * dy) / np.sum(w2 * dx * dx)
+    resid = dy - slope * dx
+    return float(slope), float(np.sqrt(np.sum(w2 * resid * resid) / total))
+
+
+def _reference_classify(series, k_last, margin=0.15):
+    """`classify` as it was on numpy arrays, with the trim loop on
+    `_reference_fit`: the verdicts the Python-float classify must keep."""
+    q, d = series.q, series.d
+    threshold = 0.0 if math.isinf(q) else -d / q
+    structural = np.nonzero(series.counts > 0)[0]
+    if structural.size < 4:
+        raise TooFewShells(f"only {structural.size} shells hold frequency points; need >= 4")
+    total = float(series.S[structural[-1]])
+    if math.isinf(q):
+        norm_estimate = total
+    else:
+        norm_estimate = total ** (1.0 / q) if total > 0 else 0.0
+    if total == 0.0:
+        return Verdict("finite", 0.0, None, threshold, margin, {"reason": "empty series"})
+    floor = series.noise_floor
+    window = structural[-k_last:]
+    floored = window[series.shell_absmax[window] <= floor]
+    fit_idx = window[(series.shell_absmax[window] > floor) & (series.a[window] > 0)]
+    diagnostics = {
+        "n_fit": int(fit_idx.size),
+        "n_floored": int(floored.size),
+        "shells_used": series.boundaries[1:][fit_idx].tolist(),
+    }
+    if fit_idx.size < 4:
+        diagnostics["reason"] = "tail below quadrature noise floor"
+        return Verdict("finite", norm_estimate, None, threshold, margin, diagnostics)
+    x = np.log(series.boundaries[1:][fit_idx])
+    if math.isinf(q):
+        y = np.log(series.a[fit_idx])
+        w = np.ones(fit_idx.size)
+    else:
+        widths = (series.boundaries[1:] - series.boundaries[:-1])[fit_idx]
+        y = np.log(series.a[fit_idx] / widths)
+        w = np.sqrt(series.counts[fit_idx])
+    sigma, resid = _reference_fit(x, y, w)
+    trimmed = 0
+    while x.size > 4:
+        sigma_drop, resid_drop = _reference_fit(x[1:], y[1:], w[1:])
+        if abs(sigma_drop - sigma) <= 0.06:
+            break
+        x, y, w = x[1:], y[1:], w[1:]
+        sigma, resid = sigma_drop, resid_drop
+        trimmed += 1
+    tau = sigma if math.isinf(q) else (sigma - (d - 1)) / q
+    diagnostics.update({"sigma": sigma, "residual": resid, "n_trimmed": trimmed})
+    rel_tail = None
+    if not math.isinf(q) and total > 0:
+        half = structural[structural.size // 2]
+        rel_tail = float((series.S[structural[-1]] - series.S[half]) / total)
+        diagnostics["rel_tail"] = rel_tail
+    dist = tau - threshold
+    if dist < -margin:
+        return Verdict("finite", norm_estimate, tau, threshold, margin, diagnostics)
+    if dist > margin:
+        if rel_tail is not None and rel_tail < 1e-3:
+            diagnostics["reason"] = "divergent slope but partial sums stabilized"
+            return Verdict("inconclusive", None, tau, threshold, margin, diagnostics)
+        return Verdict("divergent", None, tau, threshold, margin, diagnostics)
+    return Verdict("inconclusive", None, tau, threshold, margin, diagnostics)
+
+
+@st.composite
+def _classify_cases(draw):
+    """A series of 0-12 shells as `series_from_spectrum` makes them, with
+    empty shells, zero shells and floored shells, now and then all zero; a
+    fit window k_last of 4-10 shells; and the largest |log| the fit reads."""
+    d = draw(st.integers(1, 3))
+    q = draw(st.sampled_from([1.0, 2.0, math.inf]))
+    k_last = draw(st.integers(4, 10))
+    m = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.tuples(
+        st.integers(-80, 400).map(lambda c: max(c, 0)),  # points in the shell; 0 leaves it empty
+        st.floats(-50.0, 40.0).map(lambda v: -math.inf if v < -40.0 else v),  # log a_m, or a_m zero
+        st.floats(-40.0, 10.0),  # log of the shell's unweighted maximum
+    ), min_size=m, max_size=m))
+    bounds = draw(st.floats(0.5, 8.0)) * 2.0 ** np.arange(len(rows) + 1)
+    counts = np.array([r[0] for r in rows], dtype=np.int64)
+    a = np.exp([r[1] for r in rows]) * (counts > 0)
+    absmax = np.exp([r[2] for r in rows]) * (counts > 0)
+    core = draw(st.sampled_from([0.0, 1.0, 1e6]))
+    if draw(st.integers(0, 7)) == 0:  # an empty series
+        a, core = 0.0 * a, 0.0
+    floor = draw(st.just(0.0) | st.floats(-60.0, 11.0).map(math.exp))
+    if math.isinf(q):
+        total = np.maximum.accumulate(np.concatenate(([core], a)))[1:]
+    else:
+        total = core + np.cumsum(a)
+    series = ConeSumSeries(bounds, a, total, counts, absmax, q, d, core, floor)
+    logs = [abs(math.log(v)) for v in np.concatenate((a, a / np.diff(bounds))) if v > 0]
+    return series, k_last, max([1.0] + logs)
+
+
+def _close(got, want, scale):
+    if want is None or isinstance(want, (int, str, list)):
+        assert got == want and type(got) is type(want)
+    else:
+        assert isinstance(got, float) and abs(got - want) <= 1e-12 * max(abs(want), scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_classify_cases())
+def test_property_classify_matches_the_numpy_classify(case):
+    # Kinds, codes, diagnostics keys, integers, shells_used and reasons are
+    # equal; floats agree within 1e-12 of the larger of the value and the
+    # largest |log| the fit reads (the fits' round-off is eps times it).
+    series, k_last, scale = case
+    try:
+        want = _reference_classify(series, k_last)
+    except TooFewShells as exc:
+        with pytest.raises(TooFewShells, match=f"^{exc}$"):
+            classify(series, k_last)
+        return
+    got = classify(series, k_last)
+    assert (got.kind, got.code) == (want.kind, want.code)
+    assert list(got.diagnostics) == list(want.diagnostics)
+    for key, value in want.diagnostics.items():
+        _close(got.diagnostics[key], value, scale)
+    for name in ("value", "tau", "threshold", "margin"):
+        _close(getattr(got, name), getattr(want, name), scale)

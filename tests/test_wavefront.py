@@ -35,7 +35,7 @@ from microloc import (
     scan,
 )
 from microloc import gabor, lattice, seminorm, signal, wavefront
-from microloc.fixtures import line_singularity_2d
+from microloc.fixtures import jump_1d, line_singularity_2d
 from microloc.lattice import LatticeBall
 from microloc.seminorm import Verdict, lattice_samples, series_from_spectrum
 from microloc.wavefront import WavefrontEstimate, WavefrontRecord, cutoff_for, default_r_max
@@ -853,6 +853,19 @@ def test_scan_config_refuses_an_r_max_that_leaves_no_full_shell(jump):
         assert [r.error_fl.split(":")[0] for r in records] == ["DomainClipped", "TooFewShells"]
 
 
+def test_scan_refuses_a_default_r_max_that_leaves_no_full_shell_whatever_its_x0s():
+    # The default r_max is 0.7 / h, so a step sampled at h = 0.1 gets 7, under
+    # 8 = 2 r0.  ScanConfig cannot see it; the scan refuses it before it works
+    # any x0.  It used to raise at an interior x0 and record DomainClipped at
+    # x0 = 9, outside the domain [-8, 8), when that was the only x0.
+    coarse = jump_1d(n=160)
+    says = "^r_max = 7 leaves no full shell above r0 = 4$"
+    for x_grid in ([[0.0], [9.0]], [[9.0]], [[9.0], [0.0]]):
+        for methods in (("fl", "mod"), ("fl",), ("mod",)):
+            with pytest.raises(ValueError, match=says):
+                scan(coarse, x_grid, [[1.0]], ScanConfig(methods=methods))
+
+
 def test_scan_and_point_verdict_run_each_x0s_modulation_checks_once(jump, monkeypatch):
     # The row store runs the checks of each distinct x0 once, when it is
     # built, and raises the error they gave in that x0's turn: the records of
@@ -989,6 +1002,50 @@ def test_scan_of_a_grid_listed_twice_peaks_as_the_grid_listed_once(line2d):
             tracemalloc.stop()
         assert len(records) == len(x_grid)
     assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_a_spectrums_cone_cache_goes_with_its_x0(line2d, monkeypatch):
+    # Each spectrum a series is binned from (the windowed spectrum, and one
+    # j-aggregate per p) caches its cones' gathers, shell maxima and weighted
+    # magnitudes.  None of them is alive once its x0's records are made: not
+    # when the next distinct x0's stages start, nor after the scan.  The
+    # scan's one shell geometry holds only cone indices and weights.
+    cfg = ScanConfig(pqs=((1.0, 1.0, 1.0), (2.0, 2.0, 0.0), (1.0, math.inf, 1.0)), alpha=2.5,
+                     beta=1.0, gabor_alpha=2.0, gabor_alpha1=5.0, r_max=70.0)
+    x_grid = [[0.0, 0.5], [0.0, -0.5], [0.0, 0.5], [2.0, 0.0], [0.0, -0.5]]
+    diag = math.sqrt(0.5)
+    directions = [[1.0, 0.0], [0.0, -1.0], [diag, diag]]
+    spectra, geometries, worked = [], set(), []
+
+    def binned(spec, omega, q, cone):
+        spectra.append((len(worked) - 1, id(spec), weakref.ref(spec)))
+        geometries.add(spec.geometry)
+        return bin_series(spec, omega, q, cone)
+
+    def stage(f, pair, x0, ball):
+        assert all(ref() is None for _, _, ref in spectra)
+        worked.append(x0.tolist())
+        return fl_stage(f, pair, x0, ball)
+
+    bin_series, fl_stage = seminorm.series_from_spectrum, wavefront._fl_stage
+    monkeypatch.setattr(seminorm, "series_from_spectrum", binned)
+    monkeypatch.setattr(wavefront, "series_from_spectrum", binned)
+    monkeypatch.setattr(wavefront, "_fl_stage", stage)
+    records = scan(line2d, x_grid, directions, cfg).records
+    assert worked == [[0.0, 0.5], [0.0, -0.5], [2.0, 0.0]]
+    assert len(records) == 45 and all(r.verdict_fl and r.verdict_mod for r in records)
+    # per x0, one windowed spectrum and the j-aggregates of p = 1 and p = 2
+    assert [len({key for i, key, _ in spectra if i == n}) for n in range(3)] == [3, 3, 3]
+    assert all(ref() is None for _, _, ref in spectra)
+    (geometry,) = geometries
+    assert set(vars(geometry)) <= {"ball", "r0", "_cones", "_weights", "boundaries", "shell"}
+    assert len(geometry._cones) == len(directions)
+    for sel, idx, counts in geometry._cones.values():
+        assert sel.dtype.kind == idx.dtype.kind == counts.dtype.kind == "i"
+        assert sel.shape == idx.shape and counts.size == geometry.boundaries.size - 1
+    assert set(geometry._weights) == {1.0, 0.0}
+    for s, weights in geometry._weights.items():
+        assert np.array_equal(weights, Weight.bracket_power(s)(geometry.ball.points))
 
 
 def test_scan_config_refuses_an_empty_pqs():
