@@ -10,17 +10,18 @@ predict() takes rows [x0..., direction...] and returns the verdict codes
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import NotFitted
 from .seminorm import DEFAULT_MARGIN
 from .signal import GridSignal, load_signal
-from .validation import as_float_array, as_real, unit_direction
+from .validation import as_float_array, unit_direction
 from .wavefront import ScanConfig, WavefrontEstimate, _scan
 
 
+@dataclass(eq=False)
 class WavefrontDetector:
     """Estimate wave-front membership of a sampled signal at query pairs.
 
@@ -29,45 +30,28 @@ class WavefrontDetector:
     epsilon (None picks the largest admissible dyadic value per point), the
     radial cutoff r_max and the classifier margin.  `method` selects which
     verdict column predict() reports: "fl", "mod", or "both" (both demands
-    agreement and reports -1 otherwise).
+    agreement and reports -1 otherwise).  The dataclass fields are the
+    parameters, so `__init__` and `__repr__` are generated from them.
     """
 
-    def __init__(
-        self,
-        q=1.0,
-        p=1.0,
-        s=1.0,
-        aperture_deg=20.0,
-        alpha=1.0,
-        beta=1.0,
-        epsilon=None,
-        r_max=None,
-        margin=DEFAULT_MARGIN,
-        method="fl",
-    ):
-        self.q = q
-        self.p = p
-        self.s = s
-        self.aperture_deg = aperture_deg
-        self.alpha = alpha
-        self.beta = beta
-        self.epsilon = epsilon
-        self.r_max = r_max
-        self.margin = margin
-        self.method = method
+    q: float = 1.0
+    p: float = 1.0
+    s: float = 1.0
+    aperture_deg: float = 20.0
+    alpha: float = 1.0
+    beta: float = 1.0
+    epsilon: float | None = None
+    r_max: float | None = None
+    margin: float = DEFAULT_MARGIN
+    method: str = "fl"
 
     # -- sklearn plumbing ------------------------------------------------
 
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [n for n in sig.parameters if n != "self"]
-
     def get_params(self, deep: bool = True) -> dict:
-        return {n: getattr(self, n) for n in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params) -> "WavefrontDetector":
-        valid = set(self._param_names())
+        valid = self.get_params()
         for key, value in params.items():
             if key not in valid:
                 raise ValueError(
@@ -77,10 +61,6 @@ class WavefrontDetector:
             setattr(self, key, value)
         return self
 
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
-
     # -- estimation -------------------------------------------------------
 
     def fit(self, X, y=None) -> "WavefrontDetector":
@@ -88,8 +68,7 @@ class WavefrontDetector:
         The settings are checked first, before a signal file is read."""
         config = ScanConfig.from_settings(
             self.p, self.q, self.s, method=self.method, epsilon=self.epsilon, r_max=self.r_max,
-            **{name: as_real(getattr(self, name), name)
-               for name in ("aperture_deg", "alpha", "beta", "margin")},
+            aperture_deg=self.aperture_deg, alpha=self.alpha, beta=self.beta, margin=self.margin,
         )
         if isinstance(X, (str,)) or hasattr(X, "__fspath__"):
             X = load_signal(X)

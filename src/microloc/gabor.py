@@ -264,15 +264,13 @@ class CoefficientTable:
         return self.ball.unfold(mags), floor
 
 
-def _translates(sys: GaborSystem, lo, hi, tol: float, what: str) -> np.ndarray:
+def _translates(lo, hi, tol: float, what: str) -> np.ndarray:
     """All integer j with lo - tol <= j <= hi + tol per axis, in lexicographic
     order; BudgetExceeded if one passes the index budget, so none that `what`
     describes is dropped."""
     b = _INDEX_BUDGET
     lo = np.ceil(np.clip(lo - tol, -b - 1, b + 1)).astype(int)
     hi = np.floor(np.clip(hi + tol, -b - 1, b + 1)).astype(int)
-    if np.any(hi < lo):
-        return np.zeros((0, sys.d), dtype=int)
     if np.any(lo < -b) or np.any(hi > b):
         raise BudgetExceeded(
             f"translates j = {lo.tolist()}..{hi.tolist()} {what}; "
@@ -288,9 +286,7 @@ def _overlapping_js(f: GridSignal, sys: GaborSystem) -> np.ndarray:
         return np.zeros((0, sys.d), dtype=int)
     lo, hi = f.support_box
     step, reach = sys.epsilon * sys.alpha, sys.epsilon * sys.alpha1 / 2.0
-    return _translates(
-        sys, (lo - reach) / step, (hi + reach) / step, 1e-9, "meet the signal support"
-    )
+    return _translates((lo - reach) / step, (hi + reach) / step, 1e-9, "meet the signal support")
 
 
 def coefficients(
@@ -399,7 +395,7 @@ def support_index_set(sys: GaborSystem, x0) -> np.ndarray:
     x0 = as_point(x0, sys.d, "x0")
     eps, alpha, half = sys.epsilon, sys.alpha, sys.alpha2 / 2.0
     return _translates(
-        sys, (x0 / eps - half) / alpha, (x0 / eps + half) / alpha, 1e-12, f"hold x0 = {x0.tolist()}"
+        (x0 / eps - half) / alpha, (x0 / eps + half) / alpha, 1e-12, f"hold x0 = {x0.tolist()}"
     )
 
 

@@ -300,18 +300,19 @@ class LatticeBall:
         )
 
     @cached_property
-    def _halves(self) -> tuple[np.ndarray | slice, np.ndarray]:
+    def _halves(self) -> tuple[np.ndarray, np.ndarray]:
         if not np.array_equal(self.points[::-1], -self.points):
-            return slice(None), _NO_INDEX
+            return self.split(False)
         last = self.points[:, -1]
         return np.flatnonzero(last >= 0), np.flatnonzero(last < 0)
 
-    def split(self, real: bool) -> tuple[np.ndarray | slice, np.ndarray]:
+    def split(self, real: bool) -> tuple[np.ndarray, np.ndarray]:
         """(computed, mirrored): the indices on which to compute a spectrum and
         those to fill from it, index i by conj(value at n - 1 - i).  For a
         real signal on a centrally symmetric ball they are xi_d >= 0 and
-        xi_d < 0; otherwise every point is computed and none is mirrored."""
-        return self._halves if real else (slice(None), _NO_INDEX)
+        xi_d < 0; otherwise every point is computed (0 .. n - 1) and none is
+        mirrored."""
+        return self._halves if real else (np.arange(self.points.shape[0]), _NO_INDEX)
 
     def unfold(self, values: np.ndarray) -> np.ndarray:
         """Values on every point of the ball, read by the width of the last

@@ -234,25 +234,6 @@ def suite_ground_truth() -> SuiteResult:
             pqs.append((1.0, q, b + ds))
     cfg = ScanConfig(pqs=tuple(pqs), alpha=1.0, beta=1.0, methods=("fl",))
     est = scan(f, [[0.0], [3.0]], [[1.0], [-1.0]], cfg)
-    n_conclusive = 0
-    for rec in est.records:
-        v = rec.verdict_fl
-        if v is None:
-            misses.append({"where": "jump", "x0": rec.x0, "error": rec.error_fl})
-            continue
-        b = 1.0 if math.isinf(rec.q) else 1.0 - 1.0 / rec.q
-        at_jump = abs(rec.x0[0]) < 1e-9
-        if at_jump:
-            want = "divergent" if rec.s > b else "finite"
-        else:
-            want = "finite"
-        if v.is_conclusive:
-            n_conclusive += 1
-            if v.kind != want:
-                misses.append(
-                    {"where": "jump", "x0": rec.x0, "q": rec.q, "s": rec.s,
-                     "got": v.kind, "want": want}
-                )
     f2 = fixtures.line_singularity_2d()
     cfg2 = ScanConfig(
         pqs=((1.0, 1.0, 1.5), (1.0, 2.0, 1.5)),
@@ -261,23 +242,30 @@ def suite_ground_truth() -> SuiteResult:
     deg10 = (math.cos(math.radians(10)), math.sin(math.radians(10)))
     dirs = [(1.0, 0.0), (-1.0, 0.0), deg10, (0.0, 1.0), (0.7071, 0.7071)]
     est2 = scan(f2, [[0.0, 0.0], [0.0, 0.5], [2.0, 0.0], [-2.0, 0.0]], dirs, cfg2)
-    for rec in est2.records:
-        v = rec.verdict_fl
-        if v is None:
-            misses.append({"where": "line", "x0": rec.x0, "error": rec.error_fl})
-            continue
-        on_line = abs(rec.x0[0]) < 1e-9
-        angle_from_normal = math.degrees(
-            math.acos(min(1.0, abs(rec.theta[0])))
-        )
-        want = "divergent" if on_line and angle_from_normal < 20.0 else "finite"
-        if v.is_conclusive:
-            n_conclusive += 1
-            if v.kind != want:
-                misses.append(
-                    {"where": "line", "x0": rec.x0, "theta": rec.theta,
-                     "q": rec.q, "s": rec.s, "got": v.kind, "want": want}
-                )
+
+    def at_jump(rec):
+        b = 1.0 if math.isinf(rec.q) else 1.0 - 1.0 / rec.q
+        return abs(rec.x0[0]) < 1e-9 and rec.s > b
+
+    def on_line(rec):
+        angle_from_normal = math.degrees(math.acos(min(1.0, abs(rec.theta[0]))))
+        return abs(rec.x0[0]) < 1e-9 and angle_from_normal < 20.0
+
+    n_conclusive = 0
+    for where, records, divergent, shown in (
+        ("jump", est.records, at_jump, ("x0", "q", "s")),
+        ("line", est2.records, on_line, ("x0", "theta", "q", "s")),
+    ):
+        for rec in records:
+            v = rec.verdict_fl
+            if v is None:
+                misses.append({"where": where, "x0": rec.x0, "error": rec.error_fl})
+            elif v.is_conclusive:
+                n_conclusive += 1
+                want = "divergent" if divergent(rec) else "finite"
+                if v.kind != want:
+                    misses.append({"where": where, **{k: getattr(rec, k) for k in shown},
+                                   "got": v.kind, "want": want})
     return _result(
         "ground_truth", t0, not misses,
         n_conclusive=n_conclusive, misses=misses,
@@ -391,15 +379,11 @@ def suite_classifier_sanity() -> SuiteResult:
                 tau1 = classify(series(Weight.bracket_power(s0 + t_shift), 1.0, q, cone)).tau
                 worst_shift = max(worst_shift, abs((tau1 - tau0) - t_shift))
 
-    n_sides = 0
-    n_inconclusive = 0
-    for est in _standard_estimates():
-        for rec in est.records:
-            for v in (rec.verdict_fl, rec.verdict_mod):
-                if v is None:
-                    continue
-                n_sides += 1
-                n_inconclusive += 0 if v.is_conclusive else 1
+    estimates = _standard_estimates()
+    n_sides = sum(v is not None for est in estimates for rec in est.records
+                  for v in (rec.verdict_fl, rec.verdict_mod))
+    n_inconclusive = sum(r.n_inconclusive_fl + r.n_inconclusive_mod
+                         for r in map(check_equivalence, estimates))
     rate = n_inconclusive / max(n_sides, 1)
     passed = worst_shift <= 0.05 and rate <= 0.10
     return _result(

@@ -364,14 +364,11 @@ def classify(
 
     partial = series.S.tolist()
     total = float(partial[structural[-1]])
-    if math.isinf(q):
-        norm_estimate = total
-    else:
-        norm_estimate = total ** (1.0 / q) if total > 0 else 0.0
     if total == 0.0:
         return Verdict(
             "finite", 0.0, None, threshold, margin, {"reason": "empty series"}
         )
+    norm_estimate = total if math.isinf(q) else total ** (1.0 / q)
 
     floor = series.noise_floor
     absmax, a = series.shell_absmax.tolist(), series.a.tolist()
@@ -415,7 +412,7 @@ def classify(
     )
 
     rel_tail = None
-    if not math.isinf(q) and total > 0:
+    if not math.isinf(q):
         half = structural[len(structural) // 2]
         rel_tail = (partial[structural[-1]] - partial[half]) / total
         diagnostics["rel_tail"] = rel_tail

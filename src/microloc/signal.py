@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DegenerateBoxes, FrequencyOutOfRange
 from .lattice import Lattice, LatticeBall
-from .validation import as_box, as_integers, as_point
+from .validation import as_box, as_integers, as_point, check_integer, check_positive
 
 DEFAULT_NYQUIST_SAFETY = 0.9
 
@@ -295,8 +295,7 @@ class BumpWindow:
         return vals.reshape(pts.shape[:-1])
 
     def scaled(self, eps: float) -> "BumpWindow":
-        if eps <= 0:
-            raise ValueError("scale factor must be positive")
+        eps = check_positive(eps, "scale factor")
         return BumpWindow(
             self.lo * eps, self.hi * eps, self.factors, self.shift * eps, self.scale * eps
         )
@@ -586,19 +585,16 @@ def _analysis(f: GridSignal, ball: LatticeBall, scale: float, window=None, shift
     # one column per computed point; their ks are gathered inline, so the row
     # loop does not hold them
     computed = ball.split(f.is_real)[0]
-    n = ball.points.shape[0] if isinstance(computed, slice) else computed.size
-    values = np.empty((a.shape[0], n), dtype=np.complex128)
+    values = np.empty((a.shape[0], computed.size), dtype=np.complex128)
     floors = np.empty(a.shape[0])
-    empty = np.any(b <= a, axis=1) | (n == 0)
+    empty = np.any(b <= a, axis=1) | (computed.size == 0)
     values[empty], floors[empty] = 0.0, 0.0
     if empty.all():
         return values, floors
     live = np.flatnonzero(~empty)
     a, b = a[live], b[live]
     progs, lengths, kernels, index, batches = _plan(
-        ball.lattice,
-        ball.ks if isinstance(computed, slice) else np.take(ball.ks, computed, axis=0),
-        f.spacing, a, b)
+        ball.lattice, ball.ks[computed], f.spacing, a, b)
     norm = scale * f.cell_volume
     for rows in batches:
         at, lo, hi = live[rows], a[rows], b[rows]
@@ -725,13 +721,15 @@ def load_signal(path) -> GridSignal:
             raise ValueError(f"signal header {jpath} lacks field {key!r}")
     if header["dtype"] != "c128-le":
         raise ValueError(f"unsupported dtype {header['dtype']!r}")
-    shape = tuple(int(n) for n in header["shape"])
+    d = check_integer(header["d"], 1, "d")
+    shape = as_integers(header["shape"], "shape")
+    if shape.ndim != 1 or np.any(shape < 0):
+        raise ValueError(f"shape must list sizes >= 0, got {header['shape']!r}")
+    if shape.size != d:
+        raise ValueError("header d does not match shape")
     raw = np.frombuffer(bpath.read_bytes(), dtype="<c16")
     if raw.size != int(np.prod(shape)):
         raise ValueError(
             f"{bpath} holds {raw.size} samples but the header promises {np.prod(shape)}"
         )
-    samples = raw.reshape(shape)
-    if len(shape) != int(header["d"]):
-        raise ValueError("header d does not match shape")
-    return GridSignal.from_samples(samples, header["origin"], header["spacing"])
+    return GridSignal.from_samples(raw.reshape(shape), header["origin"], header["spacing"])

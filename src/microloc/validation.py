@@ -34,13 +34,16 @@ def as_float_array(x, name: str = "value") -> np.ndarray:
 def as_integers(x, name: str = "value") -> np.ndarray:
     """x as an integer array; ValueError naming the first entry that is not
     an integer: a float (0.5 and 2.0 alike), a bool or a string, which
-    np.asarray(x, dtype=int) would truncate or parse.  Integer numpy arrays
-    are taken as they are."""
+    np.asarray(x, dtype=int) would truncate or parse, and then one past the
+    int64 range.  Integer numpy arrays are taken as they are."""
     if not (isinstance(x, np.ndarray) and x.dtype.kind in "iu"):
         for v in np.ravel(np.asarray(x, dtype=object)):
             if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Integral):
                 raise ValueError(f"{name} must hold integers only, got {v!r}")
-    return np.asarray(x, dtype=int)
+    try:
+        return np.asarray(x, dtype=int)
+    except OverflowError:
+        raise ValueError(f"{name} must hold integers within the int64 range, got {x!r}") from None
 
 
 def as_point(x, d: int | None = None, name: str = "point") -> np.ndarray:

@@ -82,15 +82,19 @@ def default_r_max(f: GridSignal) -> float:
     return ALIAS_SAFE_FACTOR / float(np.max(f.spacing))
 
 
-def _check_settings(aperture_deg, epsilon, r_max, margin, k_last) -> None:
-    """Range checks of the settings WavefrontQuery and ScanConfig share."""
-    check_in_open(aperture_deg, 0.0, 90.0, "aperture_deg")
-    if epsilon is not None:
-        check_dilation(epsilon)
-    if r_max is not None:
-        check_positive(r_max, "r_max")
-    check_positive(margin, "margin")
-    check_fit_window(k_last)
+def _check_settings(obj) -> None:
+    """Range checks of the settings WavefrontQuery and ScanConfig share; the
+    frozen `obj` keeps the values they return, so a number is held as a
+    float however it was given."""
+    checked = {
+        "aperture_deg": check_in_open(obj.aperture_deg, 0.0, 90.0, "aperture_deg"),
+        "epsilon": None if obj.epsilon is None else check_dilation(obj.epsilon),
+        "r_max": None if obj.r_max is None else check_positive(obj.r_max, "r_max"),
+        "margin": check_positive(obj.margin, "margin"),
+        "k_last": check_fit_window(obj.k_last),
+    }
+    for name, value in checked.items():
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,7 @@ class WavefrontQuery:
     def __post_init__(self):
         object.__setattr__(self, "x0", as_point(self.x0, name="x0"))
         object.__setattr__(self, "direction", unit_direction(self.direction))
-        _check_settings(self.aperture_deg, self.epsilon, self.r_max, self.margin, self.k_last)
+        _check_settings(self)
         object.__setattr__(self, "q", check_exponent(self.q, "q"))
         object.__setattr__(self, "p", check_exponent(self.p, "p"))
         if not isinstance(self.weight, Weight):
@@ -120,10 +124,6 @@ class WavefrontQuery:
     @property
     def cone(self) -> Cone:
         return Cone.from_degrees(self.direction, self.aperture_deg)
-
-    @property
-    def s(self) -> float:
-        return self.weight.s
 
 
 def _interior_distance(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -363,12 +363,14 @@ def aperture_sweep(
 
     Approximates the "every conical neighbourhood" quantifier: membership at
     a point and direction is witnessed only if every tested aperture stays
-    divergent.  Each aperture lies in (0, 90) degrees, as a query's does,
-    and at least one is given.  The windowed spectrum is computed once for
-    all apertures, on the cone of the widest."""
+    divergent.  `apertures` is a list (not a number, str or dict), each in
+    (0, 90) degrees, as a query's is, and at least one is given.  The
+    windowed spectrum is computed once for all apertures, on the cone of the
+    widest."""
     if not pair.is_strong:
         raise ValueError(f"lattice pair must be strongly admissible, got {pair.kind}")
-    apertures = [check_in_open(a, 0.0, 90.0, "aperture_deg") for a in apertures]
+    apertures = [check_in_open(a, 0.0, 90.0, "aperture_deg")
+                 for a in _listed(apertures, "apertures must be a list of apertures in degrees")]
     if not apertures:
         raise ValueError("apertures must list at least one aperture")
     x0, ball = _point_inputs(f, query, pair.lambda2, "lattice pair", apertures)
@@ -440,14 +442,14 @@ class ScanConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "pqs", _triples(self.pqs))
-        check_positive(self.alpha, "alpha")
-        check_positive(self.beta, "beta")
+        object.__setattr__(self, "alpha", check_positive(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", check_positive(self.beta, "beta"))
         for name in ("gabor_alpha", "gabor_alpha1"):
             if getattr(self, name) is not None:
-                check_positive(getattr(self, name), name)
+                object.__setattr__(self, name, check_positive(getattr(self, name), name))
         if not self.methods or not set(self.methods) <= {"fl", "mod"}:
             raise ValueError(f"methods must be a nonempty subset of fl, mod; got {self.methods!r}")
-        _check_settings(self.aperture_deg, self.epsilon, self.r_max, self.margin, self.k_last)
+        _check_settings(self)
         if self.r_max is not None:
             shell_boundaries(_first_edge(scaled_integer_lattice(self.beta, 1)), self.r_max)
 
@@ -523,14 +525,17 @@ class WavefrontEstimate:
         blank for d >= 3, where one angle does not name a direction), fitted
         exponents and verdict codes (1 divergent / 0 finite / -1
         inconclusive, blank on per-record errors)."""
-        p = Path(path)
-        if not self.records:
-            p.write_text("x0_0,theta_deg,p,q,s,tau_fl,tau_mod,fl_code,mod_code\n")
-            return p
-        d = len(self.records[0].x0)
+        d = len(self.records[0].x0) if self.records else 1
         cols = [f"x0_{i}" for i in range(d)] + ["theta_deg", "p", "q", "s"]
         cols += ["tau_fl", "tau_mod", "fl_code", "mod_code"]
         lines = [",".join(cols)]
+
+        def _tau(v):
+            return "" if v is None or v.tau is None else repr(v.tau)
+
+        def _code(v):
+            return "" if v is None else str(v.code)
+
         for r in self.records:
             if d == 1:
                 theta_deg = repr(0.0 if r.theta[0] >= 0 else 180.0)
@@ -538,13 +543,10 @@ class WavefrontEstimate:
                 theta_deg = repr(math.degrees(math.atan2(r.theta[1], r.theta[0])))
             else:
                 theta_deg = ""
-            def _tau(v):
-                return "" if v is None or v.tau is None else repr(v.tau)
-            def _code(v):
-                return "" if v is None else str(v.code)
             cells = [repr(x) for x in r.x0] + [theta_deg, repr(r.p), repr(r.q), repr(r.s)]
             cells += [_tau(r.verdict_fl), _tau(r.verdict_mod), _code(r.verdict_fl), _code(r.verdict_mod)]
             lines.append(",".join(cells))
+        p = Path(path)
         p.write_text("\n".join(lines) + "\n")
         return p
 

@@ -423,6 +423,38 @@ def test_config_file_rejects_unknown_keys(fixture_dir, tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize("config,says", [
+    ("dir", "cannot read config file {path}: [Errno 21] Is a directory"),
+    ("list", "config file {path} must hold a JSON object"),
+], ids=["unreadable", "not-an-object"])
+def test_config_file_must_be_a_readable_json_object(config, says, fixture_dir, tmp_path, capsys):
+    path = tmp_path / config
+    if config == "dir":
+        path.mkdir()
+    else:
+        path.write_text("[1, 2]")
+    assert main(["analyze", "--signal", str(fixture_dir / "jump.json"),
+                 "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: " + says.format(path=path))
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_analyze_and_scan_need_a_signal(command, tmp_path, capsys):
+    assert main([command, "--out", str(tmp_path / "report.json")]) == 1
+    assert capsys.readouterr().err == (f"error: ValueError: {command} needs --signal "
+                                       "(or `signal` in the config file)\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_analyze_refuses_a_header_whose_d_is_not_an_integer(fixture_dir, tmp_path, capsys):
+    # "d": true loaded as d = 1
+    header = json.loads((fixture_dir / "jump.json").read_text())
+    (tmp_path / "jump.json").write_text(json.dumps({**header, "d": True}))
+    (tmp_path / "jump.bin").write_bytes((fixture_dir / "jump.bin").read_bytes())
+    assert main(["analyze", "--signal", str(tmp_path / "jump.json")]) == 1
+    assert capsys.readouterr().err == "error: ValueError: d must be an integer >= 1, got True\n"
+
+
 def test_gabor_check_exit_codes(tmp_path, capsys):
     out = tmp_path / "g.json"
     assert main(["gabor-check", "--alpha", "1.0", "--beta", str(math.pi), "--out", str(out)]) == 0

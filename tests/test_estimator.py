@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from microloc import NotFitted, WavefrontDetector, scan
+from microloc import NotFitted, ScanConfig, WavefrontDetector, scan
 from microloc import gabor, lattice, seminorm, signal, wavefront
 from microloc.fixtures import jump_1d
 
@@ -125,6 +127,36 @@ def test_get_set_params_round_trip():
     assert det.q == 1.0 and det.margin == 0.2
     with pytest.raises(ValueError):
         det.set_params(bogus=1)
+
+
+def test_repr_params_and_clone_are_pinned():
+    det = WavefrontDetector(q=2.0, s=0.5, r_max=90, method="both")
+    assert repr(det) == ("WavefrontDetector(q=2.0, p=1.0, s=0.5, aperture_deg=20.0, alpha=1.0, "
+                         "beta=1.0, epsilon=None, r_max=90, margin=0.15, method='both')")
+    params = det.get_params()
+    assert list(params.items()) == [
+        ("q", 2.0), ("p", 1.0), ("s", 0.5), ("aperture_deg", 20.0), ("alpha", 1.0),
+        ("beta", 1.0), ("epsilon", None), ("r_max", 90), ("margin", 0.15), ("method", "both"),
+    ]
+    clone = type(det)(**params)
+    assert clone is not det and repr(clone) == repr(det) and clone.get_params() == params
+    assert repr(det.fit(jump_1d(n=2048))) == repr(clone) and clone != det
+    with pytest.raises(ValueError, match=r"^invalid parameter 'bogus' for WavefrontDetector; "
+                                         r"valid parameters are \['alpha', 'aperture_deg', "):
+        det.set_params(bogus=1)
+
+
+def test_a_scan_and_a_prediction_of_one_question_write_one_json():
+    # int-valued settings are held as the floats their checks return, so the
+    # scan wrote "aperture_deg": 20 where the prediction wrote 20.0
+    f = jump_1d(n=2048)
+    cfg = ScanConfig(aperture_deg=20, margin=1)
+    assert type(cfg.aperture_deg) is float and type(cfg.margin) is float
+    by_scan = scan(f, [[0.0]], [[1.0]], cfg).to_json()
+    det = WavefrontDetector(aperture_deg=20, margin=1, method="both").fit(f)
+    by_predict = det.predict_records([[0.0, 1.0]]).to_json()
+    assert by_scan["records"][0]["aperture_deg"] == 20.0
+    assert json.dumps(by_scan) == json.dumps(by_predict)
 
 
 def test_not_fitted_and_input_validation():

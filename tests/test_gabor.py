@@ -436,6 +436,17 @@ def test_discrete_mod_norm_examples():
     assert discrete_mod_norm(table, w0, 2, 2) == pytest.approx(direct, rel=1e-12)
 
 
+def test_coefficient_tables_refuse_floors_of_the_wrong_shape_and_norm_an_empty_ball():
+    ball = LatticeBall.of(scaled_integer_lattice(1.0, 1), 3.0)
+    js = np.zeros((2, 1), dtype=int)
+    with pytest.raises(ValueError, match=r"^\(3,\) row floors for 2 translates$"):
+        gabor.CoefficientTable(js, ball, np.zeros((2, 7)), np.zeros(3))
+    empty = LatticeBall(ball.lattice, 0.5, np.zeros((0, 1)), np.zeros((0, 1), dtype=int))
+    table = gabor.CoefficientTable(js, empty, np.zeros((2, 0)))
+    for q in (1.0, math.inf):
+        assert discrete_mod_norm(table, Weight.bracket_power(1.0), 2.0, q) == 0.0
+
+
 @st.composite
 def _mod_norm_case(draw):
     """A random real or complex signal in 1D or 2D, its coefficient table on

@@ -32,6 +32,14 @@ def test_make_lattice_examples():
         make_lattice([[1.0, 0.0], [2.0, 0.0]])
 
 
+def test_make_lattice_and_classify_pair_refuse_mismatched_shapes():
+    with pytest.raises(ValueError, match=r"^basis must be a square \(d, d\) array, "
+                                         r"got shape \(1, 2\)$"):
+        make_lattice([[1.0, 0.0]])
+    with pytest.raises(ValueError, match="^lattices must share a dimension$"):
+        classify_pair(scaled_integer_lattice(1.0, 1), scaled_integer_lattice(1.0, 2))
+
+
 def test_lattice_points_and_coords():
     lat = make_lattice([[2.0, 0.0], [0.0, 2.0]], offset=[0.5, -0.5])
     p = lat.points([3, -1])
@@ -127,7 +135,8 @@ def test_lattice_ball_halves_mirror_through_the_origin():
     assert np.all(ball.points[computed, -1] >= 0) and np.all(ball.points[mirrored, -1] < 0)
     assert not np.array_equal(ball.points[:, -1] >= 0, ball.ks[:, -1] >= 0)
     assert computed.size + mirrored.size == n
-    assert ball.split(real=False)[0] == slice(None) and ball.split(real=False)[1].size == 0
+    every, none = ball.split(real=False)
+    assert np.array_equal(every, np.arange(n)) and none.size == 0
     # integer coordinates symmetric about 0 on an offset lattice: no mirror
     shifted = LatticeBall.of(scaled_integer_lattice(1.0, 1, [0.1]), 5.5)
     assert np.array_equal(shifted.ks[::-1], -shifted.ks)

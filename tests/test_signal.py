@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from functools import lru_cache
@@ -275,6 +276,29 @@ def test_grid_signal_refuses_support_entries_that_are_not_integer_ranges(support
     assert f.support == ((1, 3), (0, 8)) and all(type(v) is int for r in f.support for v in r)
 
 
+def test_grid_signal_refuses_samples_of_another_dimension_or_a_support_past_its_shape():
+    with pytest.raises(ValueError, match="^samples have 1 axes but origin has dimension 2$"):
+        GridSignal(np.zeros(2), np.ones(2), np.ones(8), ((0, 8),))
+    with pytest.raises(ValueError, match=re.escape("support range (0, 9) outside shape (8,)")):
+        GridSignal(np.zeros(1), np.ones(1), np.ones(8), ((0, 9),))
+
+
+def test_windows_refuse_a_wrong_factor_count_scale_radius_or_dimension():
+    w = smooth_bump_window([0.0], 1.0)
+    with pytest.raises(ValueError, match="^1 factors for a 2-d window box$"):
+        signal_mod.BumpWindow(np.zeros(2), np.ones(2), w.factors)
+    # a non-finite factor is refused by name before it is multiplied in: nan
+    # gave "window box lower corner must be finite", inf a RuntimeWarning
+    for eps in (0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^scale factor must be a positive finite number"):
+            w.scaled(eps)
+    assert np.array_equal(w.scaled(2).hi, [2.0])
+    with pytest.raises(ValueError, match="^bump radius must be positive$"):
+        smooth_bump_window([0.0], 0.0)
+    with pytest.raises(ValueError, match="^window dimension does not match the signal$"):
+        multiply(jump_1d(n=64), smooth_bump_window([0.0, 0.0], 1.0))
+
+
 @lru_cache(maxsize=None)
 def _fl_fixture(d, real):
     """The 1D jump or the 2D line, or either times exp(i x_d)."""
@@ -443,6 +467,40 @@ def test_load_signal_rejects_malformed(tmp_path):
     stem2.with_suffix(".bin").write_bytes(b"\x00" * 16)
     with pytest.raises(ValueError):
         load_signal(stem2.with_suffix(".json"))
+    with pytest.raises(ValueError, match="^missing signal header .*none.json$"):
+        load_signal(tmp_path / "none.json")
+
+
+@pytest.mark.parametrize("text,says", [
+    ("index,re,im\n0,1.0\n", "bad CSV row '0,1.0'; expected index,re,im"),
+    ("# origin=0 spacing=1\nindex,re,im\n", "sig.csv holds no samples"),
+    ("0,1,0\n2,1,0\n", "sig.csv must list every index 0..n-1 exactly once"),
+], ids=["short-row", "no-samples", "index-gap"])
+def test_load_signal_refuses_a_malformed_csv(tmp_path, text, says):
+    (tmp_path / "sig.csv").write_text(text)
+    with pytest.raises(ValueError, match=re.escape(says)):
+        load_signal(tmp_path / "sig.csv")
+
+
+@pytest.mark.parametrize("field,value,says", [
+    ("dtype", "f8", "unsupported dtype 'f8'"),
+    ("d", 2, "header d does not match shape"),
+    ("d", True, "d must be an integer >= 1, got True"),
+    ("d", "1", "d must be an integer >= 1, got '1'"),
+    ("shape", [64.7], "shape must hold integers only, got 64.7"),
+    ("shape", [-1, -64], "shape must list sizes >= 0, got [-1, -64]"),
+    ("shape", [[64]], "shape must list sizes >= 0, got [[64]]"),
+    ("shape", [2**70], f"shape must hold integers within the int64 range, got [{2**70}]"),
+], ids=["dtype", "d-against-shape", "d-bool", "d-text", "shape-fraction", "shape-negative",
+        "shape-nested", "shape-past-int64"])
+def test_load_signal_reads_its_header_through_the_checks(tmp_path, field, value, says):
+    # d = true and d = "1" loaded as d = 1, shape [64.7] as 64 samples, and
+    # [-1, -64] failed in numpy's reshape
+    save_signal(jump_1d(n=64), tmp_path / "sig")
+    header = json.loads((tmp_path / "sig.json").read_text())
+    (tmp_path / "sig.json").write_text(json.dumps({**header, field: value}))
+    with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+        load_signal(tmp_path / "sig.json")
 
 
 def test_grid_signal_invariants():

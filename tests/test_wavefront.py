@@ -248,6 +248,17 @@ def test_aperture_sweep_refuses_an_empty_aperture_list(jump, unit_pair):
             aperture_sweep(jump, WavefrontQuery([x0], [1.0]), unit_pair, ())
 
 
+@pytest.mark.parametrize("apertures", [20.0, "20", {20.0: "a", 10.0: "b"}],
+                         ids=["number", "text", "dict"])
+def test_aperture_sweep_takes_its_apertures_as_a_list(jump, unit_pair, apertures):
+    # a number raised a TypeError, "20" was swept as "2" and "0", and a dict
+    # over its keys; refused as scan refuses its lists, before any work
+    for x0 in (3.0, 9.0):
+        with pytest.raises(ValueError, match=r"^apertures must be a list of apertures in "
+                                             r"degrees, got "):
+            aperture_sweep(jump, WavefrontQuery([x0], [1.0]), unit_pair, apertures)
+
+
 def test_direction_scale_invariance(jump, unit_pair):
     a = df_fl_point(jump, WavefrontQuery([0.0], [1.0], q=1.0, weight=1.0), unit_pair)
     b = df_fl_point(jump, WavefrontQuery([0.0], [2.0], q=1.0, weight=1.0), unit_pair)
@@ -685,7 +696,7 @@ def test_frequencies_of_a_cone_drop_its_points_past_the_last_full_shell():
     z2_ball = LatticeBall.of(scaled_integer_lattice(1.0, 2), 6.0)
     computed = z2_ball.split(real=True)[0]
     assert np.array_equal(z2_ball.ks[computed], z2_ball.ks[z2_ball.ks[:, -1] >= 0])
-    assert z2_ball.split(real=False)[0] == slice(None)
+    assert np.array_equal(z2_ball.split(real=False)[0], np.arange(z2_ball.points.shape[0]))
 
 
 def test_verdicts_enumerate_only_the_points_they_bin(line2d, monkeypatch):
