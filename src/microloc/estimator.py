@@ -66,10 +66,7 @@ class WavefrontDetector:
     def fit(self, X, y=None) -> "WavefrontDetector":
         """Bind the signal to analyze; X is a GridSignal or a path to one.
         The settings are checked first, before a signal file is read."""
-        config = ScanConfig.from_settings(
-            self.p, self.q, self.s, method=self.method, epsilon=self.epsilon, r_max=self.r_max,
-            aperture_deg=self.aperture_deg, alpha=self.alpha, beta=self.beta, margin=self.margin,
-        )
+        config = ScanConfig.from_settings(**self.get_params())
         if isinstance(X, (str,)) or hasattr(X, "__fspath__"):
             X = load_signal(X)
         if not isinstance(X, GridSignal):

@@ -100,9 +100,10 @@ class SpectralSamples:
     noise_floor: float
     _cones: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _on_cone(self, cone: Cone, omega: Weight) -> tuple[np.ndarray, np.ndarray]:
-        """The cone's unweighted maximum per shell (core first) and its
-        magnitudes times omega, both on `cone_index`'s points."""
+    def _on_cone(self, cone: Cone, omega: Weight) -> tuple[np.ndarray, ...]:
+        """On `cone_index`'s points: their shell indices and the point count
+        per shell, the cone's unweighted maximum per shell (core first) and
+        its magnitudes times omega."""
         sel, idx, counts = self.geometry.cone_index(cone)
         key = (cone.axis.tobytes(), cone.aperture)
         if key not in self._cones:
@@ -113,7 +114,7 @@ class SpectralSamples:
         mags, absmax, weighted = self._cones[key]
         if omega.s not in weighted:
             weighted[omega.s] = mags * self.geometry.weight(omega)[sel]
-        return absmax, weighted[omega.s]
+        return idx, counts, absmax, weighted[omega.s]
 
 
 def lattice_samples(f: GridSignal, geometry: ShellGeometry) -> SpectralSamples:
@@ -221,8 +222,7 @@ def series_from_spectrum(spec: SpectralSamples, omega: Weight, q, cone: Cone) ->
     q = check_exponent(q, "q")
     geometry = spec.geometry
     bounds = geometry.boundaries
-    _, idx, counts = geometry.cone_index(cone)
-    absmax, weighted = spec._on_cone(cone, omega)
+    idx, counts, absmax, weighted = spec._on_cone(cone, omega)
     if math.isinf(q):
         shell_max = np.zeros(counts.size + 1)
         np.maximum.at(shell_max, idx, weighted)

@@ -25,8 +25,9 @@ both: it refuses a ball of another dimension or past the band, and gives
 plan (`_plan`: progressions, chirp-z kernels, index, row batches) serves
 Gabor synthesis (`gabor.reconstruct`) too, with the adjoint kernel.  The
 kernel is Bluestein's algorithm on `numpy.fft`, axis by axis in any
-dimension.  Direct summation (`_direct`) serves a single frequency (`fourier_at`) and
-is the reference the kernel is tested against.
+dimension.  Direct summation over the nonzero samples of the support box
+(`_direct`) serves a single frequency (`fourier_at`) and is the reference
+the kernel is tested against.
 
 A real signal (`GridSignal.is_real`, checked once per signal) has a
 Hermitian transform, F f(-xi) = conj(F f(xi)), so its spectrum on a
@@ -175,16 +176,6 @@ class GridSignal:
 
     def is_empty(self) -> bool:
         return any(a >= b for a, b in self.support)
-
-    def trimmed(self) -> "GridSignal":
-        """Copy restricted to the support box (fast path for transforms)."""
-        if self.is_empty():
-            return GridSignal.from_samples(
-                np.zeros((0,) * self.d, dtype=np.complex128), self.origin, self.spacing
-            )
-        sl = tuple(slice(a, b) for a, b in self.support)
-        new_origin = self.origin + self.spacing * np.array([a for a, _ in self.support])
-        return GridSignal.from_samples(self.samples[sl], new_origin, self.spacing)
 
     # -- measures ------------------------------------------------------
 
@@ -487,11 +478,14 @@ def _along_axes(a: np.ndarray, kernels, x0s, u0s) -> np.ndarray:
 
 
 def _direct(g: GridSignal, freqs: np.ndarray) -> np.ndarray:
-    mesh = np.meshgrid(*g.axes(), indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
-    flat = g.samples.ravel()
-    nz = np.nonzero(flat)[0]
-    coords, flat = coords[nz], flat[nz]
+    """The quadrature sum at each frequency row, summed directly over the
+    nonzero samples of g's support box, each at (origin + spacing a) +
+    spacing k for the box's first index a and its index k in the box."""
+    box = g.samples[tuple(slice(a, b) for a, b in g.support)]
+    at = np.nonzero(box)
+    flat = box[at]
+    corner = g.origin + g.spacing * np.array([a for a, _ in g.support])
+    coords = np.stack([c + h * k for c, h, k in zip(corner, g.spacing, at)], axis=1)
     out = np.empty(freqs.shape[0], dtype=np.complex128)
     block = max(1, _CHUNK_ENTRIES // max(coords.shape[0], 1))
     for start in range(0, freqs.shape[0], block):
@@ -523,7 +517,7 @@ def fourier_at(f: GridSignal, xi) -> complex:
     module docstring)."""
     xi = as_point(xi, f.d, "xi")[None, :]
     _check_band(f, xi)
-    return complex(_direct(f.trimmed(), xi)[0])
+    return complex(_direct(f, xi)[0])
 
 
 def _index_box(lo, hi, origin, spacing, a_min, b_max) -> tuple[np.ndarray, np.ndarray]:
@@ -613,8 +607,9 @@ def multiply(f: GridSignal, w: BumpWindow) -> GridSignal:
     """Pointwise product f * w sampled on f's grid.
 
     The result covers only the nonzero bounding box of the product (inside
-    the intersection of supports), with its origin placed exactly as
-    `trimmed()` places it; an empty product is the zero-size signal.
+    the intersection of supports), with its origin at f's origin plus
+    spacing times the box's first index on f's grid; an empty product is
+    the zero-size signal.
     """
     if w.d != f.d:
         raise ValueError("window dimension does not match the signal")
@@ -671,27 +666,39 @@ def save_signal(f: GridSignal, path) -> tuple[Path, Path]:
     return jpath, bpath
 
 
+def _csv_field(kind, text: str, name: str, where: str):
+    """text read as kind (int or float), or a ValueError naming the field
+    and where it stands."""
+    try:
+        return kind(text)
+    except ValueError:
+        wanted = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: {name} {text.strip()!r} is not {wanted}") from None
+
+
 def _load_csv(path: Path) -> GridSignal:
     origin, spacing = 0.0, 1.0
     rows = []
     with path.open() as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
+            where = f"{path} line {number}"
             if not line:
                 continue
             if line.startswith("#"):
                 for tok in line[1:].split():
                     if tok.startswith("origin="):
-                        origin = float(tok.split("=", 1)[1])
+                        origin = _csv_field(float, tok.split("=", 1)[1], "origin", where)
                     elif tok.startswith("spacing="):
-                        spacing = float(tok.split("=", 1)[1])
+                        spacing = _csv_field(float, tok.split("=", 1)[1], "spacing", where)
                 continue
             if line.lower().startswith("index"):
                 continue
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"bad CSV row {line!r}; expected index,re,im")
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
+            rows.append(tuple(_csv_field(kind, text, name, where) for kind, text, name in
+                              zip((int, float, float), parts, ("index", "re", "im"))))
     if not rows:
         raise ValueError(f"{path} holds no samples")
     rows.sort()

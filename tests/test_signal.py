@@ -66,7 +66,7 @@ def test_fourier_batch_fft_path_matches_direct():
     ball = LatticeBall.of(scaled_integer_lattice(delta, 1), 400 * delta)
     assert ball.points.shape[0] == 801 and ball.split(f.is_real)[1].size == 400
     fast = fourier_batch(f, ball)
-    slow = _direct(f.trimmed(), ball.points)
+    slow = _direct(f, ball.points)
     single = np.array([fourier_at(f, xi) for xi in ball.points[::7]])
     assert np.max(np.abs(fast - slow)) < 1e-10
     assert np.max(np.abs(fast[::7] - single)) < 1e-10
@@ -92,14 +92,14 @@ def test_fourier_batch_2d_product_vs_direct():
     f = GridSignal.from_samples(samples, [-2.0, -2.0], [0.0625, 0.0625])
     ball = LatticeBall.of(make_lattice(np.diag([2.0, 1.5])), 8.0)
     a = fourier_batch(f, ball)
-    b = _direct(f.trimmed(), ball.points)
+    b = _direct(f, ball.points)
     assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
 
 
 def _assert_matches_direct_on_subsample(g, ball, stride):
     fast = fourier_batch(g, ball)
     sub = slice(None, None, stride)
-    slow = _direct(g.trimmed(), ball.points[sub])
+    slow = _direct(g, ball.points[sub])
     assert np.max(np.abs(fast[sub] - slow)) < 1e-10 * np.max(np.abs(slow))
 
 
@@ -210,7 +210,7 @@ def _signal_and_ball(draw, d):
 
 def _assert_ball_transform_is_direct(g, ball):
     fast = fourier_batch(g, ball)
-    slow = _direct(g.trimmed(), ball.points)
+    slow = _direct(g, ball.points)
     assert fast.shape == (ball.points.shape[0],)
     assert np.max(np.abs(fast - slow), initial=0.0) <= 1e-10 * g.quad_l1()
 
@@ -225,6 +225,50 @@ def test_property_fourier_batch_equals_direct_1d(case):
 @given(_signal_and_ball(2))
 def test_property_fourier_batch_equals_direct_2d(case):
     _assert_ball_transform_is_direct(*case)
+
+
+def _direct_on_a_copy_of_the_support_box(g, freqs):
+    """The direct sum as taken on a copy of g's support box: the box's
+    samples at origin + spacing x its first index, meshed over the box."""
+    box = g.samples[tuple(slice(a, b) for a, b in g.support)]
+    first = np.array([a for a, _ in g.support])
+    copy = GridSignal.from_samples(box, g.origin + g.spacing * first, g.spacing)
+    coords = np.stack([m.ravel() for m in np.meshgrid(*copy.axes(), indexing="ij")], axis=1)
+    flat = copy.samples.ravel()
+    nz = np.nonzero(flat)[0]
+    sums = flat[nz] @ np.exp(-1j * (coords[nz] @ freqs.T))
+    return TWO_PI ** (-copy.d / 2) * copy.cell_volume * sums
+
+
+@st.composite
+def _signal_with_a_support_and_freqs(draw):
+    """A 1D or 2D signal on a grid of non-dyadic spacing, with an explicit
+    support range per axis that may be offset or empty and zeros inside it,
+    and up to 20 frequencies in its band."""
+    d = draw(st.integers(1, 2))
+    shape = draw(st.lists(st.integers(1, 60 if d == 1 else 12), min_size=d, max_size=d))
+    support = []
+    for n in shape:
+        a = draw(st.integers(0, n))
+        support.append((a, draw(st.integers(a, n))))
+    spacing = draw(st.lists(st.floats(0.01, 0.7), min_size=d, max_size=d))
+    origin = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.7)
+    f = GridSignal(origin, spacing, samples, tuple(support))
+    n_freqs = draw(st.integers(0, 20))
+    freqs = (rng.random((n_freqs, d)) * 2 - 1) * f.nyquist_limit()
+    return f, freqs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_signal_with_a_support_and_freqs())
+@example(case=(GridSignal([0.3], [0.07], np.ones(9), ((4, 4),)), np.array([[1.0], [-2.5]])))
+def test_property_direct_reads_the_support_box_in_place(case):
+    f, freqs = case
+    got = _direct(f, freqs)
+    assert got.shape == (freqs.shape[0],)
+    assert np.array_equal(got, _direct_on_a_copy_of_the_support_box(f, freqs))
 
 
 def test_fourier_batch_sums_over_an_explicit_support_wider_than_the_nonzero_box():
@@ -396,10 +440,11 @@ def test_make_cutoff_degenerate():
 def test_multiply_support_and_identity(bump):
     one = make_cutoff(([-3.0], [3.0]), ([-7.5], [7.5]))
     prod = multiply(bump, one)
-    # cutoff is 1 on the support; the product covers the support box only
-    ref = bump.trimmed()
-    assert prod.shape == ref.shape and np.array_equal(prod.origin, ref.origin)
-    assert np.allclose(prod.samples, ref.samples)
+    # cutoff is 1 on the support; the product covers the support box only,
+    # its origin at the box's first grid point
+    ((a, b),) = bump.support
+    assert prod.shape == (b - a,) and np.array_equal(prod.origin, bump.origin + bump.spacing * a)
+    assert np.allclose(prod.samples, bump.samples[a:b])
     zero = smooth_bump_window([100.0], [0.5])
     assert multiply(bump, zero).is_empty()
     narrow = smooth_bump_window([0.0], [0.5])
@@ -475,7 +520,12 @@ def test_load_signal_rejects_malformed(tmp_path):
     ("index,re,im\n0,1.0\n", "bad CSV row '0,1.0'; expected index,re,im"),
     ("# origin=0 spacing=1\nindex,re,im\n", "sig.csv holds no samples"),
     ("0,1,0\n2,1,0\n", "sig.csv must list every index 0..n-1 exactly once"),
-], ids=["short-row", "no-samples", "index-gap"])
+    ("0,1,0\n\n1.5,1,0\n", "sig.csv line 3: index '1.5' is not an integer"),
+    ("0,1,x\n", "sig.csv line 1: im 'x' is not a number"),
+    ("# origin=abc spacing=1\n0,1,0\n", "sig.csv line 1: origin 'abc' is not a number"),
+    ("0,1,0\n\n1,2,0\n\n3,1,0\n", "sig.csv must list every index 0..n-1 exactly once"),
+], ids=["short-row", "no-samples", "index-gap", "fractional-index", "text-sample",
+        "text-origin", "blank-lines"])
 def test_load_signal_refuses_a_malformed_csv(tmp_path, text, says):
     (tmp_path / "sig.csv").write_text(text)
     with pytest.raises(ValueError, match=re.escape(says)):

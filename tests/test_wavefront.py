@@ -94,19 +94,6 @@ def test_line_singularity_directional(line2d):
     assert df_fl_point(line2d, WavefrontQuery([2, 0], [1, 0], **q), pair).kind == "finite"
 
 
-def test_the_fl_route_never_trims_a_signal(jump, line2d, unit_pair, monkeypatch):
-    # fourier_batch sums chi * f over its support box as it stands
-    def refuse(self):
-        raise AssertionError("GridSignal.trimmed was called")
-
-    monkeypatch.setattr(GridSignal, "trimmed", refuse)
-    query = WavefrontQuery([0.0], [1.0], q=1.0, weight=1.0)
-    assert df_fl_point(jump, query, unit_pair).kind == "divergent"
-    pair = ScanConfig(alpha=2.5, beta=1.0).lattice_pair(2)
-    query = WavefrontQuery([0, 0], [1, 0], q=1.0, weight=1.0, r_max=180.0)
-    assert df_fl_point(line2d, query, pair).kind == "divergent"
-
-
 def _fl_kind_with_cutoff(f, pair, x0, inner, outer):
     # the FL verdict (q = s = 1, 20 degrees) with chi = 1 on |x - x0| <= inner, 0 beyond outer
     chi = make_cutoff(([x0 - inner], [x0 + inner]), ([x0 - outer], [x0 + outer]))
@@ -340,6 +327,28 @@ def test_scan_records_errors_without_aborting(jump):
     assert est.records[0].verdict_fl is None
     assert "DomainClipped" in est.records[0].error_fl
     assert est.records[1].verdict_fl is not None
+
+
+def test_a_series_looks_its_cone_up_once(jump, monkeypatch):
+    # the spectrum's cone cache hands each series its shell indices and
+    # counts along with the maxima, so a series makes one cone_index call
+    calls = {"cone_index": 0, "series": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(seminorm.ShellGeometry, "cone_index",
+                        counted("cone_index", seminorm.ShellGeometry.cone_index))
+    series = counted("series", seminorm.series_from_spectrum)
+    monkeypatch.setattr(seminorm, "series_from_spectrum", series)
+    monkeypatch.setattr(wavefront, "series_from_spectrum", series)
+    cfg = ScanConfig(pqs=((1.0, 1.0, 1.0), (2.0, 2.0, 1.0)), alpha=1.0, beta=1.0)
+    est = scan(jump, [[0.0], [1.0]], [[1.0], [-1.0]], cfg)
+    assert all(r.verdict_fl and r.verdict_mod for r in est.records)
+    assert calls["cone_index"] == calls["series"] == 2 * len(est.records) == 16
 
 
 def test_check_equivalence_report(jump):

@@ -217,13 +217,15 @@ def test_property_multiply_is_support_sized(case, gap):
     new = multiply(f, w)
     assert new.shape == tuple(b - a for a, b in old.support)
     assert all(b - a == n for (a, b), n in zip(new.support, new.shape))
-    # the origin is placed as trimmed() places it, so the box's far corner
-    # is origin + spacing (n - 1) from there: equal up to that rounding
-    for got, want, same in zip(new.support_box, old.support_box, old.trimmed().support_box):
-        assert np.array_equal(got, same)
+    # the origin is origin + spacing x the box's first index, and the samples
+    # are the box's; the box's far corner is origin + spacing (n - 1) from
+    # there, so it equals the full grid's up to that rounding
+    first = np.array([a for a, _ in old.support])
+    assert np.array_equal(new.origin, old.origin + old.spacing * first)
+    assert np.array_equal(new.samples, old.samples[tuple(slice(a, b) for a, b in old.support)])
+    assert np.array_equal(new.support_box[0], new.origin)
+    for got, want in zip(new.support_box, old.support_box):
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
-    assert np.array_equal(new.origin, old.trimmed().origin)
-    assert np.array_equal(new.samples, old.trimmed().samples)
     assert new.noise_floor() == old.noise_floor() or abs(
         new.noise_floor() - old.noise_floor()) <= 1e-14 * old.noise_floor()
     if not old.is_empty():
