@@ -2,7 +2,7 @@
 two fingerprints: the before/after check of a change that must not move
 what the library decides.
 
-    PYTHONPATH=src python3 tools/fingerprint.py --out FILE [--only NAME ...]
+    PYTHONPATH=src python3 tools/fingerprint.py --out FILE
     python3 tools/fingerprint.py --compare A B
 
 `--out` runs the battery through the microloc on the import path.  Each
@@ -43,12 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-# The (p, q, s) triples of the standard equivalence matrix.
-STANDARD_PQS = ((1.0, 1.0, 1.0), (2.0, 2.0, 1.0), (2.0, 1.0, 0.0), (1.0, 2.0, 1.0),
-                (2.0, 2.0, 0.0))
 _DIAG = math.sqrt(0.5)
 DIRS_1D = ([1.0], [-1.0])
-DIRS_2D = ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [_DIAG, _DIAG], [-_DIAG, _DIAG])
 # The line fixture is asked on the standard matrix's lattices.
 LINE = dict(alpha=2.5, beta=1.0, gabor_alpha=2.0, gabor_alpha1=5.0, r_max=180.0)
 # One fixed question per known fault: a cutoff reaching the jump, the two
@@ -104,22 +100,12 @@ def _answer(call):
 
 
 def standard_matrix(ml):
-    """The 240 records of the standard equivalence matrix."""
-    fx = ml.fixtures
-    scans = (
-        ("jump", fx.jump_1d(), [[0.0], [1.0], [-1.0], [2.0], [-2.0], [3.0]], DIRS_1D,
-         ml.ScanConfig(pqs=STANDARD_PQS, alpha=1.0, beta=1.0)),
-        ("bump", fx.smooth_bump_1d(), [[0.0], [1.2], [-1.2]], DIRS_1D,
-         ml.ScanConfig(pqs=STANDARD_PQS, alpha=1.0, beta=1.0)),
-        ("line", fx.line_singularity_2d(), [[0.0, 0.0], [0.0, 0.5], [0.0, -0.5], [2.0, 0.0],
-                                            [-2.0, 0.0]], DIRS_2D,
-         ml.ScanConfig(pqs=STANDARD_PQS, **LINE)),
-    )
-    out = []
-    for name, f, xs, dirs, cfg in scans:
-        for i, rec in enumerate(ml.scan(f, xs, list(dirs), cfg).records):
-            out.append(record(f"{name} {i}", rec.to_json()))
-    return out
+    """The 240 records of the standard equivalence matrix, as selftest and
+    the golden file build it."""
+    names = ("jump_1d", "smooth_bump_1d", "line_singularity_2d")
+    return [record(f"{name} {i}", rec.to_json())
+            for name, est in zip(names, ml.selftest._standard_estimates())
+            for i, rec in enumerate(est.records)]
 
 
 def _heatmap(path: Path) -> list:
@@ -182,7 +168,7 @@ def predict_records(ml):
                  [[0.0, 0.5, 1.0, 0.0], [0.0, 0.5, 0.0, 1.0], [2.0, -0.5, 1.0, 0.0]]),
     }
     out = []
-    for n, (p, q, s) in enumerate(STANDARD_PQS):
+    for n, (p, q, s) in enumerate(ml.selftest._STANDARD_PQS):
         for name, (f, lattice, rows) in settings.items():
             det = ml.WavefrontDetector(q=q, p=p, s=s, beta=1.0, method="both", **lattice).fit(f)
             asked = rows + [x0 + th for fixture, x0, th in PROBES if fixture == name and n == 0]
@@ -206,10 +192,11 @@ def point_verdicts(ml):
     questions += [("bump", [x0], [1.0]) for x0 in (0.0, 1.125, 0.5)]
     questions += [("line", [0.0, 0.5], [1.0, 0.0]), ("line", [2.0, -0.5], [_DIAG, _DIAG]),
                   ("line", [0.5, 0.5], [1.0, 0.0])]
-    pqs = [STANDARD_PQS[n % len(STANDARD_PQS)] for n in range(len(questions))]
+    triples = ml.selftest._STANDARD_PQS
+    pqs = [triples[n % len(triples)] for n in range(len(questions))]
     out = []
     for (name, x0, theta), (p, q, s) in zip(questions + list(PROBES),
-                                            pqs + [STANDARD_PQS[0]] * len(PROBES)):
+                                            pqs + [triples[0]] * len(PROBES)):
         f, pair, gsys, r_max = setting[name]
         query = ml.WavefrontQuery(x0, theta, q=q, p=p, weight=s, r_max=r_max)
         blob = {route.__name__: _answer(lambda: route(f, query, arg).to_json())
@@ -283,6 +270,7 @@ def fingerprint(names=None) -> dict:
     """{output: {"sha256", "records"}} of the named outputs (all by default)."""
     import microloc as ml
     import microloc.fixtures  # noqa: F401  (ml.fixtures)
+    import microloc.selftest  # noqa: F401  (ml.selftest)
 
     out = {}
     for name in names or OUTPUTS:
@@ -363,10 +351,9 @@ def main(argv=None) -> int:
     what = parser.add_mutually_exclusive_group(required=True)
     what.add_argument("--out", metavar="FILE", help="write the fingerprint of the battery")
     what.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two fingerprints")
-    parser.add_argument("--only", nargs="+", choices=list(OUTPUTS), help="fingerprint these only")
     args = parser.parse_args(argv)
     if args.out:
-        Path(args.out).write_text(json.dumps(fingerprint(args.only)) + "\n")
+        Path(args.out).write_text(json.dumps(fingerprint()) + "\n")
         return 0
     a, b = (json.loads(Path(p).read_text()) for p in args.compare)
     same, lines = compare(a, b)
